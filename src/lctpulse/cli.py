@@ -12,12 +12,10 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from . import io
-from .dynamics import QuantumState, drift_spectrum, propagate_waveform
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -34,6 +32,7 @@ from .optimize import (
     fit_analytic_pulse,
     optimize_reversible,
     optimize_truncation,
+    reverse_error,
 )
 from .pulses import analytic_pulse, fourier_spectrum, lowpass_filter
 from .units import TWO_PI
@@ -226,10 +225,7 @@ def cmd_analytic(ctx: dict, chained: dict | None = None) -> None:
     wf = analytic_pulse(fitted, dt, omega_tc_max=params.omega_tc_max)
     _write_pulse_set(ctx, "analytic", params, wf)
 
-    spectrum = drift_spectrum(params)
-    psi0 = QuantumState(spectrum.state(base.initial_label))
-    traj = propagate_waveform(params, psi0, wf, tracked=[base.target_label])
-    err = 1.0 - traj.final_population(base.target_label)
+    err = reverse_error(params, wf, base.initial_label, base.target_label)
     io.write_json(_out(ctx, "analytic_summary.json"), {
         "final_error": err, "duration_ns": wf.duration,
     })

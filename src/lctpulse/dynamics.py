@@ -4,6 +4,9 @@ Each sample interval is integrated exactly: the step propagator is
 exp(-i h dt) computed through the eigendecomposition of the (real
 symmetric) Hamiltonian held on that interval.  No Trotter or ODE error
 enters; the only approximation anywhere is the sample-and-hold control.
+
+step_factors and apply_step are the one propagation kernel: the single
+steps here, the waveform replay and the feedback loop in lct all use them.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from .model import (
     DriftSpectrum,
     HermitianOperator,
     SystemParams,
-    build_control_generator,
-    build_drift_hamiltonian,
+    drift_spectrum,
     eigendecompose,
+    held_hamiltonians,
 )
 from .pulses import Waveform
 
@@ -45,14 +48,33 @@ class QuantumState:
         return self.amplitudes.size
 
 
+def step_factors(spectrum: DriftSpectrum, shifts, dt: float) -> tuple:
+    """Factors (U, exp(-i w dt)) of exp(-i (H + s G) dt) for held shifts s.
+
+    H and G are the spectrum's hamiltonian and control generator; shifts is
+    a scalar or an array, and the factors stack along its shape, from one
+    batched eigh.  A single shift of exactly 0.0 holds H itself and reuses
+    the spectrum's eigenpairs: the feedback loop caps many samples there.
+    """
+    if np.ndim(shifts) == 0 and shifts == 0.0:
+        w, u = spectrum.eigenvalues, spectrum.eigenvectors
+    else:
+        w, u = np.linalg.eigh(
+            held_hamiltonians(spectrum.hamiltonian, spectrum.control, shifts))
+    return u, np.exp(-1j * w * dt)
+
+
+def apply_step(u: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """One held step, U diag(phases) U^H psi, from step_factors' factors."""
+    return u @ (phases * (u.conj().T @ psi))
+
+
 def propagate_step(state: QuantumState, h: HermitianOperator, dt: float) -> QuantumState:
     """Exact one-interval step: exp(-i h dt) |state>."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    w, v = np.linalg.eigh(h.matrix)
-    phases = np.exp(-1j * w * dt)
-    psi = v @ (phases * (v.conj().T @ state.amplitudes))
-    return QuantumState(amplitudes=psi)
+    u, phases = step_factors(eigendecompose(h), 0.0, dt)
+    return QuantumState(amplitudes=apply_step(u, phases, state.amplitudes))
 
 
 def population_derivative_check(
@@ -107,12 +129,6 @@ class TrajectoryRecord:
         return t_hi - t_lo
 
 
-def _step_factors(h_matrix: np.ndarray, dt: float):
-    """(V, exp(-i w dt)) pair for one held Hamiltonian."""
-    w, v = np.linalg.eigh(h_matrix)
-    return v, np.exp(-1j * w * dt)
-
-
 def propagate_waveform(
     params: SystemParams,
     psi0: QuantumState,
@@ -128,26 +144,22 @@ def propagate_waveform(
     """
     if psi0.dim != params.dim:
         raise ValueError("state dimension does not match the device")
-    spectrum = eigendecompose(build_drift_hamiltonian(params))
+    spectrum = drift_spectrum(params)
     if tracked:
         track_vecs = np.stack([spectrum.state(lab) for lab in tracked], axis=1)
     else:
         track_vecs = np.empty((params.dim, 0))
+    track_rows = track_vecs.conj().T
 
-    h_d = build_drift_hamiltonian(params).matrix
-    gen = build_control_generator(params).matrix
-    batch = h_d[None, :, :] + wf.samples[:, None, None] * gen[None, :, :]
-    w, v = np.linalg.eigh(batch)
-    phases = np.exp(-1j * w * wf.dt)
+    u, phases = step_factors(spectrum, wf.samples, wf.dt)
 
     n = wf.n
     pops = np.empty((n + 1, len(tracked)))
     psi = psi0.amplitudes.copy()
-    pops[0] = np.abs(track_vecs.conj().T @ psi) ** 2
+    pops[0] = np.abs(track_rows @ psi) ** 2
     for k in range(n):
-        vk = v[k]
-        psi = vk @ (phases[k] * (vk.conj().T @ psi))
-        pops[k + 1] = np.abs(track_vecs.conj().T @ psi) ** 2
+        psi = apply_step(u[k], phases[k], psi)
+        pops[k + 1] = np.abs(track_rows @ psi) ** 2
 
     return TrajectoryRecord(
         times=np.arange(n + 1) * wf.dt,
@@ -155,8 +167,3 @@ def propagate_waveform(
         populations={lab: pops[:, i] for i, lab in enumerate(tracked)},
         final_state=QuantumState(amplitudes=psi),
     )
-
-
-def drift_spectrum(params: SystemParams) -> DriftSpectrum:
-    """Convenience: spectrum of the drift Hamiltonian (coupler at maximum)."""
-    return eigendecompose(build_drift_hamiltonian(params))

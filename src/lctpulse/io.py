@@ -105,22 +105,27 @@ def lct_config_from(
         raise ConfigError(f"section {section!r}: {exc}") from exc
 
 
+_REVERSIBILITY_KEYS = {
+    "lambda2_init": float,
+    "lambda2_bounds": lambda v: tuple(float(x) for x in v),
+    "cutoff_candidates_ghz": lambda v: tuple(float(x) for x in v),
+    "fidelity_goal": float,
+    "simplex_tolerance": float,
+    "max_evals": int,
+}
+
+
 def reversibility_config_from(doc: dict, section: str = "reversibility") -> ReversibilityConfig:
-    """ReversibilityConfig from a config section; absent keys keep defaults."""
+    """ReversibilityConfig from a config section; absent keys keep defaults,
+    unknown keys (such as a setting no longer read) are a ConfigError."""
     sec = doc.get(section) or {}
     if not isinstance(sec, dict):
         raise ConfigError(f"config section {section!r} must be an object")
+    unknown = sorted(set(sec) - set(_REVERSIBILITY_KEYS))
+    if unknown:
+        raise ConfigError(f"section {section!r}: unknown keys {unknown}")
     kwargs = {}
-    for key, cast in (
-        ("lambda2_init", float),
-        ("lambda2_bounds", lambda v: tuple(float(x) for x in v)),
-        ("cutoff_candidates_ghz", lambda v: tuple(float(x) for x in v)),
-        ("cutoff_init_ghz", float),
-        ("fidelity_goal", float),
-        ("simplex_tolerance", float),
-        ("max_evals", int),
-        ("max_outer_iters", int),
-    ):
+    for key, cast in _REVERSIBILITY_KEYS.items():
         if sec.get(key) is not None:
             try:
                 kwargs[key] = cast(sec[key])

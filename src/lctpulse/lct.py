@@ -24,25 +24,14 @@ all amplitudes real at t=0) the law would start from 0 regardless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import QuantumState, TrajectoryRecord
+from .dynamics import QuantumState, TrajectoryRecord, apply_step, step_factors
 from .errors import ConfigError
-from .model import (
-    DriftSpectrum,
-    SystemParams,
-    build_control_generator,
-    build_drift_hamiltonian,
-    eigendecompose,
-    tc_sigma_z,
-)
-from .pulses import CLAMP_FLOOR_FRACTION, Waveform
-
-# Size bound for the per-value propagator cache inside run_lct.  Capped-off
-# steps (applied shift exactly 0.0) hit it constantly; active steps rarely.
-_CACHE_LIMIT = 4096
+from .model import DriftSpectrum, SystemParams, drift_spectrum
+from .pulses import Waveform, clamp_floor, clamp_samples
 
 
 @dataclass(frozen=True)
@@ -123,9 +112,24 @@ def seed_state(psi0: QuantumState, target: QuantumState, eta: float) -> QuantumS
     return QuantumState(amplitudes=mixed / norm)
 
 
-def _clamp(value: float, omega_tc_max: float) -> float:
-    lo = -omega_tc_max * (1.0 - CLAMP_FLOOR_FRACTION)
-    return min(0.0, max(lo, value))
+def _feedback_row(spectrum: DriftSpectrum, j: int, n_prime: int | None) -> np.ndarray:
+    """<psi_j| sz_TC |psi_k> for the n_prime lowest drift eigenstates k.
+
+    n_prime None keeps them all (the exact law); sz_TC = -2 G, from the
+    spectrum's diagonal control generator.
+    """
+    n_keep = spectrum.dim if n_prime is None else n_prime
+    if not 0 < n_keep <= spectrum.dim:
+        raise ConfigError("n_prime must be in (0, dim]")
+    if not 0 <= j < n_keep:
+        raise ConfigError("target eigenstate lies outside the projected set")
+    v = spectrum.eigenvectors
+    return ((v[:, j].conj() * (-2.0 * np.diag(spectrum.control))) @ v)[:n_keep]
+
+
+def _raw_feedback(m_row: np.ndarray, c: np.ndarray, j: int, gain: float) -> float:
+    """Unclamped law from the state's drift-basis amplitudes c."""
+    return -gain * float(np.imag(np.dot(m_row, c[:m_row.size]) * np.conj(c[j])))
 
 
 def feedback_value(
@@ -141,29 +145,12 @@ def feedback_value(
 
     target_index addresses the ascending spectrum; n_prime restricts the
     eigenbasis sum to the lowest n_prime states and must exceed
-    target_index.
+    target_index (ConfigError, a ValueError, otherwise).
     """
-    dim = spectrum.dim
-    if n_prime is None:
-        n_prime = dim
-    if not 0 < n_prime <= dim:
-        raise ValueError("n_prime must be in (0, dim]")
-    if not 0 <= target_index < n_prime:
-        raise ValueError("target_index must lie below n_prime")
-    v = spectrum.eigenvectors
-    sz = _sz_for_dim(dim)
-    c = v.conj().T @ state.amplitudes
-    m_row = v[:, target_index].conj() @ sz @ v[:, :n_prime]
-    raw = -lambda_ * float(np.imag(np.dot(m_row, c[:n_prime]) * np.conj(c[target_index])))
-    return _clamp(raw, omega_tc_max)
-
-
-def _sz_for_dim(dim: int) -> np.ndarray:
-    """Bare sz on the last (coupler) site; the TC bit varies fastest."""
-    diag = np.empty(dim)
-    diag[0::2] = 1.0
-    diag[1::2] = -1.0
-    return np.diag(diag)
+    m_row = _feedback_row(spectrum, target_index, n_prime)
+    c = spectrum.eigenvectors.conj().T @ state.amplitudes
+    raw = _raw_feedback(m_row, c, target_index, lambda_)
+    return float(clamp_samples(raw, omega_tc_max))
 
 
 def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
@@ -173,17 +160,12 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
     clamped), the shaped term alone, the full trajectory over the run, and
     the final target-population error.
     """
-    spectrum = eigendecompose(build_drift_hamiltonian(params))
-    dim = spectrum.dim
+    spectrum = drift_spectrum(params)
     j = spectrum.index_of_label(config.target_label)
     i0 = spectrum.index_of_label(config.initial_label)
-
-    n_prime = config.n_prime
-    if n_prime is not None:
-        if not 0 < n_prime <= dim:
-            raise ConfigError("n_prime must be in (0, dim]")
-        if j >= n_prime:
-            raise ConfigError("target eigenstate lies outside the projected set")
+    # The full law is the projected law at n_prime = dim, same arithmetic,
+    # so the two are identical sample for sample.
+    m_row = _feedback_row(spectrum, j, config.n_prime)
 
     n_steps = int(round(config.t_max / config.dt))
     if abs(n_steps * config.dt - config.t_max) > 1e-9 * config.t_max:
@@ -204,32 +186,18 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
     psi = seed_state(psi0, QuantumState(amplitudes=spectrum.eigenvectors[:, j]),
                      config.eta).amplitudes
 
-    v = spectrum.eigenvectors
-    h_d = build_drift_hamiltonian(params).matrix
-    h_d_diag = np.diag(h_d).copy()
-    gen_diag = np.diag(build_control_generator(params).matrix).copy()
-    sz = tc_sigma_z(params).matrix
-    # Feedback row <psi_j| sz_TC |psi_k> in the drift eigenbasis; the full
-    # law is the projected law at n_prime = dim, same arithmetic, so the
-    # two are identical sample for sample.
-    n_keep = n_prime if n_prime is not None else dim
-    m_row = (v[:, j].conj() @ sz @ v)[:n_keep]
-
     tracked = list(config.tracked) if config.tracked is not None else list(
         sorted(spectrum.bare_labels, key=lambda lab: int(lab, 2))
     )
     track_idx = np.array([spectrum.index_of_label(lab) for lab in tracked])
 
-    lo_clamp = -params.omega_tc_max * (1.0 - CLAMP_FLOOR_FRACTION)
-    cache: dict = {}
-    h_buf = h_d.copy()
-    diag_idx = np.arange(dim)
+    lo_clamp = clamp_floor(params.omega_tc_max)
 
     total = np.zeros(n_steps)
     shaped = np.zeros(n_steps)
     pops = np.empty((n_steps + 1, track_idx.size))
 
-    vt = v.conj().T
+    vt = spectrum.eigenvectors.conj().T
     c = vt @ psi
     pops[0] = np.abs(c[track_idx]) ** 2
     raw = 0.0  # nothing computed yet; first sample is the reference alone
@@ -245,22 +213,11 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
         total[k] = applied
         shaped[k] = applied - reference[k]
 
-        step = cache.get(applied)
-        if step is None:
-            h_buf[diag_idx, diag_idx] = h_d_diag + applied * gen_diag
-            w, u = np.linalg.eigh(h_buf)
-            step = (u, np.exp(-1j * w * config.dt))
-            if len(cache) >= _CACHE_LIMIT:
-                cache.clear()
-            cache[applied] = step
-        u, phases = step
-        psi = u @ (phases * (u.conj().T @ psi))
+        psi = apply_step(*step_factors(spectrum, applied, config.dt), psi)
 
         c = vt @ psi
         pops[k + 1] = np.abs(c[track_idx]) ** 2
-        raw = -gain * float(
-            np.imag(np.dot(m_row, c[:n_keep]) * np.conj(c[j]))
-        )
+        raw = _raw_feedback(m_row, c, j, gain)
 
     trajectory = TrajectoryRecord(
         times=np.arange(n_steps + 1) * config.dt,

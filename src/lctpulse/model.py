@@ -19,6 +19,7 @@ All frequencies in this module are angular (rad/ns).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -65,13 +66,35 @@ class SystemParams:
         if any(gi <= 0 for gi in self.g):
             raise ValueError("couplings must be positive")
         if self.dim > DIM_CAP:
-            raise ValueError(
-                "system too large for dense eigendecomposition; use projected LCT"
-            )
+            raise ValueError(f"dimension {self.dim} exceeds the dense cap {DIM_CAP}")
 
     @property
     def dim(self) -> int:
         return 2 ** (self.n_qubits + 1)
+
+    # The device's drift is built once per instance (the instance is
+    # frozen, and a CLI invocation makes a fresh one) and shared read-only.
+
+    @cached_property
+    def drift_operators(self) -> tuple:
+        """(H_d, G): the drift and the diagonal control generator -1/2 sz_TC.
+
+        The only place either is built; H_d + s G is held at coupler shift s.
+        """
+        ops = build_drift_hamiltonian(self).matrix, build_control_generator(self).matrix
+        for a in ops:
+            a.setflags(write=False)
+        return ops
+
+    @cached_property
+    def drift_spectrum(self) -> DriftSpectrum:
+        """Labelled spectrum of the drift (coupler at maximum), with H_d and G."""
+        h, g = self.drift_operators
+        spectrum = eigendecompose(HermitianOperator(h))
+        spectrum.hamiltonian, spectrum.control = h, g
+        spectrum.eigenvalues.setflags(write=False)
+        spectrum.eigenvectors.setflags(write=False)
+        return spectrum
 
     @classmethod
     def from_ghz(cls, qubit_freqs_ghz, couplings_ghz, tc_max_freq_ghz):
@@ -154,12 +177,6 @@ def build_control_generator(params: SystemParams) -> HermitianOperator:
     return HermitianOperator(-0.5 * _site_operator(_SZ, n_sites - 1, n_sites))
 
 
-def tc_sigma_z(params: SystemParams) -> HermitianOperator:
-    """Bare sz on the coupler site, used by the feedback law."""
-    n_sites = params.n_qubits + 1
-    return HermitianOperator(_site_operator(_SZ, n_sites - 1, n_sites))
-
-
 # ================================================================
 # flux map
 # ================================================================
@@ -203,11 +220,16 @@ class DriftSpectrum:
                     largest-magnitude component is real and positive
     bare_labels     bare label assigned to each eigenvector; always a
                     permutation of the product labels
+    hamiltonian     the drift H_d (rad/ns) and the control generator
+    control         G = dH/d delta_omega_tc; set only on a device's drift
+                    spectrum (SystemParams.drift_spectrum)
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     bare_labels: list = field(default_factory=list)
+    hamiltonian: np.ndarray | None = None
+    control: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -227,14 +249,11 @@ class DriftSpectrum:
 
 
 def _gauge_fix(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-|.| component is real positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        pivot = col[np.argmax(np.abs(col))]
-        mag = abs(pivot)
-        if mag > 0:
-            out[:, j] = col * (np.conj(pivot) / mag)
+    """Rotate each column (of one matrix or a stack) so its largest-|.|
+    component is real positive."""
+    rows = np.abs(vectors).argmax(axis=-2)[..., None, :]
+    pivot = np.take_along_axis(vectors, rows, axis=-2)
+    out = vectors * (np.conj(pivot) / np.abs(pivot))
     if np.iscomplexobj(out) and np.abs(out.imag).max() == 0.0:
         out = out.real
     return out
@@ -272,28 +291,14 @@ def eigendecompose(h: HermitianOperator) -> DriftSpectrum:
     )
 
 
-def nonadiabatic_coupling(
-    params: SystemParams, j: int, k: int, delta_omega_tc: float
-) -> float:
-    """Hellmann-Feynman coupling <j| dH/d delta |k> / (eps_j - eps_k).
+def drift_spectrum(params: SystemParams) -> DriftSpectrum:
+    """The device's drift spectrum, built once per SystemParams instance."""
+    return params.drift_spectrum
 
-    Indices j, k address the full ascending spectrum at the given coupler
-    shift.  Raises DegenerateLevelsError when the pair is closer than
-    1e-9 rad/ns, where the expression is singular.
-    """
-    if j == k:
-        raise ValueError("coupling defined only between distinct levels")
-    spec = eigendecompose(build_drift_hamiltonian(params, delta_omega_tc))
-    gap = spec.eigenvalues[j] - spec.eigenvalues[k]
-    if abs(gap) < _DEGENERACY_FLOOR:
-        raise DegenerateLevelsError(
-            f"levels {j},{k} degenerate to {gap:.3e} rad/ns at "
-            f"delta_omega_tc={delta_omega_tc:.6g}"
-        )
-    gen = build_control_generator(params).matrix
-    vj = spec.eigenvectors[:, j]
-    vk = spec.eigenvectors[:, k]
-    return float(np.real(np.vdot(vj, gen @ vk)) / gap)
+
+def held_hamiltonians(h: np.ndarray, g: np.ndarray, deltas) -> np.ndarray:
+    """h + delta g for each coupler shift, stacked along the shape of deltas."""
+    return h + np.asarray(deltas, dtype=float)[..., None, None] * g
 
 
 # ================================================================
@@ -302,17 +307,44 @@ def nonadiabatic_coupling(
 
 def sweep_eigenvalues(params: SystemParams, deltas: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending, rad/ns) at each coupler shift; shape (m, dim)."""
+    return np.linalg.eigvalsh(held_hamiltonians(*params.drift_operators, deltas))
+
+
+def sweep_nonadiabatic_couplings(
+    params: SystemParams, deltas: np.ndarray, pairs: list
+) -> np.ndarray:
+    """Hellmann-Feynman couplings <j| dH/d delta |k> / (eps_j - eps_k).
+
+    Signed, shape (m, len(pairs)); indices j, k address the full ascending
+    spectrum at each shift, with eigenvectors gauge-fixed as in
+    eigendecompose.  Raises DegenerateLevelsError where a pair is closer
+    than 1e-9 rad/ns, where the expression is singular.
+    """
+    if any(j == k for j, k in pairs):
+        raise ValueError("coupling defined only between distinct levels")
     deltas = np.asarray(deltas, dtype=float)
-    out = np.empty((deltas.size, params.dim))
-    for i, d in enumerate(deltas):
-        out[i] = np.linalg.eigvalsh(build_drift_hamiltonian(params, d).matrix)
-    return out
+    w, v = np.linalg.eigh(held_hamiltonians(*params.drift_operators, deltas))
+    v = _gauge_fix(v)
+    j, k = np.array(pairs, dtype=int).reshape(-1, 2).T
+    gap = w[:, j] - w[:, k]
+    degenerate = np.argwhere(np.abs(gap) < _DEGENERACY_FLOOR)
+    if degenerate.size:
+        i, c = degenerate[0]
+        raise DegenerateLevelsError(
+            f"levels {j[c]},{k[c]} degenerate to {gap[i, c]:.3e} rad/ns at "
+            f"delta_omega_tc={deltas[i]:.6g}"
+        )
+    g = np.diag(params.drift_operators[1])
+    numerator = np.einsum("mic,i,mic->mc", v[:, :, j].conj(), g, v[:, :, k])
+    return numerator.real / gap
 
 
-def _single_excitation_positions(spec: DriftSpectrum) -> np.ndarray:
-    """Indices (ascending) of eigenstates whose bare label has one excitation."""
-    return np.array(
-        [i for i, lab in enumerate(spec.bare_labels) if lab.count("1") == 1]
+def nonadiabatic_coupling(
+    params: SystemParams, j: int, k: int, delta_omega_tc: float
+) -> float:
+    """The coupling d_jk at one coupler shift; see sweep_nonadiabatic_couplings."""
+    return float(
+        sweep_nonadiabatic_couplings(params, [delta_omega_tc], [(j, k)])[0, 0]
     )
 
 
@@ -329,18 +361,16 @@ def single_excitation_gap_minima(params: SystemParams, deltas: np.ndarray) -> li
     """Interior minima of adjacent single-excitation gaps along a sweep.
 
     Exchange coupling conserves excitation number, so the single-excitation
-    levels are identified per point by their bare label and tracked as the
-    sorted trio; adjacent-gap minima mark the avoided crossings.
+    levels are the eigenvalues of that (n+1)-dimensional block, tracked as
+    the sorted set; adjacent-gap minima mark the avoided crossings.
     """
     deltas = np.asarray(deltas, dtype=float)
-    n_single = params.n_qubits + 1
-    gaps = np.empty((deltas.size, n_single - 1))
-    for i, d in enumerate(deltas):
-        spec = eigendecompose(build_drift_hamiltonian(params, d))
-        levels = spec.eigenvalues[_single_excitation_positions(spec)]
-        gaps[i] = np.diff(levels)
+    single = [i for i, lab in enumerate(product_labels(params.n_qubits))
+              if lab.count("1") == 1]
+    block = held_hamiltonians(*params.drift_operators, deltas)[:, single][:, :, single]
+    gaps = np.diff(np.linalg.eigvalsh(block), axis=1)
     minima = []
-    for pair in range(n_single - 1):
+    for pair in range(gaps.shape[1]):
         g = gaps[:, pair]
         i_min = int(np.argmin(g))
         if 0 < i_min < deltas.size - 1:  # interior minimum only
@@ -353,15 +383,3 @@ def single_excitation_gap_minima(params: SystemParams, deltas: np.ndarray) -> li
             )
     minima.sort(key=lambda m: -m.delta_omega_tc)
     return minima
-
-
-def sweep_nonadiabatic_couplings(
-    params: SystemParams, deltas: np.ndarray, pairs: list
-) -> np.ndarray:
-    """|d_jk| is not taken; raw signed couplings, shape (m, len(pairs))."""
-    deltas = np.asarray(deltas, dtype=float)
-    out = np.empty((deltas.size, len(pairs)))
-    for i, d in enumerate(deltas):
-        for c, (j, k) in enumerate(pairs):
-            out[i, c] = nonadiabatic_coupling(params, j, k, d)
-    return out

@@ -22,14 +22,14 @@ import numpy as np
 from .dynamics import QuantumState, propagate_waveform
 from .errors import ConvergenceError
 from .lct import LctConfig, refined_config, run_lct
-from .model import SystemParams, build_drift_hamiltonian, eigendecompose
+from .model import SystemParams, drift_spectrum
 from .pulses import (
     AnalyticPulseParams,
     Waveform,
     analytic_samples,
+    clamp_samples,
     lowpass_filter,
     natural_duration,
-    time_reverse,
     truncate_with_gaussian_tail,
 )
 
@@ -71,11 +71,9 @@ class ReversibilityConfig:
     lambda2_init: float = 300.0
     lambda2_bounds: tuple = (100.0, 1000.0)
     cutoff_candidates_ghz: tuple = (0.40, 0.45, 0.50)
-    cutoff_init_ghz: float | None = None
     fidelity_goal: float = 1e-6
     simplex_tolerance: float = 1e-3
     max_evals: int = 60
-    max_outer_iters: int = 8
 
 
 def _simplex_diameter(simplex: np.ndarray) -> float:
@@ -184,8 +182,7 @@ def reverse_error(
     destination_label: str,
 ) -> float:
     """1 - P(destination) after applying wf to the source eigenstate."""
-    spectrum = eigendecompose(build_drift_hamiltonian(params))
-    psi0 = QuantumState(amplitudes=spectrum.state(source_label))
+    psi0 = QuantumState(amplitudes=drift_spectrum(params).state(source_label))
     traj = propagate_waveform(params, psi0, wf, tracked=[destination_label])
     return 1.0 - traj.final_population(destination_label)
 
@@ -232,19 +229,15 @@ def optimize_reversible(
             f"bare pulse forward error {fwd_bare:.3e} misses the goal"
         )
 
-    cutoffs = [
-        c for c in cfg.cutoff_candidates_ghz
-        if cfg.cutoff_init_ghz is None or c >= cfg.cutoff_init_ghz
-    ]
-    if not cutoffs:
-        raise ValueError("no cutoff candidates at or above cutoff_init_ghz")
+    if not cfg.cutoff_candidates_ghz:
+        raise ValueError("no cutoff candidates")
 
     best = {"value": np.inf, "wf": None, "fwd": None, "cutoff": None, "lambda2": None}
     history = []
     evaluations = 0
     converged = False
 
-    for cutoff in cutoffs[: cfg.max_outer_iters]:
+    for cutoff in cfg.cutoff_candidates_ghz:
         reference = lowpass_filter(
             bare_pulse, cutoff, omega_tc_max=params.omega_tc_max
         )
@@ -319,8 +312,7 @@ def optimize_truncation(
     then tuned by a 1-d simplex on max(forward, reverse) error.  Returns
     (truncated waveform, OptimizationReport).
     """
-    spectrum = eigendecompose(build_drift_hamiltonian(params))
-    psi_rev = QuantumState(amplitudes=spectrum.state(destination_label))
+    psi_rev = QuantumState(amplitudes=drift_spectrum(params).state(destination_label))
     traj = propagate_waveform(params, psi_rev, pulse, tracked=[source_label])
     tau0 = traj.time_to_population(source_label, 0.99)
     if tau0 is None:
@@ -378,11 +370,7 @@ DEFAULT_ANALYTIC_BOUNDS = {
 }
 
 
-def _analytic_objective(params, source_label, destination_label, dt, omega_tc_max):
-    spectrum = eigendecompose(build_drift_hamiltonian(params))
-    psi0 = QuantumState(amplitudes=spectrum.state(source_label))
-    dest_vec = spectrum.state(destination_label)
-
+def _analytic_objective(params, source_label, destination_label, dt):
     def evaluate(p: AnalyticPulseParams) -> float:
         # Ordering violations are penalized, not fatal: the simplex may
         # wander through tau2 < tau1 territory while contracting.
@@ -399,11 +387,10 @@ def _analytic_objective(params, source_label, destination_label, dt, omega_tc_ma
             return 1.0 + penalty
         duration = natural_duration(p)
         n = max(2, int(round(duration / dt)))
-        samples = analytic_samples(p, np.arange(n) * dt)
-        samples = np.clip(samples, -omega_tc_max * (1.0 - 1e-3), 0.0)
+        samples = clamp_samples(analytic_samples(p, np.arange(n) * dt),
+                                params.omega_tc_max)
         wf = Waveform(dt=dt, samples=samples)
-        traj = propagate_waveform(params, psi0, wf, tracked=[destination_label])
-        return 1.0 - traj.final_population(destination_label)
+        return reverse_error(params, wf, source_label, destination_label)
 
     return evaluate
 
@@ -427,9 +414,7 @@ def fit_analytic_pulse(
     Returns (AnalyticPulseParams, OptimizationReport).
     """
     bounds = {**DEFAULT_ANALYTIC_BOUNDS, **(bounds or {})}
-    evaluate = _analytic_objective(
-        params, source_label, destination_label, dt, params.omega_tc_max
-    )
+    evaluate = _analytic_objective(params, source_label, destination_label, dt)
 
     current = init
 
@@ -466,31 +451,3 @@ def fit_analytic_pulse(
     )
     return current, report
 
-
-def analytic_init_from_model(
-    params: SystemParams,
-    gap_minima: list,
-    leg_duration: float,
-    full_duration: float,
-    tau1: float = 5.5,
-) -> AnalyticPulseParams:
-    """Initialization heuristic for the analytic fit.
-
-    Amplitudes start at the two avoided-crossing shifts (deepest first:
-    the pulse visits the far crossing, then parks at the near one), switch
-    times at the observed transfer legs, widths small so stage 1 behaves
-    almost like a two-plateau pulse.
-    """
-    if len(gap_minima) < 2:
-        raise ValueError("need two avoided crossings to initialize")
-    shifts = sorted(m.delta_omega_tc for m in gap_minima)
-    return AnalyticPulseParams(
-        alpha1=shifts[0],           # deeper crossing first
-        alpha3=shifts[-1],
-        tau1=tau1,
-        tau2=tau1 + leg_duration,
-        tau3=tau1 + full_duration,
-        sigma1=0.5,
-        sigma2=0.2,
-        sigma3=0.5,
-    )

@@ -56,10 +56,14 @@ class Waveform:
             raise ValueError("waveform at or below -omega_tc_max")
 
 
+def clamp_floor(omega_tc_max: float) -> float:
+    """Lowest allowed shift, -omega_tc_max + floor; keeps omega_tc > 0."""
+    return -omega_tc_max * (1.0 - CLAMP_FLOOR_FRACTION)
+
+
 def clamp_samples(samples: np.ndarray, omega_tc_max: float) -> np.ndarray:
-    """Clamp to (-omega_tc_max + floor, 0]; floor keeps omega_tc > 0."""
-    lo = -omega_tc_max * (1.0 - CLAMP_FLOOR_FRACTION)
-    return np.clip(samples, lo, 0.0)
+    """Clamp to [clamp_floor(omega_tc_max), 0]."""
+    return np.clip(samples, clamp_floor(omega_tc_max), 0.0)
 
 
 def time_reverse(wf: Waveform) -> Waveform:
@@ -212,12 +216,6 @@ class AnalyticPulseParams:
         if omega_tc_max is not None:
             if min(self.alpha1, self.alpha3) <= -omega_tc_max:
                 raise ValueError("amplitude at or below -omega_tc_max")
-
-    def as_tuple(self) -> tuple:
-        return (
-            self.alpha1, self.alpha3, self.tau1, self.tau2, self.tau3,
-            self.sigma1, self.sigma2, self.sigma3,
-        )
 
 
 def analytic_samples(p: AnalyticPulseParams, t: np.ndarray) -> np.ndarray:

@@ -128,6 +128,10 @@ def test_reversibility_section_defaults_and_overrides():
     assert cfg.cutoff_candidates_ghz == (0.45, 0.5)
     with pytest.raises(ConfigError):
         reversibility_config_from({"reversibility": {"lambda2_init": "x"}})
+    # Keys this version no longer reads fail loudly instead of being ignored.
+    with pytest.raises(ConfigError, match="max_outer_iters"):
+        reversibility_config_from(
+            {"reversibility": {"lambda2_init": 598.14, "max_outer_iters": 8}})
 
 
 def test_analytic_params_roundtrip():

@@ -211,6 +211,21 @@ def test_emitted_samples_match_feedback_law(params, spectrum, short_run):
     assert worst < 1e-9
 
 
+def test_replay_reproduces_run_final_state_exactly(params, spectrum, short_run):
+    # run_lct and propagate_waveform step through the same kernel, so
+    # replaying the seeded state under the emitted pulse must land on the
+    # run's final amplitudes bit for bit.
+    cfg = _base(t_max=40.0)
+    i0, j = spectrum.index_of_label("100"), spectrum.index_of_label("010")
+    psi = seed_state(QuantumState(spectrum.eigenvectors[:, i0]),
+                     QuantumState(spectrum.eigenvectors[:, j]), cfg.eta)
+    assert np.any(short_run.waveform.samples == 0.0)
+    assert np.any(short_run.waveform.samples != 0.0)
+    traj = propagate_waveform(params, psi, short_run.waveform, tracked=[])
+    np.testing.assert_array_equal(traj.final_state.amplitudes,
+                                  short_run.trajectory.final_state.amplitudes)
+
+
 # ----------------------------------------------------------------
 # correction stage
 # ----------------------------------------------------------------

@@ -249,6 +249,10 @@ def test_degenerate_pair_raises():
     sym = SystemParams.from_ghz([5.0, 5.0], [1e-5, 1e-5], 7.445)
     with pytest.raises(DegenerateLevelsError):
         nonadiabatic_coupling(sym, 1, 2, 0.0)
+    # The batched sweep finds the pair among other points and pairs.
+    deltas = TWO_PI * np.array([-1.0, -0.5, 0.0])
+    with pytest.raises(DegenerateLevelsError):
+        sweep_nonadiabatic_couplings(sym, deltas, [(0, 1), (1, 2)])
 
 
 def test_near_zero_coupling_gives_near_zero_d(params):
@@ -284,3 +288,32 @@ def test_gap_minima_locations(params):
 def test_single_point_sweep_has_no_interior_minima(params):
     minima = single_excitation_gap_minima(params, np.array([-TWO_PI]))
     assert minima == []
+
+
+def test_gap_minima_match_labelled_reference():
+    # Reference: full eigendecomposition at every point, single-excitation
+    # levels picked by their assigned bare label, adjacent-gap minima.
+    rng = np.random.default_rng(7)
+    device = SystemParams.from_ghz(
+        list(rng.uniform(4.5, 6.5, 3)), list(rng.uniform(0.03, 0.12, 3)), 7.4)
+    deltas = TWO_PI * np.linspace(-3.2, 0.0, 161)
+    gaps = []
+    for d in deltas:
+        spec = eigendecompose(build_drift_hamiltonian(device, d))
+        singles = [i for i, lab in enumerate(spec.bare_labels)
+                   if lab.count("1") == 1]
+        gaps.append(np.diff(spec.eigenvalues[singles]))
+    gaps = np.array(gaps)
+    expected = []
+    for pair in range(gaps.shape[1]):
+        i_min = int(np.argmin(gaps[:, pair]))
+        if 0 < i_min < deltas.size - 1:
+            expected.append((deltas[i_min], gaps[i_min, pair], (pair, pair + 1)))
+    expected.sort(key=lambda m: -m[0])
+
+    minima = single_excitation_gap_minima(device, deltas)
+    assert len(minima) == len(expected) >= 2
+    for m, (delta, gap, pair) in zip(minima, expected):
+        assert m.delta_omega_tc == delta
+        assert m.branch_pair == pair
+        assert m.gap == pytest.approx(gap, abs=1e-10)
