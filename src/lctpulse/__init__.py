@@ -4,6 +4,7 @@ from .dynamics import (
     QuantumState,
     TrajectoryRecord,
     population_derivative_check,
+    propagate_endpoint,
     propagate_step,
     propagate_waveform,
 )

@@ -191,11 +191,16 @@ def read_waveform_csv(path: str) -> Waveform:
 
 
 def write_flux_csv(path: str, params: SystemParams, wf: Waveform):
-    """Export the pulse as the flux drive realizing it."""
-    phis = [
-        frequency_to_flux(params, params.omega_tc_max + s).phi_over_phi0
-        for s in wf.samples
-    ]
+    """Export the pulse as the flux drive realizing it.
+
+    The column is frequency_to_flux applied to every sample at once; a
+    sample outside the tunable window raises its ValueError.
+    """
+    omega_tc = params.omega_tc_max + wf.samples
+    outside = ~((omega_tc >= 0.0) & (omega_tc <= params.omega_tc_max))
+    if outside.any():
+        frequency_to_flux(params, omega_tc[outside][0])  # raises
+    phis = np.arccos((omega_tc / params.omega_tc_max) ** 2) / np.pi
     data = np.column_stack([wf.times(), phis])
     np.savetxt(path, data, fmt=["%.9f", "%.12f"], delimiter=",",
                header="t_ns,phi_over_phi0", comments="")

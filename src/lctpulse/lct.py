@@ -77,6 +77,10 @@ class LctConfig:
             raise ConfigError("lambda2 is required when a reference is given")
         if self.lambda2 is not None and self.lambda2 < 0:
             raise ConfigError("lambda2 must be non-negative")
+        if self.initial_label.count("1") != self.target_label.count("1"):
+            raise ConfigError(
+                f"{self.initial_label} and {self.target_label} differ in excitation "
+                "number, which exchange conserves: no pulse transfers between them")
 
 
 @dataclass
@@ -113,7 +117,7 @@ def seed_state(psi0: QuantumState, target: QuantumState, eta: float) -> QuantumS
 
 
 def _feedback_row(spectrum: DriftSpectrum, j: int, n_prime: int | None) -> np.ndarray:
-    """<psi_j| sz_TC |psi_k> for the n_prime lowest drift eigenstates k.
+    """<psi_j| sz_TC |psi_k> for every drift eigenstate k, zero from k = n_prime on.
 
     n_prime None keeps them all (the exact law); sz_TC = -2 G, from the
     spectrum's diagonal control generator.
@@ -124,12 +128,14 @@ def _feedback_row(spectrum: DriftSpectrum, j: int, n_prime: int | None) -> np.nd
     if not 0 <= j < n_keep:
         raise ConfigError("target eigenstate lies outside the projected set")
     v = spectrum.eigenvectors
-    return ((v[:, j].conj() * (-2.0 * np.diag(spectrum.control))) @ v)[:n_keep]
+    row = (v[:, j].conj() * (-2.0 * np.diag(spectrum.control))) @ v
+    row[n_keep:] = 0.0
+    return row
 
 
 def _raw_feedback(m_row: np.ndarray, c: np.ndarray, j: int, gain: float) -> float:
     """Unclamped law from the state's drift-basis amplitudes c."""
-    return -gain * float(np.imag(np.dot(m_row, c[:m_row.size]) * np.conj(c[j])))
+    return -gain * float((np.dot(m_row, c) * c[j].conjugate()).imag)
 
 
 def feedback_value(
@@ -158,14 +164,19 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
 
     Returns the applied waveform (reference plus shaped term, jointly
     clamped), the shaped term alone, the full trajectory over the run, and
-    the final target-population error.
+    the final target-population error.  The loop runs in the excitation
+    block of the two labels (validated equal by LctConfig) and keeps the
+    state's drift-basis amplitudes there; tracked labels outside the block
+    read exactly zero.
     """
     spectrum = drift_spectrum(params)
     j = spectrum.index_of_label(config.target_label)
     i0 = spectrum.index_of_label(config.initial_label)
+    sector = params.sectors[config.target_label.count("1")]
+    jb = int(np.searchsorted(sector.columns, j))
     # The full law is the projected law at n_prime = dim, same arithmetic,
     # so the two are identical sample for sample.
-    m_row = _feedback_row(spectrum, j, config.n_prime)
+    m_row = _feedback_row(spectrum, j, config.n_prime)[sector.columns]
 
     n_steps = int(round(config.t_max / config.dt))
     if abs(n_steps * config.dt - config.t_max) > 1e-9 * config.t_max:
@@ -184,22 +195,21 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
 
     psi0 = QuantumState(amplitudes=spectrum.eigenvectors[:, i0])
     psi = seed_state(psi0, QuantumState(amplitudes=spectrum.eigenvectors[:, j]),
-                     config.eta).amplitudes
+                     config.eta).amplitudes[sector.indices]
 
     tracked = list(config.tracked) if config.tracked is not None else list(
         sorted(spectrum.bare_labels, key=lambda lab: int(lab, 2))
     )
-    track_idx = np.array([spectrum.index_of_label(lab) for lab in tracked])
+    track_idx = np.array([spectrum.index_of_label(lab) for lab in tracked], dtype=int)
 
     lo_clamp = clamp_floor(params.omega_tc_max)
 
     total = np.zeros(n_steps)
-    shaped = np.zeros(n_steps)
-    pops = np.empty((n_steps + 1, track_idx.size))
+    amps = np.empty((n_steps + 1, psi.size), dtype=complex)
 
-    vt = spectrum.eigenvectors.conj().T
+    vt = sector.eigenvectors.conj().T
     c = vt @ psi
-    pops[0] = np.abs(c[track_idx]) ** 2
+    amps[0] = c
     raw = 0.0  # nothing computed yet; first sample is the reference alone
     saturated = 0
 
@@ -211,24 +221,29 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
             applied = lo_clamp
             saturated += 1
         total[k] = applied
-        shaped[k] = applied - reference[k]
 
-        psi = apply_step(*step_factors(spectrum, applied, config.dt), psi)
+        psi = apply_step(*step_factors(sector, applied, config.dt), psi)
 
         c = vt @ psi
-        pops[k + 1] = np.abs(c[track_idx]) ** 2
-        raw = _raw_feedback(m_row, c, j, gain)
+        amps[k + 1] = c
+        raw = _raw_feedback(m_row, c, jb, gain)
+
+    pops = np.zeros((n_steps + 1, track_idx.size))
+    inside = np.isin(track_idx, sector.columns)
+    pops[:, inside] = np.abs(amps[:, np.searchsorted(sector.columns, track_idx[inside])]) ** 2
+    final = np.zeros(params.dim, dtype=complex)
+    final[sector.indices] = psi
 
     trajectory = TrajectoryRecord(
         times=np.arange(n_steps + 1) * config.dt,
         control=total.copy(),
         populations={lab: pops[:, i] for i, lab in enumerate(tracked)},
-        final_state=QuantumState(amplitudes=psi),
+        final_state=QuantumState(amplitudes=final),
     )
-    final_error = 1.0 - float(np.abs(c[j]) ** 2)
+    final_error = 1.0 - float(np.abs(c[jb]) ** 2)
     return LctResult(
         waveform=Waveform(dt=config.dt, samples=total),
-        lct_component=Waveform(dt=config.dt, samples=shaped),
+        lct_component=Waveform(dt=config.dt, samples=total - reference),
         trajectory=trajectory,
         final_error=final_error,
         clamp_saturated=saturated > n_steps // 2,

@@ -88,13 +88,35 @@ class SystemParams:
 
     @cached_property
     def drift_spectrum(self) -> DriftSpectrum:
-        """Labelled spectrum of the drift (coupler at maximum), with H_d and G."""
+        """Labelled spectrum of the drift (coupler at maximum), with G.
+
+        Decomposed in excitation-number order, so every eigenvector is
+        exactly zero outside its own block.
+        """
         h, g = self.drift_operators
-        spectrum = eigendecompose(HermitianOperator(h))
-        spectrum.hamiltonian, spectrum.control = h, g
+        order = np.concatenate(excitation_blocks(self.n_qubits))
+        spectrum = eigendecompose(HermitianOperator(h), order=order)
+        spectrum.control = g
         spectrum.eigenvalues.setflags(write=False)
         spectrum.eigenvectors.setflags(write=False)
         return spectrum
+
+    @cached_property
+    def sectors(self) -> tuple:
+        """The drift's excitation-number blocks; sectors[k] holds k excitations."""
+        spectrum = self.drift_spectrum
+        h, g = self.drift_operators
+        weight = np.array([lab.count("1") for lab in spectrum.bare_labels])
+        out = []
+        for k, rows in enumerate(excitation_blocks(self.n_qubits)):
+            cols = np.flatnonzero(weight == k)
+            out.append(Sector(
+                indices=rows, columns=cols,
+                hamiltonian=h[np.ix_(rows, rows)], control=g[np.ix_(rows, rows)],
+                eigenvalues=spectrum.eigenvalues[cols],
+                eigenvectors=spectrum.eigenvectors[np.ix_(rows, cols)],
+            ))
+        return tuple(out)
 
     @classmethod
     def from_ghz(cls, qubit_freqs_ghz, couplings_ghz, tc_max_freq_ghz):
@@ -117,6 +139,16 @@ def label_index(label: str, n_qubits: int) -> int:
     if len(label) != n_qubits + 1 or any(c not in "01" for c in label):
         raise UnknownLabelError(f"bad label {label!r} for {n_qubits} qubits + TC")
     return int(label, 2)
+
+
+def excitation_blocks(n_qubits: int) -> list:
+    """Product-basis indices with k excitations, ascending, for k = 0..n+1.
+
+    Exchange conserves excitation number and the control is diagonal, so
+    H_d + s G is block diagonal over these index sets.
+    """
+    weight = np.array([lab.count("1") for lab in product_labels(n_qubits)])
+    return [np.flatnonzero(weight == k) for k in range(n_qubits + 2)]
 
 
 # ================================================================
@@ -220,15 +252,14 @@ class DriftSpectrum:
                     largest-magnitude component is real and positive
     bare_labels     bare label assigned to each eigenvector; always a
                     permutation of the product labels
-    hamiltonian     the drift H_d (rad/ns) and the control generator
-    control         G = dH/d delta_omega_tc; set only on a device's drift
-                    spectrum (SystemParams.drift_spectrum)
+    control         the control generator G = dH/d delta_omega_tc; set
+                    only on a device's drift spectrum
+                    (SystemParams.drift_spectrum)
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     bare_labels: list = field(default_factory=list)
-    hamiltonian: np.ndarray | None = None
     control: np.ndarray | None = None
 
     @property
@@ -246,6 +277,26 @@ class DriftSpectrum:
     def state(self, label: str) -> np.ndarray:
         """Eigenvector assigned to `label` (copy)."""
         return self.eigenvectors[:, self.index_of_label(label)].copy()
+
+
+@dataclass(frozen=True)
+class Sector:
+    """The drift restricted to one excitation-number block.
+
+    indices         the block's product-basis indices, ascending
+    columns         drift-spectrum indices of its eigenstates, ascending
+    hamiltonian     H_d and the (diagonal) control generator G on the block
+    control
+    eigenvalues     the drift spectrum's eigenpairs on the block, so the
+    eigenvectors    step kernel takes a sector wherever it takes a spectrum
+    """
+
+    indices: np.ndarray
+    columns: np.ndarray
+    hamiltonian: np.ndarray
+    control: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
 
 def _gauge_fix(vectors: np.ndarray) -> np.ndarray:
@@ -282,9 +333,19 @@ def _assign_labels(vectors: np.ndarray) -> list:
     return assigned
 
 
-def eigendecompose(h: HermitianOperator) -> DriftSpectrum:
-    """Ascending eigendecomposition with gauge fixing and label assignment."""
-    vals, vecs = np.linalg.eigh(h.matrix)
+def eigendecompose(h: HermitianOperator, order=None) -> DriftSpectrum:
+    """Ascending eigendecomposition with gauge fixing and label assignment.
+
+    order is an optional basis permutation that makes h block diagonal
+    with contiguous blocks.  Decomposing in that order keeps every
+    eigenvector exactly zero outside its block; in product order LAPACK
+    leaves rounding residue there (4e-16 on a 4-qubit device).
+    """
+    if order is None:
+        vals, vecs = np.linalg.eigh(h.matrix)
+    else:
+        vals, vecs = np.linalg.eigh(h.matrix[np.ix_(order, order)])
+        vecs = vecs[np.argsort(order)]
     vecs = _gauge_fix(vecs)
     return DriftSpectrum(
         eigenvalues=vals, eigenvectors=vecs, bare_labels=_assign_labels(vecs)
@@ -365,9 +426,9 @@ def single_excitation_gap_minima(params: SystemParams, deltas: np.ndarray) -> li
     the sorted set; adjacent-gap minima mark the avoided crossings.
     """
     deltas = np.asarray(deltas, dtype=float)
-    single = [i for i, lab in enumerate(product_labels(params.n_qubits))
-              if lab.count("1") == 1]
-    block = held_hamiltonians(*params.drift_operators, deltas)[:, single][:, :, single]
+    rows = excitation_blocks(params.n_qubits)[1]
+    block = held_hamiltonians(
+        *(op[np.ix_(rows, rows)] for op in params.drift_operators), deltas)
     gaps = np.diff(np.linalg.eigvalsh(block), axis=1)
     minima = []
     for pair in range(gaps.shape[1]):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import QuantumState, propagate_waveform
+from .dynamics import QuantumState, propagate_endpoint, propagate_waveform
 from .errors import ConvergenceError
 from .lct import LctConfig, refined_config, run_lct
 from .model import SystemParams, drift_spectrum
@@ -182,9 +182,9 @@ def reverse_error(
     destination_label: str,
 ) -> float:
     """1 - P(destination) after applying wf to the source eigenstate."""
-    psi0 = QuantumState(amplitudes=drift_spectrum(params).state(source_label))
-    traj = propagate_waveform(params, psi0, wf, tracked=[destination_label])
-    return 1.0 - traj.final_population(destination_label)
+    spectrum = drift_spectrum(params)
+    final = propagate_endpoint(params, QuantumState(spectrum.state(source_label)), wf)
+    return 1.0 - float(abs(np.vdot(spectrum.state(destination_label), final.amplitudes)) ** 2)
 
 
 def forward_and_reverse_error(

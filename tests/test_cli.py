@@ -77,6 +77,16 @@ def test_dt_env_override(tmp_path, monkeypatch):
     assert main(["lct", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == 1
 
 
+def test_lct_rejects_transfer_across_excitation_numbers(tmp_path, capsys):
+    # Exchange conserves excitation number, so 100 -> 110 can never
+    # transfer; the run must fail at config time instead of exiting 0.
+    cfg = _config(tmp_path, lct={**LCT_SHORT, "target": "110"})
+    code, out = _run(tmp_path, "lct", "--config", cfg)
+    assert code == 1
+    assert "excitation number" in capsys.readouterr().err
+    assert not (out / "waveform.csv").exists()
+
+
 def test_filter_command(tmp_path):
     wf = Waveform(dt=0.01, samples=-TWO_PI * np.abs(
         np.sin(0.3 * np.arange(2000) * 0.01)))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from lctpulse import (
@@ -7,13 +8,14 @@ from lctpulse import (
     SystemParams,
     UnknownLabelError,
     Waveform,
+    build_control_generator,
     build_drift_hamiltonian,
     population_derivative_check,
     propagate_step,
     propagate_waveform,
     time_reverse,
 )
-from lctpulse.dynamics import drift_spectrum
+from lctpulse.dynamics import drift_spectrum, propagate_endpoint
 from lctpulse.model import HermitianOperator, label_index
 from lctpulse.units import TWO_PI
 
@@ -173,6 +175,61 @@ def test_norm_conserved_over_long_run(params, spectrum):
     assert abs(np.linalg.norm(traj.final_state.amplitudes) - 1.0) <= 1e-10
     total = traj.populations["100"] + traj.populations["010"]
     assert np.all(total <= 1.0 + 1e-9)
+
+
+# ----------------------------------------------------------------
+# block kernel against the dense held Hamiltonian (property suite)
+# ----------------------------------------------------------------
+
+@st.composite
+def _device_state_waveform(draw):
+    """A random device (1-4 qubits), a random state over the whole space,
+    so every excitation block is occupied, and a short waveform with exact
+    zeros among its samples."""
+    n = draw(st.integers(1, 4))
+    ghz = st.floats(3.0, 8.0)
+    params = SystemParams.from_ghz(
+        draw(st.lists(ghz, min_size=n, max_size=n)),
+        draw(st.lists(st.floats(0.01, 0.3), min_size=n, max_size=n)),
+        draw(ghz))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(size=params.dim) + 1j * rng.normal(size=params.dim)
+    depth = st.one_of(st.just(0.0), st.floats(0.0, 0.999))
+    fractions = draw(st.lists(depth, min_size=2, max_size=30))
+    wf = Waveform(dt=draw(st.floats(0.005, 0.1)),
+                  samples=-params.omega_tc_max * np.array(fractions))
+    return params, QuantumState(v / np.linalg.norm(v)), wf
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_device_state_waveform())
+def test_block_propagation_matches_dense_oracle(case):
+    params, psi, wf = case
+    h_d = build_drift_hamiltonian(params).matrix
+    gen = build_control_generator(params).matrix
+    spectrum = drift_spectrum(params)
+    tracked = spectrum.bare_labels[:3]
+    rows = np.stack([spectrum.state(lab) for lab in tracked]).conj()
+
+    dense = psi.amplitudes
+    pops = [np.abs(rows @ dense) ** 2]
+    for s in wf.samples:
+        w, u = np.linalg.eigh(h_d + s * gen)
+        dense = u @ (np.exp(-1j * w * wf.dt) * (u.conj().T @ dense))
+        pops.append(np.abs(rows @ dense) ** 2)
+
+    traj = propagate_waveform(params, psi, wf, tracked)
+    out = traj.final_state.amplitudes
+    np.testing.assert_allclose(out, dense, rtol=0, atol=1e-10)
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
+    np.testing.assert_allclose(
+        np.column_stack([traj.populations[lab] for lab in tracked]),
+        np.array(pops), rtol=0, atol=1e-10)
+
+    end = propagate_endpoint(params, psi, wf).amplitudes
+    for lab in tracked:
+        p_end = abs(np.vdot(spectrum.state(lab), end)) ** 2
+        assert abs(p_end - traj.final_population(lab)) <= 1e-11
 
 
 # ----------------------------------------------------------------

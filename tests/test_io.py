@@ -26,7 +26,8 @@ from lctpulse.io import (
     write_waveform_csv,
 )
 from lctpulse.optimize import OptimizationReport
-from lctpulse.pulses import AnalyticPulseParams, fourier_spectrum
+from lctpulse.model import frequency_to_flux
+from lctpulse.pulses import AnalyticPulseParams, clamp_floor, fourier_spectrum
 from lctpulse.units import TWO_PI
 
 DEVICE = {
@@ -222,6 +223,29 @@ def test_flux_csv(tmp_path, params):
     assert phis[0] == pytest.approx(0.0, abs=1e-9)
     assert np.all(np.diff(phis) > 0)  # deeper shift, more flux
     assert np.all((phis >= 0) & (phis < 0.5))
+
+
+def test_flux_csv_matches_scalar_map(tmp_path, params):
+    # The column is one vectorised arccos; it must write the same bytes as
+    # frequency_to_flux applied sample by sample.
+    floor = clamp_floor(params.omega_tc_max)
+    samples = np.concatenate([[0.0, floor], np.linspace(floor, 0.0, 203)[1:-1], [0.0]])
+    wf = Waveform(dt=0.01, samples=samples)
+    path = tmp_path / "flux.csv"
+    write_flux_csv(str(path), params, wf)
+    phis = [frequency_to_flux(params, params.omega_tc_max + s).phi_over_phi0
+            for s in samples]
+    scalar = tmp_path / "scalar.csv"
+    np.savetxt(scalar, np.column_stack([wf.times(), phis]), fmt=["%.9f", "%.12f"],
+               delimiter=",", header="t_ns,phi_over_phi0", comments="")
+    assert path.read_bytes() == scalar.read_bytes()
+
+
+@pytest.mark.parametrize("bad_ghz", [1e-9, -8.0])
+def test_flux_csv_rejects_samples_outside_window(tmp_path, params, bad_ghz):
+    wf = Waveform(dt=0.01, samples=np.array([0.0, TWO_PI * bad_ghz, -1.0]))
+    with pytest.raises(ValueError, match="outside"):
+        write_flux_csv(str(tmp_path / "flux.csv"), params, wf)
 
 
 def test_eigenvalue_sweep_csv(tmp_path):

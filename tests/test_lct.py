@@ -6,6 +6,7 @@ from lctpulse import (
     ConfigError,
     LctConfig,
     QuantumState,
+    SystemParams,
     Waveform,
     lowpass_filter,
     propagate_waveform,
@@ -14,7 +15,7 @@ from lctpulse import (
 )
 from lctpulse.dynamics import drift_spectrum
 from lctpulse.lct import feedback_value, seed_state
-from lctpulse.model import build_drift_hamiltonian, eigendecompose
+from lctpulse.model import build_drift_hamiltonian, eigendecompose, product_labels
 from lctpulse.pulses import CLAMP_FLOOR_FRACTION
 
 LAMBDA_STAR = 27626.0
@@ -50,6 +51,14 @@ def test_config_validation():
         LctConfig(lambda_=1.0, eta=0.0, dt=0.01, t_max=10.0,
                   initial_label="100", target_label="010",
                   reference=Waveform(dt=0.01, samples=np.zeros(10)))
+
+
+def test_transfer_across_excitation_numbers_rejected():
+    # Exchange conserves excitation number: no pulse moves 100 into 110.
+    with pytest.raises(ConfigError, match="excitation number"):
+        _base(target_label="110")
+    with pytest.raises(ConfigError, match="excitation number"):
+        _base(initial_label="000", target_label="001")
 
 
 def test_misaligned_t_max_rejected(params):
@@ -189,6 +198,18 @@ def test_tracked_subset(params):
     assert set(res.trajectory.populations) == {"010", "001"}
 
 
+def test_out_of_block_labels_read_exactly_zero(params):
+    # The loop runs in the single-excitation block; labels of other
+    # excitation numbers can never fill and are written as exact zeros.
+    res = run_lct(params, _base(t_max=5.0, tracked=("000", "010", "110", "111")))
+    pops = res.trajectory.populations
+    for lab in ("000", "110", "111"):
+        assert np.all(pops[lab] == 0.0)
+    assert pops["010"][-1] > 0.0
+    weight = np.array([lab.count("1") for lab in product_labels(params.n_qubits)])
+    assert np.all(res.trajectory.final_state.amplitudes[weight != 1] == 0.0)
+
+
 def test_emitted_samples_match_feedback_law(params, spectrum, short_run):
     # Replay the emitted pulse on the seeded state; the sample applied on
     # step k+1 must equal the (clamped) law evaluated at the step-k state.
@@ -224,6 +245,24 @@ def test_replay_reproduces_run_final_state_exactly(params, spectrum, short_run):
     traj = propagate_waveform(params, psi, short_run.waveform, tracked=[])
     np.testing.assert_array_equal(traj.final_state.amplitudes,
                                   short_run.trajectory.final_state.amplitudes)
+
+
+def test_replay_reproduces_4q_run_final_state_exactly():
+    # The same bit-for-bit replay on a 4-qubit device, whose single-
+    # excitation block has dimension 5.
+    device = SystemParams.from_ghz([5.890, 5.031, 6.350, 6.720],
+                                   [0.100, 0.071, 0.060, 0.050], 7.445)
+    assert device.sectors[1].indices.size == 5
+    cfg = _base(t_max=20.0, initial_label="10000", target_label="01000")
+    run = run_lct(device, cfg)
+    assert np.any(run.waveform.samples == 0.0)
+    assert np.any(run.waveform.samples != 0.0)
+    spec = drift_spectrum(device)
+    psi = seed_state(QuantumState(spec.state("10000")),
+                     QuantumState(spec.state("01000")), cfg.eta)
+    traj = propagate_waveform(device, psi, run.waveform, tracked=[])
+    np.testing.assert_array_equal(traj.final_state.amplitudes,
+                                  run.trajectory.final_state.amplitudes)
 
 
 # ----------------------------------------------------------------
