@@ -9,6 +9,7 @@ them.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -85,6 +86,24 @@ def _summary_of_run(result, target_label: str) -> dict:
 # subcommands
 # ----------------------------------------------------------------
 
+def _stage(cmd):
+    """Record a refinement stage's wall time in the manifest, by name.
+
+    Only the stages a pipeline chains (optimize, truncate, analytic) are
+    recorded; a one-stage command's time is the manifest's wall_time.
+    """
+    name = cmd.__name__.removeprefix("cmd_")
+
+    @functools.wraps(cmd)
+    def timed(ctx: dict, *args):
+        started = time.perf_counter()
+        out = cmd(ctx, *args)
+        ctx["stages"][name] = time.perf_counter() - started
+        return out
+
+    return timed
+
+
 def cmd_spectrum(ctx: dict) -> None:
     doc, args = ctx["doc"], ctx["args"]
     params = io.device_from_config(doc)
@@ -149,6 +168,7 @@ def cmd_filter(ctx: dict) -> None:
     print(f"filtered at {cutoff:g} GHz")
 
 
+@_stage
 def cmd_optimize(ctx: dict) -> dict:
     """Bare LCT run, then the reversibility search.  Returns stage products
     so cmd_pipeline can chain without re-reading files."""
@@ -172,6 +192,7 @@ def cmd_optimize(ctx: dict) -> dict:
     return {"params": params, "base": base, "pulse": wf}
 
 
+@_stage
 def cmd_truncate(ctx: dict, chained: dict | None = None) -> dict:
     doc, args = ctx["doc"], ctx["args"]
     sec = doc.get("truncation") or {}
@@ -199,6 +220,7 @@ def cmd_truncate(ctx: dict, chained: dict | None = None) -> dict:
     return {"params": params, "base": base, "pulse": wf}
 
 
+@_stage
 def cmd_analytic(ctx: dict, chained: dict | None = None) -> None:
     doc, args = ctx["doc"], ctx["args"]
     sec = doc.get("analytic")
@@ -313,7 +335,8 @@ def main(argv: list | None = None) -> int:
     try:
         doc = io.load_config(args.config)
         os.makedirs(args.out_dir, exist_ok=True)
-        ctx = {"doc": doc, "args": args, "out_dir": args.out_dir, "outputs": []}
+        ctx = {"doc": doc, "args": args, "out_dir": args.out_dir, "outputs": [],
+               "stages": {}}
         _COMMANDS[args.command](ctx)
     except (ConfigError, UnknownLabelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -331,6 +354,7 @@ def main(argv: list | None = None) -> int:
         command=" ".join([args.command] + list(argv or sys.argv[1:])[1:]),
         outputs=ctx["outputs"],
         wall_time=time.monotonic() - started,
+        stages=ctx["stages"] or None,
     )
     io.write_manifest(os.path.join(args.out_dir, "manifest.json"), manifest)
     return EXIT_OK

@@ -82,8 +82,18 @@ def step_factors(spectrum: Sector | DriftSpectrum, shifts, dt: float) -> tuple:
 
 
 def apply_step(u: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """One held step, U diag(phases) U^H psi, from step_factors' factors."""
-    return u @ (phases * (u.conj().T @ psi))
+    """One held step, U diag(phases) U^H psi, from step_factors' factors.
+
+    psi is one state (d,) or a matrix of state columns (d, m).  For a
+    stack of factors, (B, d, d) and (B, d), it is a stack of such
+    matrices (..., B, d, m), each member's columns stepped by its own
+    factors; a single column (m = 1) goes through the same matrix-vector
+    products as a lone state, bit for bit.
+    """
+    rotated = u.conj().swapaxes(-1, -2) @ psi
+    if psi.ndim >= u.ndim:  # state columns share their member's phases
+        phases = phases[..., None]
+    return u @ (phases * rotated)
 
 
 def propagate_step(state: QuantumState, h: HermitianOperator, dt: float) -> QuantumState:

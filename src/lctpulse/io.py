@@ -272,13 +272,19 @@ def report_to_dict(report: OptimizationReport) -> dict:
 
 @dataclass
 class RunManifest:
-    """What one CLI invocation read and wrote."""
+    """What one CLI invocation read and wrote.
+
+    stages maps each refinement stage the command ran (optimize,
+    truncate, analytic) to its wall time in seconds; left None, as for
+    the one-stage spectrum, lct and filter commands, it is not written.
+    """
 
     config_hash: str
     command: str
     outputs: list
     wall_time: float
+    stages: dict | None = None
 
 
 def write_manifest(path: str, manifest: RunManifest):
-    write_json(path, asdict(manifest))
+    write_json(path, {k: v for k, v in asdict(manifest).items() if v is not None})

@@ -133,9 +133,19 @@ def _feedback_row(spectrum: DriftSpectrum, j: int, n_prime: int | None) -> np.nd
     return row
 
 
-def _raw_feedback(m_row: np.ndarray, c: np.ndarray, j: int, gain: float) -> float:
-    """Unclamped law from the state's drift-basis amplitudes c."""
-    return -gain * float((np.dot(m_row, c) * c[j].conjugate()).imag)
+def _raw_feedback(m_row: np.ndarray, c: np.ndarray, j: int, gain):
+    """Unclamped law from the state's drift-basis amplitudes c.
+
+    c is one state (d,), or a stack of state columns (B, d, m) with one
+    gain per member (B, 1), giving (B, m) values; every column is read
+    with the same dot product as a single state.  Im(<m|c> c_j*) is
+    spelled out in real products because numpy's complex product of
+    arrays may fuse them into multiply-adds, which would round a stack
+    differently from one state.
+    """
+    mc = np.dot(m_row, c)
+    cj = c[j] if c.ndim == 1 else c[..., j, :]
+    return -gain * (mc.imag * cj.real - mc.real * cj.imag)
 
 
 def feedback_value(
@@ -159,6 +169,49 @@ def feedback_value(
     return float(clamp_samples(raw, omega_tc_max))
 
 
+def _loop(params: SystemParams, config: LctConfig) -> tuple:
+    """What a feedback loop takes from the device and its config.
+
+    The loop runs in the excitation block of the two labels.  Returns the
+    block's sector, the feedback row on it, the block columns of the
+    target and initial eigenstates, the step count and the seeded initial
+    state's block amplitudes.
+    """
+    spectrum = drift_spectrum(params)
+    j = spectrum.index_of_label(config.target_label)
+    i0 = spectrum.index_of_label(config.initial_label)
+    sector = params.sectors[config.target_label.count("1")]
+    # The full law is the projected law at n_prime = dim, same arithmetic,
+    # so the two are identical sample for sample.
+    m_row = _feedback_row(spectrum, j, config.n_prime)[sector.columns]
+
+    n_steps = int(round(config.t_max / config.dt))
+    if abs(n_steps * config.dt - config.t_max) > 1e-9 * config.t_max:
+        raise ConfigError("t_max must be an integer number of samples")
+
+    psi0 = QuantumState(amplitudes=spectrum.eigenvectors[:, i0])
+    psi = seed_state(psi0, QuantumState(amplitudes=spectrum.eigenvectors[:, j]),
+                     config.eta).amplitudes[sector.indices]
+    return (sector, m_row, int(np.searchsorted(sector.columns, j)),
+            int(np.searchsorted(sector.columns, i0)), n_steps, psi)
+
+
+def _reference(config: LctConfig, n_steps: int) -> np.ndarray:
+    """The run's reference samples, zero without one."""
+    reference = np.zeros(n_steps)
+    if config.reference is not None:
+        ref = config.reference
+        if abs(ref.dt - config.dt) > 1e-12:
+            raise ConfigError("reference sample period differs from the run dt")
+        m = min(ref.n, n_steps)
+        reference[:m] = ref.samples[:m]
+    return reference
+
+
+def _gain(config: LctConfig) -> float:
+    return config.lambda_ if config.reference is None else config.lambda2
+
+
 def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
     """Shape a coupler-shift pulse by local-control feedback.
 
@@ -170,32 +223,8 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
     read exactly zero.
     """
     spectrum = drift_spectrum(params)
-    j = spectrum.index_of_label(config.target_label)
-    i0 = spectrum.index_of_label(config.initial_label)
-    sector = params.sectors[config.target_label.count("1")]
-    jb = int(np.searchsorted(sector.columns, j))
-    # The full law is the projected law at n_prime = dim, same arithmetic,
-    # so the two are identical sample for sample.
-    m_row = _feedback_row(spectrum, j, config.n_prime)[sector.columns]
-
-    n_steps = int(round(config.t_max / config.dt))
-    if abs(n_steps * config.dt - config.t_max) > 1e-9 * config.t_max:
-        raise ConfigError("t_max must be an integer number of samples")
-
-    reference = np.zeros(n_steps)
-    if config.reference is not None:
-        ref = config.reference
-        if abs(ref.dt - config.dt) > 1e-12:
-            raise ConfigError("reference sample period differs from the run dt")
-        m = min(ref.n, n_steps)
-        reference[:m] = ref.samples[:m]
-        gain = config.lambda2
-    else:
-        gain = config.lambda_
-
-    psi0 = QuantumState(amplitudes=spectrum.eigenvectors[:, i0])
-    psi = seed_state(psi0, QuantumState(amplitudes=spectrum.eigenvectors[:, j]),
-                     config.eta).amplitudes[sector.indices]
+    sector, m_row, jb, _, n_steps, psi = _loop(params, config)
+    reference, gain = _reference(config, n_steps), _gain(config)
 
     tracked = list(config.tracked) if config.tracked is not None else list(
         sorted(spectrum.bare_labels, key=lambda lab: int(lab, 2))
@@ -247,6 +276,83 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
         trajectory=trajectory,
         final_error=final_error,
         clamp_saturated=saturated > n_steps // 2,
+    )
+
+
+@dataclass
+class LockstepResult:
+    """Output of run_lct_lockstep for B members.
+
+    samples holds the applied waveforms as columns, (n_steps, B);
+    forward_error is each member's final target-population error and
+    reverse_error the error of its waveform replayed on the target
+    eigenstate toward the initial one.
+    """
+
+    dt: float
+    samples: np.ndarray
+    forward_error: np.ndarray
+    reverse_error: np.ndarray
+
+    def waveform(self, member: int) -> Waveform:
+        return Waveform(dt=self.dt, samples=self.samples[:, member].copy())
+
+
+# Config fields every lockstep member shares; only reference and gain vary.
+_SHARED_FIELDS = ("eta", "dt", "t_max", "initial_label", "target_label", "n_prime")
+
+
+def run_lct_lockstep(params: SystemParams, configs: list) -> LockstepResult:
+    """Run feedback loops that differ only in reference and gain, in lockstep.
+
+    Every member advances on the same time step: one batched eigh of the
+    members' held block Hamiltonians, one stacked step, and the feedback
+    law of run_lct read from each member's state.  Member b reproduces
+    run_lct(params, configs[b]) bit for bit (a zero sample may differ in
+    sign), alone or in a batch.  Each member also carries a probe, a
+    second state started in the target eigenstate and pushed through the
+    member's step unitaries, so the reverse error (the waveform's transfer
+    back to the initial state, what optimize.reverse_error replays) falls
+    out of the loop.  No per-step amplitudes are kept, only the applied
+    samples and the final states.
+    """
+    if not configs:
+        raise ValueError("no lockstep members")
+    first = configs[0]
+    for config in configs[1:]:
+        for name in _SHARED_FIELDS:
+            if getattr(config, name) != getattr(first, name):
+                raise ConfigError(f"lockstep members differ in {name}")
+    sector, m_row, target, initial, n_steps, psi = _loop(params, first)
+    # One reference column per distinct waveform object, not per member: a
+    # search grid shares each reference among all its gains.
+    distinct = {id(c.reference): c for c in configs}
+    reference = np.stack([_reference(c, n_steps) for c in distinct.values()], axis=1)
+    column = np.array([list(distinct).index(id(c.reference)) for c in configs])
+    gain = np.array([_gain(c) for c in configs], dtype=float)[:, None]
+    lo_clamp = clamp_floor(params.omega_tc_max)
+
+    # states[0] holds each member's state and states[1] its probe, both as
+    # single columns: every step then applies run_lct's matrix-vector
+    # products, and the two agree bit for bit.
+    vt = sector.eigenvectors.conj().T
+    states = np.empty((2, len(configs), psi.size, 1), dtype=complex)
+    states[0, :, :, 0] = psi
+    states[1, :, :, 0] = sector.eigenvectors[:, target]
+    total = np.empty((n_steps, len(configs)))
+    raw = np.zeros(len(configs))
+
+    for k in range(n_steps):
+        applied = np.clip(reference[k, column] + raw, lo_clamp, 0.0, out=total[k])
+        states = apply_step(*step_factors(sector, applied, first.dt), states)
+        raw = _raw_feedback(m_row, vt @ states[0], target, gain)[:, 0]
+
+    c = vt @ states
+    return LockstepResult(
+        dt=first.dt,
+        samples=total,
+        forward_error=1.0 - np.abs(c[0, :, target, 0]) ** 2,
+        reverse_error=1.0 - np.abs(c[1, :, initial, 0]) ** 2,
     )
 
 

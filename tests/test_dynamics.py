@@ -15,7 +15,7 @@ from lctpulse import (
     propagate_waveform,
     time_reverse,
 )
-from lctpulse.dynamics import drift_spectrum, propagate_endpoint
+from lctpulse.dynamics import apply_step, drift_spectrum, propagate_endpoint
 from lctpulse.model import HermitianOperator, label_index
 from lctpulse.units import TWO_PI
 
@@ -42,6 +42,26 @@ def test_step_matches_expm_oracle(params, rng):
     ours = propagate_step(psi, h, dt).amplitudes
     oracle = expm(-1j * h.matrix * dt) @ psi.amplitudes
     np.testing.assert_allclose(ours, oracle, atol=1e-12)
+
+
+def test_stacked_step_matches_each_member_exactly(rng):
+    # A stack of B = 4 random unitaries, each applied to its member's two
+    # state columns, must give what each member's own step gives, bit for
+    # bit: the batch axis stays put under the conjugate transpose and the
+    # phases broadcast over the columns.
+    d = 3
+    z = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+    u = np.linalg.qr(z)[0]
+    phases = np.exp(-1j * rng.normal(size=(4, d)))
+    psi = rng.normal(size=(4, d, 2)) + 1j * rng.normal(size=(4, d, 2))
+    stacked = apply_step(u, phases, psi)
+    for b in range(4):
+        np.testing.assert_array_equal(stacked[b], apply_step(u[b], phases[b], psi[b]))
+        for col in range(2):
+            np.testing.assert_allclose(
+                stacked[b, :, col],
+                u[b] @ np.diag(phases[b]) @ u[b].conj().T @ psi[b, :, col],
+                rtol=0, atol=1e-14)
 
 
 def test_step_preserves_norm(params, rng):

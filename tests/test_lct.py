@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from lctpulse import (
     ConfigError,
@@ -14,7 +15,8 @@ from lctpulse import (
     run_lct,
 )
 from lctpulse.dynamics import drift_spectrum
-from lctpulse.lct import feedback_value, seed_state
+from lctpulse.lct import feedback_value, run_lct_lockstep, seed_state
+from lctpulse.optimize import reverse_error
 from lctpulse.model import build_drift_hamiltonian, eigendecompose, product_labels
 from lctpulse.pulses import CLAMP_FLOOR_FRACTION
 
@@ -305,3 +307,82 @@ def test_refined_run_replays_on_pure_state(params, spectrum, short_run):
     traj = propagate_waveform(params, QuantumState(spectrum.state("100")),
                               res.waveform, ["010"])
     assert abs((1.0 - traj.final_population("010")) - res.final_error) < 1e-12
+
+
+# ----------------------------------------------------------------
+# lockstep runs (property suite)
+# ----------------------------------------------------------------
+
+@st.composite
+def _lockstep_case(draw):
+    """A random device (1-3 qubits), two of its single-excitation labels,
+    and 1-4 members that share everything but their reference (none, or
+    a random one with exact zeros, shorter or longer than the run) and
+    their gain."""
+    n = draw(st.integers(1, 3))
+    ghz = st.floats(3.0, 8.0)
+    params = SystemParams.from_ghz(
+        draw(st.lists(ghz, min_size=n, max_size=n)),
+        draw(st.lists(st.floats(0.01, 0.3), min_size=n, max_size=n)),
+        draw(ghz))
+    singles = ["0" * i + "1" + "0" * (n - i) for i in range(n + 1)]
+    initial, target = draw(st.permutations(singles))[:2]
+    dt = draw(st.floats(0.005, 0.05))
+    n_steps = draw(st.integers(2, 200))
+    shared = dict(eta=draw(st.one_of(st.just(0.0), st.floats(1e-8, 1e-3))),
+                  dt=dt, t_max=n_steps * dt, initial_label=initial,
+                  target_label=target)
+    gain = st.floats(0.0, 3e4)
+    depth = st.one_of(st.just(0.0), st.floats(0.0, 0.999))
+    configs = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            configs.append(LctConfig(lambda_=draw(gain), **shared))
+            continue
+        fractions = draw(st.lists(depth, min_size=2, max_size=n_steps + 5))
+        ref = Waveform(dt=dt, samples=-params.omega_tc_max * np.array(fractions))
+        configs.append(LctConfig(lambda_=0.0, reference=ref, lambda2=draw(gain),
+                                 **shared))
+    return params, configs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_lockstep_case())
+def test_lockstep_matches_single_runs(case):
+    params, configs = case
+    batch = run_lct_lockstep(params, configs)
+    first = configs[0]
+    for b, config in enumerate(configs):
+        # Same matrix-vector products as run_lct: equal bit for bit, which
+        # is well inside the 1e-12 a rounding-level agreement would need.
+        single = run_lct(params, config)
+        np.testing.assert_array_equal(batch.samples[:, b], single.waveform.samples)
+        assert batch.forward_error[b] == single.final_error
+        rev = reverse_error(params, batch.waveform(b), first.target_label,
+                            first.initial_label)
+        assert abs(batch.reverse_error[b] - rev) <= 1e-12
+        alone = run_lct_lockstep(params, [config])
+        np.testing.assert_array_equal(alone.samples[:, 0], batch.samples[:, b])
+        assert alone.forward_error[0] == batch.forward_error[b]
+        assert alone.reverse_error[0] == batch.reverse_error[b]
+
+
+def test_lockstep_members_must_share_the_run(params):
+    with pytest.raises(ConfigError, match="t_max"):
+        run_lct_lockstep(params, [_base(t_max=5.0), _base(t_max=6.0)])
+    with pytest.raises(ValueError):
+        run_lct_lockstep(params, [])
+
+
+def test_lockstep_refined_run_reverse_error_from_probe(params, short_run):
+    # The operating point of the reversibility search on a short run: the
+    # probe column's reverse error is the endpoint replay's.
+    ref = lowpass_filter(short_run.waveform, 0.45,
+                         omega_tc_max=params.omega_tc_max)
+    cfg = refined_config(_base(t_max=40.0), ref, 500.0)
+    batch = run_lct_lockstep(params, [cfg, replace(cfg, lambda2=900.0)])
+    single = run_lct(params, cfg)
+    np.testing.assert_array_equal(batch.samples[:, 0], single.waveform.samples)
+    rev = reverse_error(params, single.waveform, "010", "100")
+    assert abs(batch.reverse_error[0] - rev) <= 1e-12
+    assert batch.samples.shape == (4000, 2)
