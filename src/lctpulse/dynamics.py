@@ -223,11 +223,23 @@ def propagate_endpoint(params: SystemParams, psi0: QuantumState, wf: Waveform) -
     so the replay is log2(n) batched products instead of n sequential
     steps.  It agrees with propagate_waveform to rounding, not bit for bit.
     """
-    if psi0.dim != params.dim:
+    return propagate_endpoints(params, [psi0], wf)[0]
+
+
+def propagate_endpoints(params: SystemParams, states: list, wf: Waveform) -> list:
+    """propagate_endpoint for several states, each block's product built
+    once for all the states that occupy it; each result is bit for bit the
+    one of a lone call."""
+    if any(psi0.dim != params.dim for psi0 in states):
         raise ValueError("state dimension does not match the device")
-    final = np.zeros(params.dim, dtype=complex)
-    for sector in _occupied_sectors(params, psi0.amplitudes):
+    finals = [np.zeros(params.dim, dtype=complex) for _ in states]
+    for sector in params.sectors:
+        occupied = [k for k, psi0 in enumerate(states)
+                    if np.any(psi0.amplitudes[sector.indices])]
+        if not occupied:
+            continue
         u, phases = step_factors(sector, wf.samples, wf.dt)
-        steps = (u * phases[:, None, :]) @ u.conj().swapaxes(-1, -2)
-        final[sector.indices] = _ordered_product(steps) @ psi0.amplitudes[sector.indices]
-    return QuantumState(amplitudes=final)
+        product = _ordered_product((u * phases[:, None, :]) @ u.conj().swapaxes(-1, -2))
+        for k in occupied:
+            finals[k][sector.indices] = product @ states[k].amplitudes[sector.indices]
+    return [QuantumState(amplitudes=final) for final in finals]

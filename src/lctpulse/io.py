@@ -110,8 +110,6 @@ _REVERSIBILITY_KEYS = {
     "lambda2_bounds": lambda v: tuple(float(x) for x in v),
     "cutoff_candidates_ghz": lambda v: tuple(float(x) for x in v),
     "fidelity_goal": float,
-    "simplex_tolerance": float,
-    "max_evals": int,
 }
 
 

@@ -49,7 +49,7 @@ class LctConfig:
     reference       optional fixed waveform added under the feedback; the
                     run then shapes only the correction term
     lambda2         feedback gain for the correction term; required when a
-                    reference is present
+                    reference is present and rejected without one
     tracked         bare labels recorded in the trajectory (None = all)
     """
 
@@ -75,6 +75,9 @@ class LctConfig:
             raise ConfigError("t_max shorter than one sample")
         if self.reference is not None and self.lambda2 is None:
             raise ConfigError("lambda2 is required when a reference is given")
+        if self.reference is None and self.lambda2 is not None:
+            raise ConfigError("lambda2 without a reference would be ignored: "
+                              "the run uses lambda")
         if self.lambda2 is not None and self.lambda2 < 0:
             raise ConfigError("lambda2 must be non-negative")
         if self.initial_label.count("1") != self.target_label.count("1"):

@@ -1,12 +1,12 @@
-"""Derivative-free refinement loops built on a small Nelder-Mead core.
+"""Refinement searches: one lockstep grid and a small Nelder-Mead core.
 
-Three drivers share the simplex engine:
+The reversibility search is a grid; the other two drivers share the
+simplex engine:
 
   optimize_reversible   grid over filter cutoffs x correction gains, run as
                         one lockstep feedback loop whose probe column gives
-                        each cell's reverse error; a 1-d simplex over the
-                        gain refines only when no grid cell passes
-  optimize_truncation   1-d search over the truncation time tau
+                        each cell's reverse error
+  optimize_truncation   1-d simplex over the truncation time tau
   fit_analytic_pulse    two-stage fit of the closed-form pulse (amplitudes
                         and switch times first, widths second)
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import QuantumState, propagate_endpoint, propagate_waveform
+from .dynamics import QuantumState, propagate_endpoints, propagate_waveform
 from .errors import ConvergenceError
 # run_lct stays bound here, though the search runs in lockstep: the
 # benchmark's tracer wraps it in every module that binds it, and its test
@@ -81,17 +81,13 @@ class ReversibilityConfig:
     The grid: cutoff_candidates_ghz (searched ascending) x lambda2_init
     plus LAMBDA2_GRID_POINTS points over lambda2_bounds.  fidelity_goal is
     the pass mark for every cell's reverse error and the limit on every
-    forward error.  The fallback simplex, run only when no grid cell
-    passes: simplex_tolerance (times lambda2_init) and max_evals per
-    cutoff, within lambda2_bounds.
+    forward error.
     """
 
     lambda2_init: float = 300.0
     lambda2_bounds: tuple = (100.0, 1000.0)
     cutoff_candidates_ghz: tuple = (0.40, 0.45, 0.50)
     fidelity_goal: float = 1e-6
-    simplex_tolerance: float = 1e-3
-    max_evals: int = 60
 
 
 def _simplex_diameter(simplex: np.ndarray) -> float:
@@ -208,9 +204,7 @@ def reverse_error(
     destination_label: str,
 ) -> float:
     """1 - P(destination) after applying wf to the source eigenstate."""
-    spectrum = drift_spectrum(params)
-    final = propagate_endpoint(params, QuantumState(spectrum.state(source_label)), wf)
-    return 1.0 - float(abs(np.vdot(spectrum.state(destination_label), final.amplitudes)) ** 2)
+    return _transfer_errors(params, wf, [(source_label, destination_label)])[0]
 
 
 def forward_and_reverse_error(
@@ -219,10 +213,19 @@ def forward_and_reverse_error(
     source_label: str,
     destination_label: str,
 ) -> tuple:
-    """Transfer errors for wf applied forward and to the swapped pair."""
-    fwd = reverse_error(params, wf, source_label, destination_label)
-    rev = reverse_error(params, wf, destination_label, source_label)
-    return fwd, rev
+    """Transfer errors for wf applied forward and to the swapped pair,
+    read from one endpoint product."""
+    return tuple(_transfer_errors(params, wf, [(source_label, destination_label),
+                                               (destination_label, source_label)]))
+
+
+def _transfer_errors(params: SystemParams, wf: Waveform, pairs: list) -> list:
+    """1 - P(destination) for each (source, destination) label pair under wf."""
+    spectrum = drift_spectrum(params)
+    finals = propagate_endpoints(
+        params, [QuantumState(spectrum.state(src)) for src, _ in pairs], wf)
+    return [1.0 - float(abs(np.vdot(spectrum.state(dst), final.amplitudes)) ** 2)
+            for (_, dst), final in zip(pairs, finals)]
 
 
 # ----------------------------------------------------------------
@@ -244,14 +247,13 @@ def optimize_reversible(
     feedback loop (lct.run_lct_lockstep), whose probe column gives each
     cell's reverse transfer error without a replay.  The lowest cutoff
     with a cell below the fidelity goal wins, with its lowest-error
-    passing cell.  Only when no cell passes does a 1-d simplex over
-    lambda2 run, cutoff by cutoff in ascending order from that cutoff's
-    best cell, each evaluation a one-member lockstep run; it stops at the
-    first cutoff reaching the goal.  Forward transfer must stay below the
-    goal at every evaluation; a cell breaking that aborts the run, because
-    the correction stage is supposed to be insensitive to lambda2 in its
-    working range.  History entries follow the grid order (cutoff
-    ascending, lambda2 as listed), then the simplex's evaluations.
+    passing cell, and the report is converged.  When no cell passes, the
+    cell with the lowest reverse error is returned and the report is not
+    converged.  Forward transfer must stay below the goal in every cell;
+    a cell breaking that aborts the run, because the correction stage is
+    supposed to be insensitive to lambda2 in its working range.  History
+    holds one entry per cell, in grid order (cutoff ascending, lambda2 as
+    listed).
 
     Returns (best total waveform, OptimizationReport).
     """
@@ -272,75 +274,44 @@ def optimize_reversible(
         cutoff: lowpass_filter(bare_pulse, cutoff, omega_tc_max=params.omega_tc_max)
         for cutoff in cutoffs
     }
-    history = []
-
-    def evaluate(cells: list):
-        """Run (cutoff, lambda2) cells in lockstep and record each one."""
-        batch = run_lct_lockstep(params, [
-            refined_config(base_config, references[cutoff], lam2)
-            for cutoff, lam2 in cells])
-        for (cutoff, lam2), fwd, rev in zip(cells, batch.forward_error,
-                                            batch.reverse_error):
-            if fwd >= cfg.fidelity_goal:
-                raise ConvergenceError(
-                    f"forward error {fwd:.3e} at cutoff {cutoff} GHz, "
-                    f"lambda2 {lam2:.4g}; correction stage is unstable here"
-                )
-            history.append(
-                ({"cutoff_ghz": cutoff, "lambda2": lam2,
-                  "forward_error": float(fwd), "reverse_error": float(rev)},
-                 float(rev))
-            )
-        return batch
-
-    def report(entry: dict, wf: Waveform, converged: bool) -> tuple:
-        return wf, OptimizationReport(
-            best_params={"cutoff_ghz": entry["cutoff_ghz"], "lambda2": entry["lambda2"]},
-            best_value=entry["reverse_error"],
-            evaluations=len(history),
-            history=history,
-            converged=converged,
-            forward_error=entry["forward_error"],
-            reverse_error=entry["reverse_error"],
-        )
-
     lambdas = [cfg.lambda2_init,
                *np.linspace(*cfg.lambda2_bounds, LAMBDA2_GRID_POINTS).tolist()]
-    grid = evaluate([(cutoff, lam2) for cutoff in cutoffs for lam2 in lambdas])
+    cells = [(cutoff, lam2) for cutoff in cutoffs for lam2 in lambdas]
+    grid = run_lct_lockstep(params, [
+        refined_config(base_config, references[cutoff], lam2) for cutoff, lam2 in cells])
+    history = []
+    for (cutoff, lam2), fwd, rev in zip(cells, grid.forward_error, grid.reverse_error):
+        if fwd >= cfg.fidelity_goal:
+            raise ConvergenceError(
+                f"forward error {fwd:.3e} at cutoff {cutoff} GHz, "
+                f"lambda2 {lam2:.4g}; correction stage is unstable here"
+            )
+        history.append(
+            ({"cutoff_ghz": cutoff, "lambda2": lam2,
+              "forward_error": float(fwd), "reverse_error": float(rev)},
+             float(rev))
+        )
+
     errors = grid.reverse_error.reshape(len(cutoffs), len(lambdas))
     best_cells = errors.argmin(axis=1)
     for c, cutoff in enumerate(cutoffs):
         log.info("cutoff %.3g GHz: best grid reverse error %.3e",
                  cutoff, errors[c, best_cells[c]])
         if errors[c, best_cells[c]] < cfg.fidelity_goal:
-            cell = c * len(lambdas) + best_cells[c]
-            return report(history[cell][0], grid.waveform(cell), True)
-
-    # No cell passes: refine lambda2 by simplex, lowest cutoff first.
-    cell = int(grid.reverse_error.argmin())
-    best = {"entry": history[cell][0], "wf": grid.waveform(cell)}
-    for c, cutoff in enumerate(cutoffs):
-        def objective(x, _cutoff=cutoff):
-            run = evaluate([(_cutoff, float(x[0]))])
-            if history[-1][1] < best["entry"]["reverse_error"]:
-                best.update(entry=history[-1][0], wf=run.waveform(0))
-            return history[-1][1]
-
-        search = nelder_mead(
-            objective,
-            x0=np.array([lambdas[best_cells[c]]]),
-            bounds=[cfg.lambda2_bounds],
-            tolerance=cfg.simplex_tolerance * cfg.lambda2_init,
-            max_evals=cfg.max_evals,
-            target_value=cfg.fidelity_goal,
-        )
-        log.info(
-            "cutoff %.3g GHz: simplex reverse error %.3e after %d evals",
-            cutoff, search.best_value, search.evaluations,
-        )
-        if search.best_value < cfg.fidelity_goal:
-            return report(best["entry"], best["wf"], True)
-    return report(best["entry"], best["wf"], False)
+            cell, converged = c * len(lambdas) + best_cells[c], True
+            break
+    else:
+        cell, converged = int(grid.reverse_error.argmin()), False
+    entry = history[cell][0]
+    return grid.waveform(cell), OptimizationReport(
+        best_params={"cutoff_ghz": entry["cutoff_ghz"], "lambda2": entry["lambda2"]},
+        best_value=entry["reverse_error"],
+        evaluations=len(history),
+        history=history,
+        converged=converged,
+        forward_error=entry["forward_error"],
+        reverse_error=entry["reverse_error"],
+    )
 
 
 # ----------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from lctpulse.cli import main
 from lctpulse.io import write_waveform_csv
+from lctpulse.optimize import LAMBDA2_GRID_POINTS
 from lctpulse.pulses import Waveform
 from lctpulse.units import TWO_PI
 
@@ -131,6 +132,10 @@ def test_bad_config_exit_codes(tmp_path):
     assert main(["lct", "--config", str(bad), "--out-dir", str(tmp_path)]) == 1
     no_lct = _config(tmp_path, name="nolct.json")
     assert main(["lct", "--config", no_lct, "--out-dir", str(tmp_path)]) == 1
+    # lambda2 without reference_pulse_path would be ignored, not applied.
+    lambda2_only = _config(tmp_path, name="lambda2.json",
+                           lct={**LCT_SHORT, "lambda2": 400.0})
+    assert main(["lct", "--config", lambda2_only, "--out-dir", str(tmp_path)]) == 1
 
 
 def test_degenerate_device_is_a_numerical_error(tmp_path):
@@ -211,3 +216,15 @@ def test_forward_failure_in_search_grid_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "forward error" in err and "cutoff 0.45 GHz, lambda2 0;" in err
     assert not (out / "optimize_report.json").exists()
+
+
+def test_search_without_passing_cell_exits_2_with_report(tmp_path, capsys):
+    cfg = _config(tmp_path, device=FAST_DEVICE, lct=FAST_LCT, reversibility={
+        "cutoff_candidates_ghz": [0.45, 1.0], "lambda2_bounds": [200.0, 1000.0],
+        "fidelity_goal": 1e-3})
+    code, out = _run(tmp_path, "optimize", "--config", cfg)
+    assert code == 2
+    assert "reversibility search stalled" in capsys.readouterr().err
+    report = json.loads((out / "optimize_report.json").read_text())
+    assert report["converged"] is False
+    assert report["evaluations"] == len(report["history"]) == 2 * (LAMBDA2_GRID_POINTS + 1)

@@ -133,6 +133,10 @@ def test_reversibility_section_defaults_and_overrides():
     with pytest.raises(ConfigError, match="max_outer_iters"):
         reversibility_config_from(
             {"reversibility": {"lambda2_init": 598.14, "max_outer_iters": 8}})
+    # The simplex fallback's knobs went with it.
+    for key, value in (("simplex_tolerance", 1e-3), ("max_evals", 60)):
+        with pytest.raises(ConfigError, match=key):
+            reversibility_config_from({"reversibility": {key: value}})
 
 
 def test_analytic_params_roundtrip():

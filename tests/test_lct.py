@@ -53,6 +53,10 @@ def test_config_validation():
         LctConfig(lambda_=1.0, eta=0.0, dt=0.01, t_max=10.0,
                   initial_label="100", target_label="010",
                   reference=Waveform(dt=0.01, samples=np.zeros(10)))
+    # lambda2 steers only the correction term; without a reference the run
+    # would use lambda and ignore it.
+    with pytest.raises(ConfigError, match="lambda2 without a reference"):
+        _base(lambda2=400.0)
 
 
 def test_transfer_across_excitation_numbers_rejected():

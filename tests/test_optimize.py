@@ -120,6 +120,23 @@ def test_forward_and_reverse_pair(params):
     assert rev == pytest.approx(1.0, abs=1e-10)
 
 
+def test_forward_and_reverse_share_one_endpoint_product(params, monkeypatch):
+    wf = Waveform(dt=0.05, samples=-2.0 * np.abs(np.sin(np.linspace(0.1, 9.0, 400))))
+    expected = (reverse_error(params, wf, "100", "010"),
+                reverse_error(params, wf, "010", "100"))
+    batched = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            batched.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert forward_and_reverse_error(params, wf, "100", "010") == expected
+    assert batched == [wf.n]
+
+
 def test_truncation_requires_a_transferring_pulse(params):
     wf = Waveform(dt=0.05, samples=np.zeros(200))
     with pytest.raises(ConvergenceError):
@@ -214,19 +231,13 @@ def test_forward_failure_in_a_cell_aborts(fast_bare):
                 lambda2_bounds=(0.0, 1000.0), fidelity_goal=0.5)
 
 
-def test_simplex_fallback_only_when_no_cell_passes(fast_bare, simplex_calls):
+def test_no_passing_cell_returns_the_lowest_error_cell(fast_bare, simplex_calls):
     cutoffs = (0.45, 1.0)
-    wf, rep = _search(fast_bare, cutoff_candidates_ghz=cutoffs,
-                      fidelity_goal=1e-3, max_evals=3)
-    grid = len(cutoffs) * (LAMBDA2_GRID_POINTS + 1)
-    cells = [h[0] for h in rep.history[:grid]]
-    assert min(e["reverse_error"] for e in cells) >= 1e-3
-    # One simplex per cutoff, ascending, each from its row's best cell.
-    starts = [min((e for e in cells if e["cutoff_ghz"] == c),
-                  key=lambda e: e["reverse_error"])["lambda2"] for c in cutoffs]
-    assert simplex_calls == starts
+    wf, rep = _search(fast_bare, cutoff_candidates_ghz=cutoffs, fidelity_goal=1e-3)
+    # The search is the grid alone: no simplex runs after a failing grid.
+    assert rep.evaluations == len(rep.history) == len(cutoffs) * (LAMBDA2_GRID_POINTS + 1)
+    assert simplex_calls == []
     assert not rep.converged
-    assert rep.evaluations == len(rep.history) > grid
+    assert rep.best_value == min(h[1] for h in rep.history) >= 1e-3
     assert all(h[0]["forward_error"] < 1e-3 for h in rep.history)
-    assert rep.best_value == min(h[1] for h in rep.history)
     assert abs(reverse_error(_FAST, wf, "010", "100") - rep.reverse_error) < 1e-12
