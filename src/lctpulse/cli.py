@@ -71,6 +71,9 @@ def _load_pulse(ctx: dict, section: dict, flag_value: str | None):
 
 
 def _summary_of_run(result, target_label: str) -> dict:
+    """What a feedback run reached, and two health numbers: the fraction of
+    steps at the clamp floor, and the monotonicity margin, the smallest
+    step-to-step change of the target population (negative: its worst dip)."""
     traj = result.trajectory
     return {
         "final_error": result.final_error,
@@ -79,6 +82,8 @@ def _summary_of_run(result, target_label: str) -> dict:
         "transfer_time_99_ns": traj.time_to_population(target_label, 0.99),
         "duration_10_90_ns": traj.transfer_duration(target_label, 0.10, 0.90),
         "clamp_saturated": result.clamp_saturated,
+        "clamp_saturation": result.clamp_saturation,
+        "monotonicity_margin": float(np.diff(traj.populations[target_label]).min()),
     }
 
 
@@ -195,7 +200,7 @@ def cmd_optimize(ctx: dict) -> dict:
 @_stage
 def cmd_truncate(ctx: dict, chained: dict | None = None) -> dict:
     doc, args = ctx["doc"], ctx["args"]
-    sec = doc.get("truncation") or {}
+    sec = io.truncation_section(doc)
     if chained is None:
         params = io.device_from_config(doc)
         base = io.lct_config_from(doc, args.seed_section, _dt_override())
@@ -223,9 +228,7 @@ def cmd_truncate(ctx: dict, chained: dict | None = None) -> dict:
 @_stage
 def cmd_analytic(ctx: dict, chained: dict | None = None) -> None:
     doc, args = ctx["doc"], ctx["args"]
-    sec = doc.get("analytic")
-    if sec is None:
-        raise ConfigError("missing config section 'analytic'")
+    sec = io.analytic_section(doc)
     if chained is None:
         params = io.device_from_config(doc)
         base = io.lct_config_from(doc, args.seed_section, _dt_override())
@@ -257,6 +260,10 @@ def cmd_analytic(ctx: dict, chained: dict | None = None) -> None:
 def cmd_pipeline(ctx: dict) -> None:
     """Bare run, filter preview, reversibility, then the optional stages."""
     doc = ctx["doc"]
+    # A bad later section fails before the search spends its time.
+    io.truncation_section(doc)
+    if doc.get("analytic") is not None:
+        io.analytic_section(doc)
     stage = "optimize"
     try:
         chain = cmd_optimize(ctx)

@@ -61,7 +61,9 @@ def step_factors(spectrum: Sector | DriftSpectrum, shifts, dt: float) -> tuple:
     stack along it.  A shift of exactly 0.0 holds H itself and reuses the
     eigenpairs (so a bare DriftSpectrum serves for it), which the feedback
     loop caps many samples at; the others come from one batched eigh,
-    which gives the same bits as one at a time.
+    which gives the same bits as one at a time.  A stack without exact
+    zeros, as a small lockstep batch mostly is, goes to that eigh whole,
+    with no masks to fill.
     """
     if np.ndim(shifts) == 0:
         if shifts == 0.0:
@@ -71,13 +73,17 @@ def step_factors(spectrum: Sector | DriftSpectrum, shifts, dt: float) -> tuple:
         return u, np.exp(w * (-1j * dt))
     shifts = np.asarray(shifts, dtype=float)
     held = shifts != 0.0
-    w = np.empty(shifts.shape + spectrum.eigenvalues.shape)
-    u = np.empty(shifts.shape + spectrum.eigenvectors.shape,
-                 dtype=np.result_type(spectrum.eigenvectors, spectrum.hamiltonian))
-    w[~held], u[~held] = spectrum.eigenvalues, spectrum.eigenvectors
-    if held.any():
-        w[held], u[held] = np.linalg.eigh(
-            held_hamiltonians(spectrum.hamiltonian, spectrum.control, shifts[held]))
+    if held.all():
+        w, u = np.linalg.eigh(
+            held_hamiltonians(spectrum.hamiltonian, spectrum.control, shifts))
+    else:
+        w = np.empty(shifts.shape + spectrum.eigenvalues.shape)
+        u = np.empty(shifts.shape + spectrum.eigenvectors.shape,
+                     dtype=np.result_type(spectrum.eigenvectors, spectrum.hamiltonian))
+        w[~held], u[~held] = spectrum.eigenvalues, spectrum.eigenvectors
+        if held.any():
+            w[held], u[held] = np.linalg.eigh(
+                held_hamiltonians(spectrum.hamiltonian, spectrum.control, shifts[held]))
     return u, np.exp(w * (-1j * dt))
 
 

@@ -113,15 +113,23 @@ _REVERSIBILITY_KEYS = {
 }
 
 
-def reversibility_config_from(doc: dict, section: str = "reversibility") -> ReversibilityConfig:
-    """ReversibilityConfig from a config section; absent keys keep defaults,
-    unknown keys (such as a setting no longer read) are a ConfigError."""
+def _stage_section(doc: dict, section: str, known) -> dict:
+    """A refinement stage's config section ({} when absent); keys outside
+    `known` (a misspelling, or a setting the stage does not read) are a
+    ConfigError."""
     sec = doc.get(section) or {}
     if not isinstance(sec, dict):
         raise ConfigError(f"config section {section!r} must be an object")
-    unknown = sorted(set(sec) - set(_REVERSIBILITY_KEYS))
+    unknown = sorted(set(sec) - set(known))
     if unknown:
         raise ConfigError(f"section {section!r}: unknown keys {unknown}")
+    return sec
+
+
+def reversibility_config_from(doc: dict, section: str = "reversibility") -> ReversibilityConfig:
+    """ReversibilityConfig from a config section; absent keys keep defaults,
+    unknown keys (such as a setting no longer read) are a ConfigError."""
+    sec = _stage_section(doc, section, _REVERSIBILITY_KEYS)
     kwargs = {}
     for key, cast in _REVERSIBILITY_KEYS.items():
         if sec.get(key) is not None:
@@ -132,13 +140,29 @@ def reversibility_config_from(doc: dict, section: str = "reversibility") -> Reve
     return ReversibilityConfig(**kwargs)
 
 
+def truncation_section(doc: dict) -> dict:
+    """The `truncation` section, {} when absent; unknown keys are a ConfigError."""
+    return _stage_section(doc, "truncation",
+                          ("sigma_ns", "fidelity_goal", "max_evals", "pulse_path"))
+
+
+_ANALYTIC_FIELDS = (
+    "alpha1_ghz", "alpha3_ghz", "tau1_ns", "tau2_ns", "tau3_ns",
+    "sigma1_ns", "sigma2_ns", "sigma3_ns",
+)
+
+
+def analytic_section(doc: dict) -> dict:
+    """The `analytic` section, which the analytic stage requires; unknown
+    keys are a ConfigError."""
+    _section(doc, "analytic")
+    return _stage_section(doc, "analytic",
+                          (*_ANALYTIC_FIELDS, "fit", "dt_ns", "fidelity_goal"))
+
+
 def analytic_params_from_dict(obj: dict, context: str = "analytic") -> AnalyticPulseParams:
     """Eight named fields, amplitudes in GHz, times/widths in ns."""
-    fields = (
-        "alpha1_ghz", "alpha3_ghz", "tau1_ns", "tau2_ns", "tau3_ns",
-        "sigma1_ns", "sigma2_ns", "sigma3_ns",
-    )
-    vals = [float(_require(obj, context, f)) for f in fields]
+    vals = [float(_require(obj, context, f)) for f in _ANALYTIC_FIELDS]
     return AnalyticPulseParams(
         alpha1=TWO_PI * vals[0],
         alpha3=TWO_PI * vals[1],

@@ -92,15 +92,20 @@ class LctResult:
 
     waveform is the applied (total) pulse; lct_component is the shaped
     term alone, equal to the waveform when no reference was present.
-    clamp_saturated flags a gain so large that more than half of the steps
-    sat at the clamp floor.
+    clamp_saturation is the fraction of steps whose sample sat at the
+    clamp floor.
     """
 
     waveform: Waveform
     lct_component: Waveform
     trajectory: TrajectoryRecord
     final_error: float
-    clamp_saturated: bool
+    clamp_saturation: float
+
+    @property
+    def clamp_saturated(self) -> bool:
+        """A gain so large that more than half of the steps sat at the floor."""
+        return self.clamp_saturation > 0.5
 
 
 def seed_state(psi0: QuantumState, target: QuantumState, eta: float) -> QuantumState:
@@ -278,7 +283,7 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
         lct_component=Waveform(dt=config.dt, samples=total - reference),
         trajectory=trajectory,
         final_error=final_error,
-        clamp_saturated=saturated > n_steps // 2,
+        clamp_saturation=saturated / n_steps,
     )
 
 
@@ -327,11 +332,12 @@ def run_lct_lockstep(params: SystemParams, configs: list) -> LockstepResult:
             if getattr(config, name) != getattr(first, name):
                 raise ConfigError(f"lockstep members differ in {name}")
     sector, m_row, target, initial, n_steps, psi = _loop(params, first)
-    # One reference column per distinct waveform object, not per member: a
-    # search grid shares each reference among all its gains.
+    # One reference per distinct waveform object, not per member (a search
+    # grid shares each reference among all its gains), copied once into the
+    # members' columns of total, to which each step adds the feedback.
     distinct = {id(c.reference): c for c in configs}
-    reference = np.stack([_reference(c, n_steps) for c in distinct.values()], axis=1)
-    column = np.array([list(distinct).index(id(c.reference)) for c in configs])
+    references = {key: _reference(c, n_steps) for key, c in distinct.items()}
+    total = np.stack([references[id(c.reference)] for c in configs], axis=1)
     gain = np.array([_gain(c) for c in configs], dtype=float)[:, None]
     lo_clamp = clamp_floor(params.omega_tc_max)
 
@@ -342,11 +348,11 @@ def run_lct_lockstep(params: SystemParams, configs: list) -> LockstepResult:
     states = np.empty((2, len(configs), psi.size, 1), dtype=complex)
     states[0, :, :, 0] = psi
     states[1, :, :, 0] = sector.eigenvectors[:, target]
-    total = np.empty((n_steps, len(configs)))
     raw = np.zeros(len(configs))
 
-    for k in range(n_steps):
-        applied = np.clip(reference[k, column] + raw, lo_clamp, 0.0, out=total[k])
+    for applied in total:
+        applied += raw
+        applied.clip(lo_clamp, 0.0, out=applied)
         states = apply_step(*step_factors(sector, applied, first.dt), states)
         raw = _raw_feedback(m_row, vt @ states[0], target, gain)[:, 0]
 

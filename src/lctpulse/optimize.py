@@ -4,8 +4,9 @@ The reversibility search is a grid; the other two drivers share the
 simplex engine:
 
   optimize_reversible   grid over filter cutoffs x correction gains, run as
-                        one lockstep feedback loop whose probe column gives
-                        each cell's reverse error
+                        lockstep feedback loops whose probe column gives
+                        each cell's reverse error: the lambda2_init column
+                        first, the rest only when no init cell passes
   optimize_truncation   1-d simplex over the truncation time tau
   fit_analytic_pulse    two-stage fit of the closed-form pulse (amplitudes
                         and switch times first, widths second)
@@ -79,9 +80,11 @@ class ReversibilityConfig:
     """Settings for the cutoff / gain reversibility search.
 
     The grid: cutoff_candidates_ghz (searched ascending) x lambda2_init
-    plus LAMBDA2_GRID_POINTS points over lambda2_bounds.  fidelity_goal is
-    the pass mark for every cell's reverse error and the limit on every
-    forward error.
+    plus LAMBDA2_GRID_POINTS points over lambda2_bounds.  lambda2_init is
+    tried first at every cutoff, and a passing init cell settles the
+    search; the spread points run only when none passes.  fidelity_goal is
+    the pass mark for every cell's reverse error and the limit on the
+    forward error of every cell that runs.
     """
 
     lambda2_init: float = 300.0
@@ -243,17 +246,25 @@ def optimize_reversible(
     For each cutoff candidate the bare pulse is low-passed into a
     reference, and the correction term is reshaped at every lambda2 of the
     grid: lambda2_init, then LAMBDA2_GRID_POINTS points spread evenly over
-    lambda2_bounds.  The whole cutoff x lambda2 grid runs as one lockstep
-    feedback loop (lct.run_lct_lockstep), whose probe column gives each
-    cell's reverse transfer error without a replay.  The lowest cutoff
-    with a cell below the fidelity goal wins, with its lowest-error
-    passing cell, and the report is converged.  When no cell passes, the
-    cell with the lowest reverse error is returned and the report is not
-    converged.  Forward transfer must stay below the goal in every cell;
-    a cell breaking that aborts the run, because the correction stage is
-    supposed to be insensitive to lambda2 in its working range.  History
-    holds one entry per cell, in grid order (cutoff ascending, lambda2 as
-    listed).
+    lambda2_bounds.  Cells run as lockstep feedback loops
+    (lct.run_lct_lockstep), whose probe column gives each cell's reverse
+    transfer error without a replay.
+
+    The lambda2_init column runs first, one cell per cutoff in one batch.
+    The lowest cutoff whose init cell passes the fidelity goal wins, with
+    that cell, and the report is converged; history then holds the init
+    column alone.  Only when no init cell passes do the other grid cells
+    run, in one more batch, and the whole grid decides: the lowest cutoff
+    with a passing cell wins, with its lowest-error passing cell, and when
+    no cell passes the cell with the lowest reverse error is returned and
+    the report is not converged.  Forward transfer must stay below the
+    goal in every cell run; a cell breaking that aborts the search, naming
+    the first such cell in grid order, because the correction stage is
+    supposed to be insensitive to lambda2 in its working range.  Only the
+    cells that run are checked: when an init cell passes, the abort sees
+    one lambda2 per cutoff, and the spread points go unchecked.  History
+    holds one entry per cell run, in grid order (cutoff ascending, lambda2
+    as listed).
 
     Returns (best total waveform, OptimizationReport).
     """
@@ -277,40 +288,53 @@ def optimize_reversible(
     lambdas = [cfg.lambda2_init,
                *np.linspace(*cfg.lambda2_bounds, LAMBDA2_GRID_POINTS).tolist()]
     cells = [(cutoff, lam2) for cutoff in cutoffs for lam2 in lambdas]
-    grid = run_lct_lockstep(params, [
-        refined_config(base_config, references[cutoff], lam2) for cutoff, lam2 in cells])
-    history = []
-    for (cutoff, lam2), fwd, rev in zip(cells, grid.forward_error, grid.reverse_error):
-        if fwd >= cfg.fidelity_goal:
-            raise ConvergenceError(
-                f"forward error {fwd:.3e} at cutoff {cutoff} GHz, "
-                f"lambda2 {lam2:.4g}; correction stage is unstable here"
-            )
-        history.append(
-            ({"cutoff_ghz": cutoff, "lambda2": lam2,
-              "forward_error": float(fwd), "reverse_error": float(rev)},
-             float(rev))
-        )
+    results = {}  # grid index -> (forward error, reverse error, lockstep run, member)
 
-    errors = grid.reverse_error.reshape(len(cutoffs), len(lambdas))
-    best_cells = errors.argmin(axis=1)
-    for c, cutoff in enumerate(cutoffs):
-        log.info("cutoff %.3g GHz: best grid reverse error %.3e",
-                 cutoff, errors[c, best_cells[c]])
-        if errors[c, best_cells[c]] < cfg.fidelity_goal:
-            cell, converged = c * len(lambdas) + best_cells[c], True
-            break
+    def run_cells(indices):
+        """One lockstep batch over grid cells given in grid order."""
+        run = run_lct_lockstep(params, [
+            refined_config(base_config, references[cells[i][0]], cells[i][1])
+            for i in indices])
+        for member, i in enumerate(indices):
+            fwd, rev = float(run.forward_error[member]), float(run.reverse_error[member])
+            if fwd >= cfg.fidelity_goal:
+                raise ConvergenceError(
+                    f"forward error {fwd:.3e} at cutoff {cells[i][0]} GHz, "
+                    f"lambda2 {cells[i][1]:.4g}; correction stage is unstable here"
+                )
+            results[i] = fwd, rev, run, member
+
+    init_column = range(0, len(cells), len(lambdas))
+    run_cells(init_column)
+    passing = [i for i in init_column if results[i][1] < cfg.fidelity_goal]
+    if passing:
+        cell, converged = passing[0], True
     else:
-        cell, converged = int(grid.reverse_error.argmin()), False
-    entry = history[cell][0]
-    return grid.waveform(cell), OptimizationReport(
-        best_params={"cutoff_ghz": entry["cutoff_ghz"], "lambda2": entry["lambda2"]},
-        best_value=entry["reverse_error"],
+        run_cells([i for i in range(len(cells)) if i % len(lambdas)])
+        errors = np.array([results[i][1] for i in range(len(cells))])
+        rows = errors.reshape(len(cutoffs), len(lambdas))
+        best_cells = rows.argmin(axis=1)
+        for c, cutoff in enumerate(cutoffs):
+            log.info("cutoff %.3g GHz: best grid reverse error %.3e",
+                     cutoff, rows[c, best_cells[c]])
+            if rows[c, best_cells[c]] < cfg.fidelity_goal:
+                cell, converged = c * len(lambdas) + int(best_cells[c]), True
+                break
+        else:
+            cell, converged = int(errors.argmin()), False
+
+    history = [({"cutoff_ghz": cells[i][0], "lambda2": cells[i][1],
+                 "forward_error": fwd, "reverse_error": rev}, rev)
+               for i, (fwd, rev, _, _) in sorted(results.items())]
+    fwd, rev, run, member = results[cell]
+    return run.waveform(member), OptimizationReport(
+        best_params={"cutoff_ghz": cells[cell][0], "lambda2": cells[cell][1]},
+        best_value=rev,
         evaluations=len(history),
         history=history,
         converged=converged,
-        forward_error=entry["forward_error"],
-        reverse_error=entry["reverse_error"],
+        forward_error=fwd,
+        reverse_error=rev,
     )
 
 

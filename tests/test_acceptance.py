@@ -27,7 +27,13 @@ from lctpulse.dynamics import (
     propagate_step,
     propagate_waveform,
 )
-from lctpulse.lct import LctConfig, refined_config, run_lct, seed_state
+from lctpulse.lct import (
+    LctConfig,
+    refined_config,
+    run_lct,
+    run_lct_lockstep,
+    seed_state,
+)
 from lctpulse.model import (
     HermitianOperator,
     SystemParams,
@@ -39,6 +45,7 @@ from lctpulse.model import (
     single_excitation_gap_minima,
 )
 from lctpulse.optimize import (
+    LAMBDA2_GRID_POINTS,
     ReversibilityConfig,
     fit_analytic_pulse,
     optimize_reversible,
@@ -328,15 +335,32 @@ def test_criterion_6_reverse_replay_traps_coupler(params, spectrum, bare):
     )
 
 
-def test_criterion_7_reversibility_search(reversible):
+def test_criterion_7_reversibility_search(params, base_config, bare, reversible):
     rep, wall = reversible["report"], reversible["wall"]
     worst_forward = max(h[0]["forward_error"] for h in rep.history)
+    # A passing init cell stops the search after one lambda2 per cutoff, so
+    # the whole cutoff x lambda2 grid runs here: forward transfer should not
+    # depend on lambda2 anywhere in its working range.
+    cfg = ReversibilityConfig(lambda2_init=LAMBDA2_INIT)
+    lambdas = [cfg.lambda2_init,
+               *np.linspace(*cfg.lambda2_bounds, LAMBDA2_GRID_POINTS).tolist()]
+    grid = run_lct_lockstep(params, [
+        refined_config(
+            base_config,
+            lowpass_filter(bare["run"].waveform, cutoff,
+                           omega_tc_max=params.omega_tc_max),
+            lam2,
+        )
+        for cutoff in sorted(cfg.cutoff_candidates_ghz) for lam2 in lambdas
+    ])
+    grid_forward = float(grid.forward_error.max())
     ok = (
         rep.converged
         and rep.forward_error < GOAL
         and rep.reverse_error < GOAL
         and rep.best_params["cutoff_ghz"] == pytest.approx(0.45)
         and worst_forward < GOAL
+        and grid_forward < GOAL
         and wall < 1800.0
     )
     report(
@@ -345,7 +369,8 @@ def test_criterion_7_reversibility_search(reversible):
         f"lambda2 {rep.best_params['lambda2']:.2f}: forward "
         f"{rep.forward_error:.2e}, reverse {rep.reverse_error:.2e}; forward "
         f"stayed <= {worst_forward:.2e} over {rep.evaluations} evaluations "
-        f"({wall:.0f} s)",
+        f"and <= {grid_forward:.2e} over the {len(grid.forward_error)}-cell "
+        f"grid ({wall:.0f} s)",
     )
 
 

@@ -206,16 +206,19 @@ def test_manifest_records_stage_timings(tmp_path):
 
 
 def test_forward_failure_in_search_grid_exits_2(tmp_path, capsys):
-    # lambda2 = 0 is on the grid and leaves the filtered reference alone,
-    # whose forward error misses the goal: the search must abort.
-    cfg = _config(tmp_path, device=FAST_DEVICE, lct=FAST_LCT, reversibility={
-        "cutoff_candidates_ghz": [0.45], "lambda2_bounds": [0.0, 1000.0],
-        "fidelity_goal": 0.5})
-    code, out = _run(tmp_path, "optimize", "--config", cfg)
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "forward error" in err and "cutoff 0.45 GHz, lambda2 0;" in err
-    assert not (out / "optimize_report.json").exists()
+    # lambda2 = 0 leaves the filtered reference alone, whose forward error
+    # misses the goal: the search must abort, whether lambda2 = 0 is the
+    # init cell or a grid cell the search falls through to.
+    init_cell = {"lambda2_init": 0.0, "fidelity_goal": 0.5}
+    grid_cell = {"lambda2_bounds": [0.0, 1000.0], "fidelity_goal": 1e-3}
+    for name, reversibility in (("init", init_cell), ("grid", grid_cell)):
+        cfg = _config(tmp_path, f"{name}.json", device=FAST_DEVICE, lct=FAST_LCT,
+                      reversibility={"cutoff_candidates_ghz": [0.45], **reversibility})
+        out = tmp_path / name
+        assert main(["optimize", "--config", cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "forward error" in err and "cutoff 0.45 GHz, lambda2 0;" in err
+        assert not (out / "optimize_report.json").exists()
 
 
 def test_search_without_passing_cell_exits_2_with_report(tmp_path, capsys):
@@ -228,3 +231,46 @@ def test_search_without_passing_cell_exits_2_with_report(tmp_path, capsys):
     report = json.loads((out / "optimize_report.json").read_text())
     assert report["converged"] is False
     assert report["evaluations"] == len(report["history"]) == 2 * (LAMBDA2_GRID_POINTS + 1)
+
+
+def test_unknown_stage_keys_exit_1(tmp_path, capsys):
+    # A key the truncation search never reads from config, and a misspelt
+    # one: the pipeline must refuse the config before its search runs.
+    analytic = {"fit": False, "alpha1_ghz": -1.591, "alpha3_ghz": -2.457,
+                "tau1_ns": 7.2, "tau2_ns": 8.9, "tau3_ns": 11.4,
+                "sigma1_ns": 1.37, "sigma2_ns": 0.2, "sigma3_ns": 1.83}
+    bad = {"simplex_tolerance": 5.0, "max_evalz": 1}
+    reversibility = {"cutoff_candidates_ghz": [0.3, 0.45],
+                     "lambda2_bounds": [200.0, 1000.0], "fidelity_goal": 0.5}
+    for name, sections in (
+            ("truncation", {"truncation": {"sigma_ns": 1.0, **bad}}),
+            ("analytic", {"analytic": {**analytic, **bad}})):
+        cfg = _config(tmp_path, f"{name}.json", device=FAST_DEVICE, lct=FAST_LCT,
+                      reversibility=reversibility, **sections)
+        out = tmp_path / name
+        for command in ("pipeline", "truncate" if name == "truncation" else "analytic"):
+            assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert f"section {name!r}: unknown keys ['max_evalz', 'simplex_tolerance']" in err
+        assert not (out / "optimize_report.json").exists()
+
+
+def test_summary_reports_run_health(tmp_path):
+    # Gain 60 000 on the reference device drives the feedback into the
+    # clamp floor and breaks monotone transfer; the calibrated gain does
+    # neither.
+    def summary(gain):
+        cfg = _config(tmp_path, f"{gain}.json",
+                      lct={**LCT_SHORT, "lambda": gain, "t_max_ns": 100.0})
+        out = tmp_path / str(gain)
+        assert main(["lct", "--config", cfg, "--out-dir", str(out)]) == 0
+        return json.loads((out / "summary.json").read_text())
+
+    calibrated, strong = summary(27626.0), summary(60000.0)
+    assert strong["clamp_saturation"] > calibrated["clamp_saturation"] >= 0.0
+    assert not strong["clamp_saturated"]  # far from half of the steps
+    assert strong["monotonicity_margin"] < -1e-6 < calibrated["monotonicity_margin"]
+    path = tmp_path / "60000.0" / "trajectory.csv"
+    column = path.read_text().splitlines()[0].split(",").index("pop_010")
+    target = np.loadtxt(path, delimiter=",", skiprows=1)[:, column]
+    assert strong["monotonicity_margin"] == pytest.approx(np.diff(target).min(), abs=1e-11)

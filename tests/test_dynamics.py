@@ -15,7 +15,7 @@ from lctpulse import (
     propagate_waveform,
     time_reverse,
 )
-from lctpulse.dynamics import apply_step, drift_spectrum, propagate_endpoint
+from lctpulse.dynamics import apply_step, drift_spectrum, propagate_endpoint, step_factors
 from lctpulse.model import HermitianOperator, label_index
 from lctpulse.units import TWO_PI
 
@@ -62,6 +62,34 @@ def test_stacked_step_matches_each_member_exactly(rng):
                 stacked[b, :, col],
                 u[b] @ np.diag(phases[b]) @ u[b].conj().T @ psi[b, :, col],
                 rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("members", [1, 3, 51])
+def test_all_held_stack_matches_masked_path(params, rng, members):
+    # A stack without an exact zero takes one batched eigh with no masks.
+    # With a zero appended, the same shifts go through the masked path,
+    # and every member must come out with the same bits.
+    sector = params.sectors[1]
+    shifts = -TWO_PI * rng.uniform(0.01, 7.0, size=members)
+    held = step_factors(sector, shifts, 0.01)
+    masked = step_factors(sector, np.append(shifts, 0.0), 0.01)
+    for fast, slow in zip(held, masked):
+        assert fast.dtype == slow.dtype
+        assert fast.tobytes() == slow[:members].tobytes()
+
+    # Exact zeros (every member when there is one) reuse the drift's
+    # eigenpairs; the others match an all-held stack of themselves.
+    mixed = shifts.copy()
+    mixed[::2] = 0.0
+    u, phases = step_factors(sector, mixed, 0.01)
+    nonzero = mixed != 0.0
+    if nonzero.any():
+        u_held, phases_held = step_factors(sector, mixed[nonzero], 0.01)
+        assert u[nonzero].tobytes() == u_held.tobytes()
+        assert phases[nonzero].tobytes() == phases_held.tobytes()
+    zero_u, zero_phases = step_factors(sector, 0.0, 0.01)
+    assert all(member.tobytes() == zero_u.tobytes() for member in u[~nonzero])
+    assert all(member.tobytes() == zero_phases.tobytes() for member in phases[~nonzero])
 
 
 def test_step_preserves_norm(params, rng):

@@ -10,6 +10,7 @@ from lctpulse.io import (
     RunManifest,
     analytic_params_from_dict,
     analytic_params_to_dict,
+    analytic_section,
     config_hash,
     device_from_config,
     lct_config_from,
@@ -17,6 +18,7 @@ from lctpulse.io import (
     read_waveform_csv,
     report_to_dict,
     reversibility_config_from,
+    truncation_section,
     write_eigenvalue_sweep_csv,
     write_flux_csv,
     write_json,
@@ -137,6 +139,28 @@ def test_reversibility_section_defaults_and_overrides():
     for key, value in (("simplex_tolerance", 1e-3), ("max_evals", 60)):
         with pytest.raises(ConfigError, match=key):
             reversibility_config_from({"reversibility": {key: value}})
+
+
+def test_truncation_and_analytic_sections_reject_unknown_keys():
+    analytic = {"alpha1_ghz": -1.591, "alpha3_ghz": -2.457, "tau1_ns": 7.2,
+                "tau2_ns": 8.9, "tau3_ns": 11.4, "sigma1_ns": 1.37,
+                "sigma2_ns": 0.2, "sigma3_ns": 1.83}
+    every_key = {"truncation": {"sigma_ns": 1.0, "fidelity_goal": 1e-6,
+                                "max_evals": 60, "pulse_path": "in.csv"},
+                 "analytic": {**analytic, "fit": False, "dt_ns": 0.01,
+                              "fidelity_goal": 1e-6}}
+    assert truncation_section(every_key) == every_key["truncation"]
+    assert analytic_section(every_key) == every_key["analytic"]
+    assert truncation_section({}) == {}
+    with pytest.raises(ConfigError, match="missing config section 'analytic'"):
+        analytic_section({})
+    # A key the truncation search never reads from config, and a misspelt one.
+    with pytest.raises(ConfigError, match=r"\['max_evalz', 'simplex_tolerance'\]"):
+        truncation_section({"truncation": {"sigma_ns": 1.0, "simplex_tolerance": 5.0,
+                                           "max_evalz": 1}})
+    for key, value in (("simplex_tolerance", 5.0), ("max_evalz", 1)):
+        with pytest.raises(ConfigError, match=f"section 'analytic'.*{key}"):
+            analytic_section({"analytic": {**analytic, key: value}})
 
 
 def test_analytic_params_roundtrip():

@@ -149,6 +149,16 @@ def test_bare_run_transfers(bare_run):
     assert not bare_run.clamp_saturated
 
 
+def test_clamp_saturation_is_the_fraction_of_floor_steps(params, bare_run):
+    lo = -params.omega_tc_max * (1.0 - CLAMP_FLOOR_FRACTION)
+    assert bare_run.clamp_saturation == 0.0
+    strong = run_lct(params, LctConfig(lambda_=60000.0, eta=1e-6, dt=0.01, t_max=100.0,
+                                       initial_label="100", target_label="010"))
+    samples = strong.waveform.samples
+    assert strong.clamp_saturation == np.mean(samples == lo) > 0.0
+    assert not strong.clamp_saturated
+
+
 def test_bare_run_shapes(bare_run):
     wf = bare_run.waveform
     assert wf.n == 45000

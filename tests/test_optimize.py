@@ -3,6 +3,7 @@ import pytest
 
 from lctpulse import ConvergenceError, LctConfig, SystemParams, Waveform, run_lct
 from lctpulse import optimize
+from lctpulse.lct import refined_config, run_lct_lockstep
 from lctpulse.optimize import (
     LAMBDA2_GRID_POINTS,
     OptimizationReport,
@@ -13,6 +14,7 @@ from lctpulse.optimize import (
     optimize_truncation,
     reverse_error,
 )
+from lctpulse.pulses import lowpass_filter
 
 
 def _rosenbrock(x):
@@ -178,40 +180,80 @@ def _search(bare, **kw):
     return optimize_reversible(_FAST, bare, _FAST_BASE, cfg)
 
 
-def _rows(report, cutoffs):
-    """Each cutoff's reverse errors, in lambda2 order."""
-    return {c: [h[0]["reverse_error"] for h in report.history
-                if h[0]["cutoff_ghz"] == c] for c in cutoffs}
+@pytest.fixture
+def lockstep_batches(monkeypatch):
+    """Member count of each lockstep batch the search runs."""
+    batches = []
+
+    def counted(params, configs):
+        batches.append(len(configs))
+        return run_lct_lockstep(params, configs)
+
+    monkeypatch.setattr(optimize, "run_lct_lockstep", counted)
+    return batches
 
 
-def test_lowest_passing_cutoff_wins(fast_bare, simplex_calls):
+def test_lowest_passing_cutoff_wins(fast_bare, lockstep_batches, simplex_calls):
     cutoffs = (1.0, 0.45, 0.3)
+    # The whole grid in one lockstep run, cells in grid order: cutoff
+    # ascending, then lambda2_init and the spread points.
+    lambdas = [300.0, *np.linspace(200.0, 1000.0, LAMBDA2_GRID_POINTS).tolist()]
+    references = [lowpass_filter(fast_bare, c, omega_tc_max=_FAST.omega_tc_max)
+                  for c in sorted(cutoffs)]
+    full = run_lct_lockstep(_FAST, [refined_config(_FAST_BASE, ref, lam2)
+                                    for ref in references for lam2 in lambdas])
+    rows = full.reverse_error.reshape(len(cutoffs), len(lambdas))
+    init = rows[:, 0]  # 0.3, 0.45 and 1.0 GHz
+    assert init[1] < init[0] < 0.5 < init[2]
+    lockstep_batches.clear()
+
+    def same_bits(wf, cell):
+        return wf.samples.tobytes() == full.samples[:, cell].tobytes()
+
+    # Goal 0.5: the init cells of 0.3 and 0.45 GHz pass.  The lower cutoff
+    # wins with its init cell although 0.45 GHz holds the lower error, and
+    # only the init column runs, as one batch of three.
     wf, rep = _search(fast_bare, cutoff_candidates_ghz=cutoffs, fidelity_goal=0.5)
-    grid = len(cutoffs) * (LAMBDA2_GRID_POINTS + 1)
-    assert rep.evaluations == len(rep.history) == grid
-    assert [h[0]["cutoff_ghz"] for h in rep.history][::LAMBDA2_GRID_POINTS + 1] == [
-        0.3, 0.45, 1.0]
-    assert [h[0]["lambda2"] for h in rep.history[:3]] == pytest.approx(
-        [300.0, 200.0, 200.0 + 800.0 / 15])
-    rows = _rows(rep, cutoffs)
-    # Both 0.3 and 0.45 GHz pass; the higher cutoff holds the lower error,
-    # but the lower cutoff wins, with its best cell.
-    assert min(rows[0.45]) < min(rows[0.3]) < 0.5
+    assert lockstep_batches == [3]
+    assert rep.evaluations == len(rep.history) == 3
+    assert [h[0]["cutoff_ghz"] for h in rep.history] == [0.3, 0.45, 1.0]
+    assert [h[0]["lambda2"] for h in rep.history] == [300.0] * 3
+    assert [h[1] for h in rep.history] == init.tolist()
     assert rep.converged and simplex_calls == []
-    assert rep.best_params["cutoff_ghz"] == 0.3
-    assert rep.reverse_error == rep.best_value == min(rows[0.3])
-    cell = rows[0.3].index(min(rows[0.3]))
-    assert rep.best_params["lambda2"] == rep.history[cell][0]["lambda2"]
-    assert rep.forward_error == rep.history[cell][0]["forward_error"]
+    assert rep.best_params == {"cutoff_ghz": 0.3, "lambda2": 300.0}
+    assert rep.reverse_error == rep.best_value == init[0]
+    assert rep.forward_error == full.forward_error[0]
+    assert same_bits(wf, 0)
     assert abs(reverse_error(_FAST, wf, "010", "100") - rep.reverse_error) < 1e-12
 
-    # With the goal between the two rows' best cells, 0.3 GHz fails and
-    # 0.45 GHz is the lowest passing cutoff.
-    goal = 0.5 * (min(rows[0.45]) + min(rows[0.3]))
-    _, rep2 = _search(fast_bare, cutoff_candidates_ghz=cutoffs, fidelity_goal=goal)
-    assert rep2.best_params["cutoff_ghz"] == 0.45
-    assert rep2.reverse_error == min(rows[0.45])
-    assert simplex_calls == []
+    # With the goal between the two init errors, 0.3 GHz fails and
+    # 0.45 GHz is the lowest cutoff whose init cell passes.
+    goal = 0.5 * (init[0] + init[1])
+    wf, rep = _search(fast_bare, cutoff_candidates_ghz=cutoffs, fidelity_goal=goal)
+    assert rep.evaluations == 3
+    assert rep.best_params == {"cutoff_ghz": 0.45, "lambda2": 300.0}
+    assert rep.reverse_error == init[1]
+    assert same_bits(wf, len(lambdas))
+
+    # Below every init cell, the other 48 cells run in one more batch and
+    # the whole grid decides: 0.3 GHz has a passing grid cell, so it wins
+    # with its best cell although 0.45 GHz holds the lower error.
+    assert rows[1].min() < rows[0].min() < init.min()
+    goal = 0.5 * (rows[0].min() + init.min())
+    lockstep_batches.clear()
+    wf, rep = _search(fast_bare, cutoff_candidates_ghz=cutoffs, fidelity_goal=goal)
+    assert lockstep_batches == [3, 3 * LAMBDA2_GRID_POINTS]
+    assert rep.evaluations == len(rep.history) == full.samples.shape[1]
+    assert [h[0]["cutoff_ghz"] for h in rep.history][::len(lambdas)] == [0.3, 0.45, 1.0]
+    assert [h[0]["lambda2"] for h in rep.history[:len(lambdas)]] == lambdas
+    assert lambdas[:3] == pytest.approx([300.0, 200.0, 200.0 + 800.0 / 15])
+    assert [h[1] for h in rep.history] == full.reverse_error.tolist()
+    assert [h[0]["forward_error"] for h in rep.history] == full.forward_error.tolist()
+    cell = int(rows[0].argmin())
+    assert rep.converged and simplex_calls == []
+    assert rep.best_params == {"cutoff_ghz": 0.3, "lambda2": lambdas[cell]}
+    assert rep.reverse_error == rows[0].min()
+    assert same_bits(wf, cell)
 
 
 def test_search_histories_are_identical(fast_bare):
@@ -223,12 +265,24 @@ def test_search_histories_are_identical(fast_bare):
     np.testing.assert_array_equal(wf_a.samples, wf_b.samples)
 
 
-def test_forward_failure_in_a_cell_aborts(fast_bare):
+def test_forward_failure_in_a_cell_aborts(fast_bare, lockstep_batches):
     # lambda2 = 0 leaves the filtered reference alone, which transfers
-    # poorly; the cell's forward error misses the goal.
+    # poorly; the cell's forward error misses the goal.  As the init gain
+    # it fails in the first batch.
     with pytest.raises(ConvergenceError, match="cutoff 0.45 GHz, lambda2 0;"):
         _search(fast_bare, cutoff_candidates_ghz=(0.45,),
-                lambda2_bounds=(0.0, 1000.0), fidelity_goal=0.5)
+                lambda2_init=0.0, fidelity_goal=0.5)
+    assert lockstep_batches == [1]
+    # No init cell passes 1e-3, so the search falls through to the grid,
+    # whose first spread point is lambda2 = 0.
+    with pytest.raises(ConvergenceError, match="cutoff 0.45 GHz, lambda2 0;"):
+        _search(fast_bare, cutoff_candidates_ghz=(0.45,),
+                lambda2_bounds=(0.0, 1000.0), fidelity_goal=1e-3)
+    assert lockstep_batches == [1, 1, LAMBDA2_GRID_POINTS]
+    # The abort names the first failing cell in grid order.
+    with pytest.raises(ConvergenceError, match="cutoff 0.3 GHz, lambda2 0;"):
+        _search(fast_bare, cutoff_candidates_ghz=(0.45, 0.3),
+                lambda2_init=0.0, fidelity_goal=0.5)
 
 
 def test_no_passing_cell_returns_the_lowest_error_cell(fast_bare, simplex_calls):
