@@ -1,9 +1,9 @@
 """Command-line front end.
 
 One config document drives every subcommand; sections it does not need
-are ignored, and optional pipeline stages switch off when their section
-is absent.  All files land in --out-dir together with a manifest naming
-them.
+are ignored, a section it reads rejects keys it does not know, and
+optional pipeline stages switch off when their section is absent.  All
+files land in --out-dir together with a manifest naming them.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def cmd_lct(ctx: dict) -> None:
 def cmd_filter(ctx: dict) -> None:
     doc, args = ctx["doc"], ctx["args"]
     params = io.device_from_config(doc)
-    sec = doc.get("filter") or {}
+    sec = io.filter_section(doc)
     wf = _load_pulse(ctx, sec, args.pulse)
     cutoff = float(args.cutoff if args.cutoff is not None
                    else sec.get("cutoff_ghz", 0.45))

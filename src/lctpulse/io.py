@@ -43,12 +43,25 @@ def load_config(path: str) -> dict:
     return doc
 
 
-def _section(doc: dict, name: str) -> dict:
-    sec = doc.get(name)
-    if sec is None:
+def _section(doc: dict, name: str, known) -> dict:
+    """A required config section; keys outside `known` are a ConfigError."""
+    if doc.get(name) is None:
         raise ConfigError(f"missing config section {name!r}")
+    return _stage_section(doc, name, known)
+
+
+def _stage_section(doc: dict, section: str, known) -> dict:
+    """An optional config section ({} when absent); keys outside `known`
+    (a misspelling, or a setting the program does not read) are a
+    ConfigError."""
+    sec = doc.get(section)
+    if sec is None:
+        return {}
     if not isinstance(sec, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
+        raise ConfigError(f"config section {section!r} must be an object")
+    unknown = sorted(set(sec) - set(known))
+    if unknown:
+        raise ConfigError(f"section {section!r}: unknown keys {unknown}")
     return sec
 
 
@@ -60,7 +73,7 @@ def _require(sec: dict, section: str, key: str):
 
 def device_from_config(doc: dict) -> SystemParams:
     """Build SystemParams from the `device` section."""
-    sec = _section(doc, "device")
+    sec = _section(doc, "device", ("qubit_freqs_ghz", "couplings_ghz", "tc_max_freq_ghz"))
     freqs = _require(sec, "device", "qubit_freqs_ghz")
     coups = _require(sec, "device", "couplings_ghz")
     tc = _require(sec, "device", "tc_max_freq_ghz")
@@ -68,6 +81,10 @@ def device_from_config(doc: dict) -> SystemParams:
         return SystemParams.from_ghz(freqs, coups, tc)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"section 'device': {exc}") from exc
+
+
+_LCT_KEYS = ("lambda", "eta", "dt_ns", "t_max_ns", "initial", "target",
+             "n_prime", "reference_pulse_path", "lambda2")
 
 
 def lct_config_from(
@@ -81,7 +98,7 @@ def lct_config_from(
     config is self-contained.  dt_override (the PULSE_DT_NS hook) replaces
     the section's dt_ns.
     """
-    sec = _section(doc, section)
+    sec = _section(doc, section, _LCT_KEYS)
     reference = None
     ref_path = sec.get("reference_pulse_path")
     if ref_path is not None:
@@ -107,23 +124,9 @@ def lct_config_from(
 
 _REVERSIBILITY_KEYS = {
     "lambda2_init": float,
-    "lambda2_bounds": lambda v: tuple(float(x) for x in v),
     "cutoff_candidates_ghz": lambda v: tuple(float(x) for x in v),
     "fidelity_goal": float,
 }
-
-
-def _stage_section(doc: dict, section: str, known) -> dict:
-    """A refinement stage's config section ({} when absent); keys outside
-    `known` (a misspelling, or a setting the stage does not read) are a
-    ConfigError."""
-    sec = doc.get(section) or {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {section!r} must be an object")
-    unknown = sorted(set(sec) - set(known))
-    if unknown:
-        raise ConfigError(f"section {section!r}: unknown keys {unknown}")
-    return sec
 
 
 def reversibility_config_from(doc: dict, section: str = "reversibility") -> ReversibilityConfig:
@@ -138,6 +141,11 @@ def reversibility_config_from(doc: dict, section: str = "reversibility") -> Reve
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"section {section!r}, key {key!r}: {exc}") from exc
     return ReversibilityConfig(**kwargs)
+
+
+def filter_section(doc: dict) -> dict:
+    """The `filter` section, {} when absent; unknown keys are a ConfigError."""
+    return _stage_section(doc, "filter", ("pulse_path", "cutoff_ghz", "clamp"))
 
 
 def truncation_section(doc: dict) -> dict:
@@ -155,9 +163,7 @@ _ANALYTIC_FIELDS = (
 def analytic_section(doc: dict) -> dict:
     """The `analytic` section, which the analytic stage requires; unknown
     keys are a ConfigError."""
-    _section(doc, "analytic")
-    return _stage_section(doc, "analytic",
-                          (*_ANALYTIC_FIELDS, "fit", "dt_ns", "fidelity_goal"))
+    return _section(doc, "analytic", (*_ANALYTIC_FIELDS, "fit", "dt_ns", "fidelity_goal"))
 
 
 def analytic_params_from_dict(obj: dict, context: str = "analytic") -> AnalyticPulseParams:

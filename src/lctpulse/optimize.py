@@ -1,12 +1,12 @@
-"""Refinement searches: one lockstep grid and a small Nelder-Mead core.
+"""Refinement searches: one lockstep batch and a small Nelder-Mead core.
 
-The reversibility search is a grid; the other two drivers share the
+The reversibility search is one batch; the other two drivers share the
 simplex engine:
 
-  optimize_reversible   grid over filter cutoffs x correction gains, run as
-                        lockstep feedback loops whose probe column gives
-                        each cell's reverse error: the lambda2_init column
-                        first, the rest only when no init cell passes
+  optimize_reversible   one cell per filter cutoff at the correction gain
+                        lambda2_init, run as one lockstep batch of feedback
+                        loops whose probe column gives each cell's reverse
+                        error
   optimize_truncation   1-d simplex over the truncation time tau
   fit_analytic_pulse    two-stage fit of the closed-form pulse (amplitudes
                         and switch times first, widths second)
@@ -17,7 +17,6 @@ histories.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,8 +37,6 @@ from .pulses import (
     natural_duration,
     truncate_with_gaussian_tail,
 )
-
-log = logging.getLogger(__name__)
 
 # Simplex coefficients: reflection, expansion, contraction, shrink.
 _ALPHA, _GAMMA, _RHO, _SHRINK = 1.0, 2.0, 0.5, 0.5
@@ -70,25 +67,18 @@ class OptimizationReport:
                 raise ValueError("transfer errors must lie in [0, 1]")
 
 
-# lambda2 values spread evenly over lambda2_bounds in the reversibility
-# grid, next to lambda2_init (17 per cutoff).
-LAMBDA2_GRID_POINTS = 16
-
-
 @dataclass(frozen=True)
 class ReversibilityConfig:
     """Settings for the cutoff / gain reversibility search.
 
-    The grid: cutoff_candidates_ghz (searched ascending) x lambda2_init
-    plus LAMBDA2_GRID_POINTS points over lambda2_bounds.  lambda2_init is
-    tried first at every cutoff, and a passing init cell settles the
-    search; the spread points run only when none passes.  fidelity_goal is
-    the pass mark for every cell's reverse error and the limit on the
-    forward error of every cell that runs.
+    One batch: lambda2_init at every cutoff of cutoff_candidates_ghz
+    (searched ascending); the lowest cutoff whose cell passes wins, and
+    when none passes the search ends not converged.  fidelity_goal is the
+    pass mark for every cell's reverse error and the limit on every
+    cell's forward error.
     """
 
     lambda2_init: float = 300.0
-    lambda2_bounds: tuple = (100.0, 1000.0)
     cutoff_candidates_ghz: tuple = (0.40, 0.45, 0.50)
     fidelity_goal: float = 1e-6
 
@@ -241,30 +231,21 @@ def optimize_reversible(
     base_config: LctConfig,
     cfg: ReversibilityConfig,
 ) -> tuple:
-    """Find a filter cutoff and correction gain giving two-way transfer.
+    """Find a filter cutoff at which the correction gain lambda2_init gives
+    two-way transfer.
 
     For each cutoff candidate the bare pulse is low-passed into a
-    reference, and the correction term is reshaped at every lambda2 of the
-    grid: lambda2_init, then LAMBDA2_GRID_POINTS points spread evenly over
-    lambda2_bounds.  Cells run as lockstep feedback loops
+    reference, and the correction term reshapes it at lambda2_init.  The
+    cells, one per cutoff, run as one lockstep batch of feedback loops
     (lct.run_lct_lockstep), whose probe column gives each cell's reverse
-    transfer error without a replay.
-
-    The lambda2_init column runs first, one cell per cutoff in one batch.
-    The lowest cutoff whose init cell passes the fidelity goal wins, with
-    that cell, and the report is converged; history then holds the init
-    column alone.  Only when no init cell passes do the other grid cells
-    run, in one more batch, and the whole grid decides: the lowest cutoff
-    with a passing cell wins, with its lowest-error passing cell, and when
-    no cell passes the cell with the lowest reverse error is returned and
-    the report is not converged.  Forward transfer must stay below the
-    goal in every cell run; a cell breaking that aborts the search, naming
-    the first such cell in grid order, because the correction stage is
-    supposed to be insensitive to lambda2 in its working range.  Only the
-    cells that run are checked: when an init cell passes, the abort sees
-    one lambda2 per cutoff, and the spread points go unchecked.  History
-    holds one entry per cell run, in grid order (cutoff ascending, lambda2
-    as listed).
+    transfer error without a replay.  The lowest cutoff whose cell passes
+    the fidelity goal wins, and the report is converged; when no cell
+    passes, the cell with the lowest reverse error is returned and the
+    report is not converged.  Forward transfer must stay below the goal in
+    every cell; a cell breaking that aborts the search, naming the first
+    such cell by ascending cutoff, because the correction stage is
+    supposed to be insensitive to lambda2 in its working range.  History
+    holds one entry per cell, cutoff ascending.
 
     Returns (best total waveform, OptimizationReport).
     """
@@ -281,60 +262,33 @@ def optimize_reversible(
         raise ValueError("no cutoff candidates")
 
     cutoffs = sorted(cfg.cutoff_candidates_ghz)
-    references = {
-        cutoff: lowpass_filter(bare_pulse, cutoff, omega_tc_max=params.omega_tc_max)
-        for cutoff in cutoffs
-    }
-    lambdas = [cfg.lambda2_init,
-               *np.linspace(*cfg.lambda2_bounds, LAMBDA2_GRID_POINTS).tolist()]
-    cells = [(cutoff, lam2) for cutoff in cutoffs for lam2 in lambdas]
-    results = {}  # grid index -> (forward error, reverse error, lockstep run, member)
+    lam2 = cfg.lambda2_init
+    run = run_lct_lockstep(params, [
+        refined_config(base_config,
+                       lowpass_filter(bare_pulse, cutoff, omega_tc_max=params.omega_tc_max),
+                       lam2)
+        for cutoff in cutoffs])
+    forward, reverse = run.forward_error.tolist(), run.reverse_error.tolist()
+    for cutoff, fwd in zip(cutoffs, forward):
+        if fwd >= cfg.fidelity_goal:
+            raise ConvergenceError(
+                f"forward error {fwd:.3e} at cutoff {cutoff} GHz, "
+                f"lambda2 {lam2:.4g}; correction stage is unstable here"
+            )
 
-    def run_cells(indices):
-        """One lockstep batch over grid cells given in grid order."""
-        run = run_lct_lockstep(params, [
-            refined_config(base_config, references[cells[i][0]], cells[i][1])
-            for i in indices])
-        for member, i in enumerate(indices):
-            fwd, rev = float(run.forward_error[member]), float(run.reverse_error[member])
-            if fwd >= cfg.fidelity_goal:
-                raise ConvergenceError(
-                    f"forward error {fwd:.3e} at cutoff {cells[i][0]} GHz, "
-                    f"lambda2 {cells[i][1]:.4g}; correction stage is unstable here"
-                )
-            results[i] = fwd, rev, run, member
-
-    init_column = range(0, len(cells), len(lambdas))
-    run_cells(init_column)
-    passing = [i for i in init_column if results[i][1] < cfg.fidelity_goal]
-    if passing:
-        cell, converged = passing[0], True
-    else:
-        run_cells([i for i in range(len(cells)) if i % len(lambdas)])
-        errors = np.array([results[i][1] for i in range(len(cells))])
-        rows = errors.reshape(len(cutoffs), len(lambdas))
-        best_cells = rows.argmin(axis=1)
-        for c, cutoff in enumerate(cutoffs):
-            log.info("cutoff %.3g GHz: best grid reverse error %.3e",
-                     cutoff, rows[c, best_cells[c]])
-            if rows[c, best_cells[c]] < cfg.fidelity_goal:
-                cell, converged = c * len(lambdas) + int(best_cells[c]), True
-                break
-        else:
-            cell, converged = int(errors.argmin()), False
-
-    history = [({"cutoff_ghz": cells[i][0], "lambda2": cells[i][1],
+    passing = [i for i, rev in enumerate(reverse) if rev < cfg.fidelity_goal]
+    cell = passing[0] if passing else int(np.argmin(reverse))
+    history = [({"cutoff_ghz": cutoff, "lambda2": lam2,
                  "forward_error": fwd, "reverse_error": rev}, rev)
-               for i, (fwd, rev, _, _) in sorted(results.items())]
-    fwd, rev, run, member = results[cell]
-    return run.waveform(member), OptimizationReport(
-        best_params={"cutoff_ghz": cells[cell][0], "lambda2": cells[cell][1]},
-        best_value=rev,
+               for cutoff, fwd, rev in zip(cutoffs, forward, reverse)]
+    return run.waveform(cell), OptimizationReport(
+        best_params={"cutoff_ghz": cutoffs[cell], "lambda2": lam2},
+        best_value=reverse[cell],
         evaluations=len(history),
         history=history,
-        converged=converged,
-        forward_error=fwd,
-        reverse_error=rev,
+        converged=bool(passing),
+        forward_error=forward[cell],
+        reverse_error=reverse[cell],
     )
 
 

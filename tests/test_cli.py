@@ -7,7 +7,6 @@ import pytest
 
 from lctpulse.cli import main
 from lctpulse.io import write_waveform_csv
-from lctpulse.optimize import LAMBDA2_GRID_POINTS
 from lctpulse.pulses import Waveform
 from lctpulse.units import TWO_PI
 
@@ -195,8 +194,7 @@ def test_manifest_records_stage_timings(tmp_path):
     analytic = {"fit": False, "alpha1_ghz": -1.591, "alpha3_ghz": -2.457,
                 "tau1_ns": 7.2, "tau2_ns": 8.9, "tau3_ns": 11.4,
                 "sigma1_ns": 1.37, "sigma2_ns": 0.2, "sigma3_ns": 1.83}
-    reversibility = {"cutoff_candidates_ghz": [0.3, 0.45],
-                     "lambda2_bounds": [200.0, 1000.0], "fidelity_goal": 0.5}
+    reversibility = {"cutoff_candidates_ghz": [0.3, 0.45], "fidelity_goal": 0.5}
     assert stages("analytic", {"lct": LCT_SHORT, "analytic": analytic}) == {"analytic"}
     assert stages("optimize", {"device": FAST_DEVICE, "lct": FAST_LCT,
                                "reversibility": reversibility}) == {"optimize"}
@@ -207,30 +205,25 @@ def test_manifest_records_stage_timings(tmp_path):
 
 def test_forward_failure_in_search_grid_exits_2(tmp_path, capsys):
     # lambda2 = 0 leaves the filtered reference alone, whose forward error
-    # misses the goal: the search must abort, whether lambda2 = 0 is the
-    # init cell or a grid cell the search falls through to.
-    init_cell = {"lambda2_init": 0.0, "fidelity_goal": 0.5}
-    grid_cell = {"lambda2_bounds": [0.0, 1000.0], "fidelity_goal": 1e-3}
-    for name, reversibility in (("init", init_cell), ("grid", grid_cell)):
-        cfg = _config(tmp_path, f"{name}.json", device=FAST_DEVICE, lct=FAST_LCT,
-                      reversibility={"cutoff_candidates_ghz": [0.45], **reversibility})
-        out = tmp_path / name
-        assert main(["optimize", "--config", cfg, "--out-dir", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "forward error" in err and "cutoff 0.45 GHz, lambda2 0;" in err
-        assert not (out / "optimize_report.json").exists()
+    # misses the goal: the search must abort.
+    cfg = _config(tmp_path, device=FAST_DEVICE, lct=FAST_LCT, reversibility={
+        "cutoff_candidates_ghz": [0.45], "lambda2_init": 0.0, "fidelity_goal": 0.5})
+    code, out = _run(tmp_path, "optimize", "--config", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "forward error" in err and "cutoff 0.45 GHz, lambda2 0;" in err
+    assert not (out / "optimize_report.json").exists()
 
 
 def test_search_without_passing_cell_exits_2_with_report(tmp_path, capsys):
     cfg = _config(tmp_path, device=FAST_DEVICE, lct=FAST_LCT, reversibility={
-        "cutoff_candidates_ghz": [0.45, 1.0], "lambda2_bounds": [200.0, 1000.0],
-        "fidelity_goal": 1e-3})
+        "cutoff_candidates_ghz": [0.45, 1.0], "fidelity_goal": 1e-3})
     code, out = _run(tmp_path, "optimize", "--config", cfg)
     assert code == 2
     assert "reversibility search stalled" in capsys.readouterr().err
     report = json.loads((out / "optimize_report.json").read_text())
     assert report["converged"] is False
-    assert report["evaluations"] == len(report["history"]) == 2 * (LAMBDA2_GRID_POINTS + 1)
+    assert report["evaluations"] == len(report["history"]) == 2
 
 
 def test_unknown_stage_keys_exit_1(tmp_path, capsys):
@@ -240,8 +233,7 @@ def test_unknown_stage_keys_exit_1(tmp_path, capsys):
                 "tau1_ns": 7.2, "tau2_ns": 8.9, "tau3_ns": 11.4,
                 "sigma1_ns": 1.37, "sigma2_ns": 0.2, "sigma3_ns": 1.83}
     bad = {"simplex_tolerance": 5.0, "max_evalz": 1}
-    reversibility = {"cutoff_candidates_ghz": [0.3, 0.45],
-                     "lambda2_bounds": [200.0, 1000.0], "fidelity_goal": 0.5}
+    reversibility = {"cutoff_candidates_ghz": [0.3, 0.45], "fidelity_goal": 0.5}
     for name, sections in (
             ("truncation", {"truncation": {"sigma_ns": 1.0, **bad}}),
             ("analytic", {"analytic": {**analytic, **bad}})):
@@ -253,6 +245,34 @@ def test_unknown_stage_keys_exit_1(tmp_path, capsys):
             err = capsys.readouterr().err
             assert f"section {name!r}: unknown keys ['max_evalz', 'simplex_tolerance']" in err
         assert not (out / "optimize_report.json").exists()
+
+
+def test_unknown_device_seed_and_filter_keys_exit_1(tmp_path, capsys):
+    wf = Waveform(dt=0.01, samples=-TWO_PI * np.abs(
+        np.sin(0.3 * np.arange(2000) * 0.01)))
+    pulse_path = str(tmp_path / "in.csv")
+    write_waveform_csv(pulse_path, wf)
+    cases = (
+        ("filter", "filter", {"filter": {"cutof_ghz": 0.3}},
+         "section 'filter': unknown keys ['cutof_ghz']"),
+        ("filter", "filter-number", {"filter": 0.45},
+         "config section 'filter' must be an object"),
+        ("filter", "filter-list", {"filter": [0.3]},
+         "config section 'filter' must be an object"),
+        ("lct", "lct", {"lct": {**LCT_SHORT, "n_primes": 2, "lamda2": 3}},
+         "section 'lct': unknown keys ['lamda2', 'n_primes']"),
+        ("lct", "device", {"lct": LCT_SHORT,
+                           "device": {**DEVICE, "coupling_ghz": [0.100, 0.071]}},
+         "section 'device': unknown keys ['coupling_ghz']"),
+    )
+    for command, name, sections, message in cases:
+        cfg = _config(tmp_path, f"{name}.json", **sections)
+        extra = ["--pulse", pulse_path] if command == "filter" else []
+        code, out = _run(tmp_path / name, command, "--config", cfg, *extra)
+        assert code == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err, name
+        assert list(out.iterdir()) == []
 
 
 def test_summary_reports_run_health(tmp_path):

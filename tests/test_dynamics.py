@@ -280,6 +280,35 @@ def test_block_propagation_matches_dense_oracle(case):
         assert abs(p_end - traj.final_population(lab)) <= 1e-11
 
 
+@st.composite
+def _device_shifts(draw):
+    """A random device (1-4 qubits), a dt, and a stack of 1-8 held shifts
+    with exact zeros among them."""
+    n = draw(st.integers(1, 4))
+    ghz = st.floats(3.0, 8.0)
+    params = SystemParams.from_ghz(
+        draw(st.lists(ghz, min_size=n, max_size=n)),
+        draw(st.lists(st.floats(0.01, 0.3), min_size=n, max_size=n)),
+        draw(ghz))
+    depth = st.one_of(st.just(0.0), st.floats(0.0, 0.999))
+    fractions = draw(st.lists(depth, min_size=1, max_size=8))
+    return params, draw(st.floats(0.001, 1.0)), -params.omega_tc_max * np.array(fractions)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_device_shifts())
+def test_step_factors_are_unitary(case):
+    # M = U diag(phases) U^H must be unitary in every sector, whether the
+    # shifts go through the stacked kernel or one at a time.
+    params, dt, shifts = case
+    for sector in params.sectors:
+        eye = np.eye(len(sector.indices))
+        stacked = step_factors(sector, shifts, dt)
+        for u, phases in [stacked, *(step_factors(sector, float(s), dt) for s in shifts)]:
+            m = u @ (phases[..., None] * u.conj().swapaxes(-1, -2))
+            assert np.abs(m @ m.conj().swapaxes(-1, -2) - eye).max() <= 1e-13
+
+
 # ----------------------------------------------------------------
 # population derivative
 # ----------------------------------------------------------------

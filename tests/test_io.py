@@ -13,6 +13,7 @@ from lctpulse.io import (
     analytic_section,
     config_hash,
     device_from_config,
+    filter_section,
     lct_config_from,
     load_config,
     read_waveform_csv,
@@ -135,8 +136,9 @@ def test_reversibility_section_defaults_and_overrides():
     with pytest.raises(ConfigError, match="max_outer_iters"):
         reversibility_config_from(
             {"reversibility": {"lambda2_init": 598.14, "max_outer_iters": 8}})
-    # The simplex fallback's knobs went with it.
-    for key, value in (("simplex_tolerance", 1e-3), ("max_evals", 60)):
+    # The simplex fallback's knobs went with it, and the spread grid's bounds.
+    for key, value in (("simplex_tolerance", 1e-3), ("max_evals", 60),
+                       ("lambda2_bounds", [100.0, 1000.0])):
         with pytest.raises(ConfigError, match=key):
             reversibility_config_from({"reversibility": {key: value}})
 
@@ -161,6 +163,28 @@ def test_truncation_and_analytic_sections_reject_unknown_keys():
     for key, value in (("simplex_tolerance", 5.0), ("max_evalz", 1)):
         with pytest.raises(ConfigError, match=f"section 'analytic'.*{key}"):
             analytic_section({"analytic": {**analytic, key: value}})
+
+
+def test_device_lct_and_filter_sections_reject_unknown_keys():
+    lct = {"lambda": 27626.0, "eta": 1e-6, "dt_ns": 0.01, "t_max_ns": 450.0,
+           "initial": "100", "target": "010"}
+    with pytest.raises(ConfigError, match=r"section 'device': unknown keys \['coupling_ghz'\]"):
+        device_from_config({"device": {**DEVICE["device"], "coupling_ghz": [0.1, 0.071]}})
+    with pytest.raises(ConfigError, match=r"section 'lct': unknown keys \['lamda2', 'n_primes'\]"):
+        lct_config_from({"lct": {**lct, "n_primes": 2, "lamda2": 3}})
+    # The seed section is checked under whatever name it has.
+    with pytest.raises(ConfigError, match=r"section 'alt': unknown keys \['n_primes'\]"):
+        lct_config_from({"alt": {**lct, "n_primes": 2}}, "alt")
+    every_key = {"pulse_path": "in.csv", "cutoff_ghz": 0.3, "clamp": False}
+    assert filter_section({"filter": every_key}) == every_key
+    assert filter_section({}) == {}
+    with pytest.raises(ConfigError, match=r"section 'filter': unknown keys \['cutof_ghz'\]"):
+        filter_section({"filter": {"cutof_ghz": 0.3}})
+    for value in (0.45, [0.3]):
+        with pytest.raises(ConfigError, match="config section 'filter' must be an object"):
+            filter_section({"filter": value})
+    with pytest.raises(ConfigError, match="config section 'device' must be an object"):
+        device_from_config({"device": [5.890, 5.031]})
 
 
 def test_analytic_params_roundtrip():

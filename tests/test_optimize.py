@@ -5,7 +5,6 @@ from lctpulse import ConvergenceError, LctConfig, SystemParams, Waveform, run_lc
 from lctpulse import optimize
 from lctpulse.lct import refined_config, run_lct_lockstep
 from lctpulse.optimize import (
-    LAMBDA2_GRID_POINTS,
     OptimizationReport,
     ReversibilityConfig,
     forward_and_reverse_error,
@@ -106,7 +105,6 @@ def test_reversibility_config_defaults():
     cfg = ReversibilityConfig()
     assert cfg.cutoff_candidates_ghz == (0.40, 0.45, 0.50)
     assert cfg.fidelity_goal == 1e-6
-    assert cfg.lambda2_bounds == (100.0, 1000.0)
 
 
 def test_reverse_error_identity_on_idle_pulse(params):
@@ -176,8 +174,7 @@ def simplex_calls(monkeypatch):
 
 
 def _search(bare, **kw):
-    cfg = ReversibilityConfig(**{"lambda2_bounds": (200.0, 1000.0), **kw})
-    return optimize_reversible(_FAST, bare, _FAST_BASE, cfg)
+    return optimize_reversible(_FAST, bare, _FAST_BASE, ReversibilityConfig(**kw))
 
 
 @pytest.fixture
@@ -195,9 +192,10 @@ def lockstep_batches(monkeypatch):
 
 def test_lowest_passing_cutoff_wins(fast_bare, lockstep_batches, simplex_calls):
     cutoffs = (1.0, 0.45, 0.3)
-    # The whole grid in one lockstep run, cells in grid order: cutoff
-    # ascending, then lambda2_init and the spread points.
-    lambdas = [300.0, *np.linspace(200.0, 1000.0, LAMBDA2_GRID_POINTS).tolist()]
+    # A cutoff x lambda2 grid in one lockstep run, the bit reference for
+    # the search's cells: cutoff ascending, then lambda2_init and 16 gains
+    # spread over 200..1000.
+    lambdas = [300.0, *np.linspace(200.0, 1000.0, 16).tolist()]
     references = [lowpass_filter(fast_bare, c, omega_tc_max=_FAST.omega_tc_max)
                   for c in sorted(cutoffs)]
     full = run_lct_lockstep(_FAST, [refined_config(_FAST_BASE, ref, lam2)
@@ -235,25 +233,21 @@ def test_lowest_passing_cutoff_wins(fast_bare, lockstep_batches, simplex_calls):
     assert rep.reverse_error == init[1]
     assert same_bits(wf, len(lambdas))
 
-    # Below every init cell, the other 48 cells run in one more batch and
-    # the whole grid decides: 0.3 GHz has a passing grid cell, so it wins
-    # with its best cell although 0.45 GHz holds the lower error.
-    assert rows[1].min() < rows[0].min() < init.min()
+    # Below every init cell, the search still runs the init column alone,
+    # although a spread cell at 0.3 GHz would pass this goal: it ends not
+    # converged, with the lowest-error init cell (0.45 GHz).
     goal = 0.5 * (rows[0].min() + init.min())
+    assert rows[0].min() < goal < init.min()
     lockstep_batches.clear()
     wf, rep = _search(fast_bare, cutoff_candidates_ghz=cutoffs, fidelity_goal=goal)
-    assert lockstep_batches == [3, 3 * LAMBDA2_GRID_POINTS]
-    assert rep.evaluations == len(rep.history) == full.samples.shape[1]
-    assert [h[0]["cutoff_ghz"] for h in rep.history][::len(lambdas)] == [0.3, 0.45, 1.0]
-    assert [h[0]["lambda2"] for h in rep.history[:len(lambdas)]] == lambdas
-    assert lambdas[:3] == pytest.approx([300.0, 200.0, 200.0 + 800.0 / 15])
-    assert [h[1] for h in rep.history] == full.reverse_error.tolist()
-    assert [h[0]["forward_error"] for h in rep.history] == full.forward_error.tolist()
-    cell = int(rows[0].argmin())
-    assert rep.converged and simplex_calls == []
-    assert rep.best_params == {"cutoff_ghz": 0.3, "lambda2": lambdas[cell]}
-    assert rep.reverse_error == rows[0].min()
-    assert same_bits(wf, cell)
+    assert lockstep_batches == [3]
+    assert rep.evaluations == len(rep.history) == 3
+    assert [h[1] for h in rep.history] == init.tolist()
+    assert [h[0]["forward_error"] for h in rep.history] == full.forward_error[::len(lambdas)].tolist()
+    assert not rep.converged and simplex_calls == []
+    assert rep.best_params == {"cutoff_ghz": 0.45, "lambda2": 300.0}
+    assert rep.reverse_error == rep.best_value == init.min() == init[1]
+    assert same_bits(wf, len(lambdas))
 
 
 def test_search_histories_are_identical(fast_bare):
@@ -273,23 +267,18 @@ def test_forward_failure_in_a_cell_aborts(fast_bare, lockstep_batches):
         _search(fast_bare, cutoff_candidates_ghz=(0.45,),
                 lambda2_init=0.0, fidelity_goal=0.5)
     assert lockstep_batches == [1]
-    # No init cell passes 1e-3, so the search falls through to the grid,
-    # whose first spread point is lambda2 = 0.
-    with pytest.raises(ConvergenceError, match="cutoff 0.45 GHz, lambda2 0;"):
-        _search(fast_bare, cutoff_candidates_ghz=(0.45,),
-                lambda2_bounds=(0.0, 1000.0), fidelity_goal=1e-3)
-    assert lockstep_batches == [1, 1, LAMBDA2_GRID_POINTS]
-    # The abort names the first failing cell in grid order.
+    # The abort names the first failing cell by ascending cutoff.
     with pytest.raises(ConvergenceError, match="cutoff 0.3 GHz, lambda2 0;"):
         _search(fast_bare, cutoff_candidates_ghz=(0.45, 0.3),
                 lambda2_init=0.0, fidelity_goal=0.5)
+    assert lockstep_batches == [1, 2]
 
 
 def test_no_passing_cell_returns_the_lowest_error_cell(fast_bare, simplex_calls):
     cutoffs = (0.45, 1.0)
     wf, rep = _search(fast_bare, cutoff_candidates_ghz=cutoffs, fidelity_goal=1e-3)
-    # The search is the grid alone: no simplex runs after a failing grid.
-    assert rep.evaluations == len(rep.history) == len(cutoffs) * (LAMBDA2_GRID_POINTS + 1)
+    # The search is the init column alone: nothing runs after it fails.
+    assert rep.evaluations == len(rep.history) == len(cutoffs)
     assert simplex_calls == []
     assert not rep.converged
     assert rep.best_value == min(h[1] for h in rep.history) >= 1e-3

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lctpulse import (
     AnalyticPulseParams,
@@ -251,3 +252,36 @@ def test_analytic_pulse_validation(params):
         sigma1=1.0, sigma2=1.0, sigma3=1.0)
     with pytest.raises(ValueError):
         analytic_pulse(positive, dt=0.01)
+
+
+@st.composite
+def _analytic_shape(draw):
+    """Valid closed-form parameters: negative amplitudes, ordered branch
+    times, positive widths."""
+    amp = st.floats(0.05, 3.0).map(lambda ghz: -TWO_PI * ghz)
+    width = st.floats(0.1, 3.0)
+    tau1 = draw(st.floats(0.0, 20.0))
+    tau2 = tau1 + draw(st.floats(0.0, 10.0))
+    tau3 = tau2 + draw(st.floats(0.0, 10.0))
+    return AnalyticPulseParams(
+        alpha1=draw(amp), alpha3=draw(amp), tau1=tau1, tau2=tau2, tau3=tau3,
+        sigma1=draw(width), sigma2=draw(width), sigma3=draw(width))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_analytic_shape())
+def test_mirrored_closed_form_is_the_time_reverse(p):
+    # Swapping the lobes and reflecting the branch times about T/2 gives
+    # the shape played backwards: p'(T - t) == p(t).
+    big_t = p.tau1 + p.tau3
+    mirror = AnalyticPulseParams(
+        alpha1=p.alpha3, alpha3=p.alpha1,
+        tau1=big_t - p.tau3, tau2=big_t - p.tau2, tau3=big_t - p.tau1,
+        sigma1=p.sigma3, sigma2=p.sigma2, sigma3=p.sigma1)
+    mirror.validate()
+    t = np.linspace(p.tau1 - 4.0 * p.sigma1, p.tau3 + 4.0 * p.sigma3, 2001)
+    branch = np.array([p.tau1, p.tau2, p.tau3])
+    t = t[np.abs(t[:, None] - branch).min(axis=1) > 1e-9]
+    scale = max(abs(p.alpha1), abs(p.alpha3))
+    np.testing.assert_allclose(analytic_samples(mirror, big_t - t),
+                               analytic_samples(p, t), rtol=0, atol=1e-12 * scale)
