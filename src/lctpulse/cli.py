@@ -115,12 +115,13 @@ def cmd_spectrum(ctx: dict) -> None:
     lo, hi = (TWO_PI * v for v in args.sweep_range)
     deltas = np.linspace(lo, hi, args.steps)
     energies = sweep_eigenvalues(params, deltas)
-    io.write_eigenvalue_sweep_csv(_out(ctx, "eigenvalues.csv"), deltas, energies)
-
     # Adjacent pairs of the ascending spectrum; identity can hop at level
     # crossings between excitation sectors, which is fine for plotting.
     pairs = [(j, j + 1) for j in range(params.dim - 1)]
     couplings = sweep_nonadiabatic_couplings(params, deltas, pairs)
+    # Both sweeps run before the first file is written: writing between
+    # them measured a higher peak memory.
+    io.write_eigenvalue_sweep_csv(_out(ctx, "eigenvalues.csv"), deltas, energies)
     io.write_coupling_sweep_csv(
         _out(ctx, "couplings.csv"), deltas, couplings,
         [(j + 1, k + 1) for j, k in pairs],
@@ -165,10 +166,9 @@ def cmd_filter(ctx: dict) -> None:
     params = io.device_from_config(doc)
     sec = io.filter_section(doc)
     wf = _load_pulse(ctx, sec, args.pulse)
-    cutoff = float(args.cutoff if args.cutoff is not None
-                   else sec.get("cutoff_ghz", 0.45))
+    cutoff = args.cutoff if args.cutoff is not None else sec.get("cutoff_ghz", 0.45)
     filtered = lowpass_filter(wf, cutoff, omega_tc_max=params.omega_tc_max,
-                              clamp=bool(sec.get("clamp", True)))
+                              clamp=sec.get("clamp", True))
     _write_pulse_set(ctx, "filtered", params, filtered)
     print(f"filtered at {cutoff:g} GHz")
 
@@ -210,11 +210,11 @@ def cmd_truncate(ctx: dict, chained: dict | None = None) -> dict:
 
     wf, report = optimize_truncation(
         params, pulse,
-        sigma=float(sec.get("sigma_ns", 1.0)),
+        sigma=sec.get("sigma_ns", 1.0),
         source_label=base.initial_label,
         destination_label=base.target_label,
-        fidelity_goal=float(sec.get("fidelity_goal", 1e-6)),
-        max_evals=int(sec.get("max_evals", 60)),
+        fidelity_goal=sec.get("fidelity_goal", 1e-6),
+        max_evals=sec.get("max_evals", 60),
     )
     _write_pulse_set(ctx, "truncated", params, wf)
     io.write_json(_out(ctx, "truncate_report.json"), io.report_to_dict(report))
@@ -236,11 +236,11 @@ def cmd_analytic(ctx: dict, chained: dict | None = None) -> None:
         params, base = chained["params"], chained["base"]
 
     init = io.analytic_params_from_dict(sec, "analytic")
-    dt = _dt_override() or float(sec.get("dt_ns", 0.01))
+    dt = _dt_override() or sec.get("dt_ns", 0.01)
     if sec.get("fit", True):
         fitted, report = fit_analytic_pulse(
             params, init, base.initial_label, base.target_label, dt=dt,
-            fidelity_goal=float(sec.get("fidelity_goal", 1e-6)),
+            fidelity_goal=sec.get("fidelity_goal", 1e-6),
         )
         io.write_json(_out(ctx, "analytic_report.json"), io.report_to_dict(report))
     else:

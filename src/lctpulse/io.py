@@ -43,17 +43,21 @@ def load_config(path: str) -> dict:
     return doc
 
 
-def _section(doc: dict, name: str, known) -> dict:
-    """A required config section; keys outside `known` are a ConfigError."""
+def _section(doc: dict, name: str, known: dict) -> dict:
+    """A required config section; see _stage_section."""
     if doc.get(name) is None:
         raise ConfigError(f"missing config section {name!r}")
     return _stage_section(doc, name, known)
 
 
-def _stage_section(doc: dict, section: str, known) -> dict:
-    """An optional config section ({} when absent); keys outside `known`
-    (a misspelling, or a setting the program does not read) are a
-    ConfigError."""
+def _stage_section(doc: dict, section: str, known: dict) -> dict:
+    """An optional config section ({} when absent).
+
+    `known` maps each key the section may hold to the cast its value goes
+    through (None: taken as is).  A key outside it (a misspelling, or a
+    setting the program does not read) and a value its cast refuses are
+    ConfigErrors; a null value is dropped, so the key keeps its default.
+    """
     sec = doc.get(section)
     if sec is None:
         return {}
@@ -62,7 +66,22 @@ def _stage_section(doc: dict, section: str, known) -> dict:
     unknown = sorted(set(sec) - set(known))
     if unknown:
         raise ConfigError(f"section {section!r}: unknown keys {unknown}")
-    return sec
+    out = {}
+    for key, value in sec.items():
+        if value is None:
+            continue
+        try:
+            out[key] = value if known[key] is None else known[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"section {section!r}, key {key!r}: {exc}") from exc
+    return out
+
+
+def _boolean(value) -> bool:
+    """A JSON true or false; bool() would read the string "false" as True."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
 
 
 def _require(sec: dict, section: str, key: str):
@@ -73,7 +92,8 @@ def _require(sec: dict, section: str, key: str):
 
 def device_from_config(doc: dict) -> SystemParams:
     """Build SystemParams from the `device` section."""
-    sec = _section(doc, "device", ("qubit_freqs_ghz", "couplings_ghz", "tc_max_freq_ghz"))
+    sec = _section(doc, "device", dict.fromkeys(
+        ("qubit_freqs_ghz", "couplings_ghz", "tc_max_freq_ghz")))
     freqs = _require(sec, "device", "qubit_freqs_ghz")
     coups = _require(sec, "device", "couplings_ghz")
     tc = _require(sec, "device", "tc_max_freq_ghz")
@@ -83,8 +103,9 @@ def device_from_config(doc: dict) -> SystemParams:
         raise ConfigError(f"section 'device': {exc}") from exc
 
 
-_LCT_KEYS = ("lambda", "eta", "dt_ns", "t_max_ns", "initial", "target",
-             "n_prime", "reference_pulse_path", "lambda2")
+# lct_config_from casts these itself, dt_ns together with PULSE_DT_NS.
+_LCT_KEYS = dict.fromkeys(("lambda", "eta", "dt_ns", "t_max_ns", "initial", "target",
+                           "n_prime", "reference_pulse_path", "lambda2"))
 
 
 def lct_config_from(
@@ -132,26 +153,19 @@ _REVERSIBILITY_KEYS = {
 def reversibility_config_from(doc: dict, section: str = "reversibility") -> ReversibilityConfig:
     """ReversibilityConfig from a config section; absent keys keep defaults,
     unknown keys (such as a setting no longer read) are a ConfigError."""
-    sec = _stage_section(doc, section, _REVERSIBILITY_KEYS)
-    kwargs = {}
-    for key, cast in _REVERSIBILITY_KEYS.items():
-        if sec.get(key) is not None:
-            try:
-                kwargs[key] = cast(sec[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"section {section!r}, key {key!r}: {exc}") from exc
-    return ReversibilityConfig(**kwargs)
+    return ReversibilityConfig(**_stage_section(doc, section, _REVERSIBILITY_KEYS))
 
 
 def filter_section(doc: dict) -> dict:
-    """The `filter` section, {} when absent; unknown keys are a ConfigError."""
-    return _stage_section(doc, "filter", ("pulse_path", "cutoff_ghz", "clamp"))
+    """The `filter` section, {} when absent, its values cast."""
+    return _stage_section(doc, "filter",
+                          {"pulse_path": str, "cutoff_ghz": float, "clamp": _boolean})
 
 
 def truncation_section(doc: dict) -> dict:
-    """The `truncation` section, {} when absent; unknown keys are a ConfigError."""
-    return _stage_section(doc, "truncation",
-                          ("sigma_ns", "fidelity_goal", "max_evals", "pulse_path"))
+    """The `truncation` section, {} when absent, its values cast."""
+    return _stage_section(doc, "truncation", {"sigma_ns": float, "fidelity_goal": float,
+                                              "max_evals": int, "pulse_path": str})
 
 
 _ANALYTIC_FIELDS = (
@@ -161,9 +175,11 @@ _ANALYTIC_FIELDS = (
 
 
 def analytic_section(doc: dict) -> dict:
-    """The `analytic` section, which the analytic stage requires; unknown
-    keys are a ConfigError."""
-    return _section(doc, "analytic", (*_ANALYTIC_FIELDS, "fit", "dt_ns", "fidelity_goal"))
+    """The `analytic` section, which the analytic stage requires, its
+    values cast."""
+    return _section(doc, "analytic", {**dict.fromkeys(_ANALYTIC_FIELDS, float),
+                                      "fit": _boolean, "dt_ns": float,
+                                      "fidelity_goal": float})
 
 
 def analytic_params_from_dict(obj: dict, context: str = "analytic") -> AnalyticPulseParams:
@@ -196,10 +212,42 @@ def config_hash(path: str) -> str:
 # CSV writers / readers
 # ----------------------------------------------------------------
 
+# Rows formatted per write call.  Small, so that a chunk's strings stay a
+# sliver of the columns they come from.
+CHUNK = 256
+
+
+def _write_csv(path: str, header: str, columns, fmts) -> None:
+    """Write equal-length float columns as the bytes of np.savetxt(path,
+    np.column_stack(columns), fmt=fmts, delimiter=",", header=header,
+    comments="") without building the stacked copy.
+
+    A column whose values are bitwise identical is formatted once into the
+    row template; the bitwise test keeps +0.0 and -0.0 apart, as their
+    text does.  The other columns are formatted CHUNK rows per write.
+    """
+    n = len(columns[0])
+    parts, varying = [], []
+    for col, fmt in zip(columns, fmts):
+        if n and col.tobytes() == col[:1].tobytes() * n:
+            parts.append((fmt % col[0]).replace("%", "%%"))
+        else:
+            parts.append(fmt)
+            varying.append(col)
+    row = ",".join(parts) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        if not varying:
+            fh.write((row % ()) * n)
+            return
+        for i in range(0, n, CHUNK):
+            chunk = zip(*(col[i:i + CHUNK].tolist() for col in varying))
+            fh.write("".join(row % values for values in chunk))
+
+
 def write_waveform_csv(path: str, wf: Waveform):
-    data = np.column_stack([wf.times(), wf.samples / TWO_PI])
-    np.savetxt(path, data, fmt=["%.9f", GHZ_FMT], delimiter=",",
-               header="t_ns,delta_omega_ghz", comments="")
+    _write_csv(path, "t_ns,delta_omega_ghz", [wf.times(), wf.samples / TWO_PI],
+               ["%.9f", GHZ_FMT])
 
 
 def read_waveform_csv(path: str) -> Waveform:
@@ -229,15 +277,12 @@ def write_flux_csv(path: str, params: SystemParams, wf: Waveform):
     if outside.any():
         frequency_to_flux(params, omega_tc[outside][0])  # raises
     phis = np.arccos((omega_tc / params.omega_tc_max) ** 2) / np.pi
-    data = np.column_stack([wf.times(), phis])
-    np.savetxt(path, data, fmt=["%.9f", "%.12f"], delimiter=",",
-               header="t_ns,phi_over_phi0", comments="")
+    _write_csv(path, "t_ns,phi_over_phi0", [wf.times(), phis], ["%.9f", "%.12f"])
 
 
 def write_spectrum_csv(path: str, spectrum: PulseSpectrum):
-    data = np.column_stack([spectrum.freqs_ghz, spectrum.power])
-    np.savetxt(path, data, fmt=["%.9f", "%.12e"], delimiter=",",
-               header="f_ghz,power", comments="")
+    _write_csv(path, "f_ghz,power", [spectrum.freqs_ghz, spectrum.power],
+               ["%.9f", "%.12e"])
 
 
 def write_trajectory_csv(path: str, traj) -> None:
@@ -247,24 +292,21 @@ def write_trajectory_csv(path: str, traj) -> None:
     labels = sorted(traj.populations)
     cols = [traj.times, control_ghz] + [traj.populations[lab] for lab in labels]
     header = "t_ns,delta_omega_ghz," + ",".join(f"pop_{lab}" for lab in labels)
-    np.savetxt(path, np.column_stack(cols),
-               fmt=["%.9f", GHZ_FMT] + ["%.12e"] * len(labels),
-               delimiter=",", header=header, comments="")
+    _write_csv(path, header, cols, ["%.9f", GHZ_FMT] + ["%.12e"] * len(labels))
 
 
 def write_eigenvalue_sweep_csv(path: str, deltas_rad: np.ndarray, energies_rad: np.ndarray):
     dim = energies_rad.shape[1]
     header = "delta_omega_ghz," + ",".join(f"E_{k+1}_ghz" for k in range(dim))
-    data = np.column_stack([deltas_rad / TWO_PI, energies_rad / TWO_PI])
-    np.savetxt(path, data, fmt=GHZ_FMT, delimiter=",", header=header, comments="")
+    _write_csv(path, header, [deltas_rad / TWO_PI, *(energies_rad / TWO_PI).T],
+               [GHZ_FMT] * (dim + 1))
 
 
 def write_coupling_sweep_csv(path: str, deltas_rad: np.ndarray,
                              couplings: np.ndarray, pairs: list):
     header = "delta_omega_ghz," + ",".join(f"d_{j}{k}" for j, k in pairs)
-    data = np.column_stack([deltas_rad / TWO_PI, couplings])
-    np.savetxt(path, data, fmt=["%.12f"] + ["%.12e"] * len(pairs),
-               delimiter=",", header=header, comments="")
+    _write_csv(path, header, [deltas_rad / TWO_PI, *couplings.T],
+               ["%.12f"] + ["%.12e"] * len(pairs))
 
 
 # ----------------------------------------------------------------

@@ -294,3 +294,32 @@ def test_summary_reports_run_health(tmp_path):
     column = path.read_text().splitlines()[0].split(",").index("pop_010")
     target = np.loadtxt(path, delimiter=",", skiprows=1)[:, column]
     assert strong["monotonicity_margin"] == pytest.approx(np.diff(target).min(), abs=1e-11)
+
+
+def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
+    # Each value is cast where its section is read, so a bad one is a
+    # config error (exit 1), not a numerical one (exit 3).
+    wf = Waveform(dt=0.01, samples=-TWO_PI * np.abs(
+        np.sin(0.3 * np.arange(2000) * 0.01)))
+    pulse_path = str(tmp_path / "in.csv")
+    write_waveform_csv(pulse_path, wf)
+    analytic = {"fit": False, "alpha1_ghz": -1.591, "alpha3_ghz": -2.457,
+                "tau1_ns": 7.2, "tau2_ns": 8.9, "tau3_ns": 11.4,
+                "sigma1_ns": 1.37, "sigma2_ns": 0.2, "sigma3_ns": 1.83}
+    cases = [("filter", "filter", {"pulse_path": pulse_path}, key, "x")
+             for key in ("cutoff_ghz", "clamp")]
+    cases += [("filter", "filter", {"pulse_path": pulse_path}, "clamp", "false")]
+    cases += [("truncate", "truncation", {"pulse_path": pulse_path}, key, "x")
+              for key in ("sigma_ns", "fidelity_goal", "max_evals")]
+    cases += [("analytic", "analytic", analytic, key, "x")
+              for key in ("dt_ns", "fidelity_goal", "fit")]
+    for command, section, base, key, value in cases:
+        name = f"{section}-{key}-{value}"
+        cfg = _config(tmp_path, f"{name}.json", lct=LCT_SHORT,
+                      **{section: {**base, key: value}})
+        code, out = _run(tmp_path / name, command, "--config", cfg)
+        assert code == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("config error:"), name
+        assert f"section {section!r}, key {key!r}" in err, name
+        assert not out.exists() or list(out.iterdir()) == [], name

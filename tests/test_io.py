@@ -3,11 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lctpulse import ConfigError, Waveform
+from lctpulse import ConfigError, SystemParams, Waveform
 from lctpulse.dynamics import TrajectoryRecord, QuantumState
 from lctpulse.io import (
+    CHUNK,
     RunManifest,
+    _write_csv,
     analytic_params_from_dict,
     analytic_params_to_dict,
     analytic_section,
@@ -28,6 +31,7 @@ from lctpulse.io import (
     write_trajectory_csv,
     write_waveform_csv,
 )
+from lctpulse.lct import LctConfig, run_lct
 from lctpulse.optimize import OptimizationReport
 from lctpulse.model import frequency_to_flux
 from lctpulse.pulses import AnalyticPulseParams, clamp_floor, fourier_spectrum
@@ -311,6 +315,76 @@ def test_eigenvalue_sweep_csv(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (4, 9)
     np.testing.assert_allclose(data[0, 1:], np.arange(8.0), atol=1e-9)
+
+
+def _savetxt_bytes(tmp_path, header, columns, fmts) -> bytes:
+    ref = tmp_path / "savetxt.csv"
+    np.savetxt(ref, np.column_stack(columns), fmt=fmts, delimiter=",",
+               header=header, comments="")
+    return ref.read_bytes()
+
+
+_CSV_FORMATS = ("%.9f", "%.12f", "%.12e")
+_SPECIAL_VALUES = (0.0, -0.0, np.nan, np.inf, -np.inf)
+
+
+@st.composite
+def _csv_columns(draw):
+    """Equal-length columns (no rows at all, as `spectrum --steps 0` writes,
+    up to a few chunks) of four kinds: bulk floats over many magnitudes
+    with specials sprinkled in, an exact constant, a mix of +0.0 and -0.0,
+    and specials alone."""
+    n = draw(st.sampled_from((0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("bulk", "constant", "signed_zeros", "specials")))
+        if kind == "bulk":
+            col = rng.normal(size=n) * 10.0 ** rng.uniform(-14, 4, size=n)
+            spots = rng.random(n) < 0.05
+            col[spots] = rng.choice(_SPECIAL_VALUES, size=spots.sum())
+        elif kind == "constant":
+            col = np.full(n, draw(st.sampled_from(_SPECIAL_VALUES) | st.floats()))
+        elif kind == "signed_zeros":
+            col = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+            col[:1], col[-1:] = 0.0, -0.0  # never all one sign once n > 1
+        else:
+            col = rng.choice(_SPECIAL_VALUES, size=n)
+        columns.append(col)
+    fmts = [draw(st.sampled_from(_CSV_FORMATS)) for _ in columns]
+    return columns, fmts
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_csv_columns())
+def test_write_csv_matches_savetxt_bytes(tmp_path_factory, case):
+    columns, fmts = case
+    tmp_path = tmp_path_factory.mktemp("csv")
+    header = ",".join(f"c{k}" for k in range(len(columns)))
+    path = tmp_path / "helper.csv"
+    _write_csv(str(path), header, columns, fmts)
+    assert path.read_bytes() == _savetxt_bytes(tmp_path, header, columns, fmts)
+
+
+def test_four_qubit_trajectory_csv_matches_savetxt(tmp_path):
+    # Every one of the 32 labels is tracked; those outside the run's
+    # excitation block are exactly-zero columns.
+    device = SystemParams.from_ghz([5.890, 5.031, 6.350, 6.720],
+                                   [0.100, 0.071, 0.060, 0.050], 7.445)
+    traj = run_lct(device, LctConfig(lambda_=27626.0, eta=1e-6, dt=0.01, t_max=8.0,
+                                     initial_label="10000",
+                                     target_label="01000")).trajectory
+    assert len(traj.populations) == 32
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(str(path), traj)
+    labels = sorted(traj.populations)
+    control_ghz = np.append(traj.control, traj.control[-1]) / TWO_PI
+    columns = [traj.times, control_ghz] + [traj.populations[lab] for lab in labels]
+    zero = [lab for lab in labels if not traj.populations[lab].any()]
+    assert 0 < len(zero) < 32 and traj.times.size > CHUNK
+    header = "t_ns,delta_omega_ghz," + ",".join(f"pop_{lab}" for lab in labels)
+    fmts = ["%.9f", "%.12f"] + ["%.12e"] * 32
+    assert path.read_bytes() == _savetxt_bytes(tmp_path, header, columns, fmts)
 
 
 # ----------------------------------------------------------------
