@@ -63,6 +63,14 @@ def _out(ctx: dict, name: str) -> str:
     return path
 
 
+def _run_inputs(ctx: dict):
+    """The device and the seed-section LctConfig, read once per invocation."""
+    if "run_inputs" not in ctx:
+        ctx["run_inputs"] = (io.device_from_config(ctx["doc"]), io.lct_config_from(
+            ctx["doc"], ctx["args"].seed_section, _dt_override()))
+    return ctx["run_inputs"]
+
+
 def _load_pulse(ctx: dict, section: dict, flag_value: str | None):
     path = flag_value or section.get("pulse_path")
     if path is None:
@@ -150,9 +158,7 @@ def _write_pulse_set(ctx: dict, stem: str, params, wf) -> None:
 
 
 def cmd_lct(ctx: dict) -> None:
-    doc = ctx["doc"]
-    params = io.device_from_config(doc)
-    config = io.lct_config_from(doc, ctx["args"].seed_section, _dt_override())
+    params, config = _run_inputs(ctx)
     result = run_lct(params, config)
     _write_pulse_set(ctx, "waveform", params, result.waveform)
     io.write_trajectory_csv(_out(ctx, "trajectory.csv"), result.trajectory)
@@ -174,13 +180,11 @@ def cmd_filter(ctx: dict) -> None:
 
 
 @_stage
-def cmd_optimize(ctx: dict) -> dict:
-    """Bare LCT run, then the reversibility search.  Returns stage products
-    so cmd_pipeline can chain without re-reading files."""
-    doc = ctx["doc"]
-    params = io.device_from_config(doc)
-    base = io.lct_config_from(doc, ctx["args"].seed_section, _dt_override())
-    rev_cfg = io.reversibility_config_from(doc)
+def cmd_optimize(ctx: dict):
+    """Bare LCT run, then the reversibility search.  Returns the optimized
+    pulse, which cmd_pipeline hands on without re-reading its file."""
+    params, base = _run_inputs(ctx)
+    rev_cfg = io.reversibility_config_from(ctx["doc"])
 
     bare = run_lct(params, base)
     _write_pulse_set(ctx, "bare", params, bare.waveform)
@@ -194,19 +198,16 @@ def cmd_optimize(ctx: dict) -> dict:
     if not report.converged:
         raise ConvergenceError(
             f"reversibility search stalled at {report.best_value:.3e}")
-    return {"params": params, "base": base, "pulse": wf}
+    return wf
 
 
 @_stage
-def cmd_truncate(ctx: dict, chained: dict | None = None) -> dict:
-    doc, args = ctx["doc"], ctx["args"]
-    sec = io.truncation_section(doc)
-    if chained is None:
-        params = io.device_from_config(doc)
-        base = io.lct_config_from(doc, args.seed_section, _dt_override())
-        pulse = _load_pulse(ctx, sec, args.pulse)
-    else:
-        params, base, pulse = chained["params"], chained["base"], chained["pulse"]
+def cmd_truncate(ctx: dict, pulse=None):
+    """Shorten the pulse handed on, else the one --pulse or pulse_path names."""
+    sec = io.truncation_section(ctx["doc"])
+    params, base = _run_inputs(ctx)
+    if pulse is None:
+        pulse = _load_pulse(ctx, sec, ctx["args"].pulse)
 
     wf, report = optimize_truncation(
         params, pulse,
@@ -222,20 +223,14 @@ def cmd_truncate(ctx: dict, chained: dict | None = None) -> dict:
           f"(fwd {report.forward_error:.3e}, rev {report.reverse_error:.3e})")
     if not report.converged:
         raise ConvergenceError(f"truncation search stalled at {report.best_value:.3e}")
-    return {"params": params, "base": base, "pulse": wf}
+    return wf
 
 
 @_stage
-def cmd_analytic(ctx: dict, chained: dict | None = None) -> None:
-    doc, args = ctx["doc"], ctx["args"]
-    sec = io.analytic_section(doc)
-    if chained is None:
-        params = io.device_from_config(doc)
-        base = io.lct_config_from(doc, args.seed_section, _dt_override())
-    else:
-        params, base = chained["params"], chained["base"]
-
-    init = io.analytic_params_from_dict(sec, "analytic")
+def cmd_analytic(ctx: dict) -> None:
+    sec = io.analytic_section(ctx["doc"])
+    params, base = _run_inputs(ctx)
+    init = io.analytic_params_from_dict(sec)
     dt = _dt_override() or sec.get("dt_ns", 0.01)
     if sec.get("fit", True):
         fitted, report = fit_analytic_pulse(
@@ -258,7 +253,8 @@ def cmd_analytic(ctx: dict, chained: dict | None = None) -> None:
 
 
 def cmd_pipeline(ctx: dict) -> None:
-    """Bare run, filter preview, reversibility, then the optional stages."""
+    """Bare run and reversibility search, then, each when its section is
+    present, truncation of the optimized pulse and the closed-form fit."""
     doc = ctx["doc"]
     # A bad later section fails before the search spends its time.
     io.truncation_section(doc)
@@ -266,13 +262,13 @@ def cmd_pipeline(ctx: dict) -> None:
         io.analytic_section(doc)
     stage = "optimize"
     try:
-        chain = cmd_optimize(ctx)
+        pulse = cmd_optimize(ctx)
         if doc.get("truncation") is not None:
             stage = "truncate"
-            chain = cmd_truncate(ctx, chain)
+            cmd_truncate(ctx, pulse)
         if doc.get("analytic") is not None:
             stage = "analytic"
-            cmd_analytic(ctx, chain)
+            cmd_analytic(ctx)
     except ConvergenceError as exc:
         raise ConvergenceError(f"pipeline stage {stage!r}: {exc}") from exc
 

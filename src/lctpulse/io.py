@@ -43,29 +43,24 @@ def load_config(path: str) -> dict:
     return doc
 
 
-def _section(doc: dict, name: str, known: dict) -> dict:
-    """A required config section; see _stage_section."""
-    if doc.get(name) is None:
-        raise ConfigError(f"missing config section {name!r}")
-    return _stage_section(doc, name, known)
-
-
-def _stage_section(doc: dict, section: str, known: dict) -> dict:
-    """An optional config section ({} when absent).
+def _section(doc: dict, name: str, known: dict, required: bool = False) -> dict:
+    """A config section, {} when absent unless it is required.
 
     `known` maps each key the section may hold to the cast its value goes
     through (None: taken as is).  A key outside it (a misspelling, or a
     setting the program does not read) and a value its cast refuses are
     ConfigErrors; a null value is dropped, so the key keeps its default.
     """
-    sec = doc.get(section)
+    sec = doc.get(name)
     if sec is None:
+        if required:
+            raise ConfigError(f"missing config section {name!r}")
         return {}
     if not isinstance(sec, dict):
-        raise ConfigError(f"config section {section!r} must be an object")
+        raise ConfigError(f"config section {name!r} must be an object")
     unknown = sorted(set(sec) - set(known))
     if unknown:
-        raise ConfigError(f"section {section!r}: unknown keys {unknown}")
+        raise ConfigError(f"section {name!r}: unknown keys {unknown}")
     out = {}
     for key, value in sec.items():
         if value is None:
@@ -73,7 +68,7 @@ def _stage_section(doc: dict, section: str, known: dict) -> dict:
         try:
             out[key] = value if known[key] is None else known[key](value)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"section {section!r}, key {key!r}: {exc}") from exc
+            raise ConfigError(f"section {name!r}, key {key!r}: {exc}") from exc
     return out
 
 
@@ -82,6 +77,13 @@ def _boolean(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
     return value
+
+
+def _integer(value) -> int:
+    """A whole number, 60 or 60.0; int() would read 2.7 as 2 and true as 1."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"expected a whole number, got {value!r}")
+    return int(value)
 
 
 def _require(sec: dict, section: str, key: str):
@@ -93,7 +95,7 @@ def _require(sec: dict, section: str, key: str):
 def device_from_config(doc: dict) -> SystemParams:
     """Build SystemParams from the `device` section."""
     sec = _section(doc, "device", dict.fromkeys(
-        ("qubit_freqs_ghz", "couplings_ghz", "tc_max_freq_ghz")))
+        ("qubit_freqs_ghz", "couplings_ghz", "tc_max_freq_ghz")), required=True)
     freqs = _require(sec, "device", "qubit_freqs_ghz")
     coups = _require(sec, "device", "couplings_ghz")
     tc = _require(sec, "device", "tc_max_freq_ghz")
@@ -103,9 +105,9 @@ def device_from_config(doc: dict) -> SystemParams:
         raise ConfigError(f"section 'device': {exc}") from exc
 
 
-# lct_config_from casts these itself, dt_ns together with PULSE_DT_NS.
-_LCT_KEYS = dict.fromkeys(("lambda", "eta", "dt_ns", "t_max_ns", "initial", "target",
-                           "n_prime", "reference_pulse_path", "lambda2"))
+_LCT_KEYS = {"lambda": float, "eta": float, "dt_ns": float, "t_max_ns": float,
+             "initial": str, "target": str, "n_prime": _integer,
+             "reference_pulse_path": str, "lambda2": float}
 
 
 def lct_config_from(
@@ -119,28 +121,20 @@ def lct_config_from(
     config is self-contained.  dt_override (the PULSE_DT_NS hook) replaces
     the section's dt_ns.
     """
-    sec = _section(doc, section, _LCT_KEYS)
-    reference = None
+    sec = _section(doc, section, _LCT_KEYS, required=True)
     ref_path = sec.get("reference_pulse_path")
-    if ref_path is not None:
-        reference = read_waveform_csv(ref_path)
-    try:
-        return LctConfig(
-            lambda_=float(_require(sec, section, "lambda")),
-            eta=float(_require(sec, section, "eta")),
-            dt=float(dt_override if dt_override is not None
-                     else _require(sec, section, "dt_ns")),
-            t_max=float(_require(sec, section, "t_max_ns")),
-            initial_label=str(_require(sec, section, "initial")),
-            target_label=str(_require(sec, section, "target")),
-            n_prime=(None if sec.get("n_prime") is None else int(sec["n_prime"])),
-            reference=reference,
-            lambda2=(None if sec.get("lambda2") is None else float(sec["lambda2"])),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"section {section!r}: {exc}") from exc
+    reference = None if ref_path is None else read_waveform_csv(ref_path)
+    return LctConfig(
+        lambda_=_require(sec, section, "lambda"),
+        eta=_require(sec, section, "eta"),
+        dt=dt_override if dt_override is not None else _require(sec, section, "dt_ns"),
+        t_max=_require(sec, section, "t_max_ns"),
+        initial_label=_require(sec, section, "initial"),
+        target_label=_require(sec, section, "target"),
+        n_prime=sec.get("n_prime"),
+        reference=reference,
+        lambda2=sec.get("lambda2"),
+    )
 
 
 _REVERSIBILITY_KEYS = {
@@ -150,28 +144,30 @@ _REVERSIBILITY_KEYS = {
 }
 
 
-def reversibility_config_from(doc: dict, section: str = "reversibility") -> ReversibilityConfig:
-    """ReversibilityConfig from a config section; absent keys keep defaults,
-    unknown keys (such as a setting no longer read) are a ConfigError."""
-    return ReversibilityConfig(**_stage_section(doc, section, _REVERSIBILITY_KEYS))
+def reversibility_config_from(doc: dict) -> ReversibilityConfig:
+    """ReversibilityConfig from the `reversibility` section; absent keys keep
+    defaults, unknown keys (such as a setting no longer read) are a ConfigError."""
+    return ReversibilityConfig(**_section(doc, "reversibility", _REVERSIBILITY_KEYS))
 
 
 def filter_section(doc: dict) -> dict:
     """The `filter` section, {} when absent, its values cast."""
-    return _stage_section(doc, "filter",
-                          {"pulse_path": str, "cutoff_ghz": float, "clamp": _boolean})
+    return _section(doc, "filter", {"pulse_path": str, "cutoff_ghz": float, "clamp": _boolean})
 
 
 def truncation_section(doc: dict) -> dict:
     """The `truncation` section, {} when absent, its values cast."""
-    return _stage_section(doc, "truncation", {"sigma_ns": float, "fidelity_goal": float,
-                                              "max_evals": int, "pulse_path": str})
+    return _section(doc, "truncation", {"sigma_ns": float, "fidelity_goal": float,
+                                        "max_evals": _integer, "pulse_path": str})
 
 
-_ANALYTIC_FIELDS = (
-    "alpha1_ghz", "alpha3_ghz", "tau1_ns", "tau2_ns", "tau3_ns",
-    "sigma1_ns", "sigma2_ns", "sigma3_ns",
-)
+# Closed-form config key -> (AnalyticPulseParams field, factor from the
+# config's GHz or ns to the field's unit).
+_ANALYTIC_FIELDS = {
+    "alpha1_ghz": ("alpha1", TWO_PI), "alpha3_ghz": ("alpha3", TWO_PI),
+    "tau1_ns": ("tau1", 1.0), "tau2_ns": ("tau2", 1.0), "tau3_ns": ("tau3", 1.0),
+    "sigma1_ns": ("sigma1", 1.0), "sigma2_ns": ("sigma2", 1.0), "sigma3_ns": ("sigma3", 1.0),
+}
 
 
 def analytic_section(doc: dict) -> dict:
@@ -179,27 +175,18 @@ def analytic_section(doc: dict) -> dict:
     values cast."""
     return _section(doc, "analytic", {**dict.fromkeys(_ANALYTIC_FIELDS, float),
                                       "fit": _boolean, "dt_ns": float,
-                                      "fidelity_goal": float})
+                                      "fidelity_goal": float}, required=True)
 
 
-def analytic_params_from_dict(obj: dict, context: str = "analytic") -> AnalyticPulseParams:
+def analytic_params_from_dict(obj: dict) -> AnalyticPulseParams:
     """Eight named fields, amplitudes in GHz, times/widths in ns."""
-    vals = [float(_require(obj, context, f)) for f in _ANALYTIC_FIELDS]
-    return AnalyticPulseParams(
-        alpha1=TWO_PI * vals[0],
-        alpha3=TWO_PI * vals[1],
-        tau1=vals[2], tau2=vals[3], tau3=vals[4],
-        sigma1=vals[5], sigma2=vals[6], sigma3=vals[7],
-    )
+    return AnalyticPulseParams(**{field: factor * float(_require(obj, "analytic", key))
+                                  for key, (field, factor) in _ANALYTIC_FIELDS.items()})
 
 
 def analytic_params_to_dict(p: AnalyticPulseParams) -> dict:
-    return {
-        "alpha1_ghz": p.alpha1 / TWO_PI,
-        "alpha3_ghz": p.alpha3 / TWO_PI,
-        "tau1_ns": p.tau1, "tau2_ns": p.tau2, "tau3_ns": p.tau3,
-        "sigma1_ns": p.sigma1, "sigma2_ns": p.sigma2, "sigma3_ns": p.sigma3,
-    }
+    return {key: getattr(p, field) / factor
+            for key, (field, factor) in _ANALYTIC_FIELDS.items()}
 
 
 def config_hash(path: str) -> str:

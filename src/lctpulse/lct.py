@@ -90,14 +90,11 @@ class LctConfig:
 class LctResult:
     """Output of run_lct.
 
-    waveform is the applied (total) pulse; lct_component is the shaped
-    term alone, equal to the waveform when no reference was present.
-    clamp_saturation is the fraction of steps whose sample sat at the
-    clamp floor.
+    waveform is the applied (total) pulse; clamp_saturation is the
+    fraction of steps whose sample sat at the clamp floor.
     """
 
     waveform: Waveform
-    lct_component: Waveform
     trajectory: TrajectoryRecord
     final_error: float
     clamp_saturation: float
@@ -280,7 +277,6 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
     final_error = 1.0 - float(np.abs(c[jb]) ** 2)
     return LctResult(
         waveform=Waveform(dt=config.dt, samples=total),
-        lct_component=Waveform(dt=config.dt, samples=total - reference),
         trajectory=trajectory,
         final_error=final_error,
         clamp_saturation=saturated / n_steps,

@@ -313,13 +313,37 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
               for key in ("sigma_ns", "fidelity_goal", "max_evals")]
     cases += [("analytic", "analytic", analytic, key, "x")
               for key in ("dt_ns", "fidelity_goal", "fit")]
+    # The seed section, under its default name and under --seed-section.
+    cases += [("lct", section, LCT_SHORT, key, "x")
+              for section in ("lct", "alt")
+              for key in ("lambda", "eta", "dt_ns", "t_max_ns", "n_prime", "lambda2")]
+    cases += [("optimize", "reversibility", {}, key, "x")
+              for key in ("lambda2_init", "fidelity_goal", "cutoff_candidates_ghz")]
+    # Integer keys: int() would run 2.7 as 2 and true as 1.
+    cases += [("lct", "lct", LCT_SHORT, "n_prime", value) for value in (2.7, True)]
+    cases += [("truncate", "truncation", {"pulse_path": pulse_path}, "max_evals", value)
+              for value in (60.9, True)]
     for command, section, base, key, value in cases:
         name = f"{section}-{key}-{value}"
-        cfg = _config(tmp_path, f"{name}.json", lct=LCT_SHORT,
-                      **{section: {**base, key: value}})
-        code, out = _run(tmp_path / name, command, "--config", cfg)
+        cfg = _config(tmp_path, f"{name}.json",
+                      **{"lct": LCT_SHORT, section: {**base, key: value}})
+        extra = ["--seed-section", "alt"] if section == "alt" else []
+        code, out = _run(tmp_path / name, command, "--config", cfg, *extra)
         assert code == 1, name
         err = capsys.readouterr().err
         assert err.startswith("config error:"), name
         assert f"section {section!r}, key {key!r}" in err, name
         assert not out.exists() or list(out.iterdir()) == [], name
+
+
+def test_bare_pulse_missing_the_goal_exits_2_before_the_search(tmp_path, capsys):
+    # 2 ns of feedback transfers almost nothing, so the reversibility
+    # search refuses the bare pulse; its files are written, no report is.
+    cfg = _config(tmp_path, device=FAST_DEVICE, lct={**FAST_LCT, "t_max_ns": 2.0})
+    code, out = _run(tmp_path, "optimize", "--config", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("convergence failure: bare pulse forward error")
+    assert "misses the goal" in err
+    assert (out / "bare.csv").exists()
+    assert not (out / "optimize_report.json").exists()

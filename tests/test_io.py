@@ -121,6 +121,21 @@ def test_lct_section_loads_reference(tmp_path):
     assert cfg.lambda2 == 400.0
 
 
+def test_integer_keys_take_whole_numbers_only():
+    lct = {"lambda": 1.0, "eta": 0.0, "dt_ns": 0.01, "t_max_ns": 1.0,
+           "initial": "100", "target": "010"}
+    for value in (3, 3.0):
+        n_prime = lct_config_from({"lct": {**lct, "n_prime": value}}).n_prime
+        assert n_prime == 3 and type(n_prime) is int
+        max_evals = truncation_section({"truncation": {"max_evals": value}})["max_evals"]
+        assert max_evals == 3 and type(max_evals) is int
+    for value in (2.7, True, False, float("inf"), float("nan"), "x"):
+        with pytest.raises(ConfigError, match="section 'lct', key 'n_prime'"):
+            lct_config_from({"lct": {**lct, "n_prime": value}})
+        with pytest.raises(ConfigError, match="section 'truncation', key 'max_evals'"):
+            truncation_section({"truncation": {"max_evals": value}})
+
+
 def test_lct_section_missing_key():
     with pytest.raises(ConfigError, match="t_max_ns"):
         lct_config_from({"lct": {"lambda": 1.0, "eta": 0.0, "dt_ns": 0.01,

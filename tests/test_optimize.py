@@ -274,6 +274,15 @@ def test_forward_failure_in_a_cell_aborts(fast_bare, lockstep_batches):
     assert lockstep_batches == [1, 2]
 
 
+def test_bare_pulse_missing_the_goal_aborts_before_the_search(lockstep_batches):
+    # An idle pulse transfers nothing, so no refinement of it can pass:
+    # the search refuses it before any lockstep batch runs.
+    idle = Waveform(dt=0.01, samples=np.zeros(6000))
+    with pytest.raises(ConvergenceError, match="bare pulse forward error .* misses the goal"):
+        _search(idle)
+    assert lockstep_batches == []
+
+
 def test_no_passing_cell_returns_the_lowest_error_cell(fast_bare, simplex_calls):
     cutoffs = (0.45, 1.0)
     wf, rep = _search(fast_bare, cutoff_candidates_ghz=cutoffs, fidelity_goal=1e-3)
