@@ -71,7 +71,7 @@ def _run_inputs(ctx: dict):
     return ctx["run_inputs"]
 
 
-def _load_pulse(ctx: dict, section: dict, flag_value: str | None):
+def _load_pulse(section: dict, flag_value: str | None):
     path = flag_value or section.get("pulse_path")
     if path is None:
         raise ConfigError("no input pulse: give --pulse or a pulse_path key")
@@ -171,10 +171,10 @@ def cmd_filter(ctx: dict) -> None:
     doc, args = ctx["doc"], ctx["args"]
     params = io.device_from_config(doc)
     sec = io.filter_section(doc)
-    wf = _load_pulse(ctx, sec, args.pulse)
+    wf = _load_pulse(sec, args.pulse)
     cutoff = args.cutoff if args.cutoff is not None else sec.get("cutoff_ghz", 0.45)
-    filtered = lowpass_filter(wf, cutoff, omega_tc_max=params.omega_tc_max,
-                              clamp=sec.get("clamp", True))
+    filtered = lowpass_filter(
+        wf, cutoff, omega_tc_max=params.omega_tc_max if sec.get("clamp", True) else None)
     _write_pulse_set(ctx, "filtered", params, filtered)
     print(f"filtered at {cutoff:g} GHz")
 
@@ -207,7 +207,7 @@ def cmd_truncate(ctx: dict, pulse=None):
     sec = io.truncation_section(ctx["doc"])
     params, base = _run_inputs(ctx)
     if pulse is None:
-        pulse = _load_pulse(ctx, sec, ctx["args"].pulse)
+        pulse = _load_pulse(sec, ctx["args"].pulse)
 
     wf, report = optimize_truncation(
         params, pulse,

@@ -86,6 +86,22 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _goal(value) -> float:
+    """A number in (0, 1): a goal of 1 passes any pulse, and 0 none."""
+    if isinstance(value, bool) or not 0.0 < float(value) < 1.0:
+        raise ValueError(f"expected a number in (0, 1), got {value!r}")
+    return float(value)
+
+
+def _cutoffs(value) -> tuple:
+    """A non-empty list of positive numbers; iterating any value would read
+    the string "045" as (0.0, 4.0, 5.0), and an object by its keys."""
+    if not (isinstance(value, list) and value and all(
+            type(x) in (int, float) and 0.0 < x < np.inf for x in value)):
+        raise TypeError(f"expected a non-empty list of positive numbers, got {value!r}")
+    return tuple(map(float, value))
+
+
 def _require(sec: dict, section: str, key: str):
     if key not in sec:
         raise ConfigError(f"section {section!r}: missing key {key!r}")
@@ -139,8 +155,8 @@ def lct_config_from(
 
 _REVERSIBILITY_KEYS = {
     "lambda2_init": float,
-    "cutoff_candidates_ghz": lambda v: tuple(float(x) for x in v),
-    "fidelity_goal": float,
+    "cutoff_candidates_ghz": _cutoffs,
+    "fidelity_goal": _goal,
 }
 
 
@@ -157,7 +173,7 @@ def filter_section(doc: dict) -> dict:
 
 def truncation_section(doc: dict) -> dict:
     """The `truncation` section, {} when absent, its values cast."""
-    return _section(doc, "truncation", {"sigma_ns": float, "fidelity_goal": float,
+    return _section(doc, "truncation", {"sigma_ns": float, "fidelity_goal": _goal,
                                         "max_evals": _integer, "pulse_path": str})
 
 
@@ -175,7 +191,7 @@ def analytic_section(doc: dict) -> dict:
     values cast."""
     return _section(doc, "analytic", {**dict.fromkeys(_ANALYTIC_FIELDS, float),
                                       "fit": _boolean, "dt_ns": float,
-                                      "fidelity_goal": float}, required=True)
+                                      "fidelity_goal": _goal}, required=True)
 
 
 def analytic_params_from_dict(obj: dict) -> AnalyticPulseParams:

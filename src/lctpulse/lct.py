@@ -328,12 +328,9 @@ def run_lct_lockstep(params: SystemParams, configs: list) -> LockstepResult:
             if getattr(config, name) != getattr(first, name):
                 raise ConfigError(f"lockstep members differ in {name}")
     sector, m_row, target, initial, n_steps, psi = _loop(params, first)
-    # One reference per distinct waveform object, not per member (a search
-    # grid shares each reference among all its gains), copied once into the
-    # members' columns of total, to which each step adds the feedback.
-    distinct = {id(c.reference): c for c in configs}
-    references = {key: _reference(c, n_steps) for key, c in distinct.items()}
-    total = np.stack([references[id(c.reference)] for c in configs], axis=1)
+    # Each member's reference fills its column of total, to which each step
+    # adds the feedback.
+    total = np.stack([_reference(c, n_steps) for c in configs], axis=1)
     gain = np.array([_gain(c) for c in configs], dtype=float)[:, None]
     lo_clamp = clamp_floor(params.omega_tc_max)
 

@@ -31,10 +31,9 @@ from .model import SystemParams, drift_spectrum
 from .pulses import (
     AnalyticPulseParams,
     Waveform,
-    analytic_samples,
+    analytic_pulse,
     clamp_samples,
     lowpass_filter,
-    natural_duration,
     truncate_with_gaussian_tail,
 )
 
@@ -42,6 +41,13 @@ from .pulses import (
 _ALPHA, _GAMMA, _RHO, _SHRINK = 1.0, 2.0, 0.5, 0.5
 
 _PENALTY = 1e6
+
+# Simplex stops: the truncation search's diameter as a fraction of its
+# starting tau; each fit stage's as a fraction of its start's largest
+# magnitude (at least 1), and each fit stage's evaluation cap.
+_TRUNCATION_TOLERANCE = 1e-3
+_FIT_TOLERANCE = 1e-6
+_FIT_MAX_EVALS = 2000
 
 
 @dataclass
@@ -249,6 +255,9 @@ def optimize_reversible(
 
     Returns (best total waveform, OptimizationReport).
     """
+    if not cfg.cutoff_candidates_ghz:
+        raise ValueError("no cutoff candidates")
+
     source = base_config.initial_label
     destination = base_config.target_label
 
@@ -257,9 +266,6 @@ def optimize_reversible(
         raise ConvergenceError(
             f"bare pulse forward error {fwd_bare:.3e} misses the goal"
         )
-
-    if not cfg.cutoff_candidates_ghz:
-        raise ValueError("no cutoff candidates")
 
     cutoffs = sorted(cfg.cutoff_candidates_ghz)
     lam2 = cfg.lambda2_init
@@ -303,7 +309,6 @@ def optimize_truncation(
     source_label: str,
     destination_label: str,
     fidelity_goal: float = 1e-6,
-    simplex_tolerance: float = 1e-3,
     max_evals: int = 60,
 ) -> tuple:
     """Shorten a reversible pulse with a half-Gaussian tail.
@@ -335,7 +340,7 @@ def optimize_truncation(
         objective,
         x0=np.array([tau0]),
         bounds=[(0.5 * tau0, pulse.duration)],
-        tolerance=simplex_tolerance * tau0,
+        tolerance=_TRUNCATION_TOLERANCE * tau0,
         max_evals=max_evals,
         target_value=fidelity_goal,
     )
@@ -385,11 +390,8 @@ def _analytic_objective(params, source_label, destination_label, dt):
             penalty += _PENALTY * (1.0 + p.alpha3) ** 2
         if penalty > 0.0:
             return 1.0 + penalty
-        duration = natural_duration(p)
-        n = max(2, int(round(duration / dt)))
-        samples = clamp_samples(analytic_samples(p, np.arange(n) * dt),
-                                params.omega_tc_max)
-        wf = Waveform(dt=dt, samples=samples)
+        wf = Waveform(dt=dt, samples=clamp_samples(analytic_pulse(p, dt).samples,
+                                                   params.omega_tc_max))
         return reverse_error(params, wf, source_label, destination_label)
 
     return evaluate
@@ -400,11 +402,8 @@ def fit_analytic_pulse(
     init: AnalyticPulseParams,
     source_label: str,
     destination_label: str,
-    bounds: dict | None = None,
     dt: float = 0.01,
     fidelity_goal: float = 1e-6,
-    simplex_tolerance: float = 1e-6,
-    max_evals_per_stage: int = 2000,
 ) -> tuple:
     """Two-stage fit of the closed-form pulse.
 
@@ -413,30 +412,25 @@ def fit_analytic_pulse(
     from the stage-1 point, so its best value can only improve on stage 1.
     Returns (AnalyticPulseParams, OptimizationReport).
     """
-    bounds = {**DEFAULT_ANALYTIC_BOUNDS, **(bounds or {})}
     evaluate = _analytic_objective(params, source_label, destination_label, dt)
-
-    current = init
 
     def stage(fields, frozen: AnalyticPulseParams, spread: float):
         def obj(x):
-            p = replace(frozen, **dict(zip(fields, x)))
-            return evaluate(p)
+            return evaluate(replace(frozen, **dict(zip(fields, x))))
 
         x0 = np.array([getattr(frozen, f) for f in fields])
         report = nelder_mead(
             obj,
             x0=x0,
-            bounds=[bounds[f] for f in fields],
-            tolerance=simplex_tolerance * max(1.0, float(np.abs(x0).max())),
-            max_evals=max_evals_per_stage,
+            bounds=[DEFAULT_ANALYTIC_BOUNDS[f] for f in fields],
+            tolerance=_FIT_TOLERANCE * max(1.0, float(np.abs(x0).max())),
+            max_evals=_FIT_MAX_EVALS,
             initial_spread=spread,
-            target_value=None,
         )
         x_best = np.array([report.best_params[f"x{i}"] for i in range(len(fields))])
         return replace(frozen, **dict(zip(fields, x_best))), report
 
-    current, rep1 = stage(_STAGE1_FIELDS, current, spread=0.05)
+    current, rep1 = stage(_STAGE1_FIELDS, init, spread=0.05)
     current, rep2 = stage(_STAGE2_FIELDS, current, spread=0.10)
 
     best_value = min(rep1.best_value, rep2.best_value)

@@ -131,14 +131,12 @@ def lowpass_filter(
     wf: Waveform,
     cutoff_ghz: float,
     omega_tc_max: float | None = None,
-    clamp: bool = True,
 ) -> Waveform:
     """Brick-wall low pass: zero every bin above cutoff, inverse transform.
 
-    With clamp=True (the physical variant) the result is clipped to
-    (-omega_tc_max + floor, 0]; the upper clip applies even when
-    omega_tc_max is not given.  clamp=False returns the raw filter output
-    for diagnostics and may contain positive samples.
+    Given omega_tc_max (the physical variant) the result is clamped to
+    [clamp_floor(omega_tc_max), 0]; without it the raw filter output is
+    returned for diagnostics and may contain positive samples.
     """
     if cutoff_ghz <= 0:
         raise ValueError("cutoff must be positive")
@@ -146,11 +144,8 @@ def lowpass_filter(
     freqs = np.fft.rfftfreq(wf.n, d=wf.dt)
     spec[freqs > cutoff_ghz] = 0.0
     out = np.fft.irfft(spec, n=wf.n)
-    if clamp:
-        if omega_tc_max is not None:
-            out = clamp_samples(out, omega_tc_max)
-        else:
-            out = np.minimum(out, 0.0)
+    if omega_tc_max is not None:
+        out = clamp_samples(out, omega_tc_max)
     return Waveform(dt=wf.dt, samples=out)
 
 
@@ -178,10 +173,8 @@ def truncate_with_gaussian_tail(wf: Waveform, tau: float, sigma: float) -> Wavef
     n_tail = int(np.ceil(sigma * np.sqrt(2.0 * np.log(1.0 / TAIL_CUTOFF)) / wf.dt))
     t_rel = np.arange(n_tail + 1) * wf.dt
     tail = alpha * np.exp(-(t_rel ** 2) / (2.0 * sigma ** 2))
-    out = np.concatenate([wf.samples[:k_tau], tail])
-    if out.size < 2:
-        out = np.pad(out, (0, 2 - out.size))
-    return Waveform(dt=wf.dt, samples=out)
+    # sigma > 0 makes n_tail >= 1, so the tail alone holds two samples.
+    return Waveform(dt=wf.dt, samples=np.concatenate([wf.samples[:k_tau], tail]))
 
 
 # ----------------------------------------------------------------
@@ -233,24 +226,20 @@ def analytic_samples(p: AnalyticPulseParams, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def natural_duration(p: AnalyticPulseParams, rel_floor: float = TAIL_CUTOFF) -> float:
-    """Time at which the trailing half-Gaussian falls below rel_floor."""
-    return p.tau3 + p.sigma3 * np.sqrt(2.0 * np.log(1.0 / rel_floor))
+def natural_duration(p: AnalyticPulseParams) -> float:
+    """Time at which the trailing half-Gaussian falls below TAIL_CUTOFF."""
+    return p.tau3 + p.sigma3 * np.sqrt(2.0 * np.log(1.0 / TAIL_CUTOFF))
 
 
 def analytic_pulse(
     p: AnalyticPulseParams,
     dt: float,
-    duration: float | None = None,
     omega_tc_max: float | None = None,
 ) -> Waveform:
-    """Sample the analytic shape on a uniform grid.
+    """Sample the analytic shape on a uniform grid over natural_duration(p).
 
-    duration defaults to natural_duration(p).  Validates the parameter
-    invariants before sampling.
+    Validates the parameter invariants before sampling.
     """
     p.validate(omega_tc_max)
-    if duration is None:
-        duration = natural_duration(p)
-    n = max(2, int(round(duration / dt)))
+    n = max(2, int(round(natural_duration(p) / dt)))
     return Waveform(dt=dt, samples=analytic_samples(p, np.arange(n) * dt))

@@ -305,7 +305,7 @@ def test_criterion_5_refined_pulse_band_limits(params, spectrum, refined300):
                     refined300.waveform, cut, omega_tc_max=params.omega_tc_max
                 )
                 if clamped
-                else lowpass_filter(refined300.waveform, cut, clamp=False)
+                else lowpass_filter(refined300.waveform, cut)
             )
             err = _transfer_error(params, spectrum, wf, "100", "010")
             results[(cut, clamped)] = err
@@ -486,11 +486,11 @@ def test_criterion_10_invariants_and_determinism(
     # Filter algebra on the emitted pulse: projection is idempotent and
     # linear; one-sided power matches the time-domain energy.
     wf = bare["run"].waveform
-    once = lowpass_filter(wf, 0.45, clamp=False)
-    twice = lowpass_filter(once, 0.45, clamp=False)
+    once = lowpass_filter(wf, 0.45)
+    twice = lowpass_filter(once, 0.45)
     idem = np.allclose(twice.samples, once.samples, atol=1e-9)
     half = Waveform(dt=wf.dt, samples=0.5 * wf.samples)
-    scaled = lowpass_filter(half, 0.45, clamp=False)
+    scaled = lowpass_filter(half, 0.45)
     linear = np.allclose(scaled.samples, 0.5 * once.samples, atol=1e-9)
     checks["filter"] = idem and linear
     ps = fourier_spectrum(wf)

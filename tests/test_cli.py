@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from lctpulse.cli import main
-from lctpulse.io import write_waveform_csv
-from lctpulse.pulses import Waveform
+from lctpulse.io import device_from_config, read_waveform_csv, write_waveform_csv
+from lctpulse.pulses import Waveform, clamp_floor, lowpass_filter
 from lctpulse.units import TWO_PI
 
 DEVICE = {
@@ -105,6 +105,30 @@ def test_filter_command(tmp_path):
     assert code == 0
     assert (out / "filtered.csv").exists()
     assert (out / "filtered_spectrum.csv").exists()
+
+
+def test_filter_clamp_false_writes_the_raw_filter_output(tmp_path):
+    # A slow tone dipping to 0.9995 omega_tc_max, below the clamp floor but
+    # inside the window, plus a 2 GHz ripple the filter removes.
+    params = device_from_config({"device": DEVICE})
+    t = np.arange(2000) * 0.01
+    wf = Waveform(dt=0.01, samples=params.omega_tc_max * (
+        -0.75 + 0.2495 * np.cos(TWO_PI * 0.1 * t) + 4e-4 * np.cos(TWO_PI * 2.0 * t)))
+    pulse_path = str(tmp_path / "in.csv")
+    write_waveform_csv(pulse_path, wf)
+    wf = read_waveform_csv(pulse_path)
+    raw = lowpass_filter(wf, 0.45)
+    assert -params.omega_tc_max < raw.samples.min() < clamp_floor(params.omega_tc_max)
+    expected = {"clamped": lowpass_filter(wf, 0.45, omega_tc_max=params.omega_tc_max),
+                "raw": raw}
+    for name, sec in (("clamped", {}), ("raw", {"clamp": False})):
+        write_waveform_csv(str(tmp_path / f"{name}.csv"), expected[name])
+        cfg = _config(tmp_path, f"{name}.json",
+                      filter={"cutoff_ghz": 0.45, "pulse_path": pulse_path, **sec})
+        code, out = _run(tmp_path / name, "filter", "--config", cfg)
+        assert code == 0
+        assert filecmp.cmp(out / "filtered.csv", tmp_path / f"{name}.csv", shallow=False)
+    assert not filecmp.cmp(tmp_path / "clamped.csv", tmp_path / "raw.csv", shallow=False)
 
 
 def test_truncate_requires_a_pulse(tmp_path):
@@ -319,6 +343,18 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
               for key in ("lambda", "eta", "dt_ns", "t_max_ns", "n_prime", "lambda2")]
     cases += [("optimize", "reversibility", {}, key, "x")
               for key in ("lambda2_init", "fidelity_goal", "cutoff_candidates_ghz")]
+    # Cutoffs: float() over the value would run "045" as (0.0, 4.0, 5.0),
+    # an object by its keys, and true as 1.0; [] and [-0.1] would fail
+    # only after the bare run.
+    cases += [("optimize", "reversibility", {}, "cutoff_candidates_ghz", value)
+              for value in ("045", {"0.3": 1}, [], [-0.1], [True])]
+    # A goal of 1 or more passes any pulse; one of 0 or less passes none.
+    cases += [(command, section, base, "fidelity_goal", value)
+              for command, section, base in (
+                  ("optimize", "reversibility", {}),
+                  ("truncate", "truncation", {"pulse_path": pulse_path}),
+                  ("analytic", "analytic", analytic))
+              for value in (0, 1, -1, 2, float("nan"), True)]
     # Integer keys: int() would run 2.7 as 2 and true as 1.
     cases += [("lct", "lct", LCT_SHORT, "n_prime", value) for value in (2.7, True)]
     cases += [("truncate", "truncation", {"pulse_path": pulse_path}, "max_evals", value)

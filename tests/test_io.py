@@ -162,6 +162,35 @@ def test_reversibility_section_defaults_and_overrides():
             reversibility_config_from({"reversibility": {key: value}})
 
 
+def test_cutoffs_take_a_non_empty_list_of_positive_numbers_only():
+    def cutoffs(value):
+        return reversibility_config_from(
+            {"reversibility": {"cutoff_candidates_ghz": value}}).cutoff_candidates_ghz
+
+    assert cutoffs([0.45, 1]) == (0.45, 1.0)
+    # float() over the value would read "045" as (0.0, 4.0, 5.0), an
+    # object by its keys, and true as 1.0.
+    for value in ("045", {"0.3": 1}, [], [-0.1], [0.0], [True], [0.45, "x"],
+                  [float("nan")], [float("inf")], 0.45):
+        with pytest.raises(ConfigError,
+                           match="section 'reversibility', key 'cutoff_candidates_ghz'"):
+            cutoffs(value)
+
+
+def test_fidelity_goals_lie_strictly_between_0_and_1():
+    readers = {
+        "reversibility": lambda sec: reversibility_config_from(sec).fidelity_goal,
+        "truncation": lambda sec: truncation_section(sec)["fidelity_goal"],
+        "analytic": lambda sec: analytic_section(sec)["fidelity_goal"],
+    }
+    for name, read in readers.items():
+        assert read({name: {"fidelity_goal": 1e-6}}) == 1e-6
+        assert read({name: {"fidelity_goal": 0.5}}) == 0.5
+        for value in (0, 0.0, 1, 1.0, -1.0, 2.0, float("nan"), True, False, "x"):
+            with pytest.raises(ConfigError, match=f"section '{name}', key 'fidelity_goal'"):
+                read({name: {"fidelity_goal": value}})
+
+
 def test_truncation_and_analytic_sections_reject_unknown_keys():
     analytic = {"alpha1_ghz": -1.591, "alpha3_ghz": -2.457, "tau1_ns": 7.2,
                 "tau2_ns": 8.9, "tau3_ns": 11.4, "sigma1_ns": 1.37,

@@ -283,6 +283,14 @@ def test_bare_pulse_missing_the_goal_aborts_before_the_search(lockstep_batches):
     assert lockstep_batches == []
 
 
+def test_empty_cutoffs_fail_before_the_bare_replay():
+    # The idle pulse would miss the goal, but no cutoff means no search,
+    # which is said before the replay runs.
+    idle = Waveform(dt=0.01, samples=np.zeros(6000))
+    with pytest.raises(ValueError, match="no cutoff candidates"):
+        _search(idle, cutoff_candidates_ghz=())
+
+
 def test_no_passing_cell_returns_the_lowest_error_cell(fast_bare, simplex_calls):
     cutoffs = (0.45, 1.0)
     wf, rep = _search(fast_bare, cutoff_candidates_ghz=cutoffs, fidelity_goal=1e-3)

@@ -117,7 +117,7 @@ def test_dominant_frequency_floor_above_nyquist():
 def test_filter_at_nyquist_is_identity():
     wf = _tone(0.3)
     nyquist = 0.5 / wf.dt
-    out = lowpass_filter(wf, nyquist, clamp=False)
+    out = lowpass_filter(wf, nyquist)
     np.testing.assert_allclose(out.samples, wf.samples, atol=1e-12)
 
 
@@ -125,14 +125,14 @@ def test_filter_removes_high_tone():
     t = np.arange(4500) * 0.01
     hi = np.sin(TWO_PI * 0.6 * t)
     wf = Waveform(dt=0.01, samples=hi)
-    out = lowpass_filter(wf, 0.4, clamp=False)
+    out = lowpass_filter(wf, 0.4)
     assert np.sqrt(np.mean(out.samples ** 2)) < 1e-6 * np.sqrt(np.mean(hi ** 2))
 
 
 def test_filter_idempotent(rng):
     wf = Waveform(dt=0.01, samples=-rng.random(2048))
-    once = lowpass_filter(wf, 0.45, clamp=False)
-    twice = lowpass_filter(once, 0.45, clamp=False)
+    once = lowpass_filter(wf, 0.45)
+    twice = lowpass_filter(once, 0.45)
     np.testing.assert_allclose(twice.samples, once.samples, atol=1e-12)
 
 
@@ -141,9 +141,9 @@ def test_filter_linear(rng):
     w2 = Waveform(dt=0.01, samples=-rng.random(1500))
     a, b = 0.7, -1.3
     combo = Waveform(dt=0.01, samples=a * w1.samples + b * w2.samples)
-    lhs = lowpass_filter(combo, 0.45, clamp=False).samples
-    rhs = (a * lowpass_filter(w1, 0.45, clamp=False).samples
-           + b * lowpass_filter(w2, 0.45, clamp=False).samples)
+    lhs = lowpass_filter(combo, 0.45).samples
+    rhs = (a * lowpass_filter(w1, 0.45).samples
+           + b * lowpass_filter(w2, 0.45).samples)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -152,7 +152,7 @@ def test_filter_clamps_ringing(params):
     samples = np.zeros(2000)
     samples[800:1200] = -2.0
     wf = Waveform(dt=0.01, samples=samples)
-    raw = lowpass_filter(wf, 0.3, clamp=False)
+    raw = lowpass_filter(wf, 0.3)
     assert raw.samples.max() > 0.0
     clamped = lowpass_filter(wf, 0.3, omega_tc_max=params.omega_tc_max)
     assert clamped.samples.max() <= 0.0
@@ -206,6 +206,30 @@ def test_truncation_at_last_sample_is_identity():
     wf = Waveform(dt=0.01, samples=-np.ones(100))
     out = truncate_with_gaussian_tail(wf, tau=wf.duration, sigma=1.0)
     np.testing.assert_array_equal(out.samples, wf.samples)
+
+
+@st.composite
+def _truncation_case(draw):
+    """A pulse, a width and a cut time in (0, duration], cuts within half a
+    sample of the start included."""
+    n = draw(st.integers(2, 400))
+    dt = draw(st.floats(1e-3, 1.0))
+    samples = draw(st.lists(st.floats(-10.0, 0.0), min_size=n, max_size=n))
+    duration = n * dt
+    tau = draw(st.one_of(
+        st.floats(0.0, 0.5 * dt, exclude_min=True, exclude_max=True),
+        st.floats(0.0, duration, exclude_min=True)))
+    return Waveform(dt=dt, samples=samples), tau, draw(st.floats(1e-6, 2.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_truncation_case())
+def test_truncation_keeps_the_head_and_two_samples(case):
+    wf, tau, sigma = case
+    out = truncate_with_gaussian_tail(wf, tau, sigma)
+    assert out.n >= 2 and out.dt == wf.dt
+    k = int(round(tau / wf.dt))
+    np.testing.assert_array_equal(out.samples[:k], wf.samples[:k])
 
 
 # ----------------------------------------------------------------
