@@ -119,6 +119,8 @@ def _stage(cmd):
 
 def cmd_spectrum(ctx: dict) -> None:
     doc, args = ctx["doc"], ctx["args"]
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     params = io.device_from_config(doc)
     lo, hi = (TWO_PI * v for v in args.sweep_range)
     deltas = np.linspace(lo, hi, args.steps)
@@ -135,9 +137,7 @@ def cmd_spectrum(ctx: dict) -> None:
         [(j + 1, k + 1) for j, k in pairs],
     )
 
-    minima = []
-    if args.steps > 1:
-        minima = single_excitation_gap_minima(params, deltas)
+    minima = single_excitation_gap_minima(params, deltas)
     io.write_json(_out(ctx, "spectrum_summary.json"), {
         "gap_minima": [
             {"delta_omega_ghz": m.delta_omega_tc / TWO_PI,
@@ -171,6 +171,8 @@ def cmd_filter(ctx: dict) -> None:
     doc, args = ctx["doc"], ctx["args"]
     params = io.device_from_config(doc)
     sec = io.filter_section(doc)
+    if args.cutoff is not None and not args.cutoff > 0.0:
+        raise ConfigError(f"--cutoff must be positive, got {args.cutoff:g}")
     wf = _load_pulse(sec, args.pulse)
     cutoff = args.cutoff if args.cutoff is not None else sec.get("cutoff_ghz", 0.45)
     filtered = lowpass_filter(

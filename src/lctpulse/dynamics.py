@@ -58,12 +58,12 @@ def step_factors(spectrum: Sector | DriftSpectrum, shifts, dt: float) -> tuple:
 
     H and G are the sector's hamiltonian and control generator, and its
     eigenpairs are H's; shifts is a scalar or a 1-d array, and the factors
-    stack along it.  A shift of exactly 0.0 holds H itself and reuses the
-    eigenpairs (so a bare DriftSpectrum serves for it), which the feedback
-    loop caps many samples at; the others come from one batched eigh,
-    which gives the same bits as one at a time.  A stack without exact
-    zeros, as a small lockstep batch mostly is, goes to that eigh whole,
-    with no masks to fill.
+    stack along it.  A scalar shift of exactly 0.0 holds H itself and
+    reuses the eigenpairs (so a bare DriftSpectrum serves for it), which
+    the feedback loop caps many samples at.  A stack goes to one batched
+    eigh whole, which gives each member the same bits as one at a time;
+    its members of exactly 0.0 are then overwritten with the eigenpairs,
+    so they match the scalar path.
     """
     if np.ndim(shifts) == 0:
         if shifts == 0.0:
@@ -72,18 +72,10 @@ def step_factors(spectrum: Sector | DriftSpectrum, shifts, dt: float) -> tuple:
             w, u = np.linalg.eigh(spectrum.hamiltonian + shifts * spectrum.control)
         return u, np.exp(w * (-1j * dt))
     shifts = np.asarray(shifts, dtype=float)
-    held = shifts != 0.0
-    if held.all():
-        w, u = np.linalg.eigh(
-            held_hamiltonians(spectrum.hamiltonian, spectrum.control, shifts))
-    else:
-        w = np.empty(shifts.shape + spectrum.eigenvalues.shape)
-        u = np.empty(shifts.shape + spectrum.eigenvectors.shape,
-                     dtype=np.result_type(spectrum.eigenvectors, spectrum.hamiltonian))
-        w[~held], u[~held] = spectrum.eigenvalues, spectrum.eigenvectors
-        if held.any():
-            w[held], u[held] = np.linalg.eigh(
-                held_hamiltonians(spectrum.hamiltonian, spectrum.control, shifts[held]))
+    w, u = np.linalg.eigh(held_hamiltonians(spectrum.hamiltonian, spectrum.control, shifts))
+    zero = shifts == 0.0
+    if zero.any():
+        w[zero], u[zero] = spectrum.eigenvalues, spectrum.eigenvectors
     return u, np.exp(w * (-1j * dt))
 
 
@@ -162,11 +154,6 @@ class TrajectoryRecord:
         return t_hi - t_lo
 
 
-def _occupied_sectors(params: SystemParams, amplitudes: np.ndarray) -> list:
-    """The device's blocks in which the state has a nonzero amplitude."""
-    return [sec for sec in params.sectors if np.any(amplitudes[sec.indices])]
-
-
 def propagate_waveform(
     params: SystemParams,
     psi0: QuantumState,
@@ -185,17 +172,16 @@ def propagate_waveform(
     if psi0.dim != params.dim:
         raise ValueError("state dimension does not match the device")
     spectrum = drift_spectrum(params)
-    if tracked:
-        track_vecs = np.stack([spectrum.state(lab) for lab in tracked], axis=1)
-    else:
-        track_vecs = np.empty((params.dim, 0))
+    track_vecs = spectrum.eigenvectors[:, [spectrum.index_of_label(lab) for lab in tracked]]
 
     n = wf.n
     final = np.zeros(params.dim, dtype=complex)
     overlaps = np.zeros((n + 1, len(tracked)), dtype=complex)
-    for sector in _occupied_sectors(params, psi0.amplitudes):
-        u, phases = step_factors(sector, wf.samples, wf.dt)
+    for sector in params.sectors:
         psi = psi0.amplitudes[sector.indices]
+        if not np.any(psi):
+            continue
+        u, phases = step_factors(sector, wf.samples, wf.dt)
         history = np.empty((n + 1, psi.size), dtype=complex)
         history[0] = psi
         for k in range(n):

@@ -86,11 +86,21 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _goal(value) -> float:
-    """A number in (0, 1): a goal of 1 passes any pulse, and 0 none."""
-    if isinstance(value, bool) or not 0.0 < float(value) < 1.0:
-        raise ValueError(f"expected a number in (0, 1), got {value!r}")
-    return float(value)
+def _number_in(test, expected: str):
+    """A cast to a number that passes test; a value outside the range is
+    refused, and so is a boolean, which float() would read as 0.0 or 1.0."""
+    def cast(value) -> float:
+        if isinstance(value, bool) or not test(float(value)):
+            raise ValueError(f"expected {expected}, got {value!r}")
+        return float(value)
+    return cast
+
+
+# A goal of 1 passes any pulse, and 0 none; a cutoff, width or step of 0
+# has no pulse to give; a feedback gain must not be negative.
+_goal = _number_in(lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
+_positive = _number_in(lambda x: 0.0 < x < np.inf, "a positive number")
+_non_negative = _number_in(lambda x: 0.0 <= x < np.inf, "a number of 0 or more")
 
 
 def _cutoffs(value) -> tuple:
@@ -154,7 +164,7 @@ def lct_config_from(
 
 
 _REVERSIBILITY_KEYS = {
-    "lambda2_init": float,
+    "lambda2_init": _non_negative,
     "cutoff_candidates_ghz": _cutoffs,
     "fidelity_goal": _goal,
 }
@@ -168,12 +178,12 @@ def reversibility_config_from(doc: dict) -> ReversibilityConfig:
 
 def filter_section(doc: dict) -> dict:
     """The `filter` section, {} when absent, its values cast."""
-    return _section(doc, "filter", {"pulse_path": str, "cutoff_ghz": float, "clamp": _boolean})
+    return _section(doc, "filter", {"pulse_path": str, "cutoff_ghz": _positive, "clamp": _boolean})
 
 
 def truncation_section(doc: dict) -> dict:
     """The `truncation` section, {} when absent, its values cast."""
-    return _section(doc, "truncation", {"sigma_ns": float, "fidelity_goal": _goal,
+    return _section(doc, "truncation", {"sigma_ns": _positive, "fidelity_goal": _goal,
                                         "max_evals": _integer, "pulse_path": str})
 
 
@@ -190,7 +200,7 @@ def analytic_section(doc: dict) -> dict:
     """The `analytic` section, which the analytic stage requires, its
     values cast."""
     return _section(doc, "analytic", {**dict.fromkeys(_ANALYTIC_FIELDS, float),
-                                      "fit": _boolean, "dt_ns": float,
+                                      "fit": _boolean, "dt_ns": _positive,
                                       "fidelity_goal": _goal}, required=True)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dynamics import QuantumState, TrajectoryRecord, apply_step, step_factors
 from .errors import ConfigError
-from .model import DriftSpectrum, SystemParams, drift_spectrum
+from .model import DriftSpectrum, SystemParams, drift_spectrum, product_labels
 from .pulses import Waveform, clamp_floor, clamp_samples
 
 
@@ -231,9 +231,8 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
     sector, m_row, jb, _, n_steps, psi = _loop(params, config)
     reference, gain = _reference(config, n_steps), _gain(config)
 
-    tracked = list(config.tracked) if config.tracked is not None else list(
-        sorted(spectrum.bare_labels, key=lambda lab: int(lab, 2))
-    )
+    tracked = (list(config.tracked) if config.tracked is not None
+               else product_labels(params.n_qubits))
     track_idx = np.array([spectrum.index_of_label(lab) for lab in tracked], dtype=int)
 
     lo_clamp = clamp_floor(params.omega_tc_max)

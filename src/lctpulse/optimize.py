@@ -113,7 +113,8 @@ def nelder_mead(
     simplex path is the same and `evaluations`, `history` and `max_evals`
     count objective runs.  Terminates when the simplex diameter falls
     below `tolerance`, when `max_evals` is spent, or as soon as the best
-    value drops below `target_value`.
+    value drops below `target_value`.  The best vertex is reported at its
+    clipped point, with the objective's value there.
     """
     x0 = np.asarray(x0, dtype=float)
     lo = np.array([b[0] for b in bounds], dtype=float)
@@ -183,9 +184,10 @@ def nelder_mead(
     simplex, values = simplex[order], values[order]
     hit_goal = target_value is not None and values[0] < target_value
     converged = hit_goal or _simplex_diameter(simplex) < tolerance
+    best = np.clip(simplex[0], lo, hi)  # the point the objective ran at
     return OptimizationReport(
-        best_params={f"x{i}": float(xi) for i, xi in enumerate(simplex[0])},
-        best_value=float(values[0]),
+        best_params={f"x{i}": float(xi) for i, xi in enumerate(best)},
+        best_value=float(seen[best.tobytes()]),
         evaluations=len(history),
         history=history,
         converged=converged,

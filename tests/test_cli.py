@@ -355,6 +355,15 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
                   ("truncate", "truncation", {"pulse_path": pulse_path}),
                   ("analytic", "analytic", analytic))
               for value in (0, 1, -1, 2, float("nan"), True)]
+    # Out-of-domain numbers: each would run, or write files, before failing.
+    cases += [("filter", "filter", {"pulse_path": pulse_path}, "cutoff_ghz", value)
+              for value in (0, -0.45)]
+    cases += [("truncate", "truncation", {"pulse_path": pulse_path}, "sigma_ns", value)
+              for value in (0, -1)]
+    cases += [("analytic", "analytic", analytic, "dt_ns", value) for value in (0, -0.01)]
+    cases += [("optimize", "reversibility", {}, "lambda2_init", -5)]
+    # A pipeline checks its truncation section before the bare run writes.
+    cases += [("pipeline", "truncation", {}, "sigma_ns", -1)]
     # Integer keys: int() would run 2.7 as 2 and true as 1.
     cases += [("lct", "lct", LCT_SHORT, "n_prime", value) for value in (2.7, True)]
     cases += [("truncate", "truncation", {"pulse_path": pulse_path}, "max_evals", value)
@@ -370,6 +379,25 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
         assert err.startswith("config error:"), name
         assert f"section {section!r}, key {key!r}" in err, name
         assert not out.exists() or list(out.iterdir()) == [], name
+
+
+def test_out_of_domain_flags_exit_1(tmp_path, capsys):
+    # argparse's own refusal would exit 2, the convergence code.
+    pulse_path = str(tmp_path / "in.csv")
+    write_waveform_csv(pulse_path, Waveform(dt=0.01, samples=-np.ones(200)))
+    cfg = _config(tmp_path)
+    for name, argv, flag in (
+            ("cutoff", ["filter", "--pulse", pulse_path, "--cutoff", "-1"], "--cutoff"),
+            ("steps", ["spectrum", "--steps", "0"], "--steps")):
+        code, out = _run(tmp_path / name, *argv, "--config", cfg)
+        assert code == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag in err, name
+        assert list(out.iterdir()) == [], name
+    # One point is the smallest sweep, with no interior gap minimum.
+    code, out = _run(tmp_path / "one", "spectrum", "--steps", "1", "--config", cfg)
+    assert code == 0
+    assert json.loads((out / "spectrum_summary.json").read_text())["gap_minima"] == []
 
 
 def test_bare_pulse_missing_the_goal_exits_2_before_the_search(tmp_path, capsys):

@@ -66,9 +66,9 @@ def test_stacked_step_matches_each_member_exactly(rng):
 
 @pytest.mark.parametrize("members", [1, 3, 51])
 def test_all_held_stack_matches_masked_path(params, rng, members):
-    # A stack without an exact zero takes one batched eigh with no masks.
-    # With a zero appended, the same shifts go through the masked path,
-    # and every member must come out with the same bits.
+    # Every stack goes to one batched eigh, and its exact zeros are then
+    # overwritten with the drift's eigenpairs.  Appending a zero must leave
+    # every other member with the same bits.
     sector = params.sectors[1]
     shifts = -TWO_PI * rng.uniform(0.01, 7.0, size=members)
     held = step_factors(sector, shifts, 0.01)

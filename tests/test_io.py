@@ -191,6 +191,29 @@ def test_fidelity_goals_lie_strictly_between_0_and_1():
                 read({name: {"fidelity_goal": value}})
 
 
+def test_cutoffs_widths_and_steps_are_positive_and_gains_not_negative():
+    readers = {
+        ("filter", "cutoff_ghz"): lambda sec: filter_section(sec)["cutoff_ghz"],
+        ("truncation", "sigma_ns"): lambda sec: truncation_section(sec)["sigma_ns"],
+        ("analytic", "dt_ns"): lambda sec: analytic_section(sec)["dt_ns"],
+    }
+    for (name, key), read in readers.items():
+        assert read({name: {key: 0.45}}) == 0.45
+        assert read({name: {key: 2}}) == 2.0
+        for value in (0, 0.0, -0.45, -1, float("nan"), float("inf"), True, "x"):
+            with pytest.raises(ConfigError, match=f"section '{name}', key '{key}'"):
+                read({name: {key: value}})
+
+    def lambda2_init(value):
+        return reversibility_config_from(
+            {"reversibility": {"lambda2_init": value}}).lambda2_init
+
+    assert lambda2_init(0) == 0.0 and lambda2_init(598.15) == 598.15
+    for value in (-5, -1e-9, float("nan"), float("inf"), True):
+        with pytest.raises(ConfigError, match="section 'reversibility', key 'lambda2_init'"):
+            lambda2_init(value)
+
+
 def test_truncation_and_analytic_sections_reject_unknown_keys():
     analytic = {"alpha1_ghz": -1.591, "alpha3_ghz": -2.457, "tau1_ns": 7.2,
                 "tau2_ns": 8.9, "tau3_ns": 11.4, "sigma1_ns": 1.37,

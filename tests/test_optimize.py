@@ -20,12 +20,21 @@ def _rosenbrock(x):
     return float((1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
 
 
+def _assert_best_is_an_evaluated_point(rep, bounds):
+    """The reported point lies inside the bounds and is one the objective
+    ran at, not an unclipped vertex beyond them."""
+    best = np.array([rep.best_params[f"x{i}"] for i in range(len(bounds))])
+    assert all(lo <= x <= hi for x, (lo, hi) in zip(best, bounds))
+    assert any(np.array_equal(best, point) for point, _ in rep.history)
+
+
 def test_simplex_solves_rosenbrock():
     rep = nelder_mead(
         _rosenbrock, x0=np.array([-1.2, 1.0]),
         bounds=[(-5.0, 5.0), (-5.0, 5.0)],
         tolerance=1e-8, max_evals=2000,
     )
+    _assert_best_is_an_evaluated_point(rep, [(-5.0, 5.0), (-5.0, 5.0)])
     assert rep.converged
     assert rep.best_params["x0"] == pytest.approx(1.0, abs=1e-4)
     assert rep.best_params["x1"] == pytest.approx(1.0, abs=1e-4)
@@ -40,8 +49,9 @@ def test_simplex_never_evaluates_outside_bounds():
         seen.append(x.copy())
         return float(np.sum((x - 2.0) ** 2))  # pull toward the bound
 
-    nelder_mead(obj, x0=np.array([0.5]), bounds=[(0.0, 1.0)],
-                tolerance=1e-10, max_evals=200)
+    rep = nelder_mead(obj, x0=np.array([0.5]), bounds=[(0.0, 1.0)],
+                      tolerance=1e-10, max_evals=200)
+    _assert_best_is_an_evaluated_point(rep, [(0.0, 1.0)])
     pts = np.array(seen)
     assert np.all(pts >= 0.0) and np.all(pts <= 1.0)
     # minimum inside the box sits on the boundary
@@ -59,6 +69,8 @@ def test_simplex_runs_the_objective_once_per_distinct_point():
 
     rep = nelder_mead(obj, x0=np.array([0.5]), bounds=[(0.0, 1.0)],
                       tolerance=1e-6, max_evals=200)
+    _assert_best_is_an_evaluated_point(rep, [(0.0, 1.0)])
+    assert rep.best_value == (rep.best_params["x0"] - 2.0) ** 2  # no penalty
     assert len(calls) == len(set(calls))
     assert rep.evaluations == len(calls) == len(rep.history)
     assert rep.best_params["x0"] == pytest.approx(1.0, abs=1e-6)
@@ -73,6 +85,7 @@ def test_simplex_steps_inward_from_an_upper_bound():
 
     rep = nelder_mead(obj, x0=np.array([1.0]), bounds=[(0.0, 1.0)],
                       tolerance=1e-4, max_evals=100)
+    _assert_best_is_an_evaluated_point(rep, [(0.0, 1.0)])
     assert seen[:2] == [1.0, 0.9]
     assert rep.best_params["x0"] == pytest.approx(0.3, abs=1e-3)
 
@@ -90,6 +103,7 @@ def test_simplex_stops_at_target():
         bounds=[(-5.0, 5.0)], tolerance=1e-14, max_evals=500,
         target_value=1e-4,
     )
+    _assert_best_is_an_evaluated_point(rep, [(-5.0, 5.0)])
     assert rep.converged
     assert rep.best_value < 1e-4
     assert rep.evaluations < 500
