@@ -32,6 +32,14 @@ from .pulses import Waveform
 
 _NORM_TOL = 1e-10
 
+# Replays build step factors CHUNK samples at a time, so their scratch
+# memory does not grow with the pulse.  It must be a power of two: the
+# pairwise tree of _ordered_product over a whole stack holds, at level
+# log2(CHUNK), exactly the products of its CHUNK-sample chunks (the last
+# one possibly short), so folding the chunk products in a second tree
+# gives the whole stack's product bit for bit.
+CHUNK = 4096
+
 
 @dataclass
 class QuantumState:
@@ -163,11 +171,11 @@ def propagate_waveform(
     """Propagate a state under a full control waveform.
 
     Each block the state occupies is stepped on its own, in sample order,
-    with its step factors built in one batched eigendecomposition before
-    the (inherently sequential) update loop; the blocks it leaves empty
-    stay exactly zero.  Tracked populations refer to drift eigenstates
-    resolved by bare label and are computed from the stored amplitudes
-    after the loop.
+    with its step factors built by one batched eigendecomposition per
+    CHUNK samples ahead of the (inherently sequential) update loop over
+    them; the blocks it leaves empty stay exactly zero.  Tracked
+    populations refer to drift eigenstates resolved by bare label and are
+    computed from the stored amplitudes after the loop.
     """
     if psi0.dim != params.dim:
         raise ValueError("state dimension does not match the device")
@@ -181,12 +189,13 @@ def propagate_waveform(
         psi = psi0.amplitudes[sector.indices]
         if not np.any(psi):
             continue
-        u, phases = step_factors(sector, wf.samples, wf.dt)
         history = np.empty((n + 1, psi.size), dtype=complex)
         history[0] = psi
-        for k in range(n):
-            psi = apply_step(u[k], phases[k], psi)
-            history[k + 1] = psi
+        for start in range(0, n, CHUNK):
+            u, phases = step_factors(sector, wf.samples[start:start + CHUNK], wf.dt)
+            for k in range(len(u)):
+                psi = apply_step(u[k], phases[k], psi)
+                history[start + k + 1] = psi
         final[sector.indices] = psi
         overlaps += history @ track_vecs[sector.indices].conj()
     pops = np.abs(overlaps) ** 2
@@ -211,9 +220,10 @@ def propagate_endpoint(params: SystemParams, psi0: QuantumState, wf: Waveform) -
     """The state at the end of wf, for callers that read nothing else.
 
     Per occupied block, the step unitaries U_k = V_k diag(exp(-i w_k dt))
-    V_k^H come from one batched eigh and are multiplied as a pairwise tree,
-    so the replay is log2(n) batched products instead of n sequential
-    steps.  It agrees with propagate_waveform to rounding, not bit for bit.
+    V_k^H come from one batched eigh per CHUNK samples and are multiplied
+    as a pairwise tree, so the replay is log2(n) batched products instead
+    of n sequential steps.  It agrees with propagate_waveform to rounding,
+    not bit for bit.
     """
     return propagate_endpoints(params, [psi0], wf)[0]
 
@@ -230,8 +240,11 @@ def propagate_endpoints(params: SystemParams, states: list, wf: Waveform) -> lis
                     if np.any(psi0.amplitudes[sector.indices])]
         if not occupied:
             continue
-        u, phases = step_factors(sector, wf.samples, wf.dt)
-        product = _ordered_product((u * phases[:, None, :]) @ u.conj().swapaxes(-1, -2))
+        chunks = []
+        for start in range(0, wf.n, CHUNK):
+            u, phases = step_factors(sector, wf.samples[start:start + CHUNK], wf.dt)
+            chunks.append(_ordered_product((u * phases[:, None, :]) @ u.conj().swapaxes(-1, -2)))
+        product = _ordered_product(np.stack(chunks))
         for k in occupied:
             finals[k][sector.indices] = product @ states[k].amplitudes[sector.indices]
     return [QuantumState(amplitudes=final) for final in finals]

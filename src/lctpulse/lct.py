@@ -221,11 +221,12 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
     """Shape a coupler-shift pulse by local-control feedback.
 
     Returns the applied waveform (reference plus shaped term, jointly
-    clamped), the shaped term alone, the full trajectory over the run, and
-    the final target-population error.  The loop runs in the excitation
-    block of the two labels (validated equal by LctConfig) and keeps the
-    state's drift-basis amplitudes there; tracked labels outside the block
-    read exactly zero.
+    clamped), the full trajectory over the run, the final target-population
+    error and the fraction of steps held at the clamp floor.  The loop runs
+    in the excitation block of the two labels (validated equal by
+    LctConfig) and keeps the state's drift-basis amplitudes there; every
+    tracked label outside the block reads one shared read-only array of
+    zeros.
     """
     spectrum = drift_spectrum(params)
     sector, m_row, jb, _, n_steps, psi = _loop(params, config)
@@ -233,7 +234,8 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
 
     tracked = (list(config.tracked) if config.tracked is not None
                else product_labels(params.n_qubits))
-    track_idx = np.array([spectrum.index_of_label(lab) for lab in tracked], dtype=int)
+    block = {int(col): b for b, col in enumerate(sector.columns)}
+    track_cols = [block.get(spectrum.index_of_label(lab)) for lab in tracked]
 
     lo_clamp = clamp_floor(params.omega_tc_max)
 
@@ -261,16 +263,16 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
         amps[k + 1] = c
         raw = _raw_feedback(m_row, c, jb, gain)
 
-    pops = np.zeros((n_steps + 1, track_idx.size))
-    inside = np.isin(track_idx, sector.columns)
-    pops[:, inside] = np.abs(amps[:, np.searchsorted(sector.columns, track_idx[inside])]) ** 2
+    outside = np.zeros(n_steps + 1)
+    outside.flags.writeable = False
     final = np.zeros(params.dim, dtype=complex)
     final[sector.indices] = psi
 
     trajectory = TrajectoryRecord(
         times=np.arange(n_steps + 1) * config.dt,
         control=total.copy(),
-        populations={lab: pops[:, i] for i, lab in enumerate(tracked)},
+        populations={lab: outside if b is None else np.abs(amps[:, b]) ** 2
+                     for lab, b in zip(tracked, track_cols)},
         final_state=QuantumState(amplitudes=final),
     )
     final_error = 1.0 - float(np.abs(c[jb]) ** 2)

@@ -15,7 +15,16 @@ from lctpulse import (
     propagate_waveform,
     time_reverse,
 )
-from lctpulse.dynamics import apply_step, drift_spectrum, propagate_endpoint, step_factors
+from lctpulse import dynamics
+from lctpulse.dynamics import (
+    CHUNK,
+    _ordered_product,
+    apply_step,
+    drift_spectrum,
+    propagate_endpoint,
+    propagate_endpoints,
+    step_factors,
+)
 from lctpulse.model import HermitianOperator, label_index
 from lctpulse.units import TWO_PI
 
@@ -223,6 +232,92 @@ def test_norm_conserved_over_long_run(params, spectrum):
     assert abs(np.linalg.norm(traj.final_state.amplitudes) - 1.0) <= 1e-10
     total = traj.populations["100"] + traj.populations["010"]
     assert np.all(total <= 1.0 + 1e-9)
+
+
+# ----------------------------------------------------------------
+# chunked replays against the whole stack
+# ----------------------------------------------------------------
+
+_DEVICES = {
+    2: SystemParams.from_ghz([5.890, 5.031], [0.100, 0.071], 7.445),
+    3: SystemParams.from_ghz([5.890, 5.031, 6.350], [0.100, 0.071, 0.060], 7.445),
+}
+
+
+def _whole_stack_endpoints(params, states, wf):
+    """The endpoint products with every step unitary of a block built at once."""
+    finals = [np.zeros(params.dim, dtype=complex) for _ in states]
+    for sector in params.sectors:
+        u, phases = step_factors(sector, wf.samples, wf.dt)
+        product = _ordered_product((u * phases[:, None, :]) @ u.conj().swapaxes(-1, -2))
+        for final, psi0 in zip(finals, states):
+            final[sector.indices] = product @ psi0.amplitudes[sector.indices]
+    return finals
+
+
+def _whole_stack_waveform(params, psi0, wf, tracked):
+    """propagate_waveform's final state and populations with every step
+    factor of a block built before its loop."""
+    spectrum = drift_spectrum(params)
+    track_vecs = np.stack([spectrum.state(lab) for lab in tracked], axis=1)
+    final = np.zeros(params.dim, dtype=complex)
+    overlaps = np.zeros((wf.n + 1, len(tracked)), dtype=complex)
+    for sector in params.sectors:
+        psi = psi0.amplitudes[sector.indices]
+        u, phases = step_factors(sector, wf.samples, wf.dt)
+        history = [psi]
+        for k in range(wf.n):
+            psi = apply_step(u[k], phases[k], psi)
+            history.append(psi)
+        final[sector.indices] = psi
+        overlaps += np.array(history) @ track_vecs[sector.indices].conj()
+    return final, np.abs(overlaps) ** 2
+
+
+def test_chunk_is_a_power_of_two():
+    assert CHUNK >= 1 and CHUNK & (CHUNK - 1) == 0
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3])
+@pytest.mark.parametrize("n", [2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_chunked_replays_match_the_whole_stack_bitwise(rng, n_qubits, n):
+    # Chunk products are the whole-stack tree's nodes at level log2(CHUNK),
+    # and each chunk's eigh gives its members the bits of the whole stack's,
+    # so the replays must not move a bit at or around a chunk boundary.
+    params = _DEVICES[n_qubits]
+    samples = -params.omega_tc_max * rng.uniform(0.0, 0.9, size=n)
+    samples[rng.random(n) < 0.3] = 0.0
+    samples[-1] = 0.0
+    wf = Waveform(dt=0.01, samples=samples)
+    states = [_random_state(rng, params.dim) for _ in range(2)]
+    for count in (1, 2):
+        ours = propagate_endpoints(params, states[:count], wf)
+        for got, want in zip(ours, _whole_stack_endpoints(params, states[:count], wf)):
+            assert got.amplitudes.tobytes() == want.tobytes()
+
+    tracked = drift_spectrum(params).bare_labels
+    traj = propagate_waveform(params, states[0], wf, tracked)
+    final, pops = _whole_stack_waveform(params, states[0], wf, tracked)
+    assert traj.final_state.amplitudes.tobytes() == final.tobytes()
+    for i, lab in enumerate(tracked):
+        assert traj.populations[lab].tobytes() == pops[:, i].tobytes()
+
+
+def test_replays_never_build_more_than_chunk_steps(params, rng, monkeypatch):
+    sizes = []
+    kernel = dynamics.step_factors
+
+    def recording(spectrum, shifts, dt):
+        sizes.append(np.size(shifts))
+        return kernel(spectrum, shifts, dt)
+
+    monkeypatch.setattr(dynamics, "step_factors", recording)
+    wf = Waveform(dt=0.01, samples=-params.omega_tc_max * rng.uniform(0.0, 0.9, 3 * CHUNK))
+    psi = _random_state(rng)  # occupies all four blocks
+    propagate_waveform(params, psi, wf, tracked=[])
+    propagate_endpoint(params, psi, wf)
+    assert max(sizes) == CHUNK
+    assert sum(sizes) == 2 * len(params.sectors) * wf.n
 
 
 # ----------------------------------------------------------------

@@ -14,7 +14,7 @@ from lctpulse import (
     refined_config,
     run_lct,
 )
-from lctpulse.dynamics import drift_spectrum
+from lctpulse.dynamics import apply_step, drift_spectrum, step_factors
 from lctpulse.lct import feedback_value, run_lct_lockstep, seed_state
 from lctpulse.optimize import reverse_error
 from lctpulse.model import build_drift_hamiltonian, eigendecompose, product_labels
@@ -278,6 +278,36 @@ def test_replay_reproduces_4q_run_final_state_exactly():
     traj = propagate_waveform(device, psi, run.waveform, tracked=[])
     np.testing.assert_array_equal(traj.final_state.amplitudes,
                                   run.trajectory.final_state.amplitudes)
+
+
+def test_4q_populations_hold_the_block_and_share_one_zero_array():
+    # In-block labels read |c_b|^2 of the loop's drift-basis amplitudes,
+    # recomputed here step by step through the same kernel; the 27 labels
+    # outside the single-excitation block share one read-only zero array.
+    device = SystemParams.from_ghz([5.890, 5.031, 6.350, 6.720],
+                                   [0.100, 0.071, 0.060, 0.050], 7.445)
+    cfg = _base(t_max=5.0, initial_label="10000", target_label="01000")
+    run = run_lct(device, cfg)
+    spec, sector = drift_spectrum(device), device.sectors[1]
+    psi = seed_state(QuantumState(spec.state("10000")),
+                     QuantumState(spec.state("01000")), cfg.eta).amplitudes[sector.indices]
+    vt = sector.eigenvectors.conj().T
+    amps = [vt @ psi]
+    for s in run.waveform.samples:
+        psi = apply_step(*step_factors(sector, s, cfg.dt), psi)
+        amps.append(vt @ psi)
+    amps = np.array(amps)
+
+    pops = run.trajectory.populations
+    outside = [lab for lab in product_labels(4) if lab.count("1") != 1]
+    assert len(outside) == 27 and len(pops) == 32
+    zeros = pops[outside[0]]
+    assert all(pops[lab] is zeros for lab in outside)
+    assert not zeros.flags.writeable
+    assert zeros.shape == (run.waveform.n + 1,) and not zeros.any()
+    for lab in set(pops) - set(outside):
+        b = int(np.searchsorted(sector.columns, spec.index_of_label(lab)))
+        assert pops[lab].tobytes() == (np.abs(amps[:, b]) ** 2).tobytes()
 
 
 # ----------------------------------------------------------------
