@@ -49,12 +49,9 @@ def _dt_override() -> float | None:
     if raw is None:
         return None
     try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"PULSE_DT_NS={raw!r} is not a number") from None
-    if value <= 0:
-        raise ConfigError("PULSE_DT_NS must be positive")
-    return value
+        return io._positive(raw)
+    except ValueError as exc:
+        raise ConfigError(f"PULSE_DT_NS: {exc}") from None
 
 
 def _out(ctx: dict, name: str) -> str:
@@ -228,11 +225,23 @@ def cmd_truncate(ctx: dict, pulse=None):
     return wf
 
 
-@_stage
-def cmd_analytic(ctx: dict) -> None:
+def _analytic_inputs(ctx: dict):
+    """The `analytic` section and its closed form.  A form that will not
+    be fitted is checked here, before anything is written."""
     sec = io.analytic_section(ctx["doc"])
     params, base = _run_inputs(ctx)
     init = io.analytic_params_from_dict(sec)
+    if not sec.get("fit", True):
+        try:
+            init.validate(params.omega_tc_max)
+        except ValueError as exc:
+            raise ConfigError(f"section 'analytic': {exc}") from exc
+    return sec, params, base, init
+
+
+@_stage
+def cmd_analytic(ctx: dict) -> None:
+    sec, params, base, init = _analytic_inputs(ctx)
     dt = _dt_override() or sec.get("dt_ns", 0.01)
     if sec.get("fit", True):
         fitted, report = fit_analytic_pulse(
@@ -261,7 +270,7 @@ def cmd_pipeline(ctx: dict) -> None:
     # A bad later section fails before the search spends its time.
     io.truncation_section(doc)
     if doc.get("analytic") is not None:
-        io.analytic_section(doc)
+        _analytic_inputs(ctx)
     stage = "optimize"
     try:
         pulse = cmd_optimize(ctx)

@@ -43,17 +43,17 @@ def load_config(path: str) -> dict:
     return doc
 
 
-def _section(doc: dict, name: str, known: dict, required: bool = False) -> dict:
-    """A config section, {} when absent unless it is required.
+def _section(doc: dict, name: str, known: dict, required: tuple | None = None) -> dict:
+    """A config section, {} when absent unless `required` is given.
 
     `known` maps each key the section may hold to the cast its value goes
-    through (None: taken as is).  A key outside it (a misspelling, or a
-    setting the program does not read) and a value its cast refuses are
-    ConfigErrors; a null value is dropped, so the key keeps its default.
+    through.  A key outside it (a misspelling, or a setting the program
+    does not read), a value its cast refuses and an absent key of `required`
+    are ConfigErrors; a null value is dropped, so the key keeps its default.
     """
     sec = doc.get(name)
     if sec is None:
-        if required:
+        if required is not None:
             raise ConfigError(f"missing config section {name!r}")
         return {}
     if not isinstance(sec, dict):
@@ -66,9 +66,12 @@ def _section(doc: dict, name: str, known: dict, required: bool = False) -> dict:
         if value is None:
             continue
         try:
-            out[key] = value if known[key] is None else known[key](value)
+            out[key] = known[key](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"section {name!r}, key {key!r}: {exc}") from exc
+    for key in required or ():
+        if key not in out:
+            raise ConfigError(f"section {name!r}: missing key {key!r}")
     return out
 
 
@@ -97,13 +100,16 @@ def _number_in(test, expected: str):
 
 
 # A goal of 1 passes any pulse, and 0 none; a cutoff, width or step of 0
-# has no pulse to give; a feedback gain must not be negative.
+# has no pulse to give; a feedback gain must not be negative, and a seed
+# weight of 1 leaves nothing of the initial state.
 _goal = _number_in(lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
 _positive = _number_in(lambda x: 0.0 < x < np.inf, "a positive number")
 _non_negative = _number_in(lambda x: 0.0 <= x < np.inf, "a number of 0 or more")
+_weight = _number_in(lambda x: 0.0 <= x < 1.0, "a number in [0, 1)")
+_finite = _number_in(lambda x: -np.inf < x < np.inf, "a finite number")
 
 
-def _cutoffs(value) -> tuple:
+def _positives(value) -> tuple:
     """A non-empty list of positive numbers; iterating any value would read
     the string "045" as (0.0, 4.0, 5.0), and an object by its keys."""
     if not (isinstance(value, list) and value and all(
@@ -112,28 +118,21 @@ def _cutoffs(value) -> tuple:
     return tuple(map(float, value))
 
 
-def _require(sec: dict, section: str, key: str):
-    if key not in sec:
-        raise ConfigError(f"section {section!r}: missing key {key!r}")
-    return sec[key]
-
-
 def device_from_config(doc: dict) -> SystemParams:
     """Build SystemParams from the `device` section."""
-    sec = _section(doc, "device", dict.fromkeys(
-        ("qubit_freqs_ghz", "couplings_ghz", "tc_max_freq_ghz")), required=True)
-    freqs = _require(sec, "device", "qubit_freqs_ghz")
-    coups = _require(sec, "device", "couplings_ghz")
-    tc = _require(sec, "device", "tc_max_freq_ghz")
+    known = {"qubit_freqs_ghz": _positives, "couplings_ghz": _positives,
+             "tc_max_freq_ghz": _positive}
+    sec = _section(doc, "device", known, required=tuple(known))
     try:
-        return SystemParams.from_ghz(freqs, coups, tc)
-    except (ValueError, TypeError) as exc:
+        return SystemParams.from_ghz(**sec)
+    except ValueError as exc:
         raise ConfigError(f"section 'device': {exc}") from exc
 
 
-_LCT_KEYS = {"lambda": float, "eta": float, "dt_ns": float, "t_max_ns": float,
-             "initial": str, "target": str, "n_prime": _integer,
-             "reference_pulse_path": str, "lambda2": float}
+_LCT_KEYS = {"lambda": _non_negative, "eta": _weight, "dt_ns": _positive,
+             "t_max_ns": _positive, "initial": str, "target": str, "n_prime": _integer,
+             "reference_pulse_path": str, "lambda2": _non_negative}
+_LCT_REQUIRED = ("lambda", "eta", "dt_ns", "t_max_ns", "initial", "target")
 
 
 def lct_config_from(
@@ -147,25 +146,21 @@ def lct_config_from(
     config is self-contained.  dt_override (the PULSE_DT_NS hook) replaces
     the section's dt_ns.
     """
-    sec = _section(doc, section, _LCT_KEYS, required=True)
+    required = tuple(k for k in _LCT_REQUIRED if k != "dt_ns" or dt_override is None)
+    sec = _section(doc, section, _LCT_KEYS, required)
     ref_path = sec.get("reference_pulse_path")
     reference = None if ref_path is None else read_waveform_csv(ref_path)
     return LctConfig(
-        lambda_=_require(sec, section, "lambda"),
-        eta=_require(sec, section, "eta"),
-        dt=dt_override if dt_override is not None else _require(sec, section, "dt_ns"),
-        t_max=_require(sec, section, "t_max_ns"),
-        initial_label=_require(sec, section, "initial"),
-        target_label=_require(sec, section, "target"),
-        n_prime=sec.get("n_prime"),
-        reference=reference,
-        lambda2=sec.get("lambda2"),
+        lambda_=sec["lambda"], eta=sec["eta"],
+        dt=dt_override if dt_override is not None else sec["dt_ns"], t_max=sec["t_max_ns"],
+        initial_label=sec["initial"], target_label=sec["target"],
+        n_prime=sec.get("n_prime"), reference=reference, lambda2=sec.get("lambda2"),
     )
 
 
 _REVERSIBILITY_KEYS = {
     "lambda2_init": _non_negative,
-    "cutoff_candidates_ghz": _cutoffs,
+    "cutoff_candidates_ghz": _positives,
     "fidelity_goal": _goal,
 }
 
@@ -194,19 +189,20 @@ _ANALYTIC_FIELDS = {
     "tau1_ns": ("tau1", 1.0), "tau2_ns": ("tau2", 1.0), "tau3_ns": ("tau3", 1.0),
     "sigma1_ns": ("sigma1", 1.0), "sigma2_ns": ("sigma2", 1.0), "sigma3_ns": ("sigma3", 1.0),
 }
+_ANALYTIC_KEYS = {**dict.fromkeys(_ANALYTIC_FIELDS, _finite),
+                  "fit": _boolean, "dt_ns": _positive, "fidelity_goal": _goal}
 
 
 def analytic_section(doc: dict) -> dict:
     """The `analytic` section, which the analytic stage requires, its
     values cast."""
-    return _section(doc, "analytic", {**dict.fromkeys(_ANALYTIC_FIELDS, float),
-                                      "fit": _boolean, "dt_ns": _positive,
-                                      "fidelity_goal": _goal}, required=True)
+    return _section(doc, "analytic", _ANALYTIC_KEYS, required=())
 
 
 def analytic_params_from_dict(obj: dict) -> AnalyticPulseParams:
     """Eight named fields, amplitudes in GHz, times/widths in ns."""
-    return AnalyticPulseParams(**{field: factor * float(_require(obj, "analytic", key))
+    sec = _section({"analytic": obj}, "analytic", _ANALYTIC_KEYS, tuple(_ANALYTIC_FIELDS))
+    return AnalyticPulseParams(**{field: factor * sec[key]
                                   for key, (field, factor) in _ANALYTIC_FIELDS.items()})
 
 

@@ -141,13 +141,20 @@ def label_index(label: str, n_qubits: int) -> int:
     return int(label, 2)
 
 
+def _occupations(n_qubits: int) -> list:
+    """Per site (qubits in order, the TC last), the bit each product-basis
+    index holds for it: 1 when the site is excited."""
+    index = np.arange(2 ** (n_qubits + 1))
+    return [(index >> (n_qubits - k)) & 1 for k in range(n_qubits + 1)]
+
+
 def excitation_blocks(n_qubits: int) -> list:
     """Product-basis indices with k excitations, ascending, for k = 0..n+1.
 
     Exchange conserves excitation number and the control is diagonal, so
     H_d + s G is block diagonal over these index sets.
     """
-    weight = np.array([lab.count("1") for lab in product_labels(n_qubits)])
+    weight = sum(_occupations(n_qubits))
     return [np.flatnonzero(weight == k) for k in range(n_qubits + 2)]
 
 
@@ -175,38 +182,29 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
 
-_SZ = np.diag([1.0, -1.0])          # sz|0> = +|0>
-_SP = np.array([[0.0, 0.0], [1.0, 0.0]])   # |1><0|
-_SM = _SP.T
-_ID = np.eye(2)
-
-
-def _site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Embed a single 2x2 operator at `site` (TC is site n_sites-1)."""
-    out = np.array([[1.0]])
-    for k in range(n_sites):
-        out = np.kron(out, op if k == site else _ID)
-    return out
-
-
 def build_drift_hamiltonian(params: SystemParams, delta_omega_tc: float = 0.0) -> HermitianOperator:
-    """H_d plus an optional static coupler shift delta_omega_tc (rad/ns)."""
-    n_sites = params.n_qubits + 1
-    tc = n_sites - 1
-    h = np.zeros((params.dim, params.dim))
-    for i in range(params.n_qubits):
-        h += -0.5 * params.omega[i] * _site_operator(_SZ, i, n_sites)
-        flip = _site_operator(_SP, i, n_sites) @ _site_operator(_SM, tc, n_sites)
-        h += params.g[i] * (flip + flip.T)
-    omega_tc = params.omega_tc_max + delta_omega_tc
-    h += -0.5 * omega_tc * _site_operator(_SZ, tc, n_sites)
+    """H_d plus an optional static coupler shift delta_omega_tc (rad/ns).
+
+    Written from the exchange rule on the bits of each product-basis
+    index.  The diagonal sums -1/2 omega sz site by site, qubits first and
+    the coupler last, and g_i links each state with qubit i excited and
+    the coupler empty to the state with those two swapped.
+    """
+    bits = _occupations(params.n_qubits)
+    diag = np.zeros(params.dim)
+    for omega, bit in zip((*params.omega, params.omega_tc_max + delta_omega_tc), bits):
+        diag += -0.5 * omega * (1 - 2 * bit)
+    h = np.diag(diag)
+    for i, g in enumerate(params.g):
+        rows = np.flatnonzero(bits[i] & (1 - bits[-1]))
+        cols = rows ^ (2 ** (params.n_qubits - i) + 1)
+        h[rows, cols] = h[cols, rows] = g
     return HermitianOperator(h)
 
 
 def build_control_generator(params: SystemParams) -> HermitianOperator:
     """d H / d delta_omega_tc = -1/2 sz_TC (diagonal: -1/2 for TC ground)."""
-    n_sites = params.n_qubits + 1
-    return HermitianOperator(-0.5 * _site_operator(_SZ, n_sites - 1, n_sites))
+    return HermitianOperator(np.diag(-0.5 * (1 - 2 * _occupations(params.n_qubits)[-1])))
 
 
 # ================================================================

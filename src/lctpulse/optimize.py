@@ -386,10 +386,6 @@ def _analytic_objective(params, source_label, destination_label, dt):
             penalty += _PENALTY * (p.tau1 - p.tau2) ** 2
         if p.tau2 > p.tau3:
             penalty += _PENALTY * (p.tau2 - p.tau3) ** 2
-        if p.alpha1 >= 0.0:
-            penalty += _PENALTY * (1.0 + p.alpha1) ** 2
-        if p.alpha3 >= 0.0:
-            penalty += _PENALTY * (1.0 + p.alpha3) ** 2
         if penalty > 0.0:
             return 1.0 + penalty
         wf = Waveform(dt=dt, samples=clamp_samples(analytic_pulse(p, dt).samples,

@@ -22,6 +22,12 @@ LCT_SHORT = {
 }
 
 
+# A closed form that is sampled as it stands.
+ANALYTIC = {"fit": False, "alpha1_ghz": -1.591, "alpha3_ghz": -2.457,
+            "tau1_ns": 7.2, "tau2_ns": 8.9, "tau3_ns": 11.4,
+            "sigma1_ns": 1.37, "sigma2_ns": 0.2, "sigma3_ns": 1.83}
+
+
 # Strong couplings transfer within 60 ns at a low gain, so the bare run
 # and a whole reversibility grid take about a second.
 FAST_DEVICE = {**DEVICE, "couplings_ghz": [0.3, 0.2]}
@@ -73,15 +79,24 @@ def test_lct_command_outputs(tmp_path):
     assert "manifest.json" not in manifest["outputs"]
 
 
-def test_dt_env_override(tmp_path, monkeypatch):
+def test_dt_env_override(tmp_path, monkeypatch, capsys):
     cfg = _config(tmp_path, lct=LCT_SHORT)
     monkeypatch.setenv("PULSE_DT_NS", "0.05")
     code, out = _run(tmp_path, "lct", "--config", cfg)
     assert code == 0
     t = np.loadtxt(out / "waveform.csv", delimiter=",", skiprows=1)[:, 0]
     assert t[1] - t[0] == pytest.approx(0.05, abs=1e-9)
-    monkeypatch.setenv("PULSE_DT_NS", "not-a-number")
-    assert main(["lct", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == 1
+    # A sample period that is not a positive finite number is refused
+    # before any run: nan would exit 3, and inf as "t_max shorter than one
+    # sample".
+    capsys.readouterr()
+    for value in ("not-a-number", "nan", "inf", "0", "-1"):
+        monkeypatch.setenv("PULSE_DT_NS", value)
+        code, out = _run(tmp_path / value, "lct", "--config", cfg)
+        assert code == 1, value
+        err = capsys.readouterr().err
+        assert err.startswith("config error: PULSE_DT_NS"), value
+        assert list(out.iterdir()) == [], value
 
 
 def test_lct_rejects_transfer_across_excitation_numbers(tmp_path, capsys):
@@ -215,16 +230,13 @@ def test_manifest_records_stage_timings(tmp_path):
     # One-stage commands: their stage time is the manifest's wall_time.
     assert stages("lct", {"lct": LCT_SHORT}) == set()
     assert stages("spectrum", {}, "--steps", "11") == set()
-    analytic = {"fit": False, "alpha1_ghz": -1.591, "alpha3_ghz": -2.457,
-                "tau1_ns": 7.2, "tau2_ns": 8.9, "tau3_ns": 11.4,
-                "sigma1_ns": 1.37, "sigma2_ns": 0.2, "sigma3_ns": 1.83}
     reversibility = {"cutoff_candidates_ghz": [0.3, 0.45], "fidelity_goal": 0.5}
-    assert stages("analytic", {"lct": LCT_SHORT, "analytic": analytic}) == {"analytic"}
+    assert stages("analytic", {"lct": LCT_SHORT, "analytic": ANALYTIC}) == {"analytic"}
     assert stages("optimize", {"device": FAST_DEVICE, "lct": FAST_LCT,
                                "reversibility": reversibility}) == {"optimize"}
     assert stages("pipeline", {"device": FAST_DEVICE, "lct": FAST_LCT,
                                "reversibility": reversibility,
-                               "analytic": analytic}) == {"optimize", "analytic"}
+                               "analytic": ANALYTIC}) == {"optimize", "analytic"}
 
 
 def test_forward_failure_in_search_grid_exits_2(tmp_path, capsys):
@@ -253,14 +265,11 @@ def test_search_without_passing_cell_exits_2_with_report(tmp_path, capsys):
 def test_unknown_stage_keys_exit_1(tmp_path, capsys):
     # A key the truncation search never reads from config, and a misspelt
     # one: the pipeline must refuse the config before its search runs.
-    analytic = {"fit": False, "alpha1_ghz": -1.591, "alpha3_ghz": -2.457,
-                "tau1_ns": 7.2, "tau2_ns": 8.9, "tau3_ns": 11.4,
-                "sigma1_ns": 1.37, "sigma2_ns": 0.2, "sigma3_ns": 1.83}
     bad = {"simplex_tolerance": 5.0, "max_evalz": 1}
     reversibility = {"cutoff_candidates_ghz": [0.3, 0.45], "fidelity_goal": 0.5}
     for name, sections in (
             ("truncation", {"truncation": {"sigma_ns": 1.0, **bad}}),
-            ("analytic", {"analytic": {**analytic, **bad}})):
+            ("analytic", {"analytic": {**ANALYTIC, **bad}})):
         cfg = _config(tmp_path, f"{name}.json", device=FAST_DEVICE, lct=FAST_LCT,
                       reversibility=reversibility, **sections)
         out = tmp_path / name
@@ -327,15 +336,12 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
         np.sin(0.3 * np.arange(2000) * 0.01)))
     pulse_path = str(tmp_path / "in.csv")
     write_waveform_csv(pulse_path, wf)
-    analytic = {"fit": False, "alpha1_ghz": -1.591, "alpha3_ghz": -2.457,
-                "tau1_ns": 7.2, "tau2_ns": 8.9, "tau3_ns": 11.4,
-                "sigma1_ns": 1.37, "sigma2_ns": 0.2, "sigma3_ns": 1.83}
     cases = [("filter", "filter", {"pulse_path": pulse_path}, key, "x")
              for key in ("cutoff_ghz", "clamp")]
     cases += [("filter", "filter", {"pulse_path": pulse_path}, "clamp", "false")]
     cases += [("truncate", "truncation", {"pulse_path": pulse_path}, key, "x")
               for key in ("sigma_ns", "fidelity_goal", "max_evals")]
-    cases += [("analytic", "analytic", analytic, key, "x")
+    cases += [("analytic", "analytic", ANALYTIC, key, "x")
               for key in ("dt_ns", "fidelity_goal", "fit")]
     # The seed section, under its default name and under --seed-section.
     cases += [("lct", section, LCT_SHORT, key, "x")
@@ -353,14 +359,14 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
               for command, section, base in (
                   ("optimize", "reversibility", {}),
                   ("truncate", "truncation", {"pulse_path": pulse_path}),
-                  ("analytic", "analytic", analytic))
+                  ("analytic", "analytic", ANALYTIC))
               for value in (0, 1, -1, 2, float("nan"), True)]
     # Out-of-domain numbers: each would run, or write files, before failing.
     cases += [("filter", "filter", {"pulse_path": pulse_path}, "cutoff_ghz", value)
               for value in (0, -0.45)]
     cases += [("truncate", "truncation", {"pulse_path": pulse_path}, "sigma_ns", value)
               for value in (0, -1)]
-    cases += [("analytic", "analytic", analytic, "dt_ns", value) for value in (0, -0.01)]
+    cases += [("analytic", "analytic", ANALYTIC, "dt_ns", value) for value in (0, -0.01)]
     cases += [("optimize", "reversibility", {}, "lambda2_init", -5)]
     # A pipeline checks its truncation section before the bare run writes.
     cases += [("pipeline", "truncation", {}, "sigma_ns", -1)]
@@ -368,6 +374,18 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
     cases += [("lct", "lct", LCT_SHORT, "n_prime", value) for value in (2.7, True)]
     cases += [("truncate", "truncation", {"pulse_path": pulse_path}, "max_evals", value)
               for value in (60.9, True)]
+    # The device and the seed run: unchecked, each of these would run to a
+    # pulse that does not transfer, fail as a numerical error, or overflow.
+    nan, inf = float("nan"), float("inf")
+    cases += [("lct", "device", DEVICE, key, value) for key, value in (
+        ("qubit_freqs_ghz", [5.890, True]), ("qubit_freqs_ghz", [nan, 5.031]),
+        ("couplings_ghz", [inf, 0.071]), ("tc_max_freq_ghz", inf))]
+    cases += [("lct", "lct", LCT_SHORT, key, value) for key, value in (
+        ("lambda", inf), ("lambda", nan), ("t_max_ns", inf), ("dt_ns", nan),
+        ("eta", 1), ("lambda2", -1))]
+    # The closed form's shape keys are finite numbers.
+    cases += [("analytic", "analytic", ANALYTIC, key, value) for key, value in (
+        ("alpha1_ghz", nan), ("alpha1_ghz", True), ("tau2_ns", inf))]
     for command, section, base, key, value in cases:
         name = f"{section}-{key}-{value}"
         cfg = _config(tmp_path, f"{name}.json",
@@ -379,6 +397,24 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
         assert err.startswith("config error:"), name
         assert f"section {section!r}, key {key!r}" in err, name
         assert not out.exists() or list(out.iterdir()) == [], name
+
+
+def test_unfitted_closed_form_is_checked_before_any_file(tmp_path, capsys):
+    # With fit false the closed form is the pulse, so one that cannot be
+    # sampled is a config error, found before the params are written and,
+    # in a pipeline, before the search runs.
+    for key, value, message in (("tau2_ns", 5.0, "branch times"),
+                                ("sigma2_ns", 0.0, "widths must be positive"),
+                                ("alpha1_ghz", -8.0, "omega_tc_max")):
+        cfg = _config(tmp_path, f"{key}.json", lct=LCT_SHORT,
+                      analytic={**ANALYTIC, key: value})
+        for command in ("analytic", "pipeline"):
+            code, out = _run(tmp_path / command / key, command, "--config", cfg)
+            assert code == 1, (command, key)
+            err = capsys.readouterr().err
+            assert err.startswith("config error: section 'analytic':"), (command, key)
+            assert message in err, (command, key)
+            assert list(out.iterdir()) == [], (command, key)
 
 
 def test_out_of_domain_flags_exit_1(tmp_path, capsys):

@@ -140,6 +140,15 @@ def test_lct_section_missing_key():
     with pytest.raises(ConfigError, match="t_max_ns"):
         lct_config_from({"lct": {"lambda": 1.0, "eta": 0.0, "dt_ns": 0.01,
                                  "initial": "100", "target": "010"}})
+    # dt_ns is required unless the PULSE_DT_NS override supplies it; the
+    # first missing key is named.
+    doc = {"lct": {"eta": 0.0, "t_max_ns": 1.0, "initial": "100", "target": "010"}}
+    with pytest.raises(ConfigError, match="section 'lct': missing key 'lambda'"):
+        lct_config_from(doc)
+    doc["lct"]["lambda"] = 1.0
+    with pytest.raises(ConfigError, match="section 'lct': missing key 'dt_ns'"):
+        lct_config_from(doc)
+    assert lct_config_from(doc, dt_override=0.05).dt == 0.05
 
 
 def test_reversibility_section_defaults_and_overrides():
