@@ -30,6 +30,7 @@ from .model import (
     sweep_nonadiabatic_couplings,
 )
 from .optimize import (
+    DEFAULT_ANALYTIC_BOUNDS,
     fit_analytic_pulse,
     optimize_reversible,
     optimize_truncation,
@@ -226,12 +227,20 @@ def cmd_truncate(ctx: dict, pulse=None):
 
 
 def _analytic_inputs(ctx: dict):
-    """The `analytic` section and its closed form.  A form that will not
-    be fitted is checked here, before anything is written."""
+    """The `analytic` section and its closed form, checked here, before
+    anything is written: a fit's start must lie inside the fit's bounds,
+    and a form that will not be fitted must be valid as it stands."""
     sec = io.analytic_section(ctx["doc"])
     params, base = _run_inputs(ctx)
     init = io.analytic_params_from_dict(sec)
-    if not sec.get("fit", True):
+    if sec.get("fit", True):
+        for key, (name, factor) in io._ANALYTIC_FIELDS.items():
+            lo, hi = DEFAULT_ANALYTIC_BOUNDS[name]
+            if not lo <= getattr(init, name) <= hi:
+                raise ConfigError(
+                    f"section 'analytic', key {key!r}: {sec[key]:g} lies outside "
+                    f"the fit's bounds [{lo / factor:.4g}, {hi / factor:.4g}]")
+    else:
         try:
             init.validate(params.omega_tc_max)
         except ValueError as exc:

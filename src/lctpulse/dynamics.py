@@ -9,8 +9,9 @@ step_factors and apply_step are the one propagation kernel: the single
 steps here, the waveform replay, the endpoint product and the feedback
 loop in lct all use them.  Exchange conserves excitation number and the
 control is diagonal, so H_d + s G is block diagonal by excitation number:
-waveforms are propagated block by block (model.Sector), (n+1)-dimensional
-for a single excitation instead of 2^(n+1).
+waveforms are propagated block by block (SystemParams.sectors, the drift
+spectrum on each block), (n+1)-dimensional for a single excitation instead
+of 2^(n+1).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 from .model import (
     DriftSpectrum,
     HermitianOperator,
-    Sector,
     SystemParams,
     drift_spectrum,
     eigendecompose,
@@ -61,17 +61,16 @@ class QuantumState:
         return self.amplitudes.size
 
 
-def step_factors(spectrum: Sector | DriftSpectrum, shifts, dt: float) -> tuple:
+def step_factors(spectrum: DriftSpectrum, shifts, dt: float) -> tuple:
     """Factors (U, exp(-i w dt)) of exp(-i (H + s G) dt) for held shifts s.
 
-    H and G are the sector's hamiltonian and control generator, and its
+    H and G are the spectrum's hamiltonian and control generator, and its
     eigenpairs are H's; shifts is a scalar or a 1-d array, and the factors
     stack along it.  A scalar shift of exactly 0.0 holds H itself and
-    reuses the eigenpairs (so a bare DriftSpectrum serves for it), which
-    the feedback loop caps many samples at.  A stack goes to one batched
-    eigh whole, which gives each member the same bits as one at a time;
-    its members of exactly 0.0 are then overwritten with the eigenpairs,
-    so they match the scalar path.
+    reuses the eigenpairs, which the feedback loop caps many samples at.
+    A stack goes to one batched eigh whole, which gives each member the
+    same bits as one at a time; its members of exactly 0.0 are then
+    overwritten with the eigenpairs, so they match the scalar path.
     """
     if np.ndim(shifts) == 0:
         if shifts == 0.0:

@@ -197,8 +197,8 @@ def _loop(params: SystemParams, config: LctConfig) -> tuple:
     psi0 = QuantumState(amplitudes=spectrum.eigenvectors[:, i0])
     psi = seed_state(psi0, QuantumState(amplitudes=spectrum.eigenvectors[:, j]),
                      config.eta).amplitudes[sector.indices]
-    return (sector, m_row, int(np.searchsorted(sector.columns, j)),
-            int(np.searchsorted(sector.columns, i0)), n_steps, psi)
+    return (sector, m_row, sector.index_of_label(config.target_label),
+            sector.index_of_label(config.initial_label), n_steps, psi)
 
 
 def _reference(config: LctConfig, n_steps: int) -> np.ndarray:

@@ -103,18 +103,20 @@ class SystemParams:
 
     @cached_property
     def sectors(self) -> tuple:
-        """The drift's excitation-number blocks; sectors[k] holds k excitations."""
+        """The drift spectrum on each excitation-number block; sectors[k]
+        holds k excitations."""
         spectrum = self.drift_spectrum
         h, g = self.drift_operators
         weight = np.array([lab.count("1") for lab in spectrum.bare_labels])
         out = []
         for k, rows in enumerate(excitation_blocks(self.n_qubits)):
             cols = np.flatnonzero(weight == k)
-            out.append(Sector(
-                indices=rows, columns=cols,
-                hamiltonian=h[np.ix_(rows, rows)], control=g[np.ix_(rows, rows)],
+            out.append(DriftSpectrum(
                 eigenvalues=spectrum.eigenvalues[cols],
                 eigenvectors=spectrum.eigenvectors[np.ix_(rows, cols)],
+                bare_labels=[spectrum.bare_labels[c] for c in cols],
+                hamiltonian=h[np.ix_(rows, rows)], control=g[np.ix_(rows, rows)],
+                indices=rows, columns=cols,
             ))
         return tuple(out)
 
@@ -248,17 +250,25 @@ class DriftSpectrum:
     eigenvalues     ascending (rad/ns)
     eigenvectors    orthonormal columns, gauge-fixed so each vector's
                     largest-magnitude component is real and positive
-    bare_labels     bare label assigned to each eigenvector; always a
-                    permutation of the product labels
+    bare_labels     bare label assigned to each eigenvector; a permutation
+                    of the product labels, or on a sector its block's
+                    labels in column order
+    hamiltonian     the matrix decomposed
     control         the control generator G = dH/d delta_omega_tc; set
-                    only on a device's drift spectrum
-                    (SystemParams.drift_spectrum)
+                    only on a device's spectra (SystemParams.drift_spectrum
+                    and its sectors)
+    indices         set only on a sector (SystemParams.sectors): its
+    columns         block's product-basis indices and the device spectrum's
+                    columns of its eigenstates, both ascending
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     bare_labels: list = field(default_factory=list)
+    hamiltonian: np.ndarray | None = None
     control: np.ndarray | None = None
+    indices: np.ndarray | None = None
+    columns: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -275,26 +285,6 @@ class DriftSpectrum:
     def state(self, label: str) -> np.ndarray:
         """Eigenvector assigned to `label` (copy)."""
         return self.eigenvectors[:, self.index_of_label(label)].copy()
-
-
-@dataclass(frozen=True)
-class Sector:
-    """The drift restricted to one excitation-number block.
-
-    indices         the block's product-basis indices, ascending
-    columns         drift-spectrum indices of its eigenstates, ascending
-    hamiltonian     H_d and the (diagonal) control generator G on the block
-    control
-    eigenvalues     the drift spectrum's eigenpairs on the block, so the
-    eigenvectors    step kernel takes a sector wherever it takes a spectrum
-    """
-
-    indices: np.ndarray
-    columns: np.ndarray
-    hamiltonian: np.ndarray
-    control: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _gauge_fix(vectors: np.ndarray) -> np.ndarray:
@@ -345,9 +335,8 @@ def eigendecompose(h: HermitianOperator, order=None) -> DriftSpectrum:
         vals, vecs = np.linalg.eigh(h.matrix[np.ix_(order, order)])
         vecs = vecs[np.argsort(order)]
     vecs = _gauge_fix(vecs)
-    return DriftSpectrum(
-        eigenvalues=vals, eigenvectors=vecs, bare_labels=_assign_labels(vecs)
-    )
+    return DriftSpectrum(eigenvalues=vals, eigenvectors=vecs,
+                         bare_labels=_assign_labels(vecs), hamiltonian=h.matrix)
 
 
 def drift_spectrum(params: SystemParams) -> DriftSpectrum:

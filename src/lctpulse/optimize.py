@@ -325,18 +325,14 @@ def optimize_truncation(
     if tau0 is None:
         raise ConvergenceError("reverse transfer never reaches 99%")
 
-    best = {"value": np.inf, "wf": None, "fwd": None, "rev": None, "tau": None}
+    errors = {}
 
     def objective(x):
         tau = float(x[0])
-        wt = truncate_with_gaussian_tail(pulse, tau, sigma)
-        fwd, rev = forward_and_reverse_error(
-            params, wt, source_label, destination_label
-        )
-        value = max(fwd, rev)
-        if value < best["value"]:
-            best.update(value=value, wf=wt, fwd=fwd, rev=rev, tau=tau)
-        return value
+        errors[tau] = forward_and_reverse_error(
+            params, truncate_with_gaussian_tail(pulse, tau, sigma),
+            source_label, destination_label)
+        return max(errors[tau])
 
     report = nelder_mead(
         objective,
@@ -346,16 +342,17 @@ def optimize_truncation(
         max_evals=max_evals,
         target_value=fidelity_goal,
     )
-    out = OptimizationReport(
-        best_params={"tau_ns": best["tau"], "sigma_ns": sigma},
-        best_value=best["value"],
+    tau = report.best_params["x0"]
+    fwd, rev = errors[tau]
+    return truncate_with_gaussian_tail(pulse, tau, sigma), OptimizationReport(
+        best_params={"tau_ns": tau, "sigma_ns": sigma},
+        best_value=report.best_value,
         evaluations=report.evaluations,
         history=report.history,
         converged=report.best_value < fidelity_goal,
-        forward_error=best["fwd"],
-        reverse_error=best["rev"],
+        forward_error=fwd,
+        reverse_error=rev,
     )
-    return best["wf"], out
 
 
 # ----------------------------------------------------------------
@@ -431,15 +428,14 @@ def fit_analytic_pulse(
     current, rep1 = stage(_STAGE1_FIELDS, init, spread=0.05)
     current, rep2 = stage(_STAGE2_FIELDS, current, spread=0.10)
 
-    best_value = min(rep1.best_value, rep2.best_value)
     report = OptimizationReport(
         best_params={f: getattr(current, f) for f in
                      _STAGE1_FIELDS + _STAGE2_FIELDS},
-        best_value=best_value,
+        best_value=rep2.best_value,
         evaluations=rep1.evaluations + rep2.evaluations,
         history=rep1.history + rep2.history,
-        converged=best_value < fidelity_goal,
-        forward_error=best_value,
+        converged=rep2.best_value < fidelity_goal,
+        forward_error=rep2.best_value,
     )
     return current, report
 

@@ -386,6 +386,11 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
     # The closed form's shape keys are finite numbers.
     cases += [("analytic", "analytic", ANALYTIC, key, value) for key, value in (
         ("alpha1_ghz", nan), ("alpha1_ghz", True), ("tau2_ns", inf))]
+    # A fit's start outside its bounds: the fit would refuse it only after
+    # the bare run and the search (pipeline), or after stage 1 (sigma1_ns).
+    cases += [(command, "analytic", {**ANALYTIC, "fit": True}, key, value)
+              for command in ("analytic", "pipeline")
+              for key, value in (("alpha1_ghz", -4.0), ("sigma1_ns", 6.0))]
     for command, section, base, key, value in cases:
         name = f"{section}-{key}-{value}"
         cfg = _config(tmp_path, f"{name}.json",

@@ -186,6 +186,21 @@ def test_bare_monotone_at_run_grid(bare_run):
     assert dips.min() > -1e-7
 
 
+def _worst_dip(params, lambda_, t_max, dt):
+    target = run_lct(params, _base(t_max=t_max, lambda_=lambda_, dt=dt)).trajectory
+    return abs(np.diff(target.populations["010"]).min())
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.floats(1000.0, 30000.0), st.integers(20, 60))
+def test_dips_shrink_with_the_sample_period(params, lambda_, t_max):
+    # The law makes the target's rate a perfect square at each sample;
+    # what dips is the hold between samples.  Quartering dt must shrink
+    # the worst dip at least fourfold (measured: 8x to 2900x).
+    coarse = _worst_dip(params, lambda_, float(t_max), 0.01)
+    assert _worst_dip(params, lambda_, float(t_max), 0.0025) <= coarse / 4 + 1e-14
+
+
 def test_run_is_deterministic(params, short_run):
     again = run_lct(params, _base(t_max=40.0))
     np.testing.assert_array_equal(short_run.waveform.samples,

@@ -208,6 +208,39 @@ def test_unknown_label_raises(params, spectrum):
 
 
 # ----------------------------------------------------------------
+# excitation sectors
+# ----------------------------------------------------------------
+
+_FOUR_QUBITS = SystemParams.from_ghz([5.890, 5.031, 6.350, 6.720],
+                                     [0.100, 0.071, 0.060, 0.050], 7.445)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("four_qubits", [False, True])
+def test_sectors_are_the_drift_spectrum_on_each_block(params, four_qubits):
+    device = _FOUR_QUBITS if four_qubits else params
+    spectrum, (h, g) = device.drift_spectrum, device.drift_operators
+    assert len(device.sectors) == device.n_qubits + 2
+    for k, sector in enumerate(device.sectors):
+        rows, cols = sector.indices, sector.columns
+        assert _same_bytes(sector.eigenvalues, spectrum.eigenvalues[cols])
+        assert _same_bytes(sector.eigenvectors, spectrum.eigenvectors[np.ix_(rows, cols)])
+        assert _same_bytes(sector.hamiltonian, h[np.ix_(rows, rows)])
+        assert _same_bytes(sector.control, g[np.ix_(rows, rows)])
+        assert sector.bare_labels == [spectrum.bare_labels[c] for c in cols]
+        for lab in sector.bare_labels:
+            assert lab.count("1") == k
+            assert sector.index_of_label(lab) == np.searchsorted(
+                cols, spectrum.index_of_label(lab))
+        outside = next(lab for lab in spectrum.bare_labels if lab.count("1") != k)
+        with pytest.raises(UnknownLabelError):
+            sector.index_of_label(outside)
+
+
+# ----------------------------------------------------------------
 # nonadiabatic couplings
 # ----------------------------------------------------------------
 

@@ -3,6 +3,7 @@ import pytest
 
 from lctpulse import ConvergenceError, LctConfig, SystemParams, Waveform, run_lct
 from lctpulse import optimize
+from lctpulse.dynamics import TrajectoryRecord
 from lctpulse.lct import refined_config, run_lct_lockstep
 from lctpulse.optimize import (
     OptimizationReport,
@@ -13,7 +14,7 @@ from lctpulse.optimize import (
     optimize_truncation,
     reverse_error,
 )
-from lctpulse.pulses import lowpass_filter
+from lctpulse.pulses import lowpass_filter, truncate_with_gaussian_tail
 
 
 def _rosenbrock(x):
@@ -155,6 +156,34 @@ def test_truncation_requires_a_transferring_pulse(params):
     wf = Waveform(dt=0.05, samples=np.zeros(200))
     with pytest.raises(ConvergenceError):
         optimize_truncation(params, wf, 1.0, "100", "010")
+
+
+def test_truncation_reports_the_simplex_best(params, monkeypatch):
+    # Only the untruncated pulse passes.  From tau0 = 95 ns the simplex
+    # reflects past the pulse's end, where the clipped point (the whole
+    # pulse) reads 1e-8 under a large penalty: the report must still be the
+    # simplex's best, with the errors and the pulse of that point.
+    wf = Waveform(dt=0.01, samples=-np.ones(10000))
+    times = np.arange(wf.n + 1) * wf.dt
+    monkeypatch.setattr(optimize, "propagate_waveform", lambda *args, **kw: TrajectoryRecord(
+        times=times, control=wf.samples, populations={"100": 1.0 * (times >= 95.0)},
+        final_state=None))
+    monkeypatch.setattr(optimize, "forward_and_reverse_error", lambda p, wt, *labels: (
+        (1e-8, 2e-9) if np.array_equal(wt.samples, wf.samples) else (1e-3, 5e-4)))
+    simplex = []
+
+    def recorded(*args, **kwargs):
+        simplex.append(nelder_mead(*args, **kwargs))
+        return simplex[-1]
+
+    monkeypatch.setattr(optimize, "nelder_mead", recorded)
+    out, report = optimize_truncation(params, wf, 1.0, "100", "010", fidelity_goal=1e-6)
+    assert any(point[0] == wf.duration for point, _ in report.history)
+    assert report.best_value == simplex[0].best_value == 1e-3
+    assert report.converged == (report.best_value < 1e-6)
+    assert report.best_params["tau_ns"] == simplex[0].best_params["x0"] == 95.0
+    assert (report.forward_error, report.reverse_error) == (1e-3, 5e-4)
+    assert np.array_equal(out.samples, truncate_with_gaussian_tail(wf, 95.0, 1.0).samples)
 
 
 # ----------------------------------------------------------------
