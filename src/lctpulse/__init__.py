@@ -4,7 +4,6 @@ from .dynamics import (
     QuantumState,
     TrajectoryRecord,
     population_derivative_check,
-    propagate_endpoint,
     propagate_step,
     propagate_waveform,
 )
@@ -32,8 +31,10 @@ from .model import (
     sweep_nonadiabatic_couplings,
 )
 from .optimize import (
+    AnalyticConfig,
     OptimizationReport,
     ReversibilityConfig,
+    TruncationConfig,
     fit_analytic_pulse,
     nelder_mead,
     optimize_reversible,

@@ -17,25 +17,10 @@ import time
 import numpy as np
 
 from . import io
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DegenerateLevelsError,
-    UnknownLabelError,
-)
+from .errors import ConfigError, ConvergenceError, DegenerateLevelsError, UnknownLabelError
 from .lct import run_lct
-from .model import (
-    single_excitation_gap_minima,
-    sweep_eigenvalues,
-    sweep_nonadiabatic_couplings,
-)
-from .optimize import (
-    DEFAULT_ANALYTIC_BOUNDS,
-    fit_analytic_pulse,
-    optimize_reversible,
-    optimize_truncation,
-    reverse_error,
-)
+from .model import single_excitation_gap_minima, sweep_eigenvalues, sweep_nonadiabatic_couplings
+from .optimize import fit_analytic_pulse, optimize_reversible, optimize_truncation, reverse_error
 from .pulses import analytic_pulse, fourier_spectrum, lowpass_filter
 from .units import TWO_PI
 
@@ -43,16 +28,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CONVERGENCE = 2
 EXIT_NUMERICAL = 3
-
-
-def _dt_override() -> float | None:
-    raw = os.environ.get("PULSE_DT_NS")
-    if raw is None:
-        return None
-    try:
-        return io._positive(raw)
-    except ValueError as exc:
-        raise ConfigError(f"PULSE_DT_NS: {exc}") from None
 
 
 def _out(ctx: dict, name: str) -> str:
@@ -65,15 +40,21 @@ def _run_inputs(ctx: dict):
     """The device and the seed-section LctConfig, read once per invocation."""
     if "run_inputs" not in ctx:
         ctx["run_inputs"] = (io.device_from_config(ctx["doc"]), io.lct_config_from(
-            ctx["doc"], ctx["args"].seed_section, _dt_override()))
+            ctx["doc"], ctx["args"].seed_section, io.dt_override()))
     return ctx["run_inputs"]
 
 
-def _load_pulse(section: dict, flag_value: str | None):
-    path = flag_value or section.get("pulse_path")
+def _load_pulse(params, flag_value: str | None, pulse_path: str | None):
+    """The pulse --pulse or else pulse_path names, inside the coupler's window."""
+    path = flag_value or pulse_path
     if path is None:
         raise ConfigError("no input pulse: give --pulse or a pulse_path key")
-    return io.read_waveform_csv(path)
+    wf = io.read_waveform_csv(path)
+    try:
+        wf.validate_range(params.omega_tc_max)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return wf
 
 
 def _summary_of_run(result, target_label: str) -> dict:
@@ -168,13 +149,13 @@ def cmd_lct(ctx: dict) -> None:
 def cmd_filter(ctx: dict) -> None:
     doc, args = ctx["doc"], ctx["args"]
     params = io.device_from_config(doc)
-    sec = io.filter_section(doc)
+    cfg = io.filter_section(doc)
     if args.cutoff is not None and not args.cutoff > 0.0:
         raise ConfigError(f"--cutoff must be positive, got {args.cutoff:g}")
-    wf = _load_pulse(sec, args.pulse)
-    cutoff = args.cutoff if args.cutoff is not None else sec.get("cutoff_ghz", 0.45)
+    wf = _load_pulse(params, args.pulse, cfg.pulse_path)
+    cutoff = args.cutoff if args.cutoff is not None else cfg.cutoff_ghz
     filtered = lowpass_filter(
-        wf, cutoff, omega_tc_max=params.omega_tc_max if sec.get("clamp", True) else None)
+        wf, cutoff, omega_tc_max=params.omega_tc_max if cfg.clamp else None)
     _write_pulse_set(ctx, "filtered", params, filtered)
     print(f"filtered at {cutoff:g} GHz")
 
@@ -202,21 +183,16 @@ def cmd_optimize(ctx: dict):
 
 
 @_stage
-def cmd_truncate(ctx: dict, pulse=None):
-    """Shorten the pulse handed on, else the one --pulse or pulse_path names."""
-    sec = io.truncation_section(ctx["doc"])
+def cmd_truncate(ctx: dict, pulse=None, cfg=None):
+    """Shorten the pulse handed on, else --pulse's or pulse_path's, by the
+    config handed on, else the section's."""
+    if cfg is None:
+        cfg = io.truncation_section(ctx["doc"])
     params, base = _run_inputs(ctx)
     if pulse is None:
-        pulse = _load_pulse(sec, ctx["args"].pulse)
+        pulse = _load_pulse(params, ctx["args"].pulse, cfg.pulse_path)
 
-    wf, report = optimize_truncation(
-        params, pulse,
-        sigma=sec.get("sigma_ns", 1.0),
-        source_label=base.initial_label,
-        destination_label=base.target_label,
-        fidelity_goal=sec.get("fidelity_goal", 1e-6),
-        max_evals=sec.get("max_evals", 60),
-    )
+    wf, report = optimize_truncation(params, pulse, base.initial_label, base.target_label, cfg)
     _write_pulse_set(ctx, "truncated", params, wf)
     io.write_json(_out(ctx, "truncate_report.json"), io.report_to_dict(report))
     print(f"truncated to {wf.duration:.2f} ns "
@@ -226,43 +202,37 @@ def cmd_truncate(ctx: dict, pulse=None):
     return wf
 
 
-def _analytic_inputs(ctx: dict):
-    """The `analytic` section and its closed form, checked here, before
-    anything is written: a fit's start must lie inside the fit's bounds,
-    and a form that will not be fitted must be valid as it stands."""
-    sec = io.analytic_section(ctx["doc"])
-    params, base = _run_inputs(ctx)
-    init = io.analytic_params_from_dict(sec)
-    if sec.get("fit", True):
-        for key, (name, factor) in io._ANALYTIC_FIELDS.items():
-            lo, hi = DEFAULT_ANALYTIC_BOUNDS[name]
-            if not lo <= getattr(init, name) <= hi:
-                raise ConfigError(
-                    f"section 'analytic', key {key!r}: {sec[key]:g} lies outside "
-                    f"the fit's bounds [{lo / factor:.4g}, {hi / factor:.4g}]")
-    else:
+def _analytic_config(ctx: dict):
+    """The `analytic` section, checked before anything is written: it gives
+    a closed form, which must be valid as it stands unless it is fitted."""
+    cfg = io.analytic_section(ctx["doc"], io.dt_override())
+    params, _ = _run_inputs(ctx)
+    if cfg.form is None:
+        raise ConfigError("section 'analytic': no closed form; give its eight shape keys")
+    if not cfg.fit:
         try:
-            init.validate(params.omega_tc_max)
+            cfg.form.validate(params.omega_tc_max)
         except ValueError as exc:
             raise ConfigError(f"section 'analytic': {exc}") from exc
-    return sec, params, base, init
+    return cfg
 
 
 @_stage
-def cmd_analytic(ctx: dict) -> None:
-    sec, params, base, init = _analytic_inputs(ctx)
-    dt = _dt_override() or sec.get("dt_ns", 0.01)
-    if sec.get("fit", True):
+def cmd_analytic(ctx: dict, cfg=None) -> None:
+    """The closed form of the config handed on, else the section's, fitted
+    unless fit is false."""
+    if cfg is None:
+        cfg = _analytic_config(ctx)
+    params, base = _run_inputs(ctx)
+    if cfg.fit:
         fitted, report = fit_analytic_pulse(
-            params, init, base.initial_label, base.target_label, dt=dt,
-            fidelity_goal=sec.get("fidelity_goal", 1e-6),
-        )
+            params, cfg.form, base.initial_label, base.target_label, cfg)
         io.write_json(_out(ctx, "analytic_report.json"), io.report_to_dict(report))
     else:
-        fitted = init
+        fitted = cfg.form
     io.write_json(_out(ctx, "analytic_params.json"),
                   io.analytic_params_to_dict(fitted))
-    wf = analytic_pulse(fitted, dt, omega_tc_max=params.omega_tc_max)
+    wf = analytic_pulse(fitted, cfg.dt_ns, omega_tc_max=params.omega_tc_max)
     _write_pulse_set(ctx, "analytic", params, wf)
 
     err = reverse_error(params, wf, base.initial_label, base.target_label)
@@ -276,19 +246,19 @@ def cmd_pipeline(ctx: dict) -> None:
     """Bare run and reversibility search, then, each when its section is
     present, truncation of the optimized pulse and the closed-form fit."""
     doc = ctx["doc"]
-    # A bad later section fails before the search spends its time.
-    io.truncation_section(doc)
-    if doc.get("analytic") is not None:
-        _analytic_inputs(ctx)
+    # Each later section is read once, before the search spends its time,
+    # and its config is handed on.
+    truncation = io.truncation_section(doc) if doc.get("truncation") is not None else None
+    analytic = _analytic_config(ctx) if doc.get("analytic") is not None else None
     stage = "optimize"
     try:
         pulse = cmd_optimize(ctx)
-        if doc.get("truncation") is not None:
+        if truncation is not None:
             stage = "truncate"
-            cmd_truncate(ctx, pulse)
-        if doc.get("analytic") is not None:
+            cmd_truncate(ctx, pulse, truncation)
+        if analytic is not None:
             stage = "analytic"
-            cmd_analytic(ctx)
+            cmd_analytic(ctx, analytic)
     except ConvergenceError as exc:
         raise ConvergenceError(f"pipeline stage {stage!r}: {exc}") from exc
 
@@ -303,41 +273,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Pulse synthesis for tunable-coupler population transfer.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    commands = {}
+    for name, text in (("spectrum", "sweep the drift spectrum over the shift"),
+                       ("lct", "run the feedback loop once"),
+                       ("filter", "low-pass an existing pulse"),
+                       ("optimize", "bare run plus reversibility search"),
+                       ("truncate", "shorten a pulse with a Gaussian tail"),
+                       ("analytic", "closed-form pulse, optionally fitted"),
+                       ("pipeline", "run every configured stage in order")):
+        p = commands[name] = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="JSON config document")
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--seed-section", default="lct",
                        help="config section holding the feedback-run settings")
-
-    p = sub.add_parser("spectrum", help="sweep the drift spectrum over the shift")
-    common(p)
-    p.add_argument("--range", dest="sweep_range", nargs=2, type=float,
-                   default=(-3.0, 0.0), metavar=("LO", "HI"),
-                   help="shift range in GHz")
-    p.add_argument("--steps", type=int, default=601)
-
-    p = sub.add_parser("lct", help="run the feedback loop once")
-    common(p)
-
-    p = sub.add_parser("filter", help="low-pass an existing pulse")
-    common(p)
-    p.add_argument("--pulse", help="waveform CSV (overrides pulse_path)")
-    p.add_argument("--cutoff", type=float, help="cutoff in GHz")
-
-    p = sub.add_parser("optimize", help="bare run plus reversibility search")
-    common(p)
-
-    p = sub.add_parser("truncate", help="shorten a pulse with a Gaussian tail")
-    common(p)
-    p.add_argument("--pulse", help="waveform CSV (overrides pulse_path)")
-
-    p = sub.add_parser("analytic", help="closed-form pulse, optionally fitted")
-    common(p)
-
-    p = sub.add_parser("pipeline", help="run every configured stage in order")
-    common(p)
-
+    commands["spectrum"].add_argument("--range", dest="sweep_range", nargs=2, type=float,
+                                      default=(-3.0, 0.0), metavar=("LO", "HI"),
+                                      help="shift range in GHz")
+    commands["spectrum"].add_argument("--steps", type=int, default=601)
+    for name in ("filter", "truncate"):
+        commands[name].add_argument("--pulse", help="waveform CSV (overrides pulse_path)")
+    commands["filter"].add_argument("--cutoff", type=float, help="cutoff in GHz")
     return parser
 
 

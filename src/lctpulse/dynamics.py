@@ -24,7 +24,6 @@ from .model import (
     DriftSpectrum,
     HermitianOperator,
     SystemParams,
-    drift_spectrum,
     eigendecompose,
     held_hamiltonians,
 )
@@ -178,7 +177,7 @@ def propagate_waveform(
     """
     if psi0.dim != params.dim:
         raise ValueError("state dimension does not match the device")
-    spectrum = drift_spectrum(params)
+    spectrum = params.drift_spectrum
     track_vecs = spectrum.eigenvectors[:, [spectrum.index_of_label(lab) for lab in tracked]]
 
     n = wf.n
@@ -215,22 +214,17 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def propagate_endpoint(params: SystemParams, psi0: QuantumState, wf: Waveform) -> QuantumState:
-    """The state at the end of wf, for callers that read nothing else.
+def propagate_endpoints(params: SystemParams, states: list, wf: Waveform) -> list:
+    """The states at the end of wf, for callers that read nothing else.
 
     Per occupied block, the step unitaries U_k = V_k diag(exp(-i w_k dt))
     V_k^H come from one batched eigh per CHUNK samples and are multiplied
     as a pairwise tree, so the replay is log2(n) batched products instead
     of n sequential steps.  It agrees with propagate_waveform to rounding,
-    not bit for bit.
+    not bit for bit.  Each block's product is built once for all the
+    states that occupy it, and each result is bit for bit the one of a
+    lone call.
     """
-    return propagate_endpoints(params, [psi0], wf)[0]
-
-
-def propagate_endpoints(params: SystemParams, states: list, wf: Waveform) -> list:
-    """propagate_endpoint for several states, each block's product built
-    once for all the states that occupy it; each result is bit for bit the
-    one of a lone call."""
     if any(psi0.dim != params.dim for psi0 in states):
         raise ValueError("state dimension does not match the device")
     finals = [np.zeros(params.dim, dtype=complex) for _ in states]

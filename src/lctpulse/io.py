@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .lct import LctConfig
-from .model import SystemParams, frequency_to_flux
-from .optimize import OptimizationReport, ReversibilityConfig
+from .model import SystemParams
+from .optimize import (DEFAULT_ANALYTIC_BOUNDS, AnalyticConfig, OptimizationReport,
+                       ReversibilityConfig, TruncationConfig)
 from .pulses import AnalyticPulseParams, PulseSpectrum, Waveform
 from .units import TWO_PI
 
@@ -118,6 +120,15 @@ def _positives(value) -> tuple:
     return tuple(map(float, value))
 
 
+def dt_override() -> float | None:
+    """PULSE_DT_NS, which replaces every section's dt_ns; None when unset."""
+    raw = os.environ.get("PULSE_DT_NS")
+    try:
+        return None if raw is None else _positive(raw)
+    except ValueError as exc:
+        raise ConfigError(f"PULSE_DT_NS: {exc}") from None
+
+
 def device_from_config(doc: dict) -> SystemParams:
     """Build SystemParams from the `device` section."""
     known = {"qubit_freqs_ghz": _positives, "couplings_ghz": _positives,
@@ -171,15 +182,27 @@ def reversibility_config_from(doc: dict) -> ReversibilityConfig:
     return ReversibilityConfig(**_section(doc, "reversibility", _REVERSIBILITY_KEYS))
 
 
-def filter_section(doc: dict) -> dict:
-    """The `filter` section, {} when absent, its values cast."""
-    return _section(doc, "filter", {"pulse_path": str, "cutoff_ghz": _positive, "clamp": _boolean})
+@dataclass(frozen=True)
+class FilterConfig:
+    """Settings for the filter command; --cutoff overrides cutoff_ghz and
+    --pulse pulse_path."""
+
+    cutoff_ghz: float = 0.45
+    clamp: bool = True
+    pulse_path: str | None = None
 
 
-def truncation_section(doc: dict) -> dict:
-    """The `truncation` section, {} when absent, its values cast."""
-    return _section(doc, "truncation", {"sigma_ns": _positive, "fidelity_goal": _goal,
-                                        "max_evals": _integer, "pulse_path": str})
+def filter_section(doc: dict) -> FilterConfig:
+    """The `filter` section as a FilterConfig; absent keys keep defaults."""
+    return FilterConfig(**_section(
+        doc, "filter", {"pulse_path": str, "cutoff_ghz": _positive, "clamp": _boolean}))
+
+
+def truncation_section(doc: dict) -> TruncationConfig:
+    """The `truncation` section as a TruncationConfig; absent keys keep defaults."""
+    return TruncationConfig(**_section(
+        doc, "truncation", {"sigma_ns": _positive, "fidelity_goal": _goal,
+                            "max_evals": _integer, "pulse_path": str}))
 
 
 # Closed-form config key -> (AnalyticPulseParams field, factor from the
@@ -193,10 +216,24 @@ _ANALYTIC_KEYS = {**dict.fromkeys(_ANALYTIC_FIELDS, _finite),
                   "fit": _boolean, "dt_ns": _positive, "fidelity_goal": _goal}
 
 
-def analytic_section(doc: dict) -> dict:
-    """The `analytic` section, which the analytic stage requires, its
-    values cast."""
-    return _section(doc, "analytic", _ANALYTIC_KEYS, required=())
+def analytic_section(doc: dict, dt_override: float | None = None) -> AnalyticConfig:
+    """The `analytic` section, which the analytic stage requires, as an
+    AnalyticConfig; dt_override (PULSE_DT_NS) replaces its dt_ns.  The
+    eight shape keys give the closed form, all or none (form None); with
+    fit true each must lie inside the fit's bounds."""
+    sec = _section(doc, "analytic", _ANALYTIC_KEYS, required=())
+    shape = {key: sec.pop(key) for key in _ANALYTIC_FIELDS if key in sec}
+    if dt_override is not None:
+        sec["dt_ns"] = dt_override
+    cfg = AnalyticConfig(form=analytic_params_from_dict(shape) if shape else None, **sec)
+    if cfg.fit and shape:
+        for key, (name, factor) in _ANALYTIC_FIELDS.items():
+            lo, hi = DEFAULT_ANALYTIC_BOUNDS[name]
+            if not lo <= getattr(cfg.form, name) <= hi:
+                raise ConfigError(
+                    f"section 'analytic', key {key!r}: {shape[key]:g} lies outside "
+                    f"the fit's bounds [{lo / factor:.4g}, {hi / factor:.4g}]")
+    return cfg
 
 
 def analytic_params_from_dict(obj: dict) -> AnalyticPulseParams:
@@ -268,6 +305,8 @@ def read_waveform_csv(path: str) -> Waveform:
         raise ConfigError(f"{path}: not a waveform CSV: {exc}") from exc
     if data.shape[1] != 2 or data.shape[0] < 2:
         raise ConfigError(f"{path}: expected two columns and at least two rows")
+    if not np.isfinite(data).all():
+        raise ConfigError(f"{path}: times and samples must be finite")
     t = data[:, 0]
     dt = (t[-1] - t[0]) / (t.size - 1)
     if dt <= 0 or not np.allclose(np.diff(t), dt, rtol=0, atol=1e-6):
@@ -279,12 +318,11 @@ def write_flux_csv(path: str, params: SystemParams, wf: Waveform):
     """Export the pulse as the flux drive realizing it.
 
     The column is frequency_to_flux applied to every sample at once; a
-    sample outside the tunable window raises its ValueError.
+    sample outside the tunable window raises Waveform.validate_range's
+    ValueError.
     """
+    wf.validate_range(params.omega_tc_max)
     omega_tc = params.omega_tc_max + wf.samples
-    outside = ~((omega_tc >= 0.0) & (omega_tc <= params.omega_tc_max))
-    if outside.any():
-        frequency_to_flux(params, omega_tc[outside][0])  # raises
     phis = np.arccos((omega_tc / params.omega_tc_max) ** 2) / np.pi
     _write_csv(path, "t_ns,phi_over_phi0", [wf.times(), phis], ["%.9f", "%.12f"])
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dynamics import QuantumState, TrajectoryRecord, apply_step, step_factors
 from .errors import ConfigError
-from .model import DriftSpectrum, SystemParams, drift_spectrum, product_labels
+from .model import DriftSpectrum, SystemParams, product_labels
 from .pulses import Waveform, clamp_floor, clamp_samples
 
 
@@ -182,7 +182,7 @@ def _loop(params: SystemParams, config: LctConfig) -> tuple:
     target and initial eigenstates, the step count and the seeded initial
     state's block amplitudes.
     """
-    spectrum = drift_spectrum(params)
+    spectrum = params.drift_spectrum
     j = spectrum.index_of_label(config.target_label)
     i0 = spectrum.index_of_label(config.initial_label)
     sector = params.sectors[config.target_label.count("1")]
@@ -228,7 +228,7 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
     tracked label outside the block reads one shared read-only array of
     zeros.
     """
-    spectrum = drift_spectrum(params)
+    spectrum = params.drift_spectrum
     sector, m_row, jb, _, n_steps, psi = _loop(params, config)
     reference, gain = _reference(config, n_steps), _gain(config)
 

@@ -339,11 +339,6 @@ def eigendecompose(h: HermitianOperator, order=None) -> DriftSpectrum:
                          bare_labels=_assign_labels(vecs), hamiltonian=h.matrix)
 
 
-def drift_spectrum(params: SystemParams) -> DriftSpectrum:
-    """The device's drift spectrum, built once per SystemParams instance."""
-    return params.drift_spectrum
-
-
 def held_hamiltonians(h: np.ndarray, g: np.ndarray, deltas) -> np.ndarray:
     """h + delta g for each coupler shift, stacked along the shape of deltas."""
     return h + np.asarray(deltas, dtype=float)[..., None, None] * g

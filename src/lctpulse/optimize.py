@@ -27,7 +27,7 @@ from .errors import ConvergenceError
 # benchmark's tracer wraps it in every module that binds it, and its test
 # checks this module among them.
 from .lct import LctConfig, refined_config, run_lct, run_lct_lockstep  # noqa: F401
-from .model import SystemParams, drift_spectrum
+from .model import SystemParams
 from .pulses import (
     AnalyticPulseParams,
     Waveform,
@@ -48,6 +48,9 @@ _PENALTY = 1e6
 _TRUNCATION_TOLERANCE = 1e-3
 _FIT_TOLERANCE = 1e-6
 _FIT_MAX_EVALS = 2000
+
+# Every search's default pass mark for its transfer errors.
+FIDELITY_GOAL = 1e-6
 
 
 @dataclass
@@ -86,7 +89,31 @@ class ReversibilityConfig:
 
     lambda2_init: float = 300.0
     cutoff_candidates_ghz: tuple = (0.40, 0.45, 0.50)
-    fidelity_goal: float = 1e-6
+    fidelity_goal: float = FIDELITY_GOAL
+
+
+@dataclass(frozen=True)
+class TruncationConfig:
+    """Settings for the truncation search: the tail's width, the pass mark
+    for both errors and the simplex's evaluation cap.  pulse_path, which the
+    search does not read, names the pulse the CLI shortens by default."""
+
+    sigma_ns: float = 1.0
+    fidelity_goal: float = FIDELITY_GOAL
+    max_evals: int = 60
+    pulse_path: str | None = None
+
+
+@dataclass(frozen=True)
+class AnalyticConfig:
+    """Settings for the closed-form stage: the fit samples at dt_ns and
+    passes below fidelity_goal.  form (the closed form) and fit (whether
+    the CLI fits it) are the CLI's; the fit is handed its start."""
+
+    form: AnalyticPulseParams | None = None
+    fit: bool = True
+    dt_ns: float = 0.01
+    fidelity_goal: float = FIDELITY_GOAL
 
 
 def _simplex_diameter(simplex: np.ndarray) -> float:
@@ -222,7 +249,7 @@ def forward_and_reverse_error(
 
 def _transfer_errors(params: SystemParams, wf: Waveform, pairs: list) -> list:
     """1 - P(destination) for each (source, destination) label pair under wf."""
-    spectrum = drift_spectrum(params)
+    spectrum = params.drift_spectrum
     finals = propagate_endpoints(
         params, [QuantumState(spectrum.state(src)) for src, _ in pairs], wf)
     return [1.0 - float(abs(np.vdot(spectrum.state(dst), final.amplitudes)) ** 2)
@@ -307,11 +334,9 @@ def optimize_reversible(
 def optimize_truncation(
     params: SystemParams,
     pulse: Waveform,
-    sigma: float,
     source_label: str,
     destination_label: str,
-    fidelity_goal: float = 1e-6,
-    max_evals: int = 60,
+    cfg: TruncationConfig = TruncationConfig(),
 ) -> tuple:
     """Shorten a reversible pulse with a half-Gaussian tail.
 
@@ -319,7 +344,7 @@ def optimize_truncation(
     then tuned by a 1-d simplex on max(forward, reverse) error.  Returns
     (truncated waveform, OptimizationReport).
     """
-    psi_rev = QuantumState(amplitudes=drift_spectrum(params).state(destination_label))
+    psi_rev = QuantumState(amplitudes=params.drift_spectrum.state(destination_label))
     traj = propagate_waveform(params, psi_rev, pulse, tracked=[source_label])
     tau0 = traj.time_to_population(source_label, 0.99)
     if tau0 is None:
@@ -330,7 +355,7 @@ def optimize_truncation(
     def objective(x):
         tau = float(x[0])
         errors[tau] = forward_and_reverse_error(
-            params, truncate_with_gaussian_tail(pulse, tau, sigma),
+            params, truncate_with_gaussian_tail(pulse, tau, cfg.sigma_ns),
             source_label, destination_label)
         return max(errors[tau])
 
@@ -339,17 +364,17 @@ def optimize_truncation(
         x0=np.array([tau0]),
         bounds=[(0.5 * tau0, pulse.duration)],
         tolerance=_TRUNCATION_TOLERANCE * tau0,
-        max_evals=max_evals,
-        target_value=fidelity_goal,
+        max_evals=cfg.max_evals,
+        target_value=cfg.fidelity_goal,
     )
     tau = report.best_params["x0"]
     fwd, rev = errors[tau]
-    return truncate_with_gaussian_tail(pulse, tau, sigma), OptimizationReport(
-        best_params={"tau_ns": tau, "sigma_ns": sigma},
+    return truncate_with_gaussian_tail(pulse, tau, cfg.sigma_ns), OptimizationReport(
+        best_params={"tau_ns": tau, "sigma_ns": cfg.sigma_ns},
         best_value=report.best_value,
         evaluations=report.evaluations,
         history=report.history,
-        converged=report.best_value < fidelity_goal,
+        converged=report.best_value < cfg.fidelity_goal,
         forward_error=fwd,
         reverse_error=rev,
     )
@@ -397,8 +422,7 @@ def fit_analytic_pulse(
     init: AnalyticPulseParams,
     source_label: str,
     destination_label: str,
-    dt: float = 0.01,
-    fidelity_goal: float = 1e-6,
+    cfg: AnalyticConfig = AnalyticConfig(),
 ) -> tuple:
     """Two-stage fit of the closed-form pulse.
 
@@ -407,7 +431,7 @@ def fit_analytic_pulse(
     from the stage-1 point, so its best value can only improve on stage 1.
     Returns (AnalyticPulseParams, OptimizationReport).
     """
-    evaluate = _analytic_objective(params, source_label, destination_label, dt)
+    evaluate = _analytic_objective(params, source_label, destination_label, cfg.dt_ns)
 
     def stage(fields, frozen: AnalyticPulseParams, spread: float):
         def obj(x):
@@ -434,7 +458,7 @@ def fit_analytic_pulse(
         best_value=rep2.best_value,
         evaluations=rep1.evaluations + rep2.evaluations,
         history=rep1.history + rep2.history,
-        converged=rep2.best_value < fidelity_goal,
+        converged=rep2.best_value < cfg.fidelity_goal,
         forward_error=rep2.best_value,
     )
     return current, report

@@ -49,11 +49,12 @@ class Waveform:
         return np.arange(self.n) * self.dt
 
     def validate_range(self, omega_tc_max: float):
-        """Check the physical window: samples in (-omega_tc_max, 0]."""
-        if self.samples.max() > 0.0:
-            raise ValueError("waveform exceeds 0 (coupler above its maximum)")
-        if self.samples.min() <= -omega_tc_max:
-            raise ValueError("waveform at or below -omega_tc_max")
+        """Check the flux map's window: every sample in [-omega_tc_max, 0],
+        so the coupler's frequency lies in [0, omega_tc_max]."""
+        bad = np.flatnonzero((self.samples > 0.0) | (self.samples < -omega_tc_max))
+        if bad.size:
+            raise ValueError(f"sample at t = {bad[0] * self.dt:.6g} ns ({self.samples[bad[0]]:.6g} "
+                             f"rad/ns) lies outside the coupler's window [{-omega_tc_max:.6g}, 0]")
 
 
 def clamp_floor(omega_tc_max: float) -> float:

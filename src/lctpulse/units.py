@@ -9,13 +9,3 @@ boundary (io, cli, summaries); never mix conventions inside the numerics.
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-
-
-def ghz_to_rad_ns(nu):
-    """Ordinary frequency in GHz -> angular frequency in rad/ns."""
-    return TWO_PI * np.asarray(nu, dtype=float) if np.ndim(nu) else TWO_PI * float(nu)
-
-
-def rad_ns_to_ghz(omega):
-    """Angular frequency in rad/ns -> ordinary frequency in GHz."""
-    return np.asarray(omega, dtype=float) / TWO_PI if np.ndim(omega) else float(omega) / TWO_PI

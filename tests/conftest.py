@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lctpulse import SystemParams
-from lctpulse.dynamics import drift_spectrum
 
 # Registry for the acceptance suite's one-line verdicts, printed at the end
 # of the run so they survive pytest's output capture.
@@ -23,7 +22,7 @@ def params():
 
 @pytest.fixture(scope="session")
 def spectrum(params):
-    return drift_spectrum(params)
+    return params.drift_spectrum
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,6 @@ from conftest import ACCEPTANCE_LINES
 from lctpulse.cli import main
 from lctpulse.dynamics import (
     QuantumState,
-    drift_spectrum,
     population_derivative_check,
     propagate_step,
     propagate_waveform,
@@ -46,6 +45,7 @@ from lctpulse.model import (
 )
 from lctpulse.optimize import (
     ReversibilityConfig,
+    TruncationConfig,
     fit_analytic_pulse,
     optimize_reversible,
     optimize_truncation,
@@ -229,7 +229,7 @@ def test_criterion_2_monotone_transfer(params, base_config, bare, spectrum):
 # that excludes the 100<->001 (1.57 GHz) and 010<->001 (2.42 GHz) lines
 # and the harmonic 2 f_ex.
 def test_criterion_3_dominant_spectral_line(params, bare):
-    spec = drift_spectrum(params)
+    spec = params.drift_spectrum
     levels = spec.eigenvalues
     f_ex = float(
         levels[spec.index_of_label("100")] - levels[spec.index_of_label("010")]
@@ -374,7 +374,7 @@ def test_criterion_7_reversibility_search(params, base_config, bare, reversible)
 
 def test_criterion_8_truncated_pulse(params, base_config, reversible):
     wf, rep = optimize_truncation(
-        params, reversible["waveform"], 1.0, "100", "010"
+        params, reversible["waveform"], "100", "010", TruncationConfig(sigma_ns=1.0)
     )
     ok = (
         rep.converged

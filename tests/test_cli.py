@@ -452,3 +452,31 @@ def test_bare_pulse_missing_the_goal_exits_2_before_the_search(tmp_path, capsys)
     assert "misses the goal" in err
     assert (out / "bare.csv").exists()
     assert not (out / "optimize_report.json").exists()
+
+
+def test_non_finite_pulse_sample_exits_1_naming_the_file(tmp_path, capsys):
+    pulse_path = tmp_path / "nan.csv"
+    pulse_path.write_text("t_ns,delta_omega_ghz\n0.0,-0.1\n0.01,nan\n0.02,-0.1\n")
+    cfg = _config(tmp_path)
+    code, out = _run(tmp_path, "filter", "--config", cfg, "--pulse", str(pulse_path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {pulse_path}:") and "finite" in err
+    assert list(out.iterdir()) == []
+
+
+def test_pulse_outside_the_window_exits_1_before_any_file(tmp_path, capsys):
+    # Unclamped, the filter would hand such a pulse to the flux export,
+    # which refuses it only after filtered.csv is written.
+    for name, ghz in (("above", 0.5), ("below", -8.0)):
+        pulse_path = str(tmp_path / f"{name}.csv")
+        write_waveform_csv(pulse_path, Waveform(dt=0.01, samples=TWO_PI * np.array([-0.1, ghz])))
+        cfg = _config(tmp_path, f"{name}.json", lct=LCT_SHORT, filter={"clamp": False},
+                      truncation={"pulse_path": pulse_path})
+        for argv in (["filter", "--pulse", pulse_path], ["truncate"]):
+            code, out = _run(tmp_path / name / argv[0], *argv, "--config", cfg)
+            assert code == 1, (name, argv)
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {pulse_path}:"), (name, argv)
+            assert "outside the coupler's window" in err, (name, argv)
+            assert list(out.iterdir()) == [], (name, argv)

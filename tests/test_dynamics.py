@@ -20,8 +20,6 @@ from lctpulse.dynamics import (
     CHUNK,
     _ordered_product,
     apply_step,
-    drift_spectrum,
-    propagate_endpoint,
     propagate_endpoints,
     step_factors,
 )
@@ -258,7 +256,7 @@ def _whole_stack_endpoints(params, states, wf):
 def _whole_stack_waveform(params, psi0, wf, tracked):
     """propagate_waveform's final state and populations with every step
     factor of a block built before its loop."""
-    spectrum = drift_spectrum(params)
+    spectrum = params.drift_spectrum
     track_vecs = np.stack([spectrum.state(lab) for lab in tracked], axis=1)
     final = np.zeros(params.dim, dtype=complex)
     overlaps = np.zeros((wf.n + 1, len(tracked)), dtype=complex)
@@ -295,7 +293,7 @@ def test_chunked_replays_match_the_whole_stack_bitwise(rng, n_qubits, n):
         for got, want in zip(ours, _whole_stack_endpoints(params, states[:count], wf)):
             assert got.amplitudes.tobytes() == want.tobytes()
 
-    tracked = drift_spectrum(params).bare_labels
+    tracked = params.drift_spectrum.bare_labels
     traj = propagate_waveform(params, states[0], wf, tracked)
     final, pops = _whole_stack_waveform(params, states[0], wf, tracked)
     assert traj.final_state.amplitudes.tobytes() == final.tobytes()
@@ -315,7 +313,7 @@ def test_replays_never_build_more_than_chunk_steps(params, rng, monkeypatch):
     wf = Waveform(dt=0.01, samples=-params.omega_tc_max * rng.uniform(0.0, 0.9, 3 * CHUNK))
     psi = _random_state(rng)  # occupies all four blocks
     propagate_waveform(params, psi, wf, tracked=[])
-    propagate_endpoint(params, psi, wf)
+    propagate_endpoints(params, [psi], wf)
     assert max(sizes) == CHUNK
     assert sum(sizes) == 2 * len(params.sectors) * wf.n
 
@@ -350,7 +348,7 @@ def test_block_propagation_matches_dense_oracle(case):
     params, psi, wf = case
     h_d = build_drift_hamiltonian(params).matrix
     gen = build_control_generator(params).matrix
-    spectrum = drift_spectrum(params)
+    spectrum = params.drift_spectrum
     tracked = spectrum.bare_labels[:3]
     rows = np.stack([spectrum.state(lab) for lab in tracked]).conj()
 
@@ -369,7 +367,7 @@ def test_block_propagation_matches_dense_oracle(case):
         np.column_stack([traj.populations[lab] for lab in tracked]),
         np.array(pops), rtol=0, atol=1e-10)
 
-    end = propagate_endpoint(params, psi, wf).amplitudes
+    end = propagate_endpoints(params, [psi], wf)[0].amplitudes
     for lab in tracked:
         p_end = abs(np.vdot(spectrum.state(lab), end)) ** 2
         assert abs(p_end - traj.final_population(lab)) <= 1e-11

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from lctpulse import ConfigError, SystemParams, Waveform
 from lctpulse.dynamics import TrajectoryRecord, QuantumState
 from lctpulse.io import (
     CHUNK,
+    FilterConfig,
     RunManifest,
     _write_csv,
     analytic_params_from_dict,
@@ -32,7 +34,13 @@ from lctpulse.io import (
     write_waveform_csv,
 )
 from lctpulse.lct import LctConfig, run_lct
-from lctpulse.optimize import OptimizationReport
+from lctpulse.optimize import (
+    AnalyticConfig,
+    OptimizationReport,
+    TruncationConfig,
+    fit_analytic_pulse,
+    optimize_truncation,
+)
 from lctpulse.model import frequency_to_flux
 from lctpulse.pulses import AnalyticPulseParams, clamp_floor, fourier_spectrum
 from lctpulse.units import TWO_PI
@@ -127,7 +135,7 @@ def test_integer_keys_take_whole_numbers_only():
     for value in (3, 3.0):
         n_prime = lct_config_from({"lct": {**lct, "n_prime": value}}).n_prime
         assert n_prime == 3 and type(n_prime) is int
-        max_evals = truncation_section({"truncation": {"max_evals": value}})["max_evals"]
+        max_evals = truncation_section({"truncation": {"max_evals": value}}).max_evals
         assert max_evals == 3 and type(max_evals) is int
     for value in (2.7, True, False, float("inf"), float("nan"), "x"):
         with pytest.raises(ConfigError, match="section 'lct', key 'n_prime'"):
@@ -189,8 +197,8 @@ def test_cutoffs_take_a_non_empty_list_of_positive_numbers_only():
 def test_fidelity_goals_lie_strictly_between_0_and_1():
     readers = {
         "reversibility": lambda sec: reversibility_config_from(sec).fidelity_goal,
-        "truncation": lambda sec: truncation_section(sec)["fidelity_goal"],
-        "analytic": lambda sec: analytic_section(sec)["fidelity_goal"],
+        "truncation": lambda sec: truncation_section(sec).fidelity_goal,
+        "analytic": lambda sec: analytic_section(sec).fidelity_goal,
     }
     for name, read in readers.items():
         assert read({name: {"fidelity_goal": 1e-6}}) == 1e-6
@@ -202,9 +210,9 @@ def test_fidelity_goals_lie_strictly_between_0_and_1():
 
 def test_cutoffs_widths_and_steps_are_positive_and_gains_not_negative():
     readers = {
-        ("filter", "cutoff_ghz"): lambda sec: filter_section(sec)["cutoff_ghz"],
-        ("truncation", "sigma_ns"): lambda sec: truncation_section(sec)["sigma_ns"],
-        ("analytic", "dt_ns"): lambda sec: analytic_section(sec)["dt_ns"],
+        ("filter", "cutoff_ghz"): lambda sec: filter_section(sec).cutoff_ghz,
+        ("truncation", "sigma_ns"): lambda sec: truncation_section(sec).sigma_ns,
+        ("analytic", "dt_ns"): lambda sec: analytic_section(sec).dt_ns,
     }
     for (name, key), read in readers.items():
         assert read({name: {key: 0.45}}) == 0.45
@@ -231,9 +239,10 @@ def test_truncation_and_analytic_sections_reject_unknown_keys():
                                 "max_evals": 60, "pulse_path": "in.csv"},
                  "analytic": {**analytic, "fit": False, "dt_ns": 0.01,
                               "fidelity_goal": 1e-6}}
-    assert truncation_section(every_key) == every_key["truncation"]
-    assert analytic_section(every_key) == every_key["analytic"]
-    assert truncation_section({}) == {}
+    assert truncation_section(every_key) == TruncationConfig(**every_key["truncation"])
+    assert analytic_section(every_key) == AnalyticConfig(
+        analytic_params_from_dict(analytic), fit=False, dt_ns=0.01, fidelity_goal=1e-6)
+    assert truncation_section({}) == TruncationConfig()
     with pytest.raises(ConfigError, match="missing config section 'analytic'"):
         analytic_section({})
     # A key the truncation search never reads from config, and a misspelt one.
@@ -256,8 +265,8 @@ def test_device_lct_and_filter_sections_reject_unknown_keys():
     with pytest.raises(ConfigError, match=r"section 'alt': unknown keys \['n_primes'\]"):
         lct_config_from({"alt": {**lct, "n_primes": 2}}, "alt")
     every_key = {"pulse_path": "in.csv", "cutoff_ghz": 0.3, "clamp": False}
-    assert filter_section({"filter": every_key}) == every_key
-    assert filter_section({}) == {}
+    assert filter_section({"filter": every_key}) == FilterConfig(**every_key)
+    assert filter_section({}) == FilterConfig()
     with pytest.raises(ConfigError, match=r"section 'filter': unknown keys \['cutof_ghz'\]"):
         filter_section({"filter": {"cutof_ghz": 0.3}})
     for value in (0.45, [0.3]):
@@ -265,6 +274,31 @@ def test_device_lct_and_filter_sections_reject_unknown_keys():
             filter_section({"filter": value})
     with pytest.raises(ConfigError, match="config section 'device' must be an object"):
         device_from_config({"device": [5.890, 5.031]})
+
+
+def test_stage_defaults_have_one_source():
+    # Each stage's defaults live in its config: a section that omits every
+    # optional key, and one that spells out every documented default, read
+    # as the default instance, and so do the drivers called without one.
+    documented = {
+        "filter": (filter_section, FilterConfig(), {"cutoff_ghz": 0.45, "clamp": True}),
+        "truncation": (truncation_section, TruncationConfig(),
+                       {"sigma_ns": 1.0, "fidelity_goal": 1e-6, "max_evals": 60}),
+        "analytic": (analytic_section, AnalyticConfig(),
+                     {"fit": True, "dt_ns": 0.01, "fidelity_goal": 1e-6}),
+    }
+    for name, (read, default, spelt_out) in documented.items():
+        assert read({name: {}}) == default, name
+        assert read({name: spelt_out}) == default, name
+    shape = {"alpha1_ghz": -1.591, "alpha3_ghz": -2.457, "tau1_ns": 7.2, "tau2_ns": 8.9,
+             "tau3_ns": 11.4, "sigma1_ns": 1.37, "sigma2_ns": 0.2, "sigma3_ns": 1.83}
+    form = analytic_params_from_dict(shape)
+    assert analytic_section({"analytic": shape}) == AnalyticConfig(form=form)
+    assert analytic_section({"analytic": {**shape, "dt_ns": 0.05}}, dt_override=0.02) == \
+        AnalyticConfig(form=form, dt_ns=0.02)
+    for driver, default in ((optimize_truncation, TruncationConfig()),
+                            (fit_analytic_pulse, AnalyticConfig())):
+        assert inspect.signature(driver).parameters["cfg"].default == default
 
 
 def test_analytic_params_roundtrip():
@@ -371,6 +405,16 @@ def test_flux_csv_matches_scalar_map(tmp_path, params):
     np.savetxt(scalar, np.column_stack([wf.times(), phis]), fmt=["%.9f", "%.12f"],
                delimiter=",", header="t_ns,phi_over_phi0", comments="")
     assert path.read_bytes() == scalar.read_bytes()
+
+
+def test_flux_window_includes_both_ends(tmp_path, params):
+    # The window is [-omega_tc_max, 0]: a coupler tuned down to 0 is half
+    # a flux quantum, for the pulse check and the flux export alike.
+    wf = Waveform(dt=0.01, samples=np.array([0.0, -params.omega_tc_max]))
+    wf.validate_range(params.omega_tc_max)
+    path = str(tmp_path / "flux.csv")
+    write_flux_csv(path, params, wf)
+    assert np.loadtxt(path, delimiter=",", skiprows=1)[:, 1].tolist() == [0.0, 0.5]
 
 
 @pytest.mark.parametrize("bad_ghz", [1e-9, -8.0])

@@ -14,7 +14,7 @@ from lctpulse import (
     refined_config,
     run_lct,
 )
-from lctpulse.dynamics import apply_step, drift_spectrum, step_factors
+from lctpulse.dynamics import apply_step, step_factors
 from lctpulse.lct import feedback_value, run_lct_lockstep, seed_state
 from lctpulse.optimize import reverse_error
 from lctpulse.model import build_drift_hamiltonian, eigendecompose, product_labels
@@ -287,7 +287,7 @@ def test_replay_reproduces_4q_run_final_state_exactly():
     run = run_lct(device, cfg)
     assert np.any(run.waveform.samples == 0.0)
     assert np.any(run.waveform.samples != 0.0)
-    spec = drift_spectrum(device)
+    spec = device.drift_spectrum
     psi = seed_state(QuantumState(spec.state("10000")),
                      QuantumState(spec.state("01000")), cfg.eta)
     traj = propagate_waveform(device, psi, run.waveform, tracked=[])
@@ -303,7 +303,7 @@ def test_4q_populations_hold_the_block_and_share_one_zero_array():
                                    [0.100, 0.071, 0.060, 0.050], 7.445)
     cfg = _base(t_max=5.0, initial_label="10000", target_label="01000")
     run = run_lct(device, cfg)
-    spec, sector = drift_spectrum(device), device.sectors[1]
+    spec, sector = device.drift_spectrum, device.sectors[1]
     psi = seed_state(QuantumState(spec.state("10000")),
                      QuantumState(spec.state("01000")), cfg.eta).amplitudes[sector.indices]
     vt = sector.eigenvectors.conj().T

@@ -8,6 +8,7 @@ from lctpulse.lct import refined_config, run_lct_lockstep
 from lctpulse.optimize import (
     OptimizationReport,
     ReversibilityConfig,
+    TruncationConfig,
     forward_and_reverse_error,
     nelder_mead,
     optimize_reversible,
@@ -155,7 +156,7 @@ def test_forward_and_reverse_share_one_endpoint_product(params, monkeypatch):
 def test_truncation_requires_a_transferring_pulse(params):
     wf = Waveform(dt=0.05, samples=np.zeros(200))
     with pytest.raises(ConvergenceError):
-        optimize_truncation(params, wf, 1.0, "100", "010")
+        optimize_truncation(params, wf, "100", "010", TruncationConfig(sigma_ns=1.0))
 
 
 def test_truncation_reports_the_simplex_best(params, monkeypatch):
@@ -177,7 +178,8 @@ def test_truncation_reports_the_simplex_best(params, monkeypatch):
         return simplex[-1]
 
     monkeypatch.setattr(optimize, "nelder_mead", recorded)
-    out, report = optimize_truncation(params, wf, 1.0, "100", "010", fidelity_goal=1e-6)
+    out, report = optimize_truncation(
+        params, wf, "100", "010", TruncationConfig(sigma_ns=1.0, fidelity_goal=1e-6))
     assert any(point[0] == wf.duration for point, _ in report.history)
     assert report.best_value == simplex[0].best_value == 1e-3
     assert report.converged == (report.best_value < 1e-6)
