@@ -1,30 +1,21 @@
 """Local-control pulse synthesis for tunable-coupler population transfer."""
 
-from .dynamics import (
-    QuantumState,
-    TrajectoryRecord,
-    population_derivative_check,
-    propagate_step,
-    propagate_waveform,
-)
+from .dynamics import QuantumState, TrajectoryRecord, propagate_waveform
 from .errors import (
     ConfigError,
     ConvergenceError,
     DegenerateLevelsError,
     UnknownLabelError,
 )
-from .lct import LctConfig, LctResult, feedback_value, refined_config, run_lct, seed_state
+from .lct import LctConfig, LctResult, refined_config, run_lct, seed_state
 from .model import (
     DriftSpectrum,
-    FluxValue,
     GapMinimum,
     HermitianOperator,
     SystemParams,
     build_control_generator,
     build_drift_hamiltonian,
     eigendecompose,
-    flux_to_frequency,
-    frequency_to_flux,
     nonadiabatic_coupling,
     single_excitation_gap_minima,
     sweep_eigenvalues,
@@ -46,11 +37,9 @@ from .pulses import (
     PulseSpectrum,
     Waveform,
     analytic_pulse,
-    dominant_frequency,
     fourier_spectrum,
     lowpass_filter,
     natural_duration,
-    time_reverse,
     truncate_with_gaussian_tail,
 )
 

@@ -5,13 +5,13 @@ exp(-i h dt) computed through the eigendecomposition of the (real
 symmetric) Hamiltonian held on that interval.  No Trotter or ODE error
 enters; the only approximation anywhere is the sample-and-hold control.
 
-step_factors and apply_step are the one propagation kernel: the single
-steps here, the waveform replay, the endpoint product and the feedback
-loop in lct all use them.  Exchange conserves excitation number and the
-control is diagonal, so H_d + s G is block diagonal by excitation number:
-waveforms are propagated block by block (SystemParams.sectors, the drift
-spectrum on each block), (n+1)-dimensional for a single excitation instead
-of 2^(n+1).
+step_factors and apply_step are the one propagation kernel: the waveform
+replay, the endpoint product and the feedback loop in lct all use them.
+Exchange conserves excitation number and the control is diagonal, so
+H_d + s G is block diagonal by excitation number: waveforms are
+propagated block by block (SystemParams.sectors, the drift spectrum on
+each block), (n+1)-dimensional for a single excitation instead of
+2^(n+1).
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    DriftSpectrum,
-    HermitianOperator,
-    SystemParams,
-    eigendecompose,
-    held_hamiltonians,
-)
+from .model import DriftSpectrum, SystemParams, held_hamiltonians
 from .pulses import Waveform
 
 _NORM_TOL = 1e-10
@@ -100,30 +94,6 @@ def apply_step(u: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray
     return u @ (phases * rotated)
 
 
-def propagate_step(state: QuantumState, h: HermitianOperator, dt: float) -> QuantumState:
-    """Exact one-interval step: exp(-i h dt) |state>."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    u, phases = step_factors(eigendecompose(h), 0.0, dt)
-    return QuantumState(amplitudes=apply_step(u, phases, state.amplitudes))
-
-
-def population_derivative_check(
-    state: QuantumState, h: HermitianOperator, projector: HermitianOperator
-) -> float:
-    """Instantaneous d<P>/dt = i <[H, P]>, returned as a real number.
-
-    The commutator expectation is anti-Hermitian so the product with i is
-    real; anything beyond a 1e-12 imaginary residue signals a bad input.
-    """
-    psi = state.amplitudes
-    hp = h.matrix @ projector.matrix
-    z = 1j * (np.vdot(psi, hp @ psi) - np.vdot(psi, hp.conj().T @ psi))
-    if abs(z.imag) > 1e-12 * max(1.0, abs(z.real)):
-        raise ValueError("population rate has a non-negligible imaginary part")
-    return float(z.real)
-
-
 # ----------------------------------------------------------------
 # trajectories
 # ----------------------------------------------------------------
@@ -141,9 +111,6 @@ class TrajectoryRecord:
     control: np.ndarray
     populations: dict
     final_state: QuantumState
-
-    def final_population(self, label: str) -> float:
-        return float(self.populations[label][-1])
 
     def time_to_population(self, label: str, level: float) -> float | None:
         """First grid time where the tracked population reaches `level`."""

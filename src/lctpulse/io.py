@@ -317,9 +317,10 @@ def read_waveform_csv(path: str) -> Waveform:
 def write_flux_csv(path: str, params: SystemParams, wf: Waveform):
     """Export the pulse as the flux drive realizing it.
 
-    The column is frequency_to_flux applied to every sample at once; a
-    sample outside the tunable window raises Waveform.validate_range's
-    ValueError.
+    The coupler tunes as omega_tc = omega_tc_max sqrt(|cos(pi Phi/Phi_0)|);
+    the column is its inverse on the principal branch Phi/Phi_0 in [0, 1/2],
+    taken for every sample at once.  A sample outside the tunable window
+    raises Waveform.validate_range's ValueError.
     """
     wf.validate_range(params.omega_tc_max)
     omega_tc = params.omega_tc_max + wf.samples

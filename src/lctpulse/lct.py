@@ -31,7 +31,7 @@ import numpy as np
 from .dynamics import QuantumState, TrajectoryRecord, apply_step, step_factors
 from .errors import ConfigError
 from .model import DriftSpectrum, SystemParams, product_labels
-from .pulses import Waveform, clamp_floor, clamp_samples
+from .pulses import Waveform, clamp_floor
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,6 @@ class LctConfig:
                     run then shapes only the correction term
     lambda2         feedback gain for the correction term; required when a
                     reference is present and rejected without one
-    tracked         bare labels recorded in the trajectory (None = all)
     """
 
     lambda_: float
@@ -62,7 +61,6 @@ class LctConfig:
     n_prime: int | None = None
     reference: Waveform | None = None
     lambda2: float | None = None
-    tracked: tuple | None = None
 
     def __post_init__(self):
         if self.lambda_ < 0:
@@ -153,27 +151,6 @@ def _raw_feedback(m_row: np.ndarray, c: np.ndarray, j: int, gain):
     return -gain * (mc.imag * cj.real - mc.real * cj.imag)
 
 
-def feedback_value(
-    state: QuantumState,
-    spectrum: DriftSpectrum,
-    target_index: int,
-    lambda_: float,
-    n_prime: int | None = None,
-    *,
-    omega_tc_max: float,
-) -> float:
-    """Clamped feedback sample for the given instantaneous state.
-
-    target_index addresses the ascending spectrum; n_prime restricts the
-    eigenbasis sum to the lowest n_prime states and must exceed
-    target_index (ConfigError, a ValueError, otherwise).
-    """
-    m_row = _feedback_row(spectrum, target_index, n_prime)
-    c = spectrum.eigenvectors.conj().T @ state.amplitudes
-    raw = _raw_feedback(m_row, c, target_index, lambda_)
-    return float(clamp_samples(raw, omega_tc_max))
-
-
 def _loop(params: SystemParams, config: LctConfig) -> tuple:
     """What a feedback loop takes from the device and its config.
 
@@ -221,21 +198,20 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
     """Shape a coupler-shift pulse by local-control feedback.
 
     Returns the applied waveform (reference plus shaped term, jointly
-    clamped), the full trajectory over the run, the final target-population
-    error and the fraction of steps held at the clamp floor.  The loop runs
-    in the excitation block of the two labels (validated equal by
-    LctConfig) and keeps the state's drift-basis amplitudes there; every
-    tracked label outside the block reads one shared read-only array of
-    zeros.
+    clamped), the trajectory over the run with every bare label's
+    population, the final target-population error and the fraction of
+    steps held at the clamp floor.  The loop runs in the excitation block
+    of the two labels (validated equal by LctConfig) and keeps the state's
+    drift-basis amplitudes there; every label outside the block reads one
+    shared read-only array of zeros.
     """
     spectrum = params.drift_spectrum
     sector, m_row, jb, _, n_steps, psi = _loop(params, config)
     reference, gain = _reference(config, n_steps), _gain(config)
 
-    tracked = (list(config.tracked) if config.tracked is not None
-               else product_labels(params.n_qubits))
+    labels = product_labels(params.n_qubits)
     block = {int(col): b for b, col in enumerate(sector.columns)}
-    track_cols = [block.get(spectrum.index_of_label(lab)) for lab in tracked]
+    label_cols = [block.get(spectrum.index_of_label(lab)) for lab in labels]
 
     lo_clamp = clamp_floor(params.omega_tc_max)
 
@@ -272,7 +248,7 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
         times=np.arange(n_steps + 1) * config.dt,
         control=total.copy(),
         populations={lab: outside if b is None else np.abs(amps[:, b]) ** 2
-                     for lab, b in zip(tracked, track_cols)},
+                     for lab, b in zip(labels, label_cols)},
         final_state=QuantumState(amplitudes=final),
     )
     final_error = 1.0 - float(np.abs(c[jb]) ** 2)

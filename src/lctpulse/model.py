@@ -136,13 +136,6 @@ def product_labels(n_qubits: int) -> list:
     return ["".join(bits) for bits in product("01", repeat=n_qubits + 1)]
 
 
-def label_index(label: str, n_qubits: int) -> int:
-    """Product-basis index of a bare label; the TC bit is last."""
-    if len(label) != n_qubits + 1 or any(c not in "01" for c in label):
-        raise UnknownLabelError(f"bad label {label!r} for {n_qubits} qubits + TC")
-    return int(label, 2)
-
-
 def _occupations(n_qubits: int) -> list:
     """Per site (qubits in order, the TC last), the bit each product-basis
     index holds for it: 1 when the site is excited."""
@@ -207,36 +200,6 @@ def build_drift_hamiltonian(params: SystemParams, delta_omega_tc: float = 0.0) -
 def build_control_generator(params: SystemParams) -> HermitianOperator:
     """d H / d delta_omega_tc = -1/2 sz_TC (diagonal: -1/2 for TC ground)."""
     return HermitianOperator(np.diag(-0.5 * (1 - 2 * _occupations(params.n_qubits)[-1])))
-
-
-# ================================================================
-# flux map
-# ================================================================
-
-@dataclass(frozen=True)
-class FluxValue:
-    """External flux in units of the flux quantum."""
-
-    phi_over_phi0: float
-
-
-def flux_to_frequency(params: SystemParams, flux: FluxValue) -> float:
-    """omega_tc = omega_tc_max * sqrt(|cos(pi Phi/Phi_0)|)."""
-    return params.omega_tc_max * np.sqrt(np.abs(np.cos(np.pi * flux.phi_over_phi0)))
-
-
-def frequency_to_flux(params: SystemParams, omega_tc: float) -> FluxValue:
-    """Smallest non-negative flux that tunes the coupler to omega_tc.
-
-    Restricted to the principal branch Phi/Phi_0 in [0, 1/2]; outside
-    0 <= omega_tc <= omega_tc_max there is no solution.
-    """
-    if not 0.0 <= omega_tc <= params.omega_tc_max:
-        raise ValueError(
-            f"omega_tc={omega_tc:.6g} rad/ns outside [0, {params.omega_tc_max:.6g}]"
-        )
-    ratio_sq = (omega_tc / params.omega_tc_max) ** 2
-    return FluxValue(phi_over_phi0=float(np.arccos(ratio_sq) / np.pi))
 
 
 # ================================================================

@@ -67,11 +67,6 @@ def clamp_samples(samples: np.ndarray, omega_tc_max: float) -> np.ndarray:
     return np.clip(samples, clamp_floor(omega_tc_max), 0.0)
 
 
-def time_reverse(wf: Waveform) -> Waveform:
-    """Reverse the sample order; an involution, dt unchanged."""
-    return Waveform(dt=wf.dt, samples=wf.samples[::-1].copy())
-
-
 # ----------------------------------------------------------------
 # spectra
 # ----------------------------------------------------------------
@@ -80,22 +75,14 @@ def time_reverse(wf: Waveform) -> Waveform:
 class PulseSpectrum:
     """One-sided spectrum of a waveform.
 
-    amplitudes are the raw forward FFT coefficients (unnormalized) for the
-    non-negative frequency bins; power folds the conjugate-symmetric half
-    in, so sum(power) == n * sum(samples**2) (Parseval, this normalization).
+    power is |c|^2 of the raw forward FFT coefficients (unnormalized) on
+    the non-negative frequency bins, with the conjugate-symmetric half
+    folded in, so sum(power) == n * sum(samples**2) (Parseval, this
+    normalization).
     """
 
     freqs_ghz: np.ndarray
-    amplitudes: np.ndarray
     power: np.ndarray
-    n_samples: int
-    dt: float
-
-    def to_waveform(self) -> Waveform:
-        """Inverse transform (1/N normalization), exact round trip."""
-        return Waveform(
-            dt=self.dt, samples=np.fft.irfft(self.amplitudes, n=self.n_samples)
-        )
 
 
 def fourier_spectrum(wf: Waveform) -> PulseSpectrum:
@@ -106,26 +93,7 @@ def fourier_spectrum(wf: Waveform) -> PulseSpectrum:
     fold[0] = 1.0
     if wf.n % 2 == 0:
         fold[-1] = 1.0  # Nyquist bin has no mirror
-    return PulseSpectrum(
-        freqs_ghz=freqs,
-        amplitudes=amps,
-        power=fold * np.abs(amps) ** 2,
-        n_samples=wf.n,
-        dt=wf.dt,
-    )
-
-
-def dominant_frequency(spectrum: PulseSpectrum, min_freq_ghz: float = 0.0) -> float:
-    """Frequency of the strongest bin at or above min_freq_ghz.
-
-    The floor lets callers skip the DC / slow-envelope band, which for long
-    pulses with a large mean otherwise dominates every line.
-    """
-    mask = spectrum.freqs_ghz >= min_freq_ghz
-    if not mask.any():
-        raise ValueError("min_freq_ghz above the Nyquist frequency")
-    idx = np.flatnonzero(mask)
-    return float(spectrum.freqs_ghz[idx[np.argmax(spectrum.power[idx])]])
+    return PulseSpectrum(freqs_ghz=freqs, power=fold * np.abs(amps) ** 2)
 
 
 def lowpass_filter(
@@ -208,6 +176,10 @@ class AnalyticPulseParams:
         if self.alpha1 >= 0 or self.alpha3 >= 0:
             raise ValueError("amplitudes must be negative (coupler tunes down)")
         if omega_tc_max is not None:
+            # Exclusive, unlike Waveform.validate_range's [-omega_tc_max, 0]:
+            # at an amplitude of exactly -omega_tc_max the tanh bridge can
+            # round one ulp below it, and the flux export would then refuse
+            # the sampled pulse after its params are written.
             if min(self.alpha1, self.alpha3) <= -omega_tc_max:
                 raise ValueError("amplitude at or below -omega_tc_max")
 

@@ -1,0 +1,82 @@
+"""Reference implementations the tests compare lctpulse against.
+
+Each is written from its formula and imports only public lctpulse names,
+so a test that checks the library against one does not check it against
+itself.  The program never calls them.
+"""
+
+import numpy as np
+
+from lctpulse import QuantumState, UnknownLabelError, Waveform
+from lctpulse.pulses import clamp_samples
+
+
+def propagate_step(state, h, dt: float) -> QuantumState:
+    """Exact one-interval step exp(-i h dt)|state>, h a HermitianOperator,
+    through a plain eigendecomposition of h."""
+    w, u = np.linalg.eigh(h.matrix)
+    return QuantumState(u @ (np.exp(-1j * w * dt) * (u.conj().T @ state.amplitudes)))
+
+
+def population_derivative_check(state, h, projector) -> float:
+    """Instantaneous d<P>/dt = i <[H, P]>, returned as a real number.
+
+    The commutator expectation is anti-Hermitian so the product with i is
+    real; anything beyond a 1e-12 imaginary residue signals a bad input.
+    """
+    psi = state.amplitudes
+    hp = h.matrix @ projector.matrix
+    z = 1j * (np.vdot(psi, hp @ psi) - np.vdot(psi, hp.conj().T @ psi))
+    if abs(z.imag) > 1e-12 * max(1.0, abs(z.real)):
+        raise ValueError("population rate has a non-negligible imaginary part")
+    return float(z.real)
+
+
+def feedback_value(state, spectrum, target_index: int, lambda_: float,
+                   n_prime=None, *, omega_tc_max: float) -> float:
+    """The clamped feedback law of lctpulse.lct's docstring at one state:
+
+        -lambda Im( sum_{k < n_prime} <psi_j|sz_TC|psi_k> <psi_k|Psi> <psi_j|Psi>* )
+
+    with j = target_index, sz_TC = -2 G from the spectrum's control
+    generator, and the sum over every eigenstate when n_prime is None.
+    """
+    v = spectrum.eigenvectors[:, :n_prime]
+    j = target_index
+    c = v.conj().T @ state.amplitudes
+    coupling = spectrum.eigenvectors[:, j].conj() @ (-2.0 * spectrum.control) @ v
+    return float(clamp_samples(-lambda_ * (coupling @ c * np.conj(c[j])).imag, omega_tc_max))
+
+
+def label_index(label: str, n_qubits: int) -> int:
+    """Product-basis index of a bare label; the TC bit is last."""
+    if len(label) != n_qubits + 1 or any(c not in "01" for c in label):
+        raise UnknownLabelError(f"bad label {label!r} for {n_qubits} qubits + TC")
+    return int(label, 2)
+
+
+def flux_to_frequency(params, phi_over_phi0: float) -> float:
+    """omega_tc = omega_tc_max * sqrt(|cos(pi Phi/Phi_0)|)."""
+    return params.omega_tc_max * np.sqrt(np.abs(np.cos(np.pi * phi_over_phi0)))
+
+
+def frequency_to_flux(params, omega_tc: float) -> float:
+    """Smallest non-negative Phi/Phi_0 that tunes the coupler to omega_tc:
+    the principal branch [0, 1/2]; outside [0, omega_tc_max] a ValueError."""
+    if not 0.0 <= omega_tc <= params.omega_tc_max:
+        raise ValueError(f"omega_tc={omega_tc:.6g} rad/ns outside [0, {params.omega_tc_max:.6g}]")
+    return float(np.arccos((omega_tc / params.omega_tc_max) ** 2) / np.pi)
+
+
+def time_reverse(wf: Waveform) -> Waveform:
+    """The samples in reverse order, dt unchanged."""
+    return Waveform(dt=wf.dt, samples=wf.samples[::-1].copy())
+
+
+def dominant_frequency(spectrum, min_freq_ghz: float = 0.0) -> float:
+    """Frequency of a PulseSpectrum's strongest bin at or above min_freq_ghz,
+    which lets a caller skip the DC / slow-envelope band."""
+    idx = np.flatnonzero(spectrum.freqs_ghz >= min_freq_ghz)
+    if not idx.size:
+        raise ValueError("min_freq_ghz above the Nyquist frequency")
+    return float(spectrum.freqs_ghz[idx[np.argmax(spectrum.power[idx])]])

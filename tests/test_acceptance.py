@@ -20,12 +20,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 from lctpulse.cli import main
-from lctpulse.dynamics import (
-    QuantumState,
-    population_derivative_check,
-    propagate_step,
-    propagate_waveform,
-)
+from lctpulse.dynamics import QuantumState, propagate_waveform
 from lctpulse.lct import (
     LctConfig,
     refined_config,
@@ -39,7 +34,6 @@ from lctpulse.model import (
     build_control_generator,
     build_drift_hamiltonian,
     eigendecompose,
-    label_index,
     nonadiabatic_coupling,
     single_excitation_gap_minima,
 )
@@ -54,13 +48,13 @@ from lctpulse.pulses import (
     AnalyticPulseParams,
     Waveform,
     analytic_pulse,
-    dominant_frequency,
     fourier_spectrum,
     lowpass_filter,
     natural_duration,
-    time_reverse,
 )
 from lctpulse.units import TWO_PI
+from oracles import (dominant_frequency, label_index, population_derivative_check,
+                     propagate_step, time_reverse)
 
 LAMBDA_STAR = 27626.0
 LAMBDA2_INIT = 598.15
@@ -92,7 +86,7 @@ def report(criterion, ok, detail):
 def _transfer_error(params, spectrum, wf, source, destination):
     psi0 = QuantumState(spectrum.state(source))
     traj = propagate_waveform(params, psi0, wf, [destination])
-    return 1.0 - traj.final_population(destination)
+    return 1.0 - traj.populations[destination][-1]
 
 
 # ----------------------------------------------------------------
@@ -323,7 +317,7 @@ def test_criterion_5_refined_pulse_band_limits(params, spectrum, refined300):
 def test_criterion_6_reverse_replay_traps_coupler(params, spectrum, bare):
     psi0 = QuantumState(spectrum.state("010"))
     traj = propagate_waveform(params, psi0, bare["run"].waveform, ["001"])
-    trapped = traj.final_population("001")
+    trapped = traj.populations["001"][-1]
     nominal = 0.19 <= trapped <= 0.39
     ok = trapped > 0.1
     report(

@@ -1,12 +1,16 @@
-"""Every function the benchmark's tracer wraps must still exist.
+"""Every function the benchmark's tracer wraps must still exist, and
+nothing else in the library is there for the tests alone.
 
 lctbench/tracer.py names lctpulse functions by module and name; a refactor
 that moves or renames one should fail here, not in a traced benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
+from collections import Counter
+from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
 
@@ -28,3 +32,42 @@ def test_traced_names_resolve_in_their_home_modules():
         missing += [f"{home}.{name}" for name in names
                     if not callable(getattr(module, name, None))]
     assert missing == []
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of each public top-level function and class,
+    and of each public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_"))
+
+
+def _names_read(node) -> Counter:
+    """Each name the code under node reads, bare or as an attribute; the
+    AST holds no comments, and a docstring is a string, not a name."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_definition_has_a_caller_in_the_library():
+    # The library is what the CLI runs: a public function, class or method
+    # that nothing in src/lctpulse reads outside its own definition and
+    # __init__.py is dead, or a test-only oracle (tests/oracles.py).  The
+    # tracer's names and the console script's entry point are read from
+    # outside.
+    src = Path(ROOT, "src", "lctpulse")
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py")) if path.name != "__init__.py"}
+    read = sum((_names_read(tree) for tree in trees.values()), Counter())
+    exempt = {(home, name) for _layer, home, names in _tracer().TRACED for name in names}
+    exempt.add(("lctpulse.cli", "main"))
+    unread = [f"lctpulse.{module}.{qualname}"
+              for module, tree in trees.items()
+              for qualname, node in _public_definitions(tree)
+              if (f"lctpulse.{module}", qualname) not in exempt
+              and read[node.name] - _names_read(node)[node.name] <= 0]
+    assert not unread, "no caller in src/lctpulse: " + ", ".join(unread)

@@ -410,7 +410,8 @@ def test_unfitted_closed_form_is_checked_before_any_file(tmp_path, capsys):
     # in a pipeline, before the search runs.
     for key, value, message in (("tau2_ns", 5.0, "branch times"),
                                 ("sigma2_ns", 0.0, "widths must be positive"),
-                                ("alpha1_ghz", -8.0, "omega_tc_max")):
+                                ("alpha1_ghz", -8.0, "omega_tc_max"),
+                                ("alpha1_ghz", -7.445, "at or below -omega_tc_max")):
         cfg = _config(tmp_path, f"{key}.json", lct=LCT_SHORT,
                       analytic={**ANALYTIC, key: value})
         for command in ("analytic", "pipeline"):

@@ -15,10 +15,11 @@ from lctpulse import (
     run_lct,
 )
 from lctpulse.dynamics import apply_step, step_factors
-from lctpulse.lct import feedback_value, run_lct_lockstep, seed_state
+from lctpulse.lct import run_lct_lockstep, seed_state
 from lctpulse.optimize import reverse_error
 from lctpulse.model import build_drift_hamiltonian, eigendecompose, product_labels
 from lctpulse.pulses import CLAMP_FLOOR_FRACTION
+from oracles import feedback_value
 
 LAMBDA_STAR = 27626.0
 
@@ -130,14 +131,13 @@ def test_feedback_projected_equals_full(params, spectrum, rng):
         assert proj == pytest.approx(full, abs=1e-12 * max(1.0, abs(full)))
 
 
-def test_feedback_validation(params, spectrum):
-    psi = QuantumState(spectrum.state("100"))
-    with pytest.raises(ValueError):
-        feedback_value(psi, spectrum, 1, 1.0, n_prime=0,
-                       omega_tc_max=params.omega_tc_max)
-    with pytest.raises(ValueError):
-        feedback_value(psi, spectrum, 5, 1.0, n_prime=3,
-                       omega_tc_max=params.omega_tc_max)
+def test_feedback_validation(params):
+    # n_prime keeps the lowest eigenstates, which must hold the target
+    # (010 is the second lowest).
+    with pytest.raises(ConfigError, match="n_prime"):
+        run_lct(params, _base(t_max=1.0, n_prime=0))
+    with pytest.raises(ConfigError, match="outside the projected set"):
+        run_lct(params, _base(t_max=1.0, n_prime=1))
 
 
 # ----------------------------------------------------------------
@@ -223,15 +223,10 @@ def test_unseeded_bare_run_stalls(params):
     assert res.final_error > 0.999
 
 
-def test_tracked_subset(params):
-    res = run_lct(params, _base(t_max=5.0, tracked=("010", "001")))
-    assert set(res.trajectory.populations) == {"010", "001"}
-
-
 def test_out_of_block_labels_read_exactly_zero(params):
     # The loop runs in the single-excitation block; labels of other
     # excitation numbers can never fill and are written as exact zeros.
-    res = run_lct(params, _base(t_max=5.0, tracked=("000", "010", "110", "111")))
+    res = run_lct(params, _base(t_max=5.0))
     pops = res.trajectory.populations
     for lab in ("000", "110", "111"):
         assert np.all(pops[lab] == 0.0)
@@ -364,7 +359,7 @@ def test_refined_run_replays_on_pure_state(params, spectrum, short_run):
     res = run_lct(params, refined_config(_base(t_max=40.0), ref, 500.0))
     traj = propagate_waveform(params, QuantumState(spectrum.state("100")),
                               res.waveform, ["010"])
-    assert abs((1.0 - traj.final_population("010")) - res.final_error) < 1e-12
+    assert abs((1.0 - traj.populations["010"][-1]) - res.final_error) < 1e-12
 
 
 # ----------------------------------------------------------------
