@@ -11,9 +11,7 @@ from .lct import LctConfig, LctResult, refined_config, run_lct, seed_state
 from .model import (
     DriftSpectrum,
     GapMinimum,
-    HermitianOperator,
     SystemParams,
-    build_control_generator,
     build_drift_hamiltonian,
     eigendecompose,
     nonadiabatic_coupling,

@@ -100,6 +100,8 @@ def cmd_spectrum(ctx: dict) -> None:
     doc, args = ctx["doc"], ctx["args"]
     if args.steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
+    if not np.isfinite(args.sweep_range).all():
+        raise ConfigError(f"--range ends must be finite, got {args.sweep_range}")
     params = io.device_from_config(doc)
     lo, hi = (TWO_PI * v for v in args.sweep_range)
     deltas = np.linspace(lo, hi, args.steps)

@@ -78,6 +78,9 @@ class LctConfig:
                               "the run uses lambda")
         if self.lambda2 is not None and self.lambda2 < 0:
             raise ConfigError("lambda2 must be non-negative")
+        if self.initial_label == self.target_label:
+            raise ConfigError(f"initial and target are both {self.initial_label}: "
+                              "nothing to transfer")
         if self.initial_label.count("1") != self.target_label.count("1"):
             raise ConfigError(
                 f"{self.initial_label} and {self.target_label} differ in excitation "
@@ -205,14 +208,8 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
     drift-basis amplitudes there; every label outside the block reads one
     shared read-only array of zeros.
     """
-    spectrum = params.drift_spectrum
     sector, m_row, jb, _, n_steps, psi = _loop(params, config)
     reference, gain = _reference(config, n_steps), _gain(config)
-
-    labels = product_labels(params.n_qubits)
-    block = {int(col): b for b, col in enumerate(sector.columns)}
-    label_cols = [block.get(spectrum.index_of_label(lab)) for lab in labels]
-
     lo_clamp = clamp_floor(params.omega_tc_max)
 
     total = np.zeros(n_steps)
@@ -241,14 +238,16 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
 
     outside = np.zeros(n_steps + 1)
     outside.flags.writeable = False
+    populations = dict.fromkeys(product_labels(params.n_qubits), outside)
+    populations.update({lab: np.abs(amps[:, b]) ** 2
+                        for b, lab in enumerate(sector.bare_labels)})
     final = np.zeros(params.dim, dtype=complex)
     final[sector.indices] = psi
 
     trajectory = TrajectoryRecord(
         times=np.arange(n_steps + 1) * config.dt,
         control=total.copy(),
-        populations={lab: outside if b is None else np.abs(amps[:, b]) ** 2
-                     for lab, b in zip(labels, label_cols)},
+        populations=populations,
         final_state=QuantumState(amplitudes=final),
     )
     final_error = 1.0 - float(np.abs(c[jb]) ** 2)

@@ -30,9 +30,6 @@ from .units import TWO_PI
 # Hilbert-space ceiling for dense eigendecomposition.
 DIM_CAP = 2 ** 14
 
-# Relative threshold for the Hermiticity sanity check.
-_HERM_TOL = 1e-12
-
 # Eigenvalue-difference floor below which nonadiabatic couplings blow up.
 _DEGENERACY_FLOOR = 1e-9
 
@@ -81,21 +78,17 @@ class SystemParams:
 
         The only place either is built; H_d + s G is held at coupler shift s.
         """
-        ops = build_drift_hamiltonian(self).matrix, build_control_generator(self).matrix
+        ops = (build_drift_hamiltonian(self),
+               np.diag(-0.5 * (1 - 2 * _occupations(self.n_qubits)[-1])))
         for a in ops:
             a.setflags(write=False)
         return ops
 
     @cached_property
     def drift_spectrum(self) -> DriftSpectrum:
-        """Labelled spectrum of the drift (coupler at maximum), with G.
-
-        Decomposed in excitation-number order, so every eigenvector is
-        exactly zero outside its own block.
-        """
+        """Labelled spectrum of the drift (coupler at maximum), with G."""
         h, g = self.drift_operators
-        order = np.concatenate(excitation_blocks(self.n_qubits))
-        spectrum = eigendecompose(HermitianOperator(h), order=order)
+        spectrum = eigendecompose(h)
         spectrum.control = g
         spectrum.eigenvalues.setflags(write=False)
         spectrum.eigenvectors.setflags(write=False)
@@ -157,28 +150,8 @@ def excitation_blocks(n_qubits: int) -> list:
 # operators
 # ================================================================
 
-@dataclass(frozen=True)
-class HermitianOperator:
-    """Dense Hermitian matrix with a construction-time sanity check."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator must be a square matrix")
-        scale = np.abs(m).max()
-        if scale > 0 and np.abs(m - m.conj().T).max() > _HERM_TOL * scale:
-            raise ValueError("matrix is not Hermitian")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def build_drift_hamiltonian(params: SystemParams, delta_omega_tc: float = 0.0) -> HermitianOperator:
-    """H_d plus an optional static coupler shift delta_omega_tc (rad/ns).
+def build_drift_hamiltonian(params: SystemParams) -> np.ndarray:
+    """H_d, the coupler held at omega_tc_max.
 
     Written from the exchange rule on the bits of each product-basis
     index.  The diagonal sums -1/2 omega sz site by site, qubits first and
@@ -187,19 +160,14 @@ def build_drift_hamiltonian(params: SystemParams, delta_omega_tc: float = 0.0) -
     """
     bits = _occupations(params.n_qubits)
     diag = np.zeros(params.dim)
-    for omega, bit in zip((*params.omega, params.omega_tc_max + delta_omega_tc), bits):
+    for omega, bit in zip((*params.omega, params.omega_tc_max), bits):
         diag += -0.5 * omega * (1 - 2 * bit)
     h = np.diag(diag)
     for i, g in enumerate(params.g):
         rows = np.flatnonzero(bits[i] & (1 - bits[-1]))
         cols = rows ^ (2 ** (params.n_qubits - i) + 1)
         h[rows, cols] = h[cols, rows] = g
-    return HermitianOperator(h)
-
-
-def build_control_generator(params: SystemParams) -> HermitianOperator:
-    """d H / d delta_omega_tc = -1/2 sz_TC (diagonal: -1/2 for TC ground)."""
-    return HermitianOperator(np.diag(-0.5 * (1 - 2 * _occupations(params.n_qubits)[-1])))
+    return h
 
 
 # ================================================================
@@ -284,22 +252,19 @@ def _assign_labels(vectors: np.ndarray) -> list:
     return assigned
 
 
-def eigendecompose(h: HermitianOperator, order=None) -> DriftSpectrum:
+def eigendecompose(h: np.ndarray) -> DriftSpectrum:
     """Ascending eigendecomposition with gauge fixing and label assignment.
 
-    order is an optional basis permutation that makes h block diagonal
-    with contiguous blocks.  Decomposing in that order keeps every
-    eigenvector exactly zero outside its block; in product order LAPACK
-    leaves rounding residue there (4e-16 on a 4-qubit device).
+    h is decomposed in excitation-number order, where it is block diagonal
+    with contiguous blocks, so every eigenvector is exactly zero outside
+    its block; in product order LAPACK leaves rounding residue there (4e-16
+    on a 4-qubit device).
     """
-    if order is None:
-        vals, vecs = np.linalg.eigh(h.matrix)
-    else:
-        vals, vecs = np.linalg.eigh(h.matrix[np.ix_(order, order)])
-        vecs = vecs[np.argsort(order)]
-    vecs = _gauge_fix(vecs)
+    order = np.concatenate(excitation_blocks(int(np.log2(h.shape[0])) - 1))
+    vals, vecs = np.linalg.eigh(h[np.ix_(order, order)])
+    vecs = _gauge_fix(vecs[np.argsort(order)])
     return DriftSpectrum(eigenvalues=vals, eigenvectors=vecs,
-                         bare_labels=_assign_labels(vecs), hamiltonian=h.matrix)
+                         bare_labels=_assign_labels(vecs), hamiltonian=h)
 
 
 def held_hamiltonians(h: np.ndarray, g: np.ndarray, deltas) -> np.ndarray:

@@ -11,10 +11,16 @@ from lctpulse import QuantumState, UnknownLabelError, Waveform
 from lctpulse.pulses import clamp_samples
 
 
+def hamiltonian_at(params, delta_omega_tc: float) -> np.ndarray:
+    """H(delta) = H_d + delta G, the coupler held at a static shift (rad/ns)."""
+    h, g = params.drift_operators
+    return h + delta_omega_tc * g
+
+
 def propagate_step(state, h, dt: float) -> QuantumState:
-    """Exact one-interval step exp(-i h dt)|state>, h a HermitianOperator,
+    """Exact one-interval step exp(-i h dt)|state>, h a Hermitian array,
     through a plain eigendecomposition of h."""
-    w, u = np.linalg.eigh(h.matrix)
+    w, u = np.linalg.eigh(h)
     return QuantumState(u @ (np.exp(-1j * w * dt) * (u.conj().T @ state.amplitudes)))
 
 
@@ -25,7 +31,7 @@ def population_derivative_check(state, h, projector) -> float:
     real; anything beyond a 1e-12 imaginary residue signals a bad input.
     """
     psi = state.amplitudes
-    hp = h.matrix @ projector.matrix
+    hp = h @ projector
     z = 1j * (np.vdot(psi, hp @ psi) - np.vdot(psi, hp.conj().T @ psi))
     if abs(z.imag) > 1e-12 * max(1.0, abs(z.real)):
         raise ValueError("population rate has a non-negligible imaginary part")

@@ -29,10 +29,7 @@ from lctpulse.lct import (
     seed_state,
 )
 from lctpulse.model import (
-    HermitianOperator,
     SystemParams,
-    build_control_generator,
-    build_drift_hamiltonian,
     eigendecompose,
     nonadiabatic_coupling,
     single_excitation_gap_minima,
@@ -53,8 +50,8 @@ from lctpulse.pulses import (
     natural_duration,
 )
 from lctpulse.units import TWO_PI
-from oracles import (dominant_frequency, label_index, population_derivative_check,
-                     propagate_step, time_reverse)
+from oracles import (dominant_frequency, hamiltonian_at, label_index,
+                     population_derivative_check, propagate_step, time_reverse)
 
 LAMBDA_STAR = 27626.0
 LAMBDA2_INIT = 598.15
@@ -173,10 +170,9 @@ def test_criterion_2_monotone_transfer(params, base_config, bare, spectrum):
     # computed from the state at its own step start, so the instantaneous
     # growth rate of the target population is nonnegative there up to
     # roundoff.
-    h_drift = build_drift_hamiltonian(params).matrix
-    gen = build_control_generator(params).matrix
+    h_drift, gen = params.drift_operators
     v010 = spectrum.state("010")
-    proj = HermitianOperator(np.outer(v010, v010.conj()))
+    proj = np.outer(v010, v010.conj())
     wf = run.waveform
     batch = h_drift[None] + wf.samples[:, None, None] * gen[None]
     w_all, v_all = np.linalg.eigh(batch)
@@ -189,7 +185,7 @@ def test_criterion_2_monotone_transfer(params, base_config, bare, spectrum):
     min_rate = np.inf
     for k in range(wf.n):
         rate = population_derivative_check(
-            QuantumState(amp), HermitianOperator(batch[k]), proj
+            QuantumState(amp), batch[k], proj
         )
         min_rate = min(min_rate, rate)
         vk = v_all[k]
@@ -440,9 +436,9 @@ def test_criterion_10_invariants_and_determinism(
 
     # Eigenvector response against an independent finite difference.
     delta = -TWO_PI * 1.3
-    spec0 = eigendecompose(build_drift_hamiltonian(params, delta))
+    spec0 = eigendecompose(hamiltonian_at(params, delta))
     h = 1e-6
-    spec1 = eigendecompose(build_drift_hamiltonian(params, delta + h))
+    spec1 = eigendecompose(hamiltonian_at(params, delta + h))
     singles = [
         i for i, lab in enumerate(spec0.bare_labels) if lab.count("1") == 1
     ]
@@ -464,9 +460,7 @@ def test_criterion_10_invariants_and_determinism(
 
     # Resonant exchange oracle: single qubit against the coupler.
     single = SystemParams.from_ghz([5.890], [0.100], 7.445)
-    h_res = build_drift_hamiltonian(
-        single, single.omega[0] - single.omega_tc_max
-    )
+    h_res = hamiltonian_at(single, single.omega[0] - single.omega_tc_max)
     psi = np.zeros(single.dim, dtype=complex)
     psi[label_index("10", 1)] = 1.0
     g = single.g[0]

@@ -109,6 +109,17 @@ def test_lct_rejects_transfer_across_excitation_numbers(tmp_path, capsys):
     assert not (out / "waveform.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["lct", "pipeline"])
+def test_run_whose_target_is_its_initial_label_exits_1(tmp_path, capsys, command):
+    # Nothing moves from 100 to 100: the run must fail at config time,
+    # before any file is written.
+    cfg = _config(tmp_path, lct={**LCT_SHORT, "target": "100"})
+    code, out = _run(tmp_path, command, "--config", cfg)
+    assert code == 1
+    assert "nothing to transfer" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_filter_command(tmp_path):
     wf = Waveform(dt=0.01, samples=-TWO_PI * np.abs(
         np.sin(0.3 * np.arange(2000) * 0.01)))
@@ -430,7 +441,9 @@ def test_out_of_domain_flags_exit_1(tmp_path, capsys):
     cfg = _config(tmp_path)
     for name, argv, flag in (
             ("cutoff", ["filter", "--pulse", pulse_path, "--cutoff", "-1"], "--cutoff"),
-            ("steps", ["spectrum", "--steps", "0"], "--steps")):
+            ("steps", ["spectrum", "--steps", "0"], "--steps"),
+            ("nan_range", ["spectrum", "--range", "nan", "0"], "--range"),
+            ("inf_range", ["spectrum", "--range", "-3", "inf"], "--range")):
         code, out = _run(tmp_path / name, *argv, "--config", cfg)
         assert code == 1, name
         err = capsys.readouterr().err

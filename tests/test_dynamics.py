@@ -8,7 +8,6 @@ from lctpulse import (
     SystemParams,
     UnknownLabelError,
     Waveform,
-    build_control_generator,
     build_drift_hamiltonian,
     propagate_waveform,
 )
@@ -20,9 +19,14 @@ from lctpulse.dynamics import (
     propagate_endpoints,
     step_factors,
 )
-from lctpulse.model import HermitianOperator
 from lctpulse.units import TWO_PI
-from oracles import label_index, population_derivative_check, propagate_step, time_reverse
+from oracles import (
+    hamiltonian_at,
+    label_index,
+    population_derivative_check,
+    propagate_step,
+    time_reverse,
+)
 
 
 def _random_state(rng, dim=8):
@@ -41,11 +45,11 @@ def _gaussian_waveform(dt, duration=12.0, depth=-2.0):
 # ----------------------------------------------------------------
 
 def test_step_matches_expm_oracle(params, rng):
-    h = build_drift_hamiltonian(params, -TWO_PI * 1.2)
+    h = hamiltonian_at(params, -TWO_PI * 1.2)
     psi = _random_state(rng)
     dt = 0.37
     ours = propagate_step(psi, h, dt).amplitudes
-    oracle = expm(-1j * h.matrix * dt) @ psi.amplitudes
+    oracle = expm(-1j * h * dt) @ psi.amplitudes
     np.testing.assert_allclose(ours, oracle, atol=1e-12)
 
 
@@ -116,7 +120,7 @@ def test_rabi_oracle():
     # P(swap) = sin^2(g t), full swap at pi/(2 g).
     single = SystemParams.from_ghz([5.890], [0.100], 7.445)
     delta_res = single.omega[0] - single.omega_tc_max
-    h = build_drift_hamiltonian(single, delta_res)
+    h = hamiltonian_at(single, delta_res)
     psi0 = np.zeros(4, dtype=complex)
     psi0[label_index("10", 1)] = 1.0
     g = single.g[0]
@@ -146,7 +150,7 @@ def test_waveform_matches_stepwise_composition(params, rng):
     traj = propagate_waveform(params, psi, wf, tracked=[])
     state = psi
     for s in wf.samples:
-        h = build_drift_hamiltonian(params, float(s))
+        h = hamiltonian_at(params, float(s))
         state = propagate_step(state, h, wf.dt)
     np.testing.assert_allclose(
         traj.final_state.amplitudes, state.amplitudes, atol=1e-10)
@@ -344,8 +348,7 @@ def _device_state_waveform(draw):
 @given(_device_state_waveform())
 def test_block_propagation_matches_dense_oracle(case):
     params, psi, wf = case
-    h_d = build_drift_hamiltonian(params).matrix
-    gen = build_control_generator(params).matrix
+    h_d, gen = params.drift_operators
     spectrum = params.drift_spectrum
     tracked = spectrum.bare_labels[:3]
     rows = np.stack([spectrum.state(lab) for lab in tracked]).conj()
@@ -408,22 +411,22 @@ def test_derivative_zero_for_eigenstate_projector(params, spectrum):
     h = build_drift_hamiltonian(params)
     psi = QuantumState(spectrum.state("100"))
     proj = np.outer(spectrum.state("100"), spectrum.state("100").conj())
-    rate = population_derivative_check(psi, h, HermitianOperator(proj))
+    rate = population_derivative_check(psi, h, proj)
     assert rate == pytest.approx(0.0, abs=1e-12)
 
 
 def test_derivative_matches_finite_difference(params, spectrum):
     shift = -TWO_PI * 1.8
-    h = build_drift_hamiltonian(params, shift)
+    h = hamiltonian_at(params, shift)
     v = spectrum.state("010")
-    proj = HermitianOperator(np.outer(v, v.conj()))
+    proj = np.outer(v, v.conj())
     raw = (spectrum.state("100") + 0.4 * v + 0.2 * spectrum.state("001"))
     psi = QuantumState(raw / np.linalg.norm(raw))
     rate = population_derivative_check(psi, h, proj)
     # Central difference through an independent expm propagator.
     dt = 1e-5
     def pop_at(t):
-        out = expm(-1j * h.matrix * t) @ psi.amplitudes
+        out = expm(-1j * h * t) @ psi.amplitudes
         return abs(np.vdot(v, out)) ** 2
     fd = (pop_at(dt) - pop_at(-dt)) / (2 * dt)
     assert rate == pytest.approx(fd, abs=1e-6)

@@ -17,7 +17,7 @@ from lctpulse import (
 from lctpulse.dynamics import apply_step, step_factors
 from lctpulse.lct import run_lct_lockstep, seed_state
 from lctpulse.optimize import reverse_error
-from lctpulse.model import build_drift_hamiltonian, eigendecompose, product_labels
+from lctpulse.model import product_labels
 from lctpulse.pulses import CLAMP_FLOOR_FRACTION
 from oracles import feedback_value
 
@@ -66,6 +66,12 @@ def test_transfer_across_excitation_numbers_rejected():
         _base(target_label="110")
     with pytest.raises(ConfigError, match="excitation number"):
         _base(initial_label="000", target_label="001")
+
+
+def test_transfer_to_the_initial_label_rejected():
+    # A run from 100 to 100 would report a tiny error for moving nothing.
+    with pytest.raises(ConfigError, match="nothing to transfer"):
+        _base(target_label="100")
 
 
 def test_misaligned_t_max_rejected(params):
@@ -243,8 +249,7 @@ def test_emitted_samples_match_feedback_law(params, spectrum, short_run):
     psi = seed_state(QuantumState(spectrum.state("100")),
                      QuantumState(spectrum.state("010")), cfg.eta)
     wf = short_run.waveform
-    h_d = build_drift_hamiltonian(params).matrix
-    gen = (build_drift_hamiltonian(params, 1.0).matrix - h_d)
+    h_d, gen = params.drift_operators
     amp = psi.amplitudes
     worst = 0.0
     for k in range(wf.n - 1):

@@ -5,7 +5,6 @@ from lctpulse import (
     DegenerateLevelsError,
     SystemParams,
     UnknownLabelError,
-    build_control_generator,
     build_drift_hamiltonian,
     eigendecompose,
     nonadiabatic_coupling,
@@ -15,7 +14,7 @@ from lctpulse import (
 )
 from lctpulse.model import product_labels
 from lctpulse.units import TWO_PI
-from oracles import flux_to_frequency, frequency_to_flux, label_index
+from oracles import flux_to_frequency, frequency_to_flux, hamiltonian_at, label_index
 
 
 # ----------------------------------------------------------------
@@ -83,20 +82,20 @@ def _oracle_hamiltonian(params, delta):
 
 def test_drift_matches_independent_construction(params):
     for delta in (0.0, -TWO_PI * 1.56, -TWO_PI * 2.8):
-        h = build_drift_hamiltonian(params, delta).matrix
+        h = hamiltonian_at(params, delta)
         np.testing.assert_allclose(h, _oracle_hamiltonian(params, delta),
                                    atol=1e-12)
 
 
 def test_hermiticity(params):
-    h = build_drift_hamiltonian(params, -3.0).matrix
+    h = build_drift_hamiltonian(params)
     assert np.max(np.abs(h - h.conj().T)) <= 1e-12 * np.max(np.abs(h))
 
 
 def test_zero_excitation_energies_exact(params):
     # N is conserved, and the 0- and 3-excitation sectors are 1-dim, so
     # those two eigenvalues are exactly the decoupled sums.
-    vals = np.linalg.eigvalsh(build_drift_hamiltonian(params).matrix)
+    vals = np.linalg.eigvalsh(build_drift_hamiltonian(params))
     total = sum(params.omega) + params.omega_tc_max
     assert vals[0] == pytest.approx(-0.5 * total, rel=1e-14)
     assert vals[-1] == pytest.approx(0.5 * total, rel=1e-14)
@@ -114,13 +113,13 @@ def test_single_excitation_block_oracle(params):
         [params.g[0], params.g[1], e0 + wt],
     ])
     sector = np.linalg.eigvalsh(block)
-    full = np.linalg.eigvalsh(build_drift_hamiltonian(params).matrix)
+    full = np.linalg.eigvalsh(build_drift_hamiltonian(params))
     for e in sector:
         assert np.min(np.abs(full - e)) < 1e-12
 
 
 def test_control_generator_diagonal_signs(params):
-    gen = build_control_generator(params).matrix
+    gen = params.drift_operators[1]
     assert np.allclose(gen, np.diag(np.diag(gen)))
     for lab in product_labels(params.n_qubits):
         idx = label_index(lab, params.n_qubits)
@@ -130,8 +129,7 @@ def test_control_generator_diagonal_signs(params):
 
 def test_generator_commutes_with_decoupled_drift():
     tiny = SystemParams.from_ghz([5.890, 5.031], [1e-9, 1e-9], 7.445)
-    h = build_drift_hamiltonian(tiny).matrix
-    gen = build_control_generator(tiny).matrix
+    h, gen = tiny.drift_operators
     assert np.max(np.abs(h @ gen - gen @ h)) < 1e-6
 
 
@@ -170,12 +168,12 @@ def test_spectrum_orthonormal_and_residual(params):
     spec = eigendecompose(h)
     v = spec.eigenvectors
     np.testing.assert_allclose(v.conj().T @ v, np.eye(8), atol=1e-10)
-    scale = np.linalg.norm(h.matrix)
+    scale = np.linalg.norm(h)
     for j in range(8):
-        res = h.matrix @ v[:, j] - spec.eigenvalues[j] * v[:, j]
+        res = h @ v[:, j] - spec.eigenvalues[j] * v[:, j]
         assert np.linalg.norm(res) <= 1e-10 * scale
     recon = v @ np.diag(spec.eigenvalues) @ v.conj().T
-    np.testing.assert_allclose(recon, h.matrix, atol=1e-10 * scale)
+    np.testing.assert_allclose(recon, h, atol=1e-10 * scale)
 
 
 def test_labels_are_a_permutation(params):
@@ -192,7 +190,7 @@ def test_dispersive_labels_have_high_overlap(params):
 
 def test_crossing_pair_mixes_half_half(params):
     # At the first resonance the |100> and |001> branches hybridize.
-    spec = eigendecompose(build_drift_hamiltonian(params, -TWO_PI * 1.555))
+    spec = eigendecompose(hamiltonian_at(params, -TWO_PI * 1.555))
     i100 = spec.index_of_label("100")
     vec = spec.eigenvectors[:, i100]
     p100 = abs(vec[label_index("100", 2)]) ** 2
@@ -238,6 +236,18 @@ def test_sectors_are_the_drift_spectrum_on_each_block(params, four_qubits):
             sector.index_of_label(outside)
 
 
+def test_cached_drift_arrays_are_read_only(params):
+    # Every later run shares these arrays, so a write to one must fail
+    # instead of changing them all.
+    h, g = params.drift_operators
+    spectrum = params.drift_spectrum
+    assert params.drift_operators[0] is h and spectrum.control is g
+    for a in (h, g, spectrum.eigenvalues, spectrum.eigenvectors):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, ...] = 0.0
+
+
 # ----------------------------------------------------------------
 # nonadiabatic couplings
 # ----------------------------------------------------------------
@@ -246,15 +256,15 @@ def _fd_coupling(params, j, k, delta, h=1e-6):
     # One-sided difference for <d psi_j / d delta | psi_k>, which is the
     # quotient convention nonadiabatic_coupling documents (divide by
     # eps_j - eps_k).  Offsetting the ket instead flips the sign.
-    s0 = eigendecompose(build_drift_hamiltonian(params, delta))
-    s1 = eigendecompose(build_drift_hamiltonian(params, delta + h))
+    s0 = eigendecompose(hamiltonian_at(params, delta))
+    s1 = eigendecompose(hamiltonian_at(params, delta + h))
     return float(np.real(np.vdot(s1.eigenvectors[:, j], s0.eigenvectors[:, k]))) / h
 
 
 @pytest.mark.parametrize("delta_ghz", [-1.50, -1.56, -2.40, -0.8])
 def test_hellmann_feynman_vs_finite_difference(params, delta_ghz):
     delta = TWO_PI * delta_ghz
-    spec = eigendecompose(build_drift_hamiltonian(params, delta))
+    spec = eigendecompose(hamiltonian_at(params, delta))
     singles = [i for i, lab in enumerate(spec.bare_labels) if lab.count("1") == 1]
     j, k = singles[0], singles[1]
     hf = nonadiabatic_coupling(params, j, k, delta)
@@ -330,7 +340,7 @@ def test_gap_minima_match_labelled_reference():
     deltas = TWO_PI * np.linspace(-3.2, 0.0, 161)
     gaps = []
     for d in deltas:
-        spec = eigendecompose(build_drift_hamiltonian(device, d))
+        spec = eigendecompose(hamiltonian_at(device, d))
         singles = [i for i, lab in enumerate(spec.bare_labels)
                    if lab.count("1") == 1]
         gaps.append(np.diff(spec.eigenvalues[singles]))
