@@ -100,10 +100,12 @@ def cmd_spectrum(ctx: dict) -> None:
     doc, args = ctx["doc"], ctx["args"]
     if args.steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
-    if not np.isfinite(args.sweep_range).all():
-        raise ConfigError(f"--range ends must be finite, got {args.sweep_range}")
     params = io.device_from_config(doc)
     lo, hi = (TWO_PI * v for v in args.sweep_range)
+    # The window of Waveform.validate_range; NaN fails both comparisons.
+    if not all(-params.omega_tc_max <= v <= 0.0 for v in (lo, hi)):
+        raise ConfigError(f"--range ends must lie in the coupler's window "
+                          f"[{-params.omega_tc_max / TWO_PI:g}, 0] GHz, got {args.sweep_range}")
     deltas = np.linspace(lo, hi, args.steps)
     energies = sweep_eigenvalues(params, deltas)
     # Adjacent pairs of the ascending spectrum; identity can hop at level

@@ -269,13 +269,16 @@ def _write_csv(path: str, header: str, columns, fmts) -> None:
     comments="") without building the stacked copy.
 
     A column whose values are bitwise identical is formatted once into the
-    row template; the bitwise test keeps +0.0 and -0.0 apart, as their
-    text does.  The other columns are formatted CHUNK rows per write.
+    row template.  The test reads a same-width unsigned-integer view without
+    a copy, its two ends first, then its min against its max; it keeps +0.0
+    and -0.0 apart, as their text does.  The other columns are formatted
+    CHUNK rows per write.
     """
     n = len(columns[0])
     parts, varying = [], []
     for col, fmt in zip(columns, fmts):
-        if n and col.tobytes() == col[:1].tobytes() * n:
+        bits = col.view(f"u{col.itemsize}")
+        if n and bits[0] == bits[-1] and bits.min() == bits.max():
             parts.append((fmt % col[0]).replace("%", "%%"))
         else:
             parts.append(fmt)
@@ -323,8 +326,10 @@ def write_flux_csv(path: str, params: SystemParams, wf: Waveform):
     raises Waveform.validate_range's ValueError.
     """
     wf.validate_range(params.omega_tc_max)
-    omega_tc = params.omega_tc_max + wf.samples
-    phis = np.arccos((omega_tc / params.omega_tc_max) ** 2) / np.pi
+    phis = params.omega_tc_max + wf.samples
+    phis /= params.omega_tc_max
+    np.arccos(np.square(phis, out=phis), out=phis)
+    phis /= np.pi
     _write_csv(path, "t_ns,phi_over_phi0", [wf.times(), phis], ["%.9f", "%.12f"])
 
 

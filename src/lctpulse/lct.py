@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import QuantumState, TrajectoryRecord, apply_step, step_factors
+from .dynamics import CHUNK, QuantumState, TrajectoryRecord, apply_step, step_factors
 from .errors import ConfigError
 from .model import DriftSpectrum, SystemParams, product_labels
 from .pulses import Waveform, clamp_floor
@@ -204,49 +204,55 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
     clamped), the trajectory over the run with every bare label's
     population, the final target-population error and the fraction of
     steps held at the clamp floor.  The loop runs in the excitation block
-    of the two labels (validated equal by LctConfig) and keeps the state's
-    drift-basis amplitudes there; every label outside the block reads one
-    shared read-only array of zeros.
+    of the two labels (validated equal by LctConfig), CHUNK steps at a
+    time: it buffers their drift-basis amplitudes and squares them into
+    one (block dim, n+1) array, whose rows are the block labels'
+    populations; every label outside the block reads one shared read-only
+    array of zeros.  Waveform and control share the read-only samples.
     """
     sector, m_row, jb, _, n_steps, psi = _loop(params, config)
     reference, gain = _reference(config, n_steps), _gain(config)
     lo_clamp = clamp_floor(params.omega_tc_max)
 
     total = np.zeros(n_steps)
-    amps = np.empty((n_steps + 1, psi.size), dtype=complex)
+    pops = np.empty((psi.size, n_steps + 1))
+    buf = np.empty((CHUNK, psi.size), dtype=complex)
 
     vt = sector.eigenvectors.conj().T
     c = vt @ psi
-    amps[0] = c
+    pops[:, 0] = np.abs(c) ** 2
     raw = 0.0  # nothing computed yet; first sample is the reference alone
     saturated = 0
 
-    for k in range(n_steps):
-        applied = reference[k] + raw
-        if applied > 0.0:
-            applied = 0.0
-        elif applied < lo_clamp:
-            applied = lo_clamp
-            saturated += 1
-        total[k] = applied
+    for start in range(0, n_steps, CHUNK):
+        block = buf[:n_steps - start]
+        for i, k in enumerate(range(start, start + len(block))):
+            applied = reference[k] + raw
+            if applied > 0.0:
+                applied = 0.0
+            elif applied < lo_clamp:
+                applied = lo_clamp
+                saturated += 1
+            total[k] = applied
 
-        psi = apply_step(*step_factors(sector, applied, config.dt), psi)
+            psi = apply_step(*step_factors(sector, applied, config.dt), psi)
 
-        c = vt @ psi
-        amps[k + 1] = c
-        raw = _raw_feedback(m_row, c, jb, gain)
+            c = vt @ psi
+            block[i] = c
+            raw = _raw_feedback(m_row, c, jb, gain)
+        pops[:, start + 1:start + 1 + len(block)] = (np.abs(block) ** 2).T
 
     outside = np.zeros(n_steps + 1)
     outside.flags.writeable = False
     populations = dict.fromkeys(product_labels(params.n_qubits), outside)
-    populations.update({lab: np.abs(amps[:, b]) ** 2
-                        for b, lab in enumerate(sector.bare_labels)})
+    populations.update(zip(sector.bare_labels, pops))
     final = np.zeros(params.dim, dtype=complex)
     final[sector.indices] = psi
+    total.flags.writeable = False
 
     trajectory = TrajectoryRecord(
         times=np.arange(n_steps + 1) * config.dt,
-        control=total.copy(),
+        control=total,
         populations=populations,
         final_state=QuantumState(amplitudes=final),
     )

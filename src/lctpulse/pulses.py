@@ -93,7 +93,9 @@ def fourier_spectrum(wf: Waveform) -> PulseSpectrum:
     fold[0] = 1.0
     if wf.n % 2 == 0:
         fold[-1] = 1.0  # Nyquist bin has no mirror
-    return PulseSpectrum(freqs_ghz=freqs, power=fold * np.abs(amps) ** 2)
+    power = np.abs(amps)
+    np.multiply(np.square(power, out=power), fold, out=power)
+    return PulseSpectrum(freqs_ghz=freqs, power=power)
 
 
 def lowpass_filter(

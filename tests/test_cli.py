@@ -443,7 +443,11 @@ def test_out_of_domain_flags_exit_1(tmp_path, capsys):
             ("cutoff", ["filter", "--pulse", pulse_path, "--cutoff", "-1"], "--cutoff"),
             ("steps", ["spectrum", "--steps", "0"], "--steps"),
             ("nan_range", ["spectrum", "--range", "nan", "0"], "--range"),
-            ("inf_range", ["spectrum", "--range", "-3", "inf"], "--range")):
+            ("inf_range", ["spectrum", "--range", "-3", "inf"], "--range"),
+            # Both ends must lie in the coupler's window [-7.445, 0] GHz.
+            ("wide_range", ["spectrum", "--range", "-20", "5"], "--range"),
+            ("above_range", ["spectrum", "--range", "-3", "0.5"], "--range"),
+            ("below_range", ["spectrum", "--range", "-7.5", "0"], "--range")):
         code, out = _run(tmp_path / name, *argv, "--config", cfg)
         assert code == 1, name
         err = capsys.readouterr().err

@@ -101,6 +101,18 @@ def test_all_held_stack_matches_masked_path(params, rng, members):
     assert all(member.tobytes() == zero_phases.tobytes() for member in phases[~nonzero])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in H + s G
+@pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+def test_non_finite_shift_raises_linalg_error(params, shift):
+    # The CLI maps LinAlgError to exit 3; a kernel that bypasses
+    # np.linalg.eigh's wrapper must keep raising it, alone and in a stack.
+    sector = params.sectors[1]
+    with pytest.raises(np.linalg.LinAlgError):
+        step_factors(sector, shift, 0.01)
+    with pytest.raises(np.linalg.LinAlgError):
+        step_factors(sector, np.array([-1.0, shift, 0.0]), 0.01)
+
+
 def test_step_preserves_norm(params, rng):
     h = build_drift_hamiltonian(params)
     psi = _random_state(rng)

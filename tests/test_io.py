@@ -452,12 +452,13 @@ def _csv_columns(draw):
     """Equal-length columns (no rows at all, as `spectrum --steps 0` writes,
     up to a few chunks) of four kinds: bulk floats over many magnitudes
     with specials sprinkled in, an exact constant, a mix of +0.0 and -0.0,
-    and specials alone."""
+    +0.0 at both ends with one -0.0 inside, and specials alone."""
     n = draw(st.sampled_from((0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(("bulk", "constant", "signed_zeros", "specials")))
+        kind = draw(st.sampled_from(("bulk", "constant", "signed_zeros", "inner_zero",
+                                     "specials")))
         if kind == "bulk":
             col = rng.normal(size=n) * 10.0 ** rng.uniform(-14, 4, size=n)
             spots = rng.random(n) < 0.05
@@ -467,6 +468,10 @@ def _csv_columns(draw):
         elif kind == "signed_zeros":
             col = np.where(rng.random(n) < 0.5, 0.0, -0.0)
             col[:1], col[-1:] = 0.0, -0.0  # never all one sign once n > 1
+        elif kind == "inner_zero":  # equal ends; only min against max tells
+            col = np.zeros(n)
+            if n > 2:
+                col[n // 2] = -0.0
         else:
             col = rng.choice(_SPECIAL_VALUES, size=n)
         columns.append(col)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -14,7 +16,7 @@ from lctpulse import (
     refined_config,
     run_lct,
 )
-from lctpulse.dynamics import apply_step, step_factors
+from lctpulse.dynamics import CHUNK, apply_step, step_factors
 from lctpulse.lct import run_lct_lockstep, seed_state
 from lctpulse.optimize import reverse_error
 from lctpulse.model import product_labels
@@ -297,11 +299,12 @@ def test_replay_reproduces_4q_run_final_state_exactly():
 
 def test_4q_populations_hold_the_block_and_share_one_zero_array():
     # In-block labels read |c_b|^2 of the loop's drift-basis amplitudes,
-    # recomputed here step by step through the same kernel; the 27 labels
-    # outside the single-excitation block share one read-only zero array.
+    # recomputed here step by step through the same kernel, across the
+    # boundary of the loop's first CHUNK steps; the 27 labels outside the
+    # single-excitation block share one read-only zero array.
     device = SystemParams.from_ghz([5.890, 5.031, 6.350, 6.720],
                                    [0.100, 0.071, 0.060, 0.050], 7.445)
-    cfg = _base(t_max=5.0, initial_label="10000", target_label="01000")
+    cfg = _base(t_max=(CHUNK + 4) * 0.01, initial_label="10000", target_label="01000")
     run = run_lct(device, cfg)
     spec, sector = device.drift_spectrum, device.sectors[1]
     psi = seed_state(QuantumState(spec.state("10000")),
@@ -323,6 +326,42 @@ def test_4q_populations_hold_the_block_and_share_one_zero_array():
     for lab in set(pops) - set(outside):
         b = int(np.searchsorted(sector.columns, spec.index_of_label(lab)))
         assert pops[lab].tobytes() == (np.abs(amps[:, b]) ** 2).tobytes()
+
+
+def test_4q_block_populations_are_float64_rows_of_one_array():
+    device = SystemParams.from_ghz([5.890, 5.031, 6.350, 6.720],
+                                   [0.100, 0.071, 0.060, 0.050], 7.445)
+    run = run_lct(device, _base(t_max=5.0, initial_label="10000", target_label="01000"))
+    rows = [run.trajectory.populations[lab] for lab in device.sectors[1].bare_labels]
+    table = rows[0].base
+    assert table.dtype == np.float64 and table.shape == (5, run.waveform.n + 1)
+    for b, row in enumerate(rows):
+        assert row.base is table and row.flags.c_contiguous
+        assert np.shares_memory(row, table[b])
+    # The waveform and the recorded control are one read-only array.
+    assert run.trajectory.control is run.waveform.samples
+    assert not run.waveform.samples.flags.writeable
+
+
+def test_4q_run_memory_grows_by_less_than_100_bytes_per_step():
+    # The run keeps each block label's population (8 B per step and label,
+    # 40 B on this block) but no per-step amplitudes: a complex history of
+    # the block would add 80 B per step on its own.
+    device = SystemParams.from_ghz([5.890, 5.031, 6.350, 6.720],
+                                   [0.100, 0.071, 0.060, 0.050], 7.445)
+
+    def traced_peak(n_steps):
+        cfg = _base(t_max=n_steps * 0.01, initial_label="10000", target_label="01000")
+        tracemalloc.start()
+        try:
+            run_lct(device, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(10)  # builds and caches the device's spectrum and sectors
+    slope = (traced_peak(8000) - traced_peak(2000)) / 6000
+    assert slope < 100, slope
 
 
 # ----------------------------------------------------------------
