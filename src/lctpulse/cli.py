@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io
 from .errors import ConfigError, ConvergenceError, DegenerateLevelsError, UnknownLabelError
-from .lct import run_lct
+from .lct import population_rows, run_lct
 from .model import single_excitation_gap_minima, sweep_eigenvalues, sweep_nonadiabatic_couplings
 from .optimize import fit_analytic_pulse, optimize_reversible, optimize_truncation, reverse_error
 from .pulses import analytic_pulse, fourier_spectrum, lowpass_filter
@@ -55,23 +55,6 @@ def _load_pulse(params, flag_value: str | None, pulse_path: str | None):
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return wf
-
-
-def _summary_of_run(result, target_label: str) -> dict:
-    """What a feedback run reached, and two health numbers: the fraction of
-    steps at the clamp floor, and the monotonicity margin, the smallest
-    step-to-step change of the target population (negative: its worst dip)."""
-    traj = result.trajectory
-    return {
-        "final_error": result.final_error,
-        "final_populations": {lab: float(p[-1]) for lab, p in traj.populations.items()},
-        "t_on_ns": traj.time_to_population(target_label, 0.10),
-        "transfer_time_99_ns": traj.time_to_population(target_label, 0.99),
-        "duration_10_90_ns": traj.transfer_duration(target_label, 0.10, 0.90),
-        "clamp_saturated": result.clamp_saturated,
-        "clamp_saturation": result.clamp_saturation,
-        "monotonicity_margin": float(np.diff(traj.populations[target_label]).min()),
-    }
 
 
 # ----------------------------------------------------------------
@@ -141,12 +124,26 @@ def _write_pulse_set(ctx: dict, stem: str, params, wf) -> None:
 
 
 def cmd_lct(ctx: dict) -> None:
+    """One feedback run, its trajectory streamed to disk as it runs.  The
+    summary holds what it reached, and two health numbers: the fraction of
+    steps at the clamp floor, and the monotonicity margin, the smallest
+    step-to-step change of the target population (negative: its worst dip)."""
     params, config = _run_inputs(ctx)
-    result = run_lct(params, config)
+    result = io.write_trajectory_csv(
+        _out(ctx, "trajectory.csv"), config.dt, population_rows(params, config),
+        functools.partial(run_lct, params, config))
     _write_pulse_set(ctx, "waveform", params, result.waveform)
-    io.write_trajectory_csv(_out(ctx, "trajectory.csv"), result.trajectory)
-    io.write_json(_out(ctx, "summary.json"),
-                  _summary_of_run(result, config.target_label))
+    t = result.crossings
+    io.write_json(_out(ctx, "summary.json"), {
+        "final_error": result.final_error,
+        "final_populations": result.final_populations,
+        "t_on_ns": t[0.10],
+        "transfer_time_99_ns": t[0.99],
+        "duration_10_90_ns": None if None in (t[0.10], t[0.90]) else t[0.90] - t[0.10],
+        "clamp_saturated": result.clamp_saturated,
+        "clamp_saturation": result.clamp_saturation,
+        "monotonicity_margin": result.monotonicity_margin,
+    })
     print(f"final error {result.final_error:.3e}")
 
 

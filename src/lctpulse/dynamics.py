@@ -118,14 +118,6 @@ class TrajectoryRecord:
         hits = np.flatnonzero(pops >= level)
         return float(self.times[hits[0]]) if hits.size else None
 
-    def transfer_duration(self, label: str, lo: float = 0.01, hi: float = 0.99) -> float | None:
-        """Time spent between the lo and hi population levels."""
-        t_lo = self.time_to_population(label, lo)
-        t_hi = self.time_to_population(label, hi)
-        if t_lo is None or t_hi is None:
-            return None
-        return t_hi - t_lo
-
 
 def propagate_waveform(
     params: SystemParams,

@@ -7,9 +7,9 @@ angular internal units happens on load and on write, nowhere else.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -248,10 +248,22 @@ def analytic_params_to_dict(p: AnalyticPulseParams) -> dict:
             for key, (field, factor) in _ANALYTIC_FIELDS.items()}
 
 
+def _builtin_sha256():
+    """CPython's built-in sha256 (_sha2 from 3.12, _sha256 before); hashlib's,
+    the fallback, would load OpenSSL's libcrypto, about 3.5 MB resident."""
+    try:
+        return __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:
+        return __import__("hashlib").sha256
+
+
+_SHA256 = _builtin_sha256()
+
+
 def config_hash(path: str) -> str:
     """sha256 over the raw config bytes, so the digest moves iff they do."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return _SHA256(fh.read()).hexdigest()
 
 
 # ----------------------------------------------------------------
@@ -290,8 +302,12 @@ def _write_csv(path: str, header: str, columns, fmts) -> None:
             fh.write((row % ()) * n)
             return
         for i in range(0, n, CHUNK):
-            chunk = zip(*(col[i:i + CHUNK].tolist() for col in varying))
-            fh.write("".join(row % values for values in chunk))
+            fh.write(_rows(row, [col[i:i + CHUNK] for col in varying]))
+
+
+def _rows(row: str, columns) -> str:
+    """Equal-length columns formatted through the row template."""
+    return "".join(row % values for values in zip(*(col.tolist() for col in columns)))
 
 
 def write_waveform_csv(path: str, wf: Waveform):
@@ -338,14 +354,41 @@ def write_spectrum_csv(path: str, spectrum: PulseSpectrum):
                ["%.9f", "%.12e"])
 
 
-def write_trajectory_csv(path: str, traj) -> None:
-    """Rows on the state grid; the control column repeats its last hold
-    value on the final row (n+1 states, n holds)."""
-    control_ghz = np.append(traj.control, traj.control[-1]) / TWO_PI
-    labels = sorted(traj.populations)
-    cols = [traj.times, control_ghz] + [traj.populations[lab] for lab in labels]
-    header = "t_ns,delta_omega_ghz," + ",".join(f"pop_{lab}" for lab in labels)
-    _write_csv(path, header, cols, ["%.9f", GHZ_FMT] + ["%.12e"] * len(labels))
+def write_trajectory_csv(path: str, dt: float, labels: dict, run):
+    """Return run(sink), a feedback run that streams its trajectory to path.
+
+    labels maps each bare label to its row in the sink's populations, None
+    outside the run's block (a column of 0).  The bytes are _write_csv's
+    for the whole table: times k dt, the control in GHz and each label's
+    population, by sorted label.  The file opens at the first chunk, and
+    a run that fails later removes it.
+    """
+    names = sorted(labels)
+    rows = [labels[lab] for lab in names if labels[lab] is not None]
+    header = ",".join(["t_ns,delta_omega_ghz", *(f"pop_{lab}" for lab in names)]) + "\n"
+    row = ",".join(["%.9f", GHZ_FMT] + ["0.000000000000e+00" if labels[lab] is None
+                                         else "%.12e" for lab in names]) + "\n"
+    files = []
+
+    def sink(k0: int, samples: np.ndarray, pops: np.ndarray) -> None:
+        if not files:
+            files.append(open(path, "w"))
+            files[0].write(header)
+        for i in range(0, len(samples), CHUNK):
+            held = samples[i:i + CHUNK]
+            files[0].write(_rows(row, [np.arange(k0 + i, k0 + i + len(held)) * dt,
+                                       held / TWO_PI, *(pops[b, i:i + CHUNK] for b in rows)]))
+
+    try:
+        return run(sink)
+    except BaseException:
+        for fh in files:
+            fh.close()
+            os.remove(path)
+        raise
+    finally:
+        for fh in files:
+            fh.close()
 
 
 def write_eigenvalue_sweep_csv(path: str, deltas_rad: np.ndarray, energies_rad: np.ndarray):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import CHUNK, QuantumState, TrajectoryRecord, apply_step, step_factors
+from .dynamics import CHUNK, QuantumState, apply_step, step_factors
 from .errors import ConfigError
 from .model import DriftSpectrum, SystemParams, product_labels
 from .pulses import Waveform, clamp_floor
@@ -92,13 +92,20 @@ class LctResult:
     """Output of run_lct.
 
     waveform is the applied (total) pulse; clamp_saturation is the
-    fraction of steps whose sample sat at the clamp floor.
+    fraction of steps whose sample sat at the clamp floor.  final_state and
+    final_populations (every bare label's) are at t_max.  crossings maps
+    0.10, 0.90 and 0.99 to the target population's first grid time at that
+    level (None: never); monotonicity_margin is its smallest step-to-step
+    change.
     """
 
     waveform: Waveform
-    trajectory: TrajectoryRecord
+    final_state: QuantumState
     final_error: float
     clamp_saturation: float
+    final_populations: dict
+    crossings: dict
+    monotonicity_margin: float
 
     @property
     def clamp_saturated(self) -> bool:
@@ -197,37 +204,51 @@ def _gain(config: LctConfig) -> float:
     return config.lambda_ if config.reference is None else config.lambda2
 
 
-def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
+def population_rows(params: SystemParams, config: LctConfig) -> dict:
+    """Each bare label's row in the populations run_lct hands its sink; None
+    outside the run's excitation block, whose populations stay 0."""
+    params.drift_spectrum.index_of_label(config.target_label)  # an unknown label raises
+    block = params.sectors[config.target_label.count("1")].bare_labels
+    return {lab: block.index(lab) if lab in block else None
+            for lab in product_labels(params.n_qubits)}
+
+
+def run_lct(params: SystemParams, config: LctConfig, sink=None) -> LctResult:
     """Shape a coupler-shift pulse by local-control feedback.
 
     Returns the applied waveform (reference plus shaped term, jointly
-    clamped), the trajectory over the run with every bare label's
-    population, the final target-population error and the fraction of
-    steps held at the clamp floor.  The loop runs in the excitation block
-    of the two labels (validated equal by LctConfig), CHUNK steps at a
-    time: it buffers their drift-basis amplitudes and squares them into
-    one (block dim, n+1) array, whose rows are the block labels'
-    populations; every label outside the block reads one shared read-only
-    array of zeros.  Waveform and control share the read-only samples.
+    clamped) and what LctResult summarises.  The loop runs in the
+    excitation block of the two labels (validated equal by LctConfig),
+    CHUNK steps at a time, and keeps no history but the samples: it
+    buffers the chunk's drift-basis amplitudes, squares them into the
+    block's populations and folds those into the summary.  Row k is the
+    state at k dt.  When a chunk ends, sink (if given) is called with its
+    first row index, the samples applied on its rows (row n repeats
+    sample n-1) and their (block dim, rows) float64 populations, in
+    population_rows' order, from a buffer the next chunk reuses.
     """
     sector, m_row, jb, _, n_steps, psi = _loop(params, config)
-    reference, gain = _reference(config, n_steps), _gain(config)
+    # The reference fills total, to which each step adds the feedback.
+    total, gain = _reference(config, n_steps), _gain(config)
     lo_clamp = clamp_floor(params.omega_tc_max)
 
-    total = np.zeros(n_steps)
-    pops = np.empty((psi.size, n_steps + 1))
-    buf = np.empty((CHUNK, psi.size), dtype=complex)
-
+    # One chunk's rows start..stop of drift-basis amplitudes and their
+    # populations; the last row is the next chunk's first.
+    amps = np.empty((CHUNK + 1, psi.size), dtype=complex)
+    pops = np.empty((CHUNK + 1, psi.size))
     vt = sector.eigenvectors.conj().T
     c = vt @ psi
-    pops[:, 0] = np.abs(c) ** 2
     raw = 0.0  # nothing computed yet; first sample is the reference alone
     saturated = 0
+    crossings = dict.fromkeys((0.10, 0.90, 0.99))
+    margin = np.inf
 
     for start in range(0, n_steps, CHUNK):
-        block = buf[:n_steps - start]
-        for i, k in enumerate(range(start, start + len(block))):
-            applied = reference[k] + raw
+        stop = min(start + CHUNK, n_steps)
+        block = amps[:stop - start + 1]
+        block[0] = c
+        for i, k in enumerate(range(start, stop), 1):
+            applied = total[k] + raw
             if applied > 0.0:
                 applied = 0.0
             elif applied < lo_clamp:
@@ -240,28 +261,33 @@ def run_lct(params: SystemParams, config: LctConfig) -> LctResult:
             c = vt @ psi
             block[i] = c
             raw = _raw_feedback(m_row, c, jb, gain)
-        pops[:, start + 1:start + 1 + len(block)] = (np.abs(block) ** 2).T
+        rows = pops[:len(block)]
+        rows = np.square(np.abs(block, out=rows), out=rows).T
+        target = rows[jb]
+        margin = np.minimum(margin, np.diff(target).min())
+        for level, t in crossings.items():
+            hits = np.flatnonzero(target >= level)
+            if t is None and hits.size:
+                crossings[level] = float((start + hits[0]) * config.dt)
+        if sink is not None:
+            if stop < n_steps:
+                sink(start, total[start:stop], rows[:, :-1])
+            else:
+                sink(start, np.append(total[start:], total[-1]), rows)
 
-    outside = np.zeros(n_steps + 1)
-    outside.flags.writeable = False
-    populations = dict.fromkeys(product_labels(params.n_qubits), outside)
-    populations.update(zip(sector.bare_labels, pops))
     final = np.zeros(params.dim, dtype=complex)
     final[sector.indices] = psi
+    populations = dict.fromkeys(product_labels(params.n_qubits), 0.0)
+    populations.update(zip(sector.bare_labels, rows[:, -1].tolist()))
     total.flags.writeable = False
-
-    trajectory = TrajectoryRecord(
-        times=np.arange(n_steps + 1) * config.dt,
-        control=total,
-        populations=populations,
-        final_state=QuantumState(amplitudes=final),
-    )
-    final_error = 1.0 - float(np.abs(c[jb]) ** 2)
     return LctResult(
         waveform=Waveform(dt=config.dt, samples=total),
-        trajectory=trajectory,
-        final_error=final_error,
+        final_state=QuantumState(amplitudes=final),
+        final_error=1.0 - float(np.abs(c[jb]) ** 2),
         clamp_saturation=saturated / n_steps,
+        final_populations=populations,
+        crossings=crossings,
+        monotonicity_margin=float(margin),
     )
 
 

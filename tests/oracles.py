@@ -86,3 +86,13 @@ def dominant_frequency(spectrum, min_freq_ghz: float = 0.0) -> float:
     if not idx.size:
         raise ValueError("min_freq_ghz above the Nyquist frequency")
     return float(spectrum.freqs_ghz[idx[np.argmax(spectrum.power[idx])]])
+
+
+def transfer_duration(traj, label: str, lo: float, hi: float) -> float | None:
+    """Time a trajectory's `label` population spends between its first
+    crossings of lo and hi; None when it never reaches one of them."""
+    t_lo = traj.time_to_population(label, lo)
+    t_hi = traj.time_to_population(label, hi)
+    if t_lo is None or t_hi is None:
+        return None
+    return t_hi - t_lo

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, record_lct
 from lctpulse.cli import main
 from lctpulse.dynamics import QuantumState, propagate_waveform
 from lctpulse.lct import (
@@ -51,7 +51,8 @@ from lctpulse.pulses import (
 )
 from lctpulse.units import TWO_PI
 from oracles import (dominant_frequency, hamiltonian_at, label_index,
-                     population_derivative_check, propagate_step, time_reverse)
+                     population_derivative_check, propagate_step, time_reverse,
+                     transfer_duration)
 
 LAMBDA_STAR = 27626.0
 LAMBDA2_INIT = 598.15
@@ -118,8 +119,13 @@ def ref040(params, bare):
 
 
 @pytest.fixture(scope="module")
-def refined300(params, base_config, ref040):
-    return run_lct(params, refined_config(base_config, ref040, 300.0))
+def refined300_recorded(params, base_config, ref040):
+    return record_lct(params, refined_config(base_config, ref040, 300.0))
+
+
+@pytest.fixture(scope="module")
+def refined300(refined300_recorded):
+    return refined300_recorded[0]
 
 
 @pytest.fixture(scope="module")
@@ -163,8 +169,8 @@ def test_criterion_2_monotone_transfer(params, base_config, bare, spectrum):
 
     # Step-size refinement: the emitted staircase replayed on an eighth
     # of the grid keeps the target population non-decreasing.
-    fine = run_lct(params, replace(base_config, dt=0.00125))
-    worst_dip = float(np.diff(fine.trajectory.populations["010"]).min())
+    fine, fine_traj = record_lct(params, replace(base_config, dt=0.00125))
+    worst_dip = float(np.diff(fine_traj.populations["010"]).min())
 
     # Derivative-level oracle on the coarse run: every applied sample was
     # computed from the state at its own step start, so the instantaneous
@@ -252,19 +258,19 @@ def test_criterion_3_dominant_spectral_line(params, bare):
 
 
 def test_criterion_4_filtered_reference_needs_correction(
-    params, base_config, spectrum, ref040, refined300
+    params, base_config, spectrum, ref040, refined300_recorded
 ):
     alone = 1.0 - _transfer_error(params, spectrum, ref040, "100", "010")
 
     errors, durations = [], []
     for lam2 in (100.0, 300.0, 1000.0):
-        r = (
-            refined300
+        r, traj = (
+            refined300_recorded
             if lam2 == 300.0
-            else run_lct(params, refined_config(base_config, ref040, lam2))
+            else record_lct(params, refined_config(base_config, ref040, lam2))
         )
         errors.append(r.final_error)
-        durations.append(r.trajectory.transfer_duration("010", 0.10, 0.90))
+        durations.append(transfer_duration(traj, "010", 0.10, 0.90))
 
     ps = fourier_spectrum(ref040)
     leak = float(ps.power[ps.freqs_ghz > 0.40].max() / ps.power.max())

@@ -1,11 +1,16 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lctpulse
+from lctpulse import lct
 from lctpulse.cli import main
+from lctpulse.dynamics import CHUNK
 from lctpulse.io import device_from_config, read_waveform_csv, write_waveform_csv
 from lctpulse.pulses import Waveform, clamp_floor, lowpass_filter
 from lctpulse.units import TWO_PI
@@ -118,6 +123,57 @@ def test_run_whose_target_is_its_initial_label_exits_1(tmp_path, capsys, command
     assert code == 1
     assert "nothing to transfer" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_lct_failing_in_the_loop_leaves_no_partial_trajectory(tmp_path, monkeypatch, capsys):
+    # trajectory.csv streams to disk chunk by chunk: a run that fails
+    # after its first chunk was written must take the partial file away.
+    cfg = _config(tmp_path, lct={**LCT_SHORT, "t_max_ns": 60.0})
+    out = tmp_path / "out"
+    steps, step_factors = [], lct.step_factors
+
+    def failing(*args):
+        steps.append(None)
+        if len(steps) > CHUNK + 5:
+            assert (out / "trajectory.csv").stat().st_size > 0
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return step_factors(*args)
+
+    monkeypatch.setattr(lct, "step_factors", failing)
+    code, _ = _run(tmp_path, "lct", "--config", cfg)
+    assert code == 3
+    assert "numerical error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_lct_failing_before_the_loop_opens_no_file(tmp_path, monkeypatch, capsys):
+    # A t_max that is not a whole number of samples is refused before the
+    # first step: io reads the config and never opens trajectory.csv.
+    opened = []
+    monkeypatch.setattr(lctpulse.io, "open", raising=False,
+                        value=lambda path, *args: opened.append(path) or open(path, *args))
+    cfg = _config(tmp_path, lct={**LCT_SHORT, "t_max_ns": 40.005})
+    code, out = _run(tmp_path, "lct", "--config", cfg)
+    assert code == 1
+    assert "integer number of samples" in capsys.readouterr().err
+    assert opened == [cfg]
+    assert list(out.iterdir()) == []
+
+
+def test_cli_leaves_openssl_unloaded(tmp_path):
+    # config_hash takes sha256 from CPython's built-in module; hashlib
+    # would load OpenSSL's libcrypto (_hashlib) for one digest.
+    cfg = _config(tmp_path, lct={**LCT_SHORT, "t_max_ns": 2.0})
+    argv = ["lct", "--config", cfg, "--out-dir", str(tmp_path / "out")]
+    code = (f"import sys, lctpulse.cli; assert lctpulse.cli.main({argv!r}) == 0; "
+            "print('_hashlib' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.realpath(lctpulse.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_filter_command(tmp_path):

@@ -26,6 +26,7 @@ from oracles import (
     population_derivative_check,
     propagate_step,
     time_reverse,
+    transfer_duration,
 )
 
 
@@ -453,5 +454,5 @@ def test_trajectory_timing_helpers():
         populations={"010": pops},
         final_state=QuantumState(np.eye(8)[0].astype(complex)))
     assert rec.time_to_population("010", 0.5) == pytest.approx(4.0, abs=0.1)
-    assert rec.transfer_duration("010", 0.1, 0.9) == pytest.approx(6.4, abs=0.2)
+    assert transfer_duration(rec, "010", 0.1, 0.9) == pytest.approx(6.4, abs=0.2)
     assert rec.time_to_population("010", 2.0) is None

@@ -1,13 +1,15 @@
 import hashlib
 import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import record_lct
 from lctpulse import ConfigError, SystemParams, Waveform
-from lctpulse.dynamics import TrajectoryRecord, QuantumState
+from lctpulse import io
 from lctpulse.io import (
     CHUNK,
     FilterConfig,
@@ -33,7 +35,7 @@ from lctpulse.io import (
     write_trajectory_csv,
     write_waveform_csv,
 )
-from lctpulse.lct import LctConfig, run_lct
+from lctpulse.lct import LctConfig, population_rows, run_lct
 from lctpulse.optimize import (
     AnalyticConfig,
     OptimizationReport,
@@ -320,6 +322,19 @@ def test_config_hash_tracks_bytes(tmp_path):
     assert config_hash(path) != hashlib.sha256(b'{"a": 1}').hexdigest()
 
 
+def test_config_hash_falls_back_to_hashlib(tmp_path, monkeypatch):
+    # Without CPython's built-in sha256 module the digest comes from
+    # hashlib, and it is the same digest.
+    path = _write(tmp_path, "c.json", '{"a": 1}')
+    builtin = config_hash(path)
+    assert io._SHA256 is not hashlib.sha256
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    monkeypatch.setattr(io, "_SHA256", io._builtin_sha256())
+    assert io._SHA256 is hashlib.sha256
+    assert config_hash(path) == builtin == hashlib.sha256(b'{"a": 1}').hexdigest()
+
+
 # ----------------------------------------------------------------
 # CSV round trips
 # ----------------------------------------------------------------
@@ -351,13 +366,13 @@ def test_waveform_csv_rejects_bad_grids(tmp_path):
 
 
 def test_trajectory_csv_layout(tmp_path):
-    times = np.arange(5) * 0.1
-    rec = TrajectoryRecord(
-        times=times, control=-TWO_PI * np.array([0.0, 1.0, 2.0, 1.0]),
-        populations={"100": np.linspace(1, 0, 5), "010": np.linspace(0, 1, 5)},
-        final_state=QuantumState(np.eye(8)[0].astype(complex)))
+    # A sink call hands over the rows' samples (the final row repeating the
+    # last hold) and the populations of the labels given a row.
+    control = -TWO_PI * np.array([0.0, 1.0, 2.0, 1.0, 1.0])
+    pops = np.array([np.linspace(1, 0, 5), np.linspace(0, 1, 5)])
     path = str(tmp_path / "traj.csv")
-    write_trajectory_csv(path, rec)
+    assert write_trajectory_csv(path, 0.1, {"100": 0, "010": 1},
+                                lambda sink: sink(0, control, pops) or "done") == "done"
     with open(path) as fh:
         header = fh.readline().strip()
     assert header == "t_ns,delta_omega_ghz,pop_010,pop_100"
@@ -492,15 +507,17 @@ def test_write_csv_matches_savetxt_bytes(tmp_path_factory, case):
 
 def test_four_qubit_trajectory_csv_matches_savetxt(tmp_path):
     # Every one of the 32 labels is tracked; those outside the run's
-    # excitation block are exactly-zero columns.
+    # excitation block are exactly-zero columns.  The run streams two
+    # chunks (4096 rows, then 5), which the file must join seamlessly.
     device = SystemParams.from_ghz([5.890, 5.031, 6.350, 6.720],
                                    [0.100, 0.071, 0.060, 0.050], 7.445)
-    traj = run_lct(device, LctConfig(lambda_=27626.0, eta=1e-6, dt=0.01, t_max=8.0,
-                                     initial_label="10000",
-                                     target_label="01000")).trajectory
+    config = LctConfig(lambda_=27626.0, eta=1e-6, dt=0.01, t_max=41.0,
+                       initial_label="10000", target_label="01000")
+    _, traj = record_lct(device, config)
     assert len(traj.populations) == 32
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(str(path), traj)
+    write_trajectory_csv(str(path), config.dt, population_rows(device, config),
+                         lambda sink: run_lct(device, config, sink))
     labels = sorted(traj.populations)
     control_ghz = np.append(traj.control, traj.control[-1]) / TWO_PI
     columns = [traj.times, control_ghz] + [traj.populations[lab] for lab in labels]

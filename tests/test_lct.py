@@ -17,10 +17,12 @@ from lctpulse import (
     run_lct,
 )
 from lctpulse.dynamics import CHUNK, apply_step, step_factors
-from lctpulse.lct import run_lct_lockstep, seed_state
+from lctpulse.io import write_trajectory_csv
+from lctpulse.lct import population_rows, run_lct_lockstep, seed_state
 from lctpulse.optimize import reverse_error
 from lctpulse.model import product_labels
 from lctpulse.pulses import CLAMP_FLOOR_FRACTION
+from conftest import record_lct
 from oracles import feedback_value
 
 LAMBDA_STAR = 27626.0
@@ -34,8 +36,13 @@ def _base(t_max=450.0, **kw):
 
 
 @pytest.fixture(scope="module")
-def bare_run(params):
-    return run_lct(params, _base())
+def bare_recorded(params):
+    return record_lct(params, _base())
+
+
+@pytest.fixture(scope="module")
+def bare_run(bare_recorded):
+    return bare_recorded[0]
 
 
 @pytest.fixture(scope="module")
@@ -167,12 +174,13 @@ def test_clamp_saturation_is_the_fraction_of_floor_steps(params, bare_run):
     assert not strong.clamp_saturated
 
 
-def test_bare_run_shapes(bare_run):
+def test_bare_run_shapes(bare_recorded):
+    bare_run, traj = bare_recorded
     wf = bare_run.waveform
     assert wf.n == 45000
     assert wf.dt == 0.01
-    assert bare_run.trajectory.times.size == wf.n + 1
-    np.testing.assert_array_equal(bare_run.trajectory.control, wf.samples)
+    assert traj.times.size == wf.n + 1
+    np.testing.assert_array_equal(traj.control, wf.samples)
 
 
 def test_bare_first_sample_is_zero(bare_run):
@@ -187,15 +195,15 @@ def test_bare_samples_respect_clamp(params, bare_run):
     assert np.all(s >= lo)
 
 
-def test_bare_monotone_at_run_grid(bare_run):
+def test_bare_monotone_at_run_grid(bare_recorded):
     # Feedback guarantees a non-negative rate at each step start; within a
     # 0.01 ns hold the rate can drift slightly negative.
-    dips = np.diff(bare_run.trajectory.populations["010"])
+    dips = np.diff(bare_recorded[1].populations["010"])
     assert dips.min() > -1e-7
 
 
 def _worst_dip(params, lambda_, t_max, dt):
-    target = run_lct(params, _base(t_max=t_max, lambda_=lambda_, dt=dt)).trajectory
+    _, target = record_lct(params, _base(t_max=t_max, lambda_=lambda_, dt=dt))
     return abs(np.diff(target.populations["010"]).min())
 
 
@@ -234,13 +242,13 @@ def test_unseeded_bare_run_stalls(params):
 def test_out_of_block_labels_read_exactly_zero(params):
     # The loop runs in the single-excitation block; labels of other
     # excitation numbers can never fill and are written as exact zeros.
-    res = run_lct(params, _base(t_max=5.0))
-    pops = res.trajectory.populations
+    res, traj = record_lct(params, _base(t_max=5.0))
+    pops = traj.populations
     for lab in ("000", "110", "111"):
         assert np.all(pops[lab] == 0.0)
     assert pops["010"][-1] > 0.0
     weight = np.array([lab.count("1") for lab in product_labels(params.n_qubits)])
-    assert np.all(res.trajectory.final_state.amplitudes[weight != 1] == 0.0)
+    assert np.all(traj.final_state.amplitudes[weight != 1] == 0.0)
 
 
 def test_emitted_samples_match_feedback_law(params, spectrum, short_run):
@@ -276,7 +284,7 @@ def test_replay_reproduces_run_final_state_exactly(params, spectrum, short_run):
     assert np.any(short_run.waveform.samples != 0.0)
     traj = propagate_waveform(params, psi, short_run.waveform, tracked=[])
     np.testing.assert_array_equal(traj.final_state.amplitudes,
-                                  short_run.trajectory.final_state.amplitudes)
+                                  short_run.final_state.amplitudes)
 
 
 def test_replay_reproduces_4q_run_final_state_exactly():
@@ -294,18 +302,22 @@ def test_replay_reproduces_4q_run_final_state_exactly():
                      QuantumState(spec.state("01000")), cfg.eta)
     traj = propagate_waveform(device, psi, run.waveform, tracked=[])
     np.testing.assert_array_equal(traj.final_state.amplitudes,
-                                  run.trajectory.final_state.amplitudes)
+                                  run.final_state.amplitudes)
+
+
+_FOUR_QUBITS = ([5.890, 5.031, 6.350, 6.720], [0.100, 0.071, 0.060, 0.050], 7.445)
 
 
 def test_4q_populations_hold_the_block_and_share_one_zero_array():
     # In-block labels read |c_b|^2 of the loop's drift-basis amplitudes,
     # recomputed here step by step through the same kernel, across the
     # boundary of the loop's first CHUNK steps; the 27 labels outside the
-    # single-excitation block share one read-only zero array.
-    device = SystemParams.from_ghz([5.890, 5.031, 6.350, 6.720],
-                                   [0.100, 0.071, 0.060, 0.050], 7.445)
+    # single-excitation block have no row in what the sink receives and
+    # read one exact zero.
+    device = SystemParams.from_ghz(*_FOUR_QUBITS)
     cfg = _base(t_max=(CHUNK + 4) * 0.01, initial_label="10000", target_label="01000")
-    run = run_lct(device, cfg)
+    chunks = []
+    run, traj = record_lct(device, cfg, chunks)
     spec, sector = device.drift_spectrum, device.sectors[1]
     psi = seed_state(QuantumState(spec.state("10000")),
                      QuantumState(spec.state("01000")), cfg.eta).amplitudes[sector.indices]
@@ -316,52 +328,81 @@ def test_4q_populations_hold_the_block_and_share_one_zero_array():
         amps.append(vt @ psi)
     amps = np.array(amps)
 
-    pops = run.trajectory.populations
-    outside = [lab for lab in product_labels(4) if lab.count("1") != 1]
+    assert [(k0, p.shape) for k0, _, p in chunks] == [(0, (5, CHUNK)), (CHUNK, (5, 5))]
+    rows = population_rows(device, cfg)
+    pops = traj.populations
+    outside = [lab for lab, b in rows.items() if b is None]
     assert len(outside) == 27 and len(pops) == 32
-    zeros = pops[outside[0]]
-    assert all(pops[lab] is zeros for lab in outside)
-    assert not zeros.flags.writeable
-    assert zeros.shape == (run.waveform.n + 1,) and not zeros.any()
+    assert outside == [lab for lab in product_labels(4) if lab.count("1") != 1]
+    assert sorted(b for b in rows.values() if b is not None) == list(range(5))
+    for lab in outside:
+        assert not pops[lab].any() and run.final_populations[lab] == 0.0
     for lab in set(pops) - set(outside):
         b = int(np.searchsorted(sector.columns, spec.index_of_label(lab)))
+        assert rows[lab] == b
         assert pops[lab].tobytes() == (np.abs(amps[:, b]) ** 2).tobytes()
+    # The summary is read off the same rows.
+    target = pops["01000"]
+    assert run.monotonicity_margin == float(np.diff(target).min())
+    assert run.final_populations == {lab: float(p[-1]) for lab, p in pops.items()}
+    for level, t in run.crossings.items():
+        assert t == traj.time_to_population("01000", level)
 
 
 def test_4q_block_populations_are_float64_rows_of_one_array():
-    device = SystemParams.from_ghz([5.890, 5.031, 6.350, 6.720],
-                                   [0.100, 0.071, 0.060, 0.050], 7.445)
-    run = run_lct(device, _base(t_max=5.0, initial_label="10000", target_label="01000"))
-    rows = [run.trajectory.populations[lab] for lab in device.sectors[1].bare_labels]
-    table = rows[0].base
-    assert table.dtype == np.float64 and table.shape == (5, run.waveform.n + 1)
-    for b, row in enumerate(rows):
-        assert row.base is table and row.flags.c_contiguous
-        assert np.shares_memory(row, table[b])
-    # The waveform and the recorded control are one read-only array.
-    assert run.trajectory.control is run.waveform.samples
+    # Each sink call hands the block's rows as one (block dim, rows)
+    # float64 array, every call a view of the one buffer the run reuses,
+    # with one sample per row (row n repeats sample n-1).
+    device = SystemParams.from_ghz(*_FOUR_QUBITS)
+    cfg = _base(t_max=(CHUNK + 4) * 0.01, initial_label="10000", target_label="01000")
+    calls = []
+    run = run_lct(device, cfg, sink=lambda k0, samples, p: calls.append((k0, samples.copy(), p)))
+    assert [k0 for k0, _, _ in calls] == [0, CHUNK]
+    buffer = calls[0][2]
+    for _, samples, p in calls:
+        assert p.dtype == np.float64 and p.shape == (5, samples.size)
+        assert np.shares_memory(p, buffer)
+    samples = np.concatenate([s for _, s, _ in calls])
+    assert samples.size == run.waveform.n + 1 and samples[-1] == samples[-2]
+    assert samples[:-1].tobytes() == run.waveform.samples.tobytes()
+    # The waveform's samples are one read-only array.
     assert not run.waveform.samples.flags.writeable
 
 
-def test_4q_run_memory_grows_by_less_than_100_bytes_per_step():
-    # The run keeps each block label's population (8 B per step and label,
-    # 40 B on this block) but no per-step amplitudes: a complex history of
-    # the block would add 80 B per step on its own.
-    device = SystemParams.from_ghz([5.890, 5.031, 6.350, 6.720],
-                                   [0.100, 0.071, 0.060, 0.050], 7.445)
+def test_4q_trajectory_csv_writes_exact_zeros_outside_the_block(tmp_path):
+    device = SystemParams.from_ghz(*_FOUR_QUBITS)
+    cfg = _base(t_max=5.0, initial_label="10000", target_label="01000")
+    rows = population_rows(device, cfg)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(str(path), cfg.dt, rows, lambda sink: run_lct(device, cfg, sink))
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    assert len(lines) == 502
+    for lab, b in rows.items():
+        column = {line.split(",")[header.index(f"pop_{lab}")] for line in lines[1:]}
+        assert (column == {"0.000000000000e+00"}) == (b is None)
+
+
+def test_4q_run_memory_grows_by_at_most_20_bytes_per_step(tmp_path):
+    # The run keeps its samples (8 B per step) and nothing else per step:
+    # the populations go to the sink, here the trajectory writer, one
+    # chunk at a time.
+    device = SystemParams.from_ghz(*_FOUR_QUBITS)
 
     def traced_peak(n_steps):
         cfg = _base(t_max=n_steps * 0.01, initial_label="10000", target_label="01000")
+        rows = population_rows(device, cfg)
         tracemalloc.start()
         try:
-            run_lct(device, cfg)
+            write_trajectory_csv(str(tmp_path / "trajectory.csv"), cfg.dt, rows,
+                                 lambda sink: run_lct(device, cfg, sink))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     traced_peak(10)  # builds and caches the device's spectrum and sectors
     slope = (traced_peak(8000) - traced_peak(2000)) / 6000
-    assert slope < 100, slope
+    assert slope <= 20, slope
 
 
 # ----------------------------------------------------------------
