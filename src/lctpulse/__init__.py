@@ -1,6 +1,6 @@
 """Local-control pulse synthesis for tunable-coupler population transfer."""
 
-from .dynamics import QuantumState, TrajectoryRecord, propagate_waveform
+from .dynamics import TrajectoryRecord, propagate_waveform
 from .errors import (
     ConfigError,
     ConvergenceError,

@@ -5,13 +5,17 @@ exp(-i h dt) computed through the eigendecomposition of the (real
 symmetric) Hamiltonian held on that interval.  No Trotter or ODE error
 enters; the only approximation anywhere is the sample-and-hold control.
 
-step_factors and apply_step are the one propagation kernel: the waveform
-replay, the endpoint product and the feedback loop in lct all use them.
 Exchange conserves excitation number and the control is diagonal, so
-H_d + s G is block diagonal by excitation number: waveforms are
-propagated block by block (SystemParams.sectors, the drift spectrum on
-each block), (n+1)-dimensional for a single excitation instead of
-2^(n+1).
+H_d + s G is block diagonal by excitation number and a state never
+leaves its block.  A state is therefore a sector (one entry of
+SystemParams.sectors, the drift spectrum on one block, found by
+SystemParams.sector_of) and a plain array of that block's amplitudes:
+(n+1)-dimensional for a single excitation instead of 2^(n+1).
+
+step_factors and apply_step are the one propagation kernel.  One chunk
+stepper drives them for the sequential replay (propagate_waveform) and
+the first-crossing scan; the endpoint product and the feedback loop in
+lct use them directly.
 """
 
 from __future__ import annotations
@@ -20,10 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DriftSpectrum, SystemParams, held_hamiltonians
+from .model import DriftSpectrum, held_hamiltonians
 from .pulses import Waveform
-
-_NORM_TOL = 1e-10
 
 # Replays build step factors CHUNK samples at a time, so their scratch
 # memory does not grow with the pulse.  It must be a power of two: the
@@ -32,26 +34,6 @@ _NORM_TOL = 1e-10
 # one possibly short), so folding the chunk products in a second tree
 # gives the whole stack's product bit for bit.
 CHUNK = 4096
-
-
-@dataclass
-class QuantumState:
-    """Normalized state vector in the product basis."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
-        if a.ndim != 1:
-            raise ValueError("state must be a vector")
-        norm = np.linalg.norm(a)
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1")
-        object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
 
 def step_factors(spectrum: DriftSpectrum, shifts, dt: float) -> tuple:
@@ -95,8 +77,27 @@ def apply_step(u: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray
 
 
 # ----------------------------------------------------------------
-# trajectories
+# replays
 # ----------------------------------------------------------------
+
+def _step_chunks(sector: DriftSpectrum, psi: np.ndarray, wf: Waveform):
+    """Step the block amplitudes psi through wf, CHUNK samples at a time.
+
+    Each chunk's step factors come from one batched eigendecomposition,
+    built only when the chunk is reached and ahead of the (inherently
+    sequential) update loop over them.  Yields (start, states) per chunk:
+    states[i] holds the amplitudes at grid time start + i, the last row
+    being the next chunk's first, in a buffer the next chunk overwrites.
+    """
+    states = np.empty((min(CHUNK, wf.n) + 1, len(psi)), dtype=complex)
+    states[0] = psi
+    for start in range(0, wf.n, CHUNK):
+        u, phases = step_factors(sector, wf.samples[start:start + CHUNK], wf.dt)
+        for k in range(len(u)):
+            states[k + 1] = apply_step(u[k], phases[k], states[k])
+        yield start, states[:len(u) + 1]
+        states[0] = states[len(u)]
+
 
 @dataclass
 class TrajectoryRecord:
@@ -104,65 +105,56 @@ class TrajectoryRecord:
 
     times has n+1 entries (state grid); control has n entries (one per hold
     interval); populations maps each tracked bare label to the squared
-    overlap with the corresponding drift eigenstate on the state grid.
+    overlap with the corresponding drift eigenstate on the state grid;
+    final_state is the block amplitudes at the last grid time.
     """
 
     times: np.ndarray
     control: np.ndarray
     populations: dict
-    final_state: QuantumState
-
-    def time_to_population(self, label: str, level: float) -> float | None:
-        """First grid time where the tracked population reaches `level`."""
-        pops = self.populations[label]
-        hits = np.flatnonzero(pops >= level)
-        return float(self.times[hits[0]]) if hits.size else None
+    final_state: np.ndarray
 
 
 def propagate_waveform(
-    params: SystemParams,
-    psi0: QuantumState,
+    sector: DriftSpectrum,
+    psi: np.ndarray,
     wf: Waveform,
     tracked: list,
 ) -> TrajectoryRecord:
-    """Propagate a state under a full control waveform.
+    """Propagate the block amplitudes psi of a sector under a full waveform.
 
-    Each block the state occupies is stepped on its own, in sample order,
-    with its step factors built by one batched eigendecomposition per
-    CHUNK samples ahead of the (inherently sequential) update loop over
-    them; the blocks it leaves empty stay exactly zero.  Tracked
-    populations refer to drift eigenstates resolved by bare label and are
-    computed from the stored amplitudes after the loop.
+    Tracked populations refer to the sector's drift eigenstates, resolved
+    by bare label, and are computed from the stored amplitudes after the
+    loop.
     """
-    if psi0.dim != params.dim:
-        raise ValueError("state dimension does not match the device")
-    spectrum = params.drift_spectrum
-    track_vecs = spectrum.eigenvectors[:, [spectrum.index_of_label(lab) for lab in tracked]]
-
-    n = wf.n
-    final = np.zeros(params.dim, dtype=complex)
-    overlaps = np.zeros((n + 1, len(tracked)), dtype=complex)
-    for sector in params.sectors:
-        psi = psi0.amplitudes[sector.indices]
-        if not np.any(psi):
-            continue
-        history = np.empty((n + 1, psi.size), dtype=complex)
-        history[0] = psi
-        for start in range(0, n, CHUNK):
-            u, phases = step_factors(sector, wf.samples[start:start + CHUNK], wf.dt)
-            for k in range(len(u)):
-                psi = apply_step(u[k], phases[k], psi)
-                history[start + k + 1] = psi
-        final[sector.indices] = psi
-        overlaps += history @ track_vecs[sector.indices].conj()
-    pops = np.abs(overlaps) ** 2
-
+    track_vecs = sector.eigenvectors[:, [sector.index_of_label(lab) for lab in tracked]]
+    history = np.empty((wf.n + 1, len(psi)), dtype=complex)
+    for start, states in _step_chunks(sector, psi, wf):
+        history[start:start + len(states)] = states
+    pops = np.abs(history @ track_vecs.conj()) ** 2
     return TrajectoryRecord(
-        times=np.arange(n + 1) * wf.dt,
+        times=np.arange(wf.n + 1) * wf.dt,
         control=wf.samples.copy(),
         populations={lab: pops[:, i] for i, lab in enumerate(tracked)},
-        final_state=QuantumState(amplitudes=final),
+        final_state=history[-1].copy(),
     )
+
+
+def first_crossing(sector: DriftSpectrum, psi: np.ndarray, wf: Waveform,
+                   label: str, level: float) -> float | None:
+    """First grid time at which the population of the sector's eigenstate
+    `label` reaches level, psi stepped through wf; None if it never does.
+
+    The scan keeps no history and stops at the chunk holding the
+    crossing.  It steps through propagate_waveform's states and reads
+    the same times.
+    """
+    v = sector.eigenvectors[:, [sector.index_of_label(label)]].conj()
+    for start, states in _step_chunks(sector, psi, wf):
+        hits = np.flatnonzero(np.abs(states @ v) ** 2 >= level)
+        if hits.size:
+            return float((start + hits[0]) * wf.dt)
+    return None
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -173,30 +165,20 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def propagate_endpoints(params: SystemParams, states: list, wf: Waveform) -> list:
-    """The states at the end of wf, for callers that read nothing else.
+def propagate_endpoints(sector: DriftSpectrum, states: list, wf: Waveform) -> list:
+    """The block amplitudes at the end of wf of each of a sector's states,
+    for callers that read nothing else.
 
-    Per occupied block, the step unitaries U_k = V_k diag(exp(-i w_k dt))
-    V_k^H come from one batched eigh per CHUNK samples and are multiplied
-    as a pairwise tree, so the replay is log2(n) batched products instead
-    of n sequential steps.  It agrees with propagate_waveform to rounding,
-    not bit for bit.  Each block's product is built once for all the
-    states that occupy it, and each result is bit for bit the one of a
-    lone call.
+    The step unitaries U_k = V_k diag(exp(-i w_k dt)) V_k^H come from one
+    batched eigh per CHUNK samples and are multiplied as a pairwise tree,
+    so the replay is log2(n) batched products instead of n sequential
+    steps.  It agrees with propagate_waveform to rounding, not bit for
+    bit.  The product is built once for all the states, and each result
+    is bit for bit the one of a lone call.
     """
-    if any(psi0.dim != params.dim for psi0 in states):
-        raise ValueError("state dimension does not match the device")
-    finals = [np.zeros(params.dim, dtype=complex) for _ in states]
-    for sector in params.sectors:
-        occupied = [k for k, psi0 in enumerate(states)
-                    if np.any(psi0.amplitudes[sector.indices])]
-        if not occupied:
-            continue
-        chunks = []
-        for start in range(0, wf.n, CHUNK):
-            u, phases = step_factors(sector, wf.samples[start:start + CHUNK], wf.dt)
-            chunks.append(_ordered_product((u * phases[:, None, :]) @ u.conj().swapaxes(-1, -2)))
-        product = _ordered_product(np.stack(chunks))
-        for k in occupied:
-            finals[k][sector.indices] = product @ states[k].amplitudes[sector.indices]
-    return [QuantumState(amplitudes=final) for final in finals]
+    chunks = []
+    for start in range(0, wf.n, CHUNK):
+        u, phases = step_factors(sector, wf.samples[start:start + CHUNK], wf.dt)
+        chunks.append(_ordered_product((u * phases[:, None, :]) @ u.conj().swapaxes(-1, -2)))
+    product = _ordered_product(np.stack(chunks))
+    return [product @ psi for psi in states]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import CHUNK, QuantumState, apply_step, step_factors
+from .dynamics import CHUNK, apply_step, step_factors
 from .errors import ConfigError
 from .model import DriftSpectrum, SystemParams, product_labels
 from .pulses import Waveform, clamp_floor
@@ -92,15 +92,16 @@ class LctResult:
     """Output of run_lct.
 
     waveform is the applied (total) pulse; clamp_saturation is the
-    fraction of steps whose sample sat at the clamp floor.  final_state and
-    final_populations (every bare label's) are at t_max.  crossings maps
+    fraction of steps whose sample sat at the clamp floor.  final_state
+    (the block amplitudes of the labels' sector) and final_populations
+    (every bare label's) are at t_max.  crossings maps
     0.10, 0.90 and 0.99 to the target population's first grid time at that
     level (None: never); monotonicity_margin is its smallest step-to-step
     change.
     """
 
     waveform: Waveform
-    final_state: QuantumState
+    final_state: np.ndarray
     final_error: float
     clamp_saturation: float
     final_populations: dict
@@ -113,20 +114,22 @@ class LctResult:
         return self.clamp_saturation > 0.5
 
 
-def seed_state(psi0: QuantumState, target: QuantumState, eta: float) -> QuantumState:
-    """Mix a small target amplitude into the initial state.
+def seed_state(psi0: np.ndarray, target: np.ndarray, eta: float) -> np.ndarray:
+    """Mix a small target amplitude into the initial state's amplitudes.
 
-    |Psi'> = sqrt(eta) |target> + sqrt(1 - eta) |psi0>, renormalized.  The
-    feedback law is blind to a target population of exactly zero; eta > 0
-    breaks that fixed point.
+    |Psi'> = sqrt(eta) |target> + sqrt(1 - eta) |psi0>, renormalized, as
+    complex amplitudes.  The feedback law is blind to a target population
+    of exactly zero; eta > 0 breaks that fixed point.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError("eta must be in [0, 1)")
-    mixed = np.sqrt(eta) * target.amplitudes + np.sqrt(1.0 - eta) * psi0.amplitudes
+    mixed = np.sqrt(eta) * target + np.sqrt(1.0 - eta) * psi0
     norm = np.linalg.norm(mixed)
     if norm == 0.0:
         raise ValueError("seeding produced the zero vector")
-    return QuantumState(amplitudes=mixed / norm)
+    # numpy divides complex by real as a product with 1/norm; dividing the
+    # real mix instead would round differently and move the pulses.
+    return mixed.astype(complex) / norm
 
 
 def _feedback_row(spectrum: DriftSpectrum, j: int, n_prime: int | None) -> np.ndarray:
@@ -169,23 +172,21 @@ def _loop(params: SystemParams, config: LctConfig) -> tuple:
     target and initial eigenstates, the step count and the seeded initial
     state's block amplitudes.
     """
-    spectrum = params.drift_spectrum
-    j = spectrum.index_of_label(config.target_label)
-    i0 = spectrum.index_of_label(config.initial_label)
-    sector = params.sectors[config.target_label.count("1")]
+    sector = params.sector_of(config.target_label)
+    jb = sector.index_of_label(config.target_label)
+    ib = sector.index_of_label(config.initial_label)
     # The full law is the projected law at n_prime = dim, same arithmetic,
-    # so the two are identical sample for sample.
-    m_row = _feedback_row(spectrum, j, config.n_prime)[sector.columns]
+    # so the two are identical sample for sample.  The row is built on the
+    # whole spectrum and sliced: built on the block it rounds differently.
+    row = _feedback_row(params.drift_spectrum, sector.columns[jb], config.n_prime)
+    m_row = row[sector.columns]
 
     n_steps = int(round(config.t_max / config.dt))
     if abs(n_steps * config.dt - config.t_max) > 1e-9 * config.t_max:
         raise ConfigError("t_max must be an integer number of samples")
 
-    psi0 = QuantumState(amplitudes=spectrum.eigenvectors[:, i0])
-    psi = seed_state(psi0, QuantumState(amplitudes=spectrum.eigenvectors[:, j]),
-                     config.eta).amplitudes[sector.indices]
-    return (sector, m_row, sector.index_of_label(config.target_label),
-            sector.index_of_label(config.initial_label), n_steps, psi)
+    v = sector.eigenvectors
+    return sector, m_row, jb, ib, n_steps, seed_state(v[:, ib], v[:, jb], config.eta)
 
 
 def _reference(config: LctConfig, n_steps: int) -> np.ndarray:
@@ -207,8 +208,7 @@ def _gain(config: LctConfig) -> float:
 def population_rows(params: SystemParams, config: LctConfig) -> dict:
     """Each bare label's row in the populations run_lct hands its sink; None
     outside the run's excitation block, whose populations stay 0."""
-    params.drift_spectrum.index_of_label(config.target_label)  # an unknown label raises
-    block = params.sectors[config.target_label.count("1")].bare_labels
+    block = params.sector_of(config.target_label).bare_labels
     return {lab: block.index(lab) if lab in block else None
             for lab in product_labels(params.n_qubits)}
 
@@ -275,14 +275,12 @@ def run_lct(params: SystemParams, config: LctConfig, sink=None) -> LctResult:
             else:
                 sink(start, np.append(total[start:], total[-1]), rows)
 
-    final = np.zeros(params.dim, dtype=complex)
-    final[sector.indices] = psi
     populations = dict.fromkeys(product_labels(params.n_qubits), 0.0)
     populations.update(zip(sector.bare_labels, rows[:, -1].tolist()))
     total.flags.writeable = False
     return LctResult(
         waveform=Waveform(dt=config.dt, samples=total),
-        final_state=QuantumState(amplitudes=final),
+        final_state=psi,
         final_error=1.0 - float(np.abs(c[jb]) ** 2),
         clamp_saturation=saturated / n_steps,
         final_populations=populations,

@@ -113,6 +113,11 @@ class SystemParams:
             ))
         return tuple(out)
 
+    def sector_of(self, label: str) -> DriftSpectrum:
+        """The sector holding bare label `label`; UnknownLabelError if none does."""
+        self.drift_spectrum.index_of_label(label)
+        return self.sectors[label.count("1")]
+
     @classmethod
     def from_ghz(cls, qubit_freqs_ghz, couplings_ghz, tc_max_freq_ghz):
         """Build from ordinary frequencies in GHz (the config convention)."""

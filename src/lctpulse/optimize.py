@@ -21,13 +21,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import QuantumState, propagate_endpoints, propagate_waveform
+from .dynamics import first_crossing, propagate_endpoints
 from .errors import ConvergenceError
 # run_lct stays bound here, though the search runs in lockstep: the
 # benchmark's tracer wraps it in every module that binds it, and its test
 # checks this module among them.
 from .lct import LctConfig, refined_config, run_lct, run_lct_lockstep  # noqa: F401
-from .model import SystemParams
+from .model import DriftSpectrum, SystemParams
 from .pulses import (
     AnalyticPulseParams,
     Waveform,
@@ -232,7 +232,8 @@ def reverse_error(
     destination_label: str,
 ) -> float:
     """1 - P(destination) after applying wf to the source eigenstate."""
-    return _transfer_errors(params, wf, [(source_label, destination_label)])[0]
+    return _transfer_errors(params.sector_of(source_label), wf,
+                            [(source_label, destination_label)])[0]
 
 
 def forward_and_reverse_error(
@@ -243,16 +244,16 @@ def forward_and_reverse_error(
 ) -> tuple:
     """Transfer errors for wf applied forward and to the swapped pair,
     read from one endpoint product."""
-    return tuple(_transfer_errors(params, wf, [(source_label, destination_label),
-                                               (destination_label, source_label)]))
+    return tuple(_transfer_errors(params.sector_of(source_label), wf,
+                                  [(source_label, destination_label),
+                                   (destination_label, source_label)]))
 
 
-def _transfer_errors(params: SystemParams, wf: Waveform, pairs: list) -> list:
-    """1 - P(destination) for each (source, destination) label pair under wf."""
-    spectrum = params.drift_spectrum
-    finals = propagate_endpoints(
-        params, [QuantumState(spectrum.state(src)) for src, _ in pairs], wf)
-    return [1.0 - float(abs(np.vdot(spectrum.state(dst), final.amplitudes)) ** 2)
+def _transfer_errors(sector: DriftSpectrum, wf: Waveform, pairs: list) -> list:
+    """1 - P(destination) for each (source, destination) label pair of a
+    sector under wf; a label outside the sector raises UnknownLabelError."""
+    finals = propagate_endpoints(sector, [sector.state(src) for src, _ in pairs], wf)
+    return [1.0 - float(abs(np.vdot(sector.state(dst), final)) ** 2)
             for (_, dst), final in zip(pairs, finals)]
 
 
@@ -340,13 +341,13 @@ def optimize_truncation(
 ) -> tuple:
     """Shorten a reversible pulse with a half-Gaussian tail.
 
-    tau starts where the reverse process first reaches 99% transfer and is
-    then tuned by a 1-d simplex on max(forward, reverse) error.  Returns
-    (truncated waveform, OptimizationReport).
+    tau starts where the reverse process first reaches 99% transfer, read
+    by a scan that stops there, and is then tuned by a 1-d simplex on
+    max(forward, reverse) error.  Returns (truncated waveform,
+    OptimizationReport).
     """
-    psi_rev = QuantumState(amplitudes=params.drift_spectrum.state(destination_label))
-    traj = propagate_waveform(params, psi_rev, pulse, tracked=[source_label])
-    tau0 = traj.time_to_population(source_label, 0.99)
+    sector = params.sector_of(destination_label)
+    tau0 = first_crossing(sector, sector.state(destination_label), pulse, source_label, 0.99)
     if tau0 is None:
         raise ConvergenceError("reverse transfer never reaches 99%")
 

@@ -7,7 +7,7 @@ itself.  The program never calls them.
 
 import numpy as np
 
-from lctpulse import QuantumState, UnknownLabelError, Waveform
+from lctpulse import UnknownLabelError, Waveform
 from lctpulse.pulses import clamp_samples
 
 
@@ -17,20 +17,20 @@ def hamiltonian_at(params, delta_omega_tc: float) -> np.ndarray:
     return h + delta_omega_tc * g
 
 
-def propagate_step(state, h, dt: float) -> QuantumState:
-    """Exact one-interval step exp(-i h dt)|state>, h a Hermitian array,
+def propagate_step(psi: np.ndarray, h, dt: float) -> np.ndarray:
+    """Exact one-interval step exp(-i h dt)|psi>, h a Hermitian array,
     through a plain eigendecomposition of h."""
     w, u = np.linalg.eigh(h)
-    return QuantumState(u @ (np.exp(-1j * w * dt) * (u.conj().T @ state.amplitudes)))
+    return u @ (np.exp(-1j * w * dt) * (u.conj().T @ psi))
 
 
-def population_derivative_check(state, h, projector) -> float:
-    """Instantaneous d<P>/dt = i <[H, P]>, returned as a real number.
+def population_derivative_check(psi: np.ndarray, h, projector) -> float:
+    """Instantaneous d<P>/dt = i <[H, P]> at the full-space state psi,
+    returned as a real number.
 
     The commutator expectation is anti-Hermitian so the product with i is
     real; anything beyond a 1e-12 imaginary residue signals a bad input.
     """
-    psi = state.amplitudes
     hp = h @ projector
     z = 1j * (np.vdot(psi, hp @ psi) - np.vdot(psi, hp.conj().T @ psi))
     if abs(z.imag) > 1e-12 * max(1.0, abs(z.real)):
@@ -38,9 +38,10 @@ def population_derivative_check(state, h, projector) -> float:
     return float(z.real)
 
 
-def feedback_value(state, spectrum, target_index: int, lambda_: float,
+def feedback_value(psi: np.ndarray, spectrum, target_index: int, lambda_: float,
                    n_prime=None, *, omega_tc_max: float) -> float:
-    """The clamped feedback law of lctpulse.lct's docstring at one state:
+    """The clamped feedback law of lctpulse.lct's docstring at the
+    full-space state psi:
 
         -lambda Im( sum_{k < n_prime} <psi_j|sz_TC|psi_k> <psi_k|Psi> <psi_j|Psi>* )
 
@@ -49,7 +50,7 @@ def feedback_value(state, spectrum, target_index: int, lambda_: float,
     """
     v = spectrum.eigenvectors[:, :n_prime]
     j = target_index
-    c = v.conj().T @ state.amplitudes
+    c = v.conj().T @ psi
     coupling = spectrum.eigenvectors[:, j].conj() @ (-2.0 * spectrum.control) @ v
     return float(clamp_samples(-lambda_ * (coupling @ c * np.conj(c[j])).imag, omega_tc_max))
 
@@ -88,11 +89,18 @@ def dominant_frequency(spectrum, min_freq_ghz: float = 0.0) -> float:
     return float(spectrum.freqs_ghz[idx[np.argmax(spectrum.power[idx])]])
 
 
+def time_to_population(traj, label: str, level: float) -> float | None:
+    """First grid time where a trajectory's `label` population reaches
+    `level`; None when it never does."""
+    hits = np.flatnonzero(traj.populations[label] >= level)
+    return float(traj.times[hits[0]]) if hits.size else None
+
+
 def transfer_duration(traj, label: str, lo: float, hi: float) -> float | None:
     """Time a trajectory's `label` population spends between its first
     crossings of lo and hi; None when it never reaches one of them."""
-    t_lo = traj.time_to_population(label, lo)
-    t_hi = traj.time_to_population(label, hi)
+    t_lo = time_to_population(traj, label, lo)
+    t_hi = time_to_population(traj, label, hi)
     if t_lo is None or t_hi is None:
         return None
     return t_hi - t_lo

@@ -20,7 +20,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES, record_lct
 from lctpulse.cli import main
-from lctpulse.dynamics import QuantumState, propagate_waveform
+from lctpulse.dynamics import propagate_waveform
 from lctpulse.lct import (
     LctConfig,
     refined_config,
@@ -81,9 +81,9 @@ def report(criterion, ok, detail):
     assert ok, detail
 
 
-def _transfer_error(params, spectrum, wf, source, destination):
-    psi0 = QuantumState(spectrum.state(source))
-    traj = propagate_waveform(params, psi0, wf, [destination])
+def _transfer_error(params, wf, source, destination):
+    sector = params.sector_of(source)
+    traj = propagate_waveform(sector, sector.state(source), wf, [destination])
     return 1.0 - traj.populations[destination][-1]
 
 
@@ -183,16 +183,10 @@ def test_criterion_2_monotone_transfer(params, base_config, bare, spectrum):
     batch = h_drift[None] + wf.samples[:, None, None] * gen[None]
     w_all, v_all = np.linalg.eigh(batch)
     phases = np.exp(-1j * w_all * wf.dt)
-    amp = seed_state(
-        QuantumState(spectrum.state("100")),
-        QuantumState(v010),
-        base_config.eta,
-    ).amplitudes.copy()
+    amp = seed_state(spectrum.state("100"), v010, base_config.eta)
     min_rate = np.inf
     for k in range(wf.n):
-        rate = population_derivative_check(
-            QuantumState(amp), batch[k], proj
-        )
+        rate = population_derivative_check(amp, batch[k], proj)
         min_rate = min(min_rate, rate)
         vk = v_all[k]
         amp = vk @ (phases[k] * (vk.conj().T @ amp))
@@ -258,9 +252,9 @@ def test_criterion_3_dominant_spectral_line(params, bare):
 
 
 def test_criterion_4_filtered_reference_needs_correction(
-    params, base_config, spectrum, ref040, refined300_recorded
+    params, base_config, ref040, refined300_recorded
 ):
-    alone = 1.0 - _transfer_error(params, spectrum, ref040, "100", "010")
+    alone = 1.0 - _transfer_error(params, ref040, "100", "010")
 
     errors, durations = [], []
     for lam2 in (100.0, 300.0, 1000.0):
@@ -291,7 +285,7 @@ def test_criterion_4_filtered_reference_needs_correction(
     )
 
 
-def test_criterion_5_refined_pulse_band_limits(params, spectrum, refined300):
+def test_criterion_5_refined_pulse_band_limits(params, refined300):
     bands = {1.0: (1e-5, 1e-3), 1.5: (1e-6, 1e-4)}
     results, ok = {}, True
     for cut, (lo, hi) in bands.items():
@@ -303,7 +297,7 @@ def test_criterion_5_refined_pulse_band_limits(params, spectrum, refined300):
                 if clamped
                 else lowpass_filter(refined300.waveform, cut)
             )
-            err = _transfer_error(params, spectrum, wf, "100", "010")
+            err = _transfer_error(params, wf, "100", "010")
             results[(cut, clamped)] = err
             ok = ok and lo <= err <= hi
     report(
@@ -316,9 +310,9 @@ def test_criterion_5_refined_pulse_band_limits(params, spectrum, refined300):
     )
 
 
-def test_criterion_6_reverse_replay_traps_coupler(params, spectrum, bare):
-    psi0 = QuantumState(spectrum.state("010"))
-    traj = propagate_waveform(params, psi0, bare["run"].waveform, ["001"])
+def test_criterion_6_reverse_replay_traps_coupler(params, bare):
+    sector = params.sector_of("010")
+    traj = propagate_waveform(sector, sector.state("010"), bare["run"].waveform, ["001"])
     trapped = traj.populations["001"][-1]
     nominal = 0.19 <= trapped <= 0.39
     ok = trapped > 0.1
@@ -385,16 +379,16 @@ def test_criterion_8_truncated_pulse(params, base_config, reversible):
     )
 
 
-def test_criterion_9_analytic_pulse(params, spectrum):
+def test_criterion_9_analytic_pulse(params):
     w0 = analytic_pulse(
         REFERENCE_ANALYTIC, 0.01, omega_tc_max=params.omega_tc_max
     )
-    e0 = _transfer_error(params, spectrum, w0, "010", "100")
+    e0 = _transfer_error(params, w0, "010", "100")
 
     fitted, rep = fit_analytic_pulse(params, REFERENCE_ANALYTIC, "010", "100")
     wf = analytic_pulse(fitted, 0.01, omega_tc_max=params.omega_tc_max)
-    e_fit = _transfer_error(params, spectrum, wf, "010", "100")
-    e_rev = _transfer_error(params, spectrum, time_reverse(wf), "100", "010")
+    e_fit = _transfer_error(params, wf, "010", "100")
+    e_rev = _transfer_error(params, time_reverse(wf), "100", "010")
 
     ok = (
         e0 < 1e-3
@@ -430,14 +424,14 @@ def _mirrored_analytic():
 
 
 def test_criterion_10_invariants_and_determinism(
-    params, spectrum, base_config, bare, tmp_path
+    params, base_config, bare, tmp_path
 ):
     checks = {}
 
     # Norm drift over the full 450 ns replay.
-    psi0 = QuantumState(spectrum.state("100"))
-    traj = propagate_waveform(params, psi0, bare["run"].waveform, ["010"])
-    drift = abs(np.linalg.norm(traj.final_state.amplitudes) - 1.0)
+    sector = params.sector_of("100")
+    traj = propagate_waveform(sector, sector.state("100"), bare["run"].waveform, ["010"])
+    drift = abs(np.linalg.norm(traj.final_state) - 1.0)
     checks["norm"] = drift <= 1e-10
 
     # Eigenvector response against an independent finite difference.
@@ -472,7 +466,7 @@ def test_criterion_10_invariants_and_determinism(
     g = single.g[0]
     rabi_ok = True
     for t in (0.4, 1.1, np.pi / (2 * g)):
-        out = propagate_step(QuantumState(psi), h_res, t).amplitudes
+        out = propagate_step(psi, h_res, t)
         p_swap = abs(out[label_index("01", 1)]) ** 2
         rabi_ok = rabi_ok and abs(p_swap - np.sin(g * t) ** 2) < 1e-6
     checks["rabi"] = rabi_ok

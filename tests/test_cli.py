@@ -114,6 +114,17 @@ def test_lct_rejects_transfer_across_excitation_numbers(tmp_path, capsys):
     assert not (out / "waveform.csv").exists()
 
 
+def test_labels_beyond_the_devices_blocks_exit_1(tmp_path, capsys):
+    # 11110 and 11101 share an excitation number, four, but the 2-qubit
+    # device has no block of four excitations: the label lookup must
+    # name the label and exit 1, not raise an IndexError.
+    cfg = _config(tmp_path, lct={**LCT_SHORT, "initial": "11110", "target": "11101"})
+    code, out = _run(tmp_path, "lct", "--config", cfg)
+    assert code == 1
+    assert "11101" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["lct", "pipeline"])
 def test_run_whose_target_is_its_initial_label_exits_1(tmp_path, capsys, command):
     # Nothing moves from 100 to 100: the run must fail at config time,

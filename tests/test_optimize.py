@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from lctpulse import ConvergenceError, LctConfig, SystemParams, Waveform, run_lct
+from lctpulse import (
+    ConvergenceError,
+    LctConfig,
+    SystemParams,
+    UnknownLabelError,
+    Waveform,
+    run_lct,
+)
 from lctpulse import optimize
-from lctpulse.dynamics import TrajectoryRecord
 from lctpulse.lct import refined_config, run_lct_lockstep
 from lctpulse.optimize import (
     OptimizationReport,
@@ -129,6 +135,14 @@ def test_reverse_error_identity_on_idle_pulse(params):
     assert reverse_error(params, wf, "100", "010") == pytest.approx(1.0, abs=1e-10)
 
 
+def test_reverse_error_across_excitation_blocks_raises(params):
+    # 011 lies outside the single-excitation block of 100, so no pulse
+    # transfers between them: the pair is refused, not scored 1.0.
+    wf = Waveform(dt=0.05, samples=np.zeros(100))
+    with pytest.raises(UnknownLabelError, match="011"):
+        reverse_error(params, wf, "100", "011")
+
+
 def test_forward_and_reverse_pair(params):
     wf = Waveform(dt=0.05, samples=np.zeros(100))
     fwd, rev = forward_and_reverse_error(params, wf, "100", "010")
@@ -166,9 +180,8 @@ def test_truncation_reports_the_simplex_best(params, monkeypatch):
     # simplex's best, with the errors and the pulse of that point.
     wf = Waveform(dt=0.01, samples=-np.ones(10000))
     times = np.arange(wf.n + 1) * wf.dt
-    monkeypatch.setattr(optimize, "propagate_waveform", lambda *args, **kw: TrajectoryRecord(
-        times=times, control=wf.samples, populations={"100": 1.0 * (times >= 95.0)},
-        final_state=None))
+    monkeypatch.setattr(optimize, "first_crossing", lambda *args, **kw: float(
+        times[np.flatnonzero(times >= 95.0)[0]]))
     monkeypatch.setattr(optimize, "forward_and_reverse_error", lambda p, wt, *labels: (
         (1e-8, 2e-9) if np.array_equal(wt.samples, wf.samples) else (1e-3, 5e-4)))
     simplex = []
