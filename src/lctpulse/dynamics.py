@@ -7,10 +7,10 @@ enters; the only approximation anywhere is the sample-and-hold control.
 
 Exchange conserves excitation number and the control is diagonal, so
 H_d + s G is block diagonal by excitation number and a state never
-leaves its block.  A state is therefore a sector (one entry of
-SystemParams.sectors, the drift spectrum on one block, found by
-SystemParams.sector_of) and a plain array of that block's amplitudes:
-(n+1)-dimensional for a single excitation instead of 2^(n+1).
+leaves its block.  A state is therefore a sector (SystemParams.sector_of,
+the drift spectrum of one block, built and diagonalised on its own) and a
+plain array of that block's amplitudes: (n+1)-dimensional for a single
+excitation instead of 2^(n+1).
 
 step_factors and apply_step are the one propagation kernel.  One chunk
 stepper drives them for the sequential replay (propagate_waveform) and

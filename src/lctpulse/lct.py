@@ -132,20 +132,28 @@ def seed_state(psi0: np.ndarray, target: np.ndarray, eta: float) -> np.ndarray:
     return mixed.astype(complex) / norm
 
 
-def _feedback_row(spectrum: DriftSpectrum, j: int, n_prime: int | None) -> np.ndarray:
-    """<psi_j| sz_TC |psi_k> for every drift eigenstate k, zero from k = n_prime on.
+def _feedback_row(params: SystemParams, sector: DriftSpectrum, j: int,
+                  n_prime: int | None) -> np.ndarray:
+    """<psi_j| sz_TC |psi_k> for every drift eigenstate k of the sector.
 
-    n_prime None keeps them all (the exact law); sz_TC = -2 G, from the
-    spectrum's diagonal control generator.
+    n_prime None keeps them all (the exact law).  Otherwise the law keeps
+    the n_prime lowest levels of the whole drift spectrum: a column is
+    zeroed when its rank among every block's eigenvalues, merged in
+    ascending order, is n_prime or higher.  sz_TC = -2 G, from the
+    sector's diagonal control generator.
     """
-    n_keep = spectrum.dim if n_prime is None else n_prime
-    if not 0 < n_keep <= spectrum.dim:
+    v = sector.eigenvectors
+    row = (v[:, j].conj() * (-2.0 * np.diag(sector.control))) @ v
+    if n_prime is None:
+        return row
+    if not 0 < n_prime <= params.dim:
         raise ConfigError("n_prime must be in (0, dim]")
-    if not 0 <= j < n_keep:
+    levels = np.sort(np.concatenate(
+        [params.sector(k).eigenvalues for k in range(params.n_qubits + 2)]))
+    rank = np.searchsorted(levels, sector.eigenvalues)
+    if rank[j] >= n_prime:
         raise ConfigError("target eigenstate lies outside the projected set")
-    v = spectrum.eigenvectors
-    row = (v[:, j].conj() * (-2.0 * np.diag(spectrum.control))) @ v
-    row[n_keep:] = 0.0
+    row[rank >= n_prime] = 0.0
     return row
 
 
@@ -176,10 +184,8 @@ def _loop(params: SystemParams, config: LctConfig) -> tuple:
     jb = sector.index_of_label(config.target_label)
     ib = sector.index_of_label(config.initial_label)
     # The full law is the projected law at n_prime = dim, same arithmetic,
-    # so the two are identical sample for sample.  The row is built on the
-    # whole spectrum and sliced: built on the block it rounds differently.
-    row = _feedback_row(params.drift_spectrum, sector.columns[jb], config.n_prime)
-    m_row = row[sector.columns]
+    # so the two are identical sample for sample.
+    m_row = _feedback_row(params, sector, jb, config.n_prime)
 
     n_steps = int(round(config.t_max / config.dt))
     if abs(n_steps * config.dt - config.t_max) > 1e-9 * config.t_max:

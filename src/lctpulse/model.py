@@ -13,13 +13,17 @@ The drift H_d fixes the coupler at its maximum frequency omega_tc_max; the
 only control is the shift delta_omega_tc(t) = omega_tc(t) - omega_tc_max,
 which enters through the generator -1/2 sz_TC.
 
+Exchange conserves excitation number and the control is diagonal, so
+the device is built block by block: block k, the C(n+1, k) bare labels
+with k excitations, is written from the exchange rule on its labels and
+diagonalised alone.  No 2^(n+1)-dimensional matrix is built on the way.
+
 All frequencies in this module are angular (rad/ns).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -27,7 +31,9 @@ import numpy as np
 from .errors import DegenerateLevelsError, UnknownLabelError
 from .units import TWO_PI
 
-# Hilbert-space ceiling for dense eigendecomposition.
+# Ceiling on the product-basis dimension 2^(n+1).  No matrix of that size
+# is built, but lct writes a population column per bare label and spectrum
+# a level per product state, so the cap guards against an outsized device.
 DIM_CAP = 2 ** 14
 
 # Eigenvalue-difference floor below which nonadiabatic couplings blow up.
@@ -52,6 +58,8 @@ class SystemParams:
     omega: tuple
     g: tuple
     omega_tc_max: float
+    # The sectors built so far, by excitation number; see sector().
+    _sectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -63,60 +71,33 @@ class SystemParams:
         if any(gi <= 0 for gi in self.g):
             raise ValueError("couplings must be positive")
         if self.dim > DIM_CAP:
-            raise ValueError(f"dimension {self.dim} exceeds the dense cap {DIM_CAP}")
+            raise ValueError(f"dimension {self.dim} exceeds the cap {DIM_CAP}")
 
     @property
     def dim(self) -> int:
         return 2 ** (self.n_qubits + 1)
 
-    # The device's drift is built once per instance (the instance is
-    # frozen, and a CLI invocation makes a fresh one) and shared read-only.
-
-    @cached_property
-    def drift_operators(self) -> tuple:
-        """(H_d, G): the drift and the diagonal control generator -1/2 sz_TC.
-
-        The only place either is built; H_d + s G is held at coupler shift s.
-        """
-        ops = (build_drift_hamiltonian(self),
-               np.diag(-0.5 * (1 - 2 * _occupations(self.n_qubits)[-1])))
-        for a in ops:
-            a.setflags(write=False)
-        return ops
-
-    @cached_property
-    def drift_spectrum(self) -> DriftSpectrum:
-        """Labelled spectrum of the drift (coupler at maximum), with G."""
-        h, g = self.drift_operators
-        spectrum = eigendecompose(h)
-        spectrum.control = g
-        spectrum.eigenvalues.setflags(write=False)
-        spectrum.eigenvectors.setflags(write=False)
-        return spectrum
-
-    @cached_property
-    def sectors(self) -> tuple:
-        """The drift spectrum on each excitation-number block; sectors[k]
-        holds k excitations."""
-        spectrum = self.drift_spectrum
-        h, g = self.drift_operators
-        weight = np.array([lab.count("1") for lab in spectrum.bare_labels])
-        out = []
-        for k, rows in enumerate(excitation_blocks(self.n_qubits)):
-            cols = np.flatnonzero(weight == k)
-            out.append(DriftSpectrum(
-                eigenvalues=spectrum.eigenvalues[cols],
-                eigenvectors=spectrum.eigenvectors[np.ix_(rows, cols)],
-                bare_labels=[spectrum.bare_labels[c] for c in cols],
-                hamiltonian=h[np.ix_(rows, rows)], control=g[np.ix_(rows, rows)],
-                indices=rows, columns=cols,
-            ))
-        return tuple(out)
+    def sector(self, k: int) -> DriftSpectrum:
+        """The drift spectrum on the block of k excitations, with its H_d
+        and G: built and diagonalised alone on first use, then shared
+        read-only (the instance is frozen; a CLI run makes a fresh one)."""
+        if k not in self._sectors:
+            labels = excitation_labels(self.n_qubits, k)
+            h, g = block_operators(self, labels)
+            spectrum = eigendecompose(h, labels)
+            spectrum.control = g
+            for a in (h, g, spectrum.eigenvalues, spectrum.eigenvectors):
+                a.setflags(write=False)
+            self._sectors[k] = spectrum
+        return self._sectors[k]
 
     def sector_of(self, label: str) -> DriftSpectrum:
-        """The sector holding bare label `label`; UnknownLabelError if none does."""
-        self.drift_spectrum.index_of_label(label)
-        return self.sectors[label.count("1")]
+        """The sector holding bare label `label`; UnknownLabelError unless
+        the label is n+1 characters of 0 and 1."""
+        if len(label) != self.n_qubits + 1 or set(label) - {"0", "1"}:
+            raise UnknownLabelError(f"label {label!r} is not a bare label of "
+                                    f"{self.n_qubits} qubits and the coupler")
+        return self.sector(label.count("1"))
 
     @classmethod
     def from_ghz(cls, qubit_freqs_ghz, couplings_ghz, tc_max_freq_ghz):
@@ -130,49 +111,54 @@ class SystemParams:
 
 
 def product_labels(n_qubits: int) -> list:
-    """All bare labels 'q_1...q_n q_TC' in product-basis (binary) order."""
+    """All bare labels 'q_1...q_n q_TC' in product-basis (binary) order;
+    a label's product-basis index is int(label, 2)."""
     return ["".join(bits) for bits in product("01", repeat=n_qubits + 1)]
 
 
-def _occupations(n_qubits: int) -> list:
+def excitation_labels(n_qubits: int, k: int) -> list:
+    """The bare labels with k excitations, in product-basis order: the
+    states of block k."""
+    return [lab for lab in product_labels(n_qubits) if lab.count("1") == k]
+
+
+def _occupations(n_qubits: int, index: np.ndarray) -> list:
     """Per site (qubits in order, the TC last), the bit each product-basis
     index holds for it: 1 when the site is excited."""
-    index = np.arange(2 ** (n_qubits + 1))
     return [(index >> (n_qubits - k)) & 1 for k in range(n_qubits + 1)]
-
-
-def excitation_blocks(n_qubits: int) -> list:
-    """Product-basis indices with k excitations, ascending, for k = 0..n+1.
-
-    Exchange conserves excitation number and the control is diagonal, so
-    H_d + s G is block diagonal over these index sets.
-    """
-    weight = sum(_occupations(n_qubits))
-    return [np.flatnonzero(weight == k) for k in range(n_qubits + 2)]
 
 
 # ================================================================
 # operators
 # ================================================================
 
-def build_drift_hamiltonian(params: SystemParams) -> np.ndarray:
-    """H_d, the coupler held at omega_tc_max.
+def block_operators(params: SystemParams, labels: list) -> tuple:
+    """(H_d, G) on the bare states `labels`, given in product-basis order:
+    one excitation block, or every label for the dense H_d.
 
-    Written from the exchange rule on the bits of each product-basis
-    index.  The diagonal sums -1/2 omega sz site by site, qubits first and
-    the coupler last, and g_i links each state with qubit i excited and
-    the coupler empty to the state with those two swapped.
+    Written from the exchange rule on the bits of each label's
+    product-basis index, int(label, 2).  The diagonal sums -1/2 omega sz
+    site by site, qubits first and the coupler last, and g_i links each
+    state with qubit i excited and the coupler empty to the state with
+    those two swapped.  G = -1/2 sz_TC is diagonal.
     """
-    bits = _occupations(params.n_qubits)
-    diag = np.zeros(params.dim)
+    index = np.array([int(lab, 2) for lab in labels])
+    bits = _occupations(params.n_qubits, index)
+    diag = np.zeros(index.size)
     for omega, bit in zip((*params.omega, params.omega_tc_max), bits):
         diag += -0.5 * omega * (1 - 2 * bit)
     h = np.diag(diag)
     for i, g in enumerate(params.g):
         rows = np.flatnonzero(bits[i] & (1 - bits[-1]))
-        cols = rows ^ (2 ** (params.n_qubits - i) + 1)
+        cols = np.searchsorted(index, index[rows] ^ (2 ** (params.n_qubits - i) + 1))
         h[rows, cols] = h[cols, rows] = g
-    return h
+    return h, np.diag(-0.5 * (1 - 2 * bits[-1]))
+
+
+def build_drift_hamiltonian(params: SystemParams) -> np.ndarray:
+    """H_d on the whole product basis, 2^(n+1)-dimensional.  The program
+    builds one block at a time instead; this is the dense reference."""
+    return block_operators(params, product_labels(params.n_qubits))[0]
 
 
 # ================================================================
@@ -181,21 +167,18 @@ def build_drift_hamiltonian(params: SystemParams) -> np.ndarray:
 
 @dataclass
 class DriftSpectrum:
-    """Eigendecomposition with bare-state labels attached.
+    """Eigendecomposition of one excitation block, with bare-state labels
+    attached.
 
     eigenvalues     ascending (rad/ns)
-    eigenvectors    orthonormal columns, gauge-fixed so each vector's
+    eigenvectors    orthonormal columns over the block's bare states in
+                    product-basis order, gauge-fixed so each vector's
                     largest-magnitude component is real and positive
     bare_labels     bare label assigned to each eigenvector; a permutation
-                    of the product labels, or on a sector its block's
-                    labels in column order
+                    of the block's labels
     hamiltonian     the matrix decomposed
-    control         the control generator G = dH/d delta_omega_tc; set
-                    only on a device's spectra (SystemParams.drift_spectrum
-                    and its sectors)
-    indices         set only on a sector (SystemParams.sectors): its
-    columns         block's product-basis indices and the device spectrum's
-                    columns of its eigenstates, both ascending
+    control         the control generator G = dH/d delta_omega_tc on the
+                    same states; set on a device's sectors (SystemParams.sector)
     """
 
     eigenvalues: np.ndarray
@@ -203,12 +186,6 @@ class DriftSpectrum:
     bare_labels: list = field(default_factory=list)
     hamiltonian: np.ndarray | None = None
     control: np.ndarray | None = None
-    indices: np.ndarray | None = None
-    columns: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvectors.shape[0]
 
     def index_of_label(self, label: str) -> int:
         try:
@@ -234,15 +211,14 @@ def _gauge_fix(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assign_labels(vectors: np.ndarray) -> list:
-    """Greedy injective bare-label assignment by squared overlap.
+def _assign_labels(vectors: np.ndarray, labels: list) -> list:
+    """Greedy injective assignment of the basis labels to the eigenvectors
+    by squared overlap.
 
     Candidate (basis index, eigenvector) pairs are visited in order of
-    decreasing overlap; ties fall to the lowest product-basis index.
+    decreasing overlap; ties fall to the lowest basis index.
     """
-    dim = vectors.shape[0]
-    n_qubits = int(np.log2(dim)) - 1
-    labels = product_labels(n_qubits)
+    dim = len(labels)
     overlap = np.abs(vectors) ** 2  # [basis, vec]
     order = sorted(
         ((i, j) for i in range(dim) for j in range(dim)),
@@ -257,19 +233,13 @@ def _assign_labels(vectors: np.ndarray) -> list:
     return assigned
 
 
-def eigendecompose(h: np.ndarray) -> DriftSpectrum:
-    """Ascending eigendecomposition with gauge fixing and label assignment.
-
-    h is decomposed in excitation-number order, where it is block diagonal
-    with contiguous blocks, so every eigenvector is exactly zero outside
-    its block; in product order LAPACK leaves rounding residue there (4e-16
-    on a 4-qubit device).
-    """
-    order = np.concatenate(excitation_blocks(int(np.log2(h.shape[0])) - 1))
-    vals, vecs = np.linalg.eigh(h[np.ix_(order, order)])
-    vecs = _gauge_fix(vecs[np.argsort(order)])
+def eigendecompose(h: np.ndarray, labels: list) -> DriftSpectrum:
+    """Ascending eigendecomposition of h, whose basis states are the bare
+    `labels`, with gauge fixing and label assignment."""
+    vals, vecs = np.linalg.eigh(h)
+    vecs = _gauge_fix(vecs)
     return DriftSpectrum(eigenvalues=vals, eigenvectors=vecs,
-                         bare_labels=_assign_labels(vecs), hamiltonian=h)
+                         bare_labels=_assign_labels(vecs, labels), hamiltonian=h)
 
 
 def held_hamiltonians(h: np.ndarray, g: np.ndarray, deltas) -> np.ndarray:
@@ -281,9 +251,18 @@ def held_hamiltonians(h: np.ndarray, g: np.ndarray, deltas) -> np.ndarray:
 # sweeps
 # ================================================================
 
+def _held_blocks(params: SystemParams, deltas) -> list:
+    """(H_d + delta G stacked along deltas, diag G) on each excitation block."""
+    ops = [block_operators(params, excitation_labels(params.n_qubits, k))
+           for k in range(params.n_qubits + 2)]
+    return [(held_hamiltonians(h, g, deltas), np.diag(g)) for h, g in ops]
+
+
 def sweep_eigenvalues(params: SystemParams, deltas: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending, rad/ns) at each coupler shift; shape (m, dim)."""
-    return np.linalg.eigvalsh(held_hamiltonians(*params.drift_operators, deltas))
+    """Eigenvalues (ascending, rad/ns) at each coupler shift; shape (m, dim),
+    every block's levels merged."""
+    levels = [np.linalg.eigvalsh(h) for h, _ in _held_blocks(params, deltas)]
+    return np.sort(np.concatenate(levels, axis=1), axis=1)
 
 
 def sweep_nonadiabatic_couplings(
@@ -293,14 +272,23 @@ def sweep_nonadiabatic_couplings(
 
     Signed, shape (m, len(pairs)); indices j, k address the full ascending
     spectrum at each shift, with eigenvectors gauge-fixed as in
-    eigendecompose.  Raises DegenerateLevelsError where a pair is closer
-    than 1e-9 rad/ns, where the expression is singular.
+    eigendecompose.  Each block is decomposed alone; levels of different
+    blocks couple exactly 0.  Raises DegenerateLevelsError where a pair is
+    closer than 1e-9 rad/ns, where the expression is singular.
     """
     if any(j == k for j, k in pairs):
         raise ValueError("coupling defined only between distinct levels")
     deltas = np.asarray(deltas, dtype=float)
-    w, v = np.linalg.eigh(held_hamiltonians(*params.drift_operators, deltas))
-    v = _gauge_fix(v)
+    blocks = _held_blocks(params, deltas)
+    w, v = zip(*(np.linalg.eigh(h) for h, _ in blocks))
+    # Merged column c is column c - start[b] of block b = block[c], and
+    # level[m, i] is the merged column of the i-th lowest level at shift m.
+    sizes = [g.size for _, g in blocks]
+    block, start = np.repeat(np.arange(len(sizes)), sizes), np.cumsum([0, *sizes])
+    w = np.concatenate(w, axis=1)
+    level = np.argsort(w, axis=1, kind="stable")
+    w = np.take_along_axis(w, level, axis=1)
+
     j, k = np.array(pairs, dtype=int).reshape(-1, 2).T
     gap = w[:, j] - w[:, k]
     degenerate = np.argwhere(np.abs(gap) < _DEGENERACY_FLOOR)
@@ -310,9 +298,14 @@ def sweep_nonadiabatic_couplings(
             f"levels {j[c]},{k[c]} degenerate to {gap[i, c]:.3e} rad/ns at "
             f"delta_omega_tc={deltas[i]:.6g}"
         )
-    g = np.diag(params.drift_operators[1])
-    numerator = np.einsum("mic,i,mic->mc", v[:, :, j].conj(), g, v[:, :, k])
-    return numerator.real / gap
+    cj, ck = level[:, j], level[:, k]
+    numerator = np.zeros(gap.shape)
+    for b, (vecs, (_, g)) in enumerate(zip(v, blocks)):
+        m, c = np.nonzero((block[cj] == b) & (block[ck] == b))
+        vecs = _gauge_fix(vecs)
+        vj, vk = vecs[m, :, cj[m, c] - start[b]], vecs[m, :, ck[m, c] - start[b]]
+        numerator[m, c] = np.einsum("ri,i,ri->r", vj.conj(), g, vk).real
+    return numerator / gap
 
 
 def nonadiabatic_coupling(
@@ -341,9 +334,8 @@ def single_excitation_gap_minima(params: SystemParams, deltas: np.ndarray) -> li
     the sorted set; adjacent-gap minima mark the avoided crossings.
     """
     deltas = np.asarray(deltas, dtype=float)
-    rows = excitation_blocks(params.n_qubits)[1]
     block = held_hamiltonians(
-        *(op[np.ix_(rows, rows)] for op in params.drift_operators), deltas)
+        *block_operators(params, excitation_labels(params.n_qubits, 1)), deltas)
     gaps = np.diff(np.linalg.eigvalsh(block), axis=1)
     minima = []
     for pair in range(gaps.shape[1]):

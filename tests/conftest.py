@@ -3,6 +3,7 @@ import pytest
 
 from lctpulse import SystemParams, TrajectoryRecord, run_lct
 from lctpulse.lct import population_rows
+from oracles import dense_spectrum
 
 # Registry for the acceptance suite's one-line verdicts, printed at the end
 # of the run so they survive pytest's output capture.
@@ -29,6 +30,17 @@ def record_lct(params, config, chunks=None):
     )
 
 
+def all_sectors(params) -> list:
+    """The device's sector of every excitation number, k = 0..n+1."""
+    return [params.sector(k) for k in range(params.n_qubits + 2)]
+
+
+def block_indices(sector) -> np.ndarray:
+    """The product-basis indices of a sector's bare states, ascending: its
+    rows in the full space."""
+    return np.array(sorted(int(lab, 2) for lab in sector.bare_labels))
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
@@ -43,7 +55,7 @@ def params():
 
 @pytest.fixture(scope="session")
 def spectrum(params):
-    return params.drift_spectrum
+    return dense_spectrum(params)
 
 
 @pytest.fixture(scope="session")

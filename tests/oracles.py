@@ -7,14 +7,53 @@ itself.  The program never calls them.
 
 import numpy as np
 
-from lctpulse import UnknownLabelError, Waveform
+from lctpulse import DriftSpectrum, UnknownLabelError, Waveform, build_drift_hamiltonian, eigendecompose
+from lctpulse.model import product_labels
 from lctpulse.pulses import clamp_samples
+
+
+def control_generator(params) -> np.ndarray:
+    """G = -1/2 sz_TC on the whole product basis: -1/2 where the coupler
+    (the last bit of the index) is empty, +1/2 where it is excited."""
+    return np.diag(np.where(np.arange(params.dim) & 1, 0.5, -0.5))
 
 
 def hamiltonian_at(params, delta_omega_tc: float) -> np.ndarray:
     """H(delta) = H_d + delta G, the coupler held at a static shift (rad/ns)."""
-    h, g = params.drift_operators
-    return h + delta_omega_tc * g
+    return build_drift_hamiltonian(params) + delta_omega_tc * control_generator(params)
+
+
+def dense_spectrum(params) -> DriftSpectrum:
+    """The drift's spectrum on the whole product basis, with G.
+
+    H_d is decomposed in excitation-number order, where it is block
+    diagonal with contiguous blocks, so every eigenvector is exactly zero
+    outside its block (in product order LAPACK leaves rounding residue
+    there, 4e-16 on a 4-qubit device); the rows then return to product
+    order.
+    """
+    labels = product_labels(params.n_qubits)
+    order = sorted(range(params.dim), key=lambda i: labels[i].count("1"))
+    h = build_drift_hamiltonian(params)
+    spectrum = eigendecompose(h[np.ix_(order, order)], [labels[i] for i in order])
+    return DriftSpectrum(eigenvalues=spectrum.eigenvalues,
+                         eigenvectors=spectrum.eigenvectors[np.argsort(order)],
+                         bare_labels=spectrum.bare_labels, hamiltonian=h,
+                         control=control_generator(params))
+
+
+def single_excitation_block(params) -> tuple:
+    """(H_d, G) on the n+1 single-excitation states, in site order (qubit 1
+    ... qubit n, then the coupler; product-basis order is the reverse).
+
+    H_d is diag(omega_1 ... omega_n, omega_tc_max) with g_i between qubit i
+    and the coupler, offset by the ground energy -1/2 (sum of them all);
+    G = -1/2 sz_TC reads -1/2 on the qubits and +1/2 on the coupler.
+    """
+    freqs = [*params.omega, params.omega_tc_max]
+    h = np.diag(freqs)
+    h[-1, :-1] = h[:-1, -1] = params.g
+    return h - 0.5 * sum(freqs) * np.eye(len(freqs)), np.diag([-0.5] * params.n_qubits + [0.5])
 
 
 def propagate_step(psi: np.ndarray, h, dt: float) -> np.ndarray:

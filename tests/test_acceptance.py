@@ -32,6 +32,7 @@ from lctpulse.model import (
     SystemParams,
     eigendecompose,
     nonadiabatic_coupling,
+    product_labels,
     single_excitation_gap_minima,
 )
 from lctpulse.optimize import (
@@ -50,7 +51,7 @@ from lctpulse.pulses import (
     natural_duration,
 )
 from lctpulse.units import TWO_PI
-from oracles import (dominant_frequency, hamiltonian_at, label_index,
+from oracles import (control_generator, dominant_frequency, hamiltonian_at, label_index,
                      population_derivative_check, propagate_step, time_reverse,
                      transfer_duration)
 
@@ -176,7 +177,7 @@ def test_criterion_2_monotone_transfer(params, base_config, bare, spectrum):
     # computed from the state at its own step start, so the instantaneous
     # growth rate of the target population is nonnegative there up to
     # roundoff.
-    h_drift, gen = params.drift_operators
+    h_drift, gen = hamiltonian_at(params, 0.0), control_generator(params)
     v010 = spectrum.state("010")
     proj = np.outer(v010, v010.conj())
     wf = run.waveform
@@ -219,7 +220,7 @@ def test_criterion_2_monotone_transfer(params, base_config, bare, spectrum):
 # that excludes the 100<->001 (1.57 GHz) and 010<->001 (2.42 GHz) lines
 # and the harmonic 2 f_ex.
 def test_criterion_3_dominant_spectral_line(params, bare):
-    spec = params.drift_spectrum
+    spec = params.sector_of("100")
     levels = spec.eigenvalues
     f_ex = float(
         levels[spec.index_of_label("100")] - levels[spec.index_of_label("010")]
@@ -436,9 +437,10 @@ def test_criterion_10_invariants_and_determinism(
 
     # Eigenvector response against an independent finite difference.
     delta = -TWO_PI * 1.3
-    spec0 = eigendecompose(hamiltonian_at(params, delta))
+    labels = product_labels(params.n_qubits)
+    spec0 = eigendecompose(hamiltonian_at(params, delta), labels)
     h = 1e-6
-    spec1 = eigendecompose(hamiltonian_at(params, delta + h))
+    spec1 = eigendecompose(hamiltonian_at(params, delta + h), labels)
     singles = [
         i for i, lab in enumerate(spec0.bare_labels) if lab.count("1") == 1
     ]

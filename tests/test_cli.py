@@ -114,14 +114,19 @@ def test_lct_rejects_transfer_across_excitation_numbers(tmp_path, capsys):
     assert not (out / "waveform.csv").exists()
 
 
-def test_labels_beyond_the_devices_blocks_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize("initial, target", [
+    ("11110", "11101"), ("100", "0a1"), ("100", "0100"), ("000", "")],
+    ids=["11101", "0a1", "0100", "empty"])
+def test_labels_beyond_the_devices_blocks_exit_1(tmp_path, capsys, initial, target):
     # 11110 and 11101 share an excitation number, four, but the 2-qubit
-    # device has no block of four excitations: the label lookup must
-    # name the label and exit 1, not raise an IndexError.
-    cfg = _config(tmp_path, lct={**LCT_SHORT, "initial": "11110", "target": "11101"})
+    # device has no block of four excitations.  0a1 and 0100 hold one
+    # excitation and "" none, as their initial labels do, yet none is a
+    # label of the device.  The label lookup must name the label and exit
+    # 1, not raise an IndexError or run in the block the count picks.
+    cfg = _config(tmp_path, lct={**LCT_SHORT, "initial": initial, "target": target})
     code, out = _run(tmp_path, "lct", "--config", cfg)
     assert code == 1
-    assert "11101" in capsys.readouterr().err
+    assert repr(target) in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

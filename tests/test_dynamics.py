@@ -20,6 +20,7 @@ from lctpulse.dynamics import (
     step_factors,
 )
 from lctpulse.units import TWO_PI
+from conftest import all_sectors, block_indices
 from oracles import (
     hamiltonian_at,
     label_index,
@@ -80,7 +81,7 @@ def test_all_held_stack_matches_masked_path(params, rng, members):
     # Every stack goes to one batched eigh, and its exact zeros are then
     # overwritten with the drift's eigenpairs.  Appending a zero must leave
     # every other member with the same bits.
-    sector = params.sectors[1]
+    sector = params.sector(1)
     shifts = -TWO_PI * rng.uniform(0.01, 7.0, size=members)
     held = step_factors(sector, shifts, 0.01)
     masked = step_factors(sector, np.append(shifts, 0.0), 0.01)
@@ -108,7 +109,7 @@ def test_all_held_stack_matches_masked_path(params, rng, members):
 def test_non_finite_shift_raises_linalg_error(params, shift):
     # The CLI maps LinAlgError to exit 3; a kernel that bypasses
     # np.linalg.eigh's wrapper must keep raising it, alone and in a stack.
-    sector = params.sectors[1]
+    sector = params.sector(1)
     with pytest.raises(np.linalg.LinAlgError):
         step_factors(sector, shift, 0.01)
     with pytest.raises(np.linalg.LinAlgError):
@@ -160,16 +161,16 @@ def test_zero_waveform_keeps_populations(params):
 
 def test_waveform_matches_stepwise_composition(params, rng):
     wf = Waveform(dt=0.02, samples=-TWO_PI * rng.random(40))
-    for sector in params.sectors:
-        psi = _random_state(rng, sector.indices.size)
+    for sector in all_sectors(params):
+        psi = _random_state(rng, len(sector.bare_labels))
         traj = propagate_waveform(sector, psi, wf, tracked=[])
+        rows = block_indices(sector)
         state = np.zeros(params.dim, dtype=complex)
-        state[sector.indices] = psi
+        state[rows] = psi
         for s in wf.samples:
             h = hamiltonian_at(params, float(s))
             state = propagate_step(state, h, wf.dt)
-        np.testing.assert_allclose(
-            traj.final_state, state[sector.indices], atol=1e-10)
+        np.testing.assert_allclose(traj.final_state, state[rows], atol=1e-10)
 
 
 def test_trajectory_record_shape(params):
@@ -188,13 +189,13 @@ def test_trajectory_record_shape(params):
 def test_unknown_tracked_label(params, rng):
     wf = Waveform(dt=0.02, samples=np.zeros(10))
     with pytest.raises(UnknownLabelError):
-        propagate_waveform(params.sectors[1], _random_state(rng, 3), wf, tracked=["bogus"])
+        propagate_waveform(params.sector(1), _random_state(rng, 3), wf, tracked=["bogus"])
 
 
 def test_linearity_on_superpositions(params, rng):
     wf = _gaussian_waveform(0.01)
     a, b = 0.6, 0.8j
-    sector = params.sectors[1]
+    sector = params.sector(1)
     s1, s2 = _random_state(rng, 3), _random_state(rng, 3)
     out1 = propagate_waveform(sector, s1, wf, tracked=[]).final_state
     out2 = propagate_waveform(sector, s2, wf, tracked=[]).final_state
@@ -296,8 +297,8 @@ def test_chunked_replays_match_the_whole_stack_bitwise(rng, n_qubits, n):
     samples[rng.random(n) < 0.3] = 0.0
     samples[-1] = 0.0
     wf = Waveform(dt=0.01, samples=samples)
-    for sector in params.sectors:
-        states = [_random_state(rng, sector.indices.size) for _ in range(2)]
+    for sector in all_sectors(params):
+        states = [_random_state(rng, len(sector.bare_labels)) for _ in range(2)]
         for count in (1, 2):
             ours = propagate_endpoints(sector, states[:count], wf)
             for got, want in zip(ours, _whole_stack_endpoints(sector, states[:count], wf)):
@@ -321,12 +322,12 @@ def test_replays_never_build_more_than_chunk_steps(params, rng, monkeypatch):
 
     monkeypatch.setattr(dynamics, "step_factors", recording)
     wf = Waveform(dt=0.01, samples=-params.omega_tc_max * rng.uniform(0.0, 0.9, 3 * CHUNK))
-    for sector in params.sectors:  # one state in each of the four blocks
-        psi = _random_state(rng, sector.indices.size)
+    for sector in all_sectors(params):  # one state in each of the four blocks
+        psi = _random_state(rng, len(sector.bare_labels))
         propagate_waveform(sector, psi, wf, tracked=[])
         propagate_endpoints(sector, [psi], wf)
     assert max(sizes) == CHUNK
-    assert sum(sizes) == 2 * len(params.sectors) * wf.n
+    assert sum(sizes) == 2 * (params.n_qubits + 2) * wf.n
 
 
 def test_first_crossing_is_the_full_history_read_and_stops_at_its_chunk(monkeypatch):
@@ -374,7 +375,7 @@ def _device_states_waveform(draw):
         draw(st.lists(st.floats(0.01, 0.3), min_size=n, max_size=n)),
         draw(ghz))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    states = [_random_state(rng, sector.indices.size) for sector in params.sectors]
+    states = [_random_state(rng, len(sector.bare_labels)) for sector in all_sectors(params)]
     depth = st.one_of(st.just(0.0), st.floats(0.0, 0.999))
     fractions = draw(st.lists(depth, min_size=2, max_size=30))
     wf = Waveform(dt=draw(st.floats(0.005, 0.1)),
@@ -386,27 +387,30 @@ def _device_states_waveform(draw):
 @given(_device_states_waveform())
 def test_block_propagation_matches_dense_oracle(case):
     # Each block's state is replayed densely, embedded in the full space:
-    # one column per block, stepped by the full held Hamiltonian.
+    # one column per block, stepped by the full held Hamiltonian.  The
+    # tracked eigenstates are the sector's, embedded the same way: on a
+    # device with degenerate levels the dense decomposition may pick
+    # another basis of their eigenspace.
     params, states, wf = case
-    h_d, gen = params.drift_operators
-    spectrum = params.drift_spectrum
+    sectors = all_sectors(params)
     dense = np.zeros((params.dim, len(states)), dtype=complex)
-    for b, (sector, psi) in enumerate(zip(params.sectors, states)):
-        dense[sector.indices, b] = psi
+    for b, (sector, psi) in enumerate(zip(sectors, states)):
+        dense[block_indices(sector), b] = psi
     history = [dense]
     for s in wf.samples:
-        w, u = np.linalg.eigh(h_d + s * gen)
+        w, u = np.linalg.eigh(hamiltonian_at(params, s))
         dense = u @ (np.exp(-1j * w * wf.dt)[:, None] * (u.conj().T @ dense))
         history.append(dense)
 
-    for b, (sector, psi) in enumerate(zip(params.sectors, states)):
+    for b, (sector, psi) in enumerate(zip(sectors, states)):
         tracked = sector.bare_labels[:3]
-        rows = np.stack([spectrum.state(lab) for lab in tracked]).conj()
-        pops = [np.abs(rows @ step[:, b]) ** 2 for step in history]
+        embedded = np.zeros((len(tracked), params.dim))
+        embedded[:, block_indices(sector)] = [sector.state(lab) for lab in tracked]
+        pops = [np.abs(embedded @ step[:, b]) ** 2 for step in history]
 
         traj = propagate_waveform(sector, psi, wf, tracked)
         out = np.zeros(params.dim, dtype=complex)
-        out[sector.indices] = traj.final_state
+        out[block_indices(sector)] = traj.final_state
         np.testing.assert_allclose(out, dense[:, b], rtol=0, atol=1e-10)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
         np.testing.assert_allclose(
@@ -440,8 +444,8 @@ def test_step_factors_are_unitary(case):
     # M = U diag(phases) U^H must be unitary in every sector, whether the
     # shifts go through the stacked kernel or one at a time.
     params, dt, shifts = case
-    for sector in params.sectors:
-        eye = np.eye(len(sector.indices))
+    for sector in all_sectors(params):
+        eye = np.eye(len(sector.bare_labels))
         stacked = step_factors(sector, shifts, dt)
         for u, phases in [stacked, *(step_factors(sector, float(s), dt) for s in shifts)]:
             m = u @ (phases[..., None] * u.conj().swapaxes(-1, -2))

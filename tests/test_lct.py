@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from lctpulse import (
     ConfigError,
@@ -22,7 +23,13 @@ from lctpulse.optimize import reverse_error
 from lctpulse.model import product_labels
 from lctpulse.pulses import CLAMP_FLOOR_FRACTION
 from conftest import record_lct
-from oracles import feedback_value, time_to_population
+from oracles import (
+    dense_spectrum,
+    feedback_value,
+    hamiltonian_at,
+    single_excitation_block,
+    time_to_population,
+)
 
 LAMBDA_STAR = 27626.0
 
@@ -247,20 +254,24 @@ def test_out_of_block_labels_read_exactly_zero(params):
     assert pops["010"][-1] > 0.0
 
 
-def test_emitted_samples_match_feedback_law(params, spectrum, short_run):
+@pytest.mark.parametrize("n_prime", [None, 3])
+def test_emitted_samples_match_feedback_law(params, spectrum, short_run, n_prime):
     # Replay the emitted pulse on the seeded state; the sample applied on
     # step k+1 must equal the (clamped) law evaluated at the step-k state.
-    cfg = _base(t_max=40.0)
+    # n_prime = 3 keeps the three lowest levels of the whole spectrum, 000,
+    # 010 and 100, and so drops 001 from inside the run's block.
+    cfg = _base(t_max=40.0, n_prime=n_prime)
+    wf = (short_run if n_prime is None else run_lct(params, cfg)).waveform
+    if n_prime is not None:
+        assert spectrum.bare_labels[:4] == ["000", "010", "100", "001"]
+        assert not np.array_equal(wf.samples, short_run.waveform.samples)
     j = spectrum.index_of_label("010")
     amp = seed_state(spectrum.state("100"), spectrum.state("010"), cfg.eta)
-    wf = short_run.waveform
-    h_d, gen = params.drift_operators
     worst = 0.0
     for k in range(wf.n - 1):
-        h = h_d + wf.samples[k] * gen
-        w, u = np.linalg.eigh(h)
+        w, u = np.linalg.eigh(hamiltonian_at(params, wf.samples[k]))
         amp = u @ (np.exp(-1j * w * wf.dt) * (u.conj().T @ amp))
-        predicted = feedback_value(amp, spectrum, j, cfg.lambda_,
+        predicted = feedback_value(amp, spectrum, j, cfg.lambda_, n_prime,
                                    omega_tc_max=params.omega_tc_max)
         worst = max(worst, abs(predicted - wf.samples[k + 1]))
     assert worst < 1e-9
@@ -284,7 +295,7 @@ def test_replay_reproduces_4q_run_final_state_exactly():
     # excitation block has dimension 5.
     device = SystemParams.from_ghz([5.890, 5.031, 6.350, 6.720],
                                    [0.100, 0.071, 0.060, 0.050], 7.445)
-    assert device.sectors[1].indices.size == 5
+    assert device.sector(1).eigenvectors.shape == (5, 5)
     cfg = _base(t_max=20.0, initial_label="10000", target_label="01000")
     run = run_lct(device, cfg)
     assert np.any(run.waveform.samples == 0.0)
@@ -308,7 +319,8 @@ def test_4q_populations_hold_the_block_and_share_one_zero_array():
     cfg = _base(t_max=(CHUNK + 4) * 0.01, initial_label="10000", target_label="01000")
     chunks = []
     run, traj = record_lct(device, cfg, chunks)
-    spec, sector = device.drift_spectrum, device.sectors[1]
+    spec, sector = dense_spectrum(device), device.sector(1)
+    single = np.flatnonzero([lab.count("1") == 1 for lab in spec.bare_labels])
     psi = seed_state(sector.state("10000"), sector.state("01000"), cfg.eta)
     vt = sector.eigenvectors.conj().T
     amps = [vt @ psi]
@@ -327,7 +339,7 @@ def test_4q_populations_hold_the_block_and_share_one_zero_array():
     for lab in outside:
         assert not pops[lab].any() and run.final_populations[lab] == 0.0
     for lab in set(pops) - set(outside):
-        b = int(np.searchsorted(sector.columns, spec.index_of_label(lab)))
+        b = int(np.searchsorted(single, spec.index_of_label(lab)))
         assert rows[lab] == b
         assert pops[lab].tobytes() == (np.abs(amps[:, b]) ** 2).tobytes()
     # The summary is read off the same rows.
@@ -389,9 +401,40 @@ def test_4q_run_memory_grows_by_at_most_20_bytes_per_step(tmp_path):
         finally:
             tracemalloc.stop()
 
-    traced_peak(10)  # builds and caches the device's spectrum and sectors
+    traced_peak(10)  # builds and caches the run's sector
     slope = (traced_peak(8000) - traced_peak(2000)) / 6000
     assert slope <= 20, slope
+
+
+_EIGHT_QUBITS = ([5.890, 5.031, 6.350, 6.720, 5.410, 6.080, 5.650, 6.930],
+                 [0.100, 0.071, 0.060, 0.050, 0.080, 0.065, 0.090, 0.055], 7.445)
+
+
+def test_8q_run_replays_on_the_oracle_block():
+    # An 8-qubit device has dimension 512, but a single-excitation run
+    # lives in its 9-dimensional block: the run, its device's setup
+    # included, never holds as much as one 512 x 512 float array, and its
+    # final error is that of its pulse replayed by expm on the block
+    # written from the formula (site order: qubit 1 first).
+    device = SystemParams.from_ghz(*_EIGHT_QUBITS)
+    cfg = _base(t_max=20.0, initial_label="100000000", target_label="010000000")
+    tracemalloc.start()
+    try:
+        run = run_lct(device, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.waveform.n == 2000 and np.any(run.waveform.samples != 0.0)
+    assert peak < 512 * 512 * 8, peak
+
+    h, g = single_excitation_block(device)
+    v = np.linalg.eigh(h)[1]
+    v *= np.sign(v[np.abs(v).argmax(axis=0), range(9)])
+    initial, target = (v[:, np.abs(v[site]).argmax()] for site in (0, 1))
+    psi = seed_state(initial, target, cfg.eta)
+    for s in run.waveform.samples:
+        psi = expm(-1j * (h + s * g) * cfg.dt) @ psi
+    assert abs((1.0 - abs(np.vdot(target, psi)) ** 2) - run.final_error) < 1e-10
 
 
 # ----------------------------------------------------------------

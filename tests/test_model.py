@@ -12,9 +12,18 @@ from lctpulse import (
     sweep_eigenvalues,
     sweep_nonadiabatic_couplings,
 )
+from lctpulse import model
 from lctpulse.model import product_labels
 from lctpulse.units import TWO_PI
-from oracles import flux_to_frequency, frequency_to_flux, hamiltonian_at, label_index
+from conftest import all_sectors, block_indices
+from oracles import (
+    dense_spectrum,
+    flux_to_frequency,
+    frequency_to_flux,
+    hamiltonian_at,
+    label_index,
+    single_excitation_block,
+)
 
 
 # ----------------------------------------------------------------
@@ -119,18 +128,18 @@ def test_single_excitation_block_oracle(params):
 
 
 def test_control_generator_diagonal_signs(params):
-    gen = params.drift_operators[1]
-    assert np.allclose(gen, np.diag(np.diag(gen)))
-    for lab in product_labels(params.n_qubits):
-        idx = label_index(lab, params.n_qubits)
-        expected = -0.5 if lab[-1] == "0" else 0.5
-        assert gen[idx, idx] == pytest.approx(expected)
+    for sector in all_sectors(params):
+        gen = sector.control
+        assert np.allclose(gen, np.diag(np.diag(gen)))
+        for lab, value in zip(sorted(sector.bare_labels), np.diag(gen)):
+            assert value == pytest.approx(-0.5 if lab[-1] == "0" else 0.5)
 
 
 def test_generator_commutes_with_decoupled_drift():
     tiny = SystemParams.from_ghz([5.890, 5.031], [1e-9, 1e-9], 7.445)
-    h, gen = tiny.drift_operators
-    assert np.max(np.abs(h @ gen - gen @ h)) < 1e-6
+    for sector in all_sectors(tiny):
+        h, gen = sector.hamiltonian, sector.control
+        assert np.max(np.abs(h @ gen - gen @ h)) < 1e-6
 
 
 # ----------------------------------------------------------------
@@ -165,7 +174,7 @@ def test_flux_out_of_range(params):
 
 def test_spectrum_orthonormal_and_residual(params):
     h = build_drift_hamiltonian(params)
-    spec = eigendecompose(h)
+    spec = eigendecompose(h, product_labels(2))
     v = spec.eigenvectors
     np.testing.assert_allclose(v.conj().T @ v, np.eye(8), atol=1e-10)
     scale = np.linalg.norm(h)
@@ -177,12 +186,12 @@ def test_spectrum_orthonormal_and_residual(params):
 
 
 def test_labels_are_a_permutation(params):
-    spec = eigendecompose(build_drift_hamiltonian(params))
+    spec = eigendecompose(build_drift_hamiltonian(params), product_labels(2))
     assert sorted(spec.bare_labels) == sorted(product_labels(2))
 
 
 def test_dispersive_labels_have_high_overlap(params):
-    spec = eigendecompose(build_drift_hamiltonian(params))
+    spec = eigendecompose(build_drift_hamiltonian(params), product_labels(2))
     for lab in ("100", "010", "001"):
         vec = spec.state(lab)
         assert abs(vec[label_index(lab, 2)]) ** 2 > 0.99
@@ -190,7 +199,7 @@ def test_dispersive_labels_have_high_overlap(params):
 
 def test_crossing_pair_mixes_half_half(params):
     # At the first resonance the |100> and |001> branches hybridize.
-    spec = eigendecompose(hamiltonian_at(params, -TWO_PI * 1.555))
+    spec = eigendecompose(hamiltonian_at(params, -TWO_PI * 1.555), product_labels(2))
     i100 = spec.index_of_label("100")
     vec = spec.eigenvectors[:, i100]
     p100 = abs(vec[label_index("100", 2)]) ** 2
@@ -210,6 +219,9 @@ def test_unknown_label_raises(params, spectrum):
 _FOUR_QUBITS = SystemParams.from_ghz([5.890, 5.031, 6.350, 6.720],
                                      [0.100, 0.071, 0.060, 0.050], 7.445)
 
+_EIGHT_QUBITS = ([5.890, 5.031, 6.350, 6.720, 5.410, 6.080, 5.650, 6.930],
+                 [0.100, 0.071, 0.060, 0.050, 0.080, 0.065, 0.090, 0.055])
+
 
 def _same_bytes(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -217,15 +229,27 @@ def _same_bytes(a, b):
 
 @pytest.mark.parametrize("four_qubits", [False, True])
 def test_sectors_are_the_drift_spectrum_on_each_block(params, four_qubits):
+    # Each block, built from its labels and diagonalised alone, is the
+    # dense drift's spectrum on that block: bit for bit on the reference
+    # device, while the 4-qubit device's blocks round differently, within
+    # 1e-13.
     device = _FOUR_QUBITS if four_qubits else params
-    spectrum, (h, g) = device.drift_spectrum, device.drift_operators
-    assert len(device.sectors) == device.n_qubits + 2
-    for k, sector in enumerate(device.sectors):
-        rows, cols = sector.indices, sector.columns
-        assert _same_bytes(sector.eigenvalues, spectrum.eigenvalues[cols])
-        assert _same_bytes(sector.eigenvectors, spectrum.eigenvectors[np.ix_(rows, cols)])
+    spectrum = dense_spectrum(device)
+    h, g = spectrum.hamiltonian, spectrum.control
+    sectors = all_sectors(device)
+    assert len(sectors) == device.n_qubits + 2
+    for k, sector in enumerate(sectors):
+        rows = block_indices(sector)
+        cols = np.flatnonzero([lab.count("1") == k for lab in spectrum.bare_labels])
         assert _same_bytes(sector.hamiltonian, h[np.ix_(rows, rows)])
         assert _same_bytes(sector.control, g[np.ix_(rows, rows)])
+        for ours, dense in ((sector.eigenvalues, spectrum.eigenvalues[cols]),
+                            (sector.eigenvectors, spectrum.eigenvectors[np.ix_(rows, cols)])):
+            if four_qubits:
+                assert ours.dtype == dense.dtype
+                np.testing.assert_allclose(ours, dense, rtol=0, atol=1e-13)
+            else:
+                assert _same_bytes(ours, dense)
         assert sector.bare_labels == [spectrum.bare_labels[c] for c in cols]
         for lab in sector.bare_labels:
             assert lab.count("1") == k
@@ -236,13 +260,47 @@ def test_sectors_are_the_drift_spectrum_on_each_block(params, four_qubits):
             sector.index_of_label(outside)
 
 
+def test_a_sector_is_built_once_on_first_use(monkeypatch):
+    # A run decomposes its own block and no other: sector_of builds the
+    # block of the label's excitation number, from its labels in
+    # product-basis order, once.
+    calls = []
+    decompose = model.eigendecompose
+    monkeypatch.setattr(model, "eigendecompose",
+                        lambda h, labels: calls.append(labels) or decompose(h, labels))
+    device = SystemParams.from_ghz([5.890, 5.031], [0.100, 0.071], 7.445)
+    assert device.sector_of("010") is device.sector_of("100") is device.sector(1)
+    assert calls == [["001", "010", "100"]]
+
+
+@pytest.mark.parametrize("label", ["0a1", "0100", "", "11110"])
+def test_sector_of_rejects_malformed_labels(params, label):
+    # 0a1 and 0100 hold one excitation, so counting it alone would hand
+    # back the single-excitation block.
+    with pytest.raises(UnknownLabelError, match=repr(label)):
+        params.sector_of(label)
+
+
+def test_eight_qubit_single_excitation_sector_matches_oracle_block():
+    # Block 1 of an 8-qubit device is 9 x 9; its eigenpairs must be those
+    # of the block written from the formula, in product-basis order (the
+    # reverse of site order), gauge-fixed the same way.
+    device = SystemParams.from_ghz(_EIGHT_QUBITS[0], _EIGHT_QUBITS[1], 7.445)
+    sector = device.sector_of("000000010")
+    h, _ = single_excitation_block(device)
+    w, v = np.linalg.eigh(h)
+    v = v[::-1]
+    v *= np.sign(v[np.abs(v).argmax(axis=0), range(9)])
+    assert sector.eigenvectors.shape == (9, 9)
+    np.testing.assert_allclose(sector.eigenvalues, w, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sector.eigenvectors, v, rtol=0, atol=1e-12)
+
+
 def test_cached_drift_arrays_are_read_only(params):
-    # Every later run shares these arrays, so a write to one must fail
-    # instead of changing them all.
-    h, g = params.drift_operators
-    spectrum = params.drift_spectrum
-    assert params.drift_operators[0] is h and spectrum.control is g
-    for a in (h, g, spectrum.eigenvalues, spectrum.eigenvectors):
+    # Every later run shares a device's sectors, so a write to one must
+    # fail instead of changing them all.
+    sector = params.sector(1)
+    for a in (sector.hamiltonian, sector.control, sector.eigenvalues, sector.eigenvectors):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0, ...] = 0.0
@@ -256,15 +314,16 @@ def _fd_coupling(params, j, k, delta, h=1e-6):
     # One-sided difference for <d psi_j / d delta | psi_k>, which is the
     # quotient convention nonadiabatic_coupling documents (divide by
     # eps_j - eps_k).  Offsetting the ket instead flips the sign.
-    s0 = eigendecompose(hamiltonian_at(params, delta))
-    s1 = eigendecompose(hamiltonian_at(params, delta + h))
+    labels = product_labels(params.n_qubits)
+    s0 = eigendecompose(hamiltonian_at(params, delta), labels)
+    s1 = eigendecompose(hamiltonian_at(params, delta + h), labels)
     return float(np.real(np.vdot(s1.eigenvectors[:, j], s0.eigenvectors[:, k]))) / h
 
 
 @pytest.mark.parametrize("delta_ghz", [-1.50, -1.56, -2.40, -0.8])
 def test_hellmann_feynman_vs_finite_difference(params, delta_ghz):
     delta = TWO_PI * delta_ghz
-    spec = eigendecompose(hamiltonian_at(params, delta))
+    spec = eigendecompose(hamiltonian_at(params, delta), product_labels(2))
     singles = [i for i, lab in enumerate(spec.bare_labels) if lab.count("1") == 1]
     j, k = singles[0], singles[1]
     hf = nonadiabatic_coupling(params, j, k, delta)
@@ -317,6 +376,31 @@ def test_sweep_shape_and_order(params):
     assert np.all(np.diff(out, axis=1) >= 0)
 
 
+def test_block_sweeps_match_the_dense_drift():
+    # The sweeps merge each block's decomposition.  The dense held
+    # Hamiltonian decomposed whole must give the same levels and, between
+    # two levels of one block, the same couplings; levels of different
+    # blocks couple exactly 0, where the dense product leaves residue.
+    rng = np.random.default_rng(11)
+    device = SystemParams.from_ghz(
+        list(rng.uniform(4.5, 6.5, 3)), list(rng.uniform(0.03, 0.12, 3)), 7.4)
+    deltas = TWO_PI * np.linspace(-3.2, 0.0, 41)
+    pairs = [(j, j + 1) for j in range(15)] + [(1, 3), (5, 2), (0, 15)]
+    levels = sweep_eigenvalues(device, deltas)
+    couplings = sweep_nonadiabatic_couplings(device, deltas, pairs)
+    g = np.diag(hamiltonian_at(device, 1.0) - hamiltonian_at(device, 0.0))
+    for m, d in enumerate(deltas):
+        spec = eigendecompose(hamiltonian_at(device, d), product_labels(3))
+        np.testing.assert_allclose(levels[m], spec.eigenvalues, rtol=0, atol=1e-12)
+        v, w = spec.eigenvectors, spec.eigenvalues
+        for c, (j, k) in enumerate(pairs):
+            if spec.bare_labels[j].count("1") != spec.bare_labels[k].count("1"):
+                assert couplings[m, c] == 0.0
+            else:
+                dense = (v[:, j] * g) @ v[:, k] / (w[j] - w[k])
+                assert couplings[m, c] == pytest.approx(dense, rel=1e-9, abs=1e-12)
+
+
 def test_gap_minima_locations(params):
     deltas = TWO_PI * np.linspace(-3.0, 0.0, 601)
     minima = single_excitation_gap_minima(params, deltas)
@@ -340,7 +424,7 @@ def test_gap_minima_match_labelled_reference():
     deltas = TWO_PI * np.linspace(-3.2, 0.0, 161)
     gaps = []
     for d in deltas:
-        spec = eigendecompose(hamiltonian_at(device, d))
+        spec = eigendecompose(hamiltonian_at(device, d), product_labels(3))
         singles = [i for i, lab in enumerate(spec.bare_labels)
                    if lab.count("1") == 1]
         gaps.append(np.diff(spec.eigenvalues[singles]))
