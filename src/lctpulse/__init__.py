@@ -28,7 +28,7 @@ from .optimize import (
     nelder_mead,
     optimize_reversible,
     optimize_truncation,
-    reverse_error,
+    transfer_errors,
 )
 from .pulses import (
     AnalyticPulseParams,

@@ -20,7 +20,7 @@ from . import io
 from .errors import ConfigError, ConvergenceError, DegenerateLevelsError, UnknownLabelError
 from .lct import population_rows, run_lct
 from .model import single_excitation_gap_minima, sweep_eigenvalues, sweep_nonadiabatic_couplings
-from .optimize import fit_analytic_pulse, optimize_reversible, optimize_truncation, reverse_error
+from .optimize import fit_analytic_pulse, optimize_reversible, optimize_truncation, transfer_errors
 from .pulses import analytic_pulse, fourier_spectrum, lowpass_filter
 from .units import TWO_PI
 
@@ -39,9 +39,22 @@ def _out(ctx: dict, name: str) -> str:
 def _run_inputs(ctx: dict):
     """The device and the seed-section LctConfig, read once per invocation."""
     if "run_inputs" not in ctx:
-        ctx["run_inputs"] = (io.device_from_config(ctx["doc"]), io.lct_config_from(
-            ctx["doc"], ctx["args"].seed_section, io.dt_override()))
+        doc, section = ctx["doc"], ctx["args"].seed_section
+        params = io.device_from_config(doc)
+        config = io.lct_config_from(doc, section, io.dt_override())
+        if config.reference is not None:
+            _in_window(params, config.reference, doc[section]["reference_pulse_path"])
+        ctx["run_inputs"] = params, config
     return ctx["run_inputs"]
+
+
+def _in_window(params, wf, path: str):
+    """wf, read from path, if every sample lies in the coupler's window."""
+    try:
+        wf.validate_range(params.omega_tc_max)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return wf
 
 
 def _load_pulse(params, flag_value: str | None, pulse_path: str | None):
@@ -49,12 +62,7 @@ def _load_pulse(params, flag_value: str | None, pulse_path: str | None):
     path = flag_value or pulse_path
     if path is None:
         raise ConfigError("no input pulse: give --pulse or a pulse_path key")
-    wf = io.read_waveform_csv(path)
-    try:
-        wf.validate_range(params.omega_tc_max)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return wf
+    return _in_window(params, io.read_waveform_csv(path), path)
 
 
 # ----------------------------------------------------------------
@@ -236,7 +244,7 @@ def cmd_analytic(ctx: dict, cfg=None) -> None:
     wf = analytic_pulse(fitted, cfg.dt_ns, omega_tc_max=params.omega_tc_max)
     _write_pulse_set(ctx, "analytic", params, wf)
 
-    err = reverse_error(params, wf, base.initial_label, base.target_label)
+    err = transfer_errors(params, wf, base.initial_label, base.target_label)[0]
     io.write_json(_out(ctx, "analytic_summary.json"), {
         "final_error": err, "duration_ns": wf.duration,
     })
@@ -328,14 +336,12 @@ def main(argv: list | None = None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    manifest = io.RunManifest(
-        config_hash=io.config_hash(args.config),
-        command=" ".join([args.command] + list(argv or sys.argv[1:])[1:]),
-        outputs=ctx["outputs"],
-        wall_time=time.monotonic() - started,
-        stages=ctx["stages"] or None,
-    )
-    io.write_manifest(os.path.join(args.out_dir, "manifest.json"), manifest)
+    manifest = {"config_hash": io.config_hash(args.config),
+                "command": " ".join([args.command] + list(argv or sys.argv[1:])[1:]),
+                "outputs": ctx["outputs"], "wall_time": time.monotonic() - started}
+    if ctx["stages"]:
+        manifest["stages"] = ctx["stages"]
+    io.write_json(os.path.join(args.out_dir, "manifest.json"), manifest)
     return EXIT_OK
 
 

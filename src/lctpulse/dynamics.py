@@ -14,8 +14,8 @@ excitation instead of 2^(n+1).
 
 step_factors and apply_step are the one propagation kernel.  One chunk
 stepper drives them for the sequential replay (propagate_waveform) and
-the first-crossing scan; the endpoint product and the feedback loop in
-lct use them directly.
+the first-crossing scan; the block unitary (propagator) and the feedback
+loop in lct use them directly.
 """
 
 from __future__ import annotations
@@ -165,20 +165,17 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def propagate_endpoints(sector: DriftSpectrum, states: list, wf: Waveform) -> list:
-    """The block amplitudes at the end of wf of each of a sector's states,
-    for callers that read nothing else.
+def propagator(sector: DriftSpectrum, wf: Waveform) -> np.ndarray:
+    """The sector's block unitary over wf, for callers that read only
+    final amplitudes: multiply it by each state.
 
     The step unitaries U_k = V_k diag(exp(-i w_k dt)) V_k^H come from one
     batched eigh per CHUNK samples and are multiplied as a pairwise tree,
     so the replay is log2(n) batched products instead of n sequential
-    steps.  It agrees with propagate_waveform to rounding, not bit for
-    bit.  The product is built once for all the states, and each result
-    is bit for bit the one of a lone call.
+    steps.  It agrees with propagate_waveform to rounding, not bit for bit.
     """
     chunks = []
     for start in range(0, wf.n, CHUNK):
         u, phases = step_factors(sector, wf.samples[start:start + CHUNK], wf.dt)
         chunks.append(_ordered_product((u * phases[:, None, :]) @ u.conj().swapaxes(-1, -2)))
-    product = _ordered_product(np.stack(chunks))
-    return [product @ psi for psi in states]
+    return _ordered_product(np.stack(chunks))

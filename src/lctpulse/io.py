@@ -91,6 +91,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _eval_cap(value) -> int:
+    """A whole number of at least 2: the 1-d simplex runs its two starting
+    points before it reads its cap, so a lower one would not hold."""
+    if _integer(value) < 2:
+        raise ValueError(f"expected a whole number of at least 2, got {value!r}")
+    return int(value)
+
+
 def _number_in(test, expected: str):
     """A cast to a number that passes test; a value outside the range is
     refused, and so is a boolean, which float() would read as 0.0 or 1.0."""
@@ -202,7 +210,7 @@ def truncation_section(doc: dict) -> TruncationConfig:
     """The `truncation` section as a TruncationConfig; absent keys keep defaults."""
     return TruncationConfig(**_section(
         doc, "truncation", {"sigma_ns": _positive, "fidelity_goal": _goal,
-                            "max_evals": _integer, "pulse_path": str}))
+                            "max_evals": _eval_cap, "pulse_path": str}))
 
 
 # Closed-form config key -> (AnalyticPulseParams field, factor from the
@@ -406,7 +414,7 @@ def write_coupling_sweep_csv(path: str, deltas_rad: np.ndarray,
 
 
 # ----------------------------------------------------------------
-# JSON reports and the run manifest
+# JSON reports
 # ----------------------------------------------------------------
 
 def write_json(path: str, obj):
@@ -434,23 +442,3 @@ def report_to_dict(report: OptimizationReport) -> dict:
         for p, val in report.history
     ]
     return out
-
-
-@dataclass
-class RunManifest:
-    """What one CLI invocation read and wrote.
-
-    stages maps each refinement stage the command ran (optimize,
-    truncate, analytic) to its wall time in seconds; left None, as for
-    the one-stage spectrum, lct and filter commands, it is not written.
-    """
-
-    config_hash: str
-    command: str
-    outputs: list
-    wall_time: float
-    stages: dict | None = None
-
-
-def write_manifest(path: str, manifest: RunManifest):
-    write_json(path, {k: v for k, v in asdict(manifest).items() if v is not None})

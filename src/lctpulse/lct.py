@@ -328,7 +328,7 @@ def run_lct_lockstep(params: SystemParams, configs: list) -> LockstepResult:
     sign), alone or in a batch.  Each member also carries a probe, a
     second state started in the target eigenstate and pushed through the
     member's step unitaries, so the reverse error (the waveform's transfer
-    back to the initial state, what optimize.reverse_error replays) falls
+    back to the initial state, what optimize.transfer_errors replays) falls
     out of the loop.  No per-step amplitudes are kept, only the applied
     samples and the final states.
     """

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import first_crossing, propagate_endpoints
+from .dynamics import first_crossing, propagator
 from .errors import ConvergenceError
 # run_lct stays bound here, though the search runs in lockstep: the
 # benchmark's tracer wraps it in every module that binds it, and its test
 # checks this module among them.
 from .lct import LctConfig, refined_config, run_lct, run_lct_lockstep  # noqa: F401
-from .model import DriftSpectrum, SystemParams
+from .model import SystemParams
 from .pulses import (
     AnalyticPulseParams,
     Waveform,
@@ -225,36 +225,20 @@ def nelder_mead(
 # transfer-error objectives
 # ----------------------------------------------------------------
 
-def reverse_error(
-    params: SystemParams,
-    wf: Waveform,
-    source_label: str,
-    destination_label: str,
-) -> float:
-    """1 - P(destination) after applying wf to the source eigenstate."""
-    return _transfer_errors(params.sector_of(source_label), wf,
-                            [(source_label, destination_label)])[0]
-
-
-def forward_and_reverse_error(
+def transfer_errors(
     params: SystemParams,
     wf: Waveform,
     source_label: str,
     destination_label: str,
 ) -> tuple:
-    """Transfer errors for wf applied forward and to the swapped pair,
-    read from one endpoint product."""
-    return tuple(_transfer_errors(params.sector_of(source_label), wf,
-                                  [(source_label, destination_label),
-                                   (destination_label, source_label)]))
-
-
-def _transfer_errors(sector: DriftSpectrum, wf: Waveform, pairs: list) -> list:
-    """1 - P(destination) for each (source, destination) label pair of a
-    sector under wf; a label outside the sector raises UnknownLabelError."""
-    finals = propagate_endpoints(sector, [sector.state(src) for src, _ in pairs], wf)
-    return [1.0 - float(abs(np.vdot(sector.state(dst), final)) ** 2)
-            for (_, dst), final in zip(pairs, finals)]
+    """(forward, reverse) transfer errors of wf, read from one propagator:
+    1 - P(destination) from the source eigenstate, and 1 - P(source) from
+    the destination's.  Labels of different blocks raise UnknownLabelError."""
+    sector = params.sector_of(source_label)
+    source, destination = sector.state(source_label), sector.state(destination_label)
+    u = propagator(sector, wf)
+    return (1.0 - float(abs(np.vdot(destination, u @ source)) ** 2),
+            1.0 - float(abs(np.vdot(source, u @ destination)) ** 2))
 
 
 # ----------------------------------------------------------------
@@ -291,7 +275,7 @@ def optimize_reversible(
     source = base_config.initial_label
     destination = base_config.target_label
 
-    fwd_bare = reverse_error(params, bare_pulse, source, destination)
+    fwd_bare = transfer_errors(params, bare_pulse, source, destination)[0]
     if fwd_bare >= cfg.fidelity_goal:
         raise ConvergenceError(
             f"bare pulse forward error {fwd_bare:.3e} misses the goal"
@@ -355,7 +339,7 @@ def optimize_truncation(
 
     def objective(x):
         tau = float(x[0])
-        errors[tau] = forward_and_reverse_error(
+        errors[tau] = transfer_errors(
             params, truncate_with_gaussian_tail(pulse, tau, cfg.sigma_ns),
             source_label, destination_label)
         return max(errors[tau])
@@ -400,24 +384,6 @@ DEFAULT_ANALYTIC_BOUNDS = {
 }
 
 
-def _analytic_objective(params, source_label, destination_label, dt):
-    def evaluate(p: AnalyticPulseParams) -> float:
-        # Ordering violations are penalized, not fatal: the simplex may
-        # wander through tau2 < tau1 territory while contracting.
-        penalty = 0.0
-        if p.tau1 > p.tau2:
-            penalty += _PENALTY * (p.tau1 - p.tau2) ** 2
-        if p.tau2 > p.tau3:
-            penalty += _PENALTY * (p.tau2 - p.tau3) ** 2
-        if penalty > 0.0:
-            return 1.0 + penalty
-        wf = Waveform(dt=dt, samples=clamp_samples(analytic_pulse(p, dt).samples,
-                                                   params.omega_tc_max))
-        return reverse_error(params, wf, source_label, destination_label)
-
-    return evaluate
-
-
 def fit_analytic_pulse(
     params: SystemParams,
     init: AnalyticPulseParams,
@@ -432,7 +398,19 @@ def fit_analytic_pulse(
     from the stage-1 point, so its best value can only improve on stage 1.
     Returns (AnalyticPulseParams, OptimizationReport).
     """
-    evaluate = _analytic_objective(params, source_label, destination_label, cfg.dt_ns)
+    def evaluate(p: AnalyticPulseParams) -> float:
+        # Ordering violations are penalized, not fatal: the simplex may
+        # wander through tau2 < tau1 territory while contracting.
+        penalty = 0.0
+        if p.tau1 > p.tau2:
+            penalty += _PENALTY * (p.tau1 - p.tau2) ** 2
+        if p.tau2 > p.tau3:
+            penalty += _PENALTY * (p.tau2 - p.tau3) ** 2
+        if penalty > 0.0:
+            return 1.0 + penalty
+        wf = Waveform(dt=cfg.dt_ns, samples=clamp_samples(
+            analytic_pulse(p, cfg.dt_ns).samples, params.omega_tc_max))
+        return transfer_errors(params, wf, source_label, destination_label)[0]
 
     def stage(fields, frozen: AnalyticPulseParams, spread: float):
         def obj(x):

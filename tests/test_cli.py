@@ -300,19 +300,26 @@ def test_seed_section_flag(tmp_path):
 
 
 def test_manifest_records_stage_timings(tmp_path):
-    def stages(command, sections, *extra):
+    def manifest(command, sections, *extra):
         cfg = _config(tmp_path, f"{command}.json", **sections)
         out = tmp_path / command
         assert main([command, "--config", cfg, "--out-dir", str(out), *extra]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        found = manifest.get("stages", {})
-        assert all(isinstance(v, float) and 0.0 <= v <= manifest["wall_time"]
-                   for v in found.values())
-        return set(found)
+        return json.loads((out / "manifest.json").read_text())
 
-    # One-stage commands: their stage time is the manifest's wall_time.
-    assert stages("lct", {"lct": LCT_SHORT}) == set()
-    assert stages("spectrum", {}, "--steps", "11") == set()
+    def stages(command, sections, *extra):
+        doc = manifest(command, sections, *extra)
+        assert all(isinstance(v, float) and 0.0 <= v <= doc["wall_time"]
+                   for v in doc["stages"].values())
+        return set(doc["stages"])
+
+    # One-stage commands: their stage time is the manifest's wall_time,
+    # and the manifest holds no stages key at all.
+    keys = {"config_hash", "command", "outputs", "wall_time"}
+    lct = manifest("lct", {"lct": LCT_SHORT})
+    assert set(lct) == keys
+    assert lct["outputs"] == ["trajectory.csv", "waveform.csv", "waveform_flux.csv",
+                              "waveform_spectrum.csv", "summary.json"]
+    assert set(manifest("spectrum", {}, "--steps", "11")) == keys
     reversibility = {"cutoff_candidates_ghz": [0.3, 0.45], "fidelity_goal": 0.5}
     assert stages("analytic", {"lct": LCT_SHORT, "analytic": ANALYTIC}) == {"analytic"}
     assert stages("optimize", {"device": FAST_DEVICE, "lct": FAST_LCT,
@@ -457,6 +464,10 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
     cases += [("lct", "lct", LCT_SHORT, "n_prime", value) for value in (2.7, True)]
     cases += [("truncate", "truncation", {"pulse_path": pulse_path}, "max_evals", value)
               for value in (60.9, True)]
+    # The 1-d simplex runs its two starting points before it reads its cap,
+    # so a cap below 2 would run anyway and report 2 evaluations.
+    cases += [(command, "truncation", {"pulse_path": pulse_path}, "max_evals", value)
+              for command in ("truncate", "pipeline") for value in (1, 0, -5)]
     # The device and the seed run: unchecked, each of these would run to a
     # pulse that does not transfer, fail as a numerical error, or overflow.
     nan, inf = float("nan"), float("inf")
@@ -570,3 +581,27 @@ def test_pulse_outside_the_window_exits_1_before_any_file(tmp_path, capsys):
             assert err.startswith(f"config error: {pulse_path}:"), (name, argv)
             assert "outside the coupler's window" in err, (name, argv)
             assert list(out.iterdir()) == [], (name, argv)
+
+
+def test_reference_outside_the_window_exits_1_before_any_file(tmp_path, capsys):
+    # Unchecked, the feedback loop would clamp such a reference sample by
+    # sample and exit 0 with a pulse that does not transfer.
+    def config(name, ghz):
+        ref_path = str(tmp_path / f"{name}.csv")
+        write_waveform_csv(ref_path, Waveform(dt=0.01, samples=TWO_PI * np.array([-0.1, ghz])))
+        return ref_path, _config(tmp_path, f"{name}.json", lct={
+            **LCT_SHORT, "t_max_ns": 0.02, "reference_pulse_path": ref_path, "lambda2": 1.0})
+
+    for name, ghz in (("above", 0.5), ("below", -20.0)):
+        ref_path, cfg = config(name, ghz)
+        for command in ("lct", "optimize", "pipeline"):
+            code, out = _run(tmp_path / name / command, command, "--config", cfg)
+            assert code == 1, (name, command)
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {ref_path}:"), (name, command)
+            assert "outside the coupler's window" in err, (name, command)
+            assert list(out.iterdir()) == [], (name, command)
+    _, cfg = config("inside", -2.0)
+    code, out = _run(tmp_path / "inside", "lct", "--config", cfg)
+    assert code == 0
+    assert (out / "summary.json").exists()

@@ -16,7 +16,7 @@ from lctpulse.dynamics import (
     _ordered_product,
     apply_step,
     first_crossing,
-    propagate_endpoints,
+    propagator,
     step_factors,
 )
 from lctpulse.units import TWO_PI
@@ -300,7 +300,7 @@ def test_chunked_replays_match_the_whole_stack_bitwise(rng, n_qubits, n):
     for sector in all_sectors(params):
         states = [_random_state(rng, len(sector.bare_labels)) for _ in range(2)]
         for count in (1, 2):
-            ours = propagate_endpoints(sector, states[:count], wf)
+            ours = [propagator(sector, wf) @ psi for psi in states[:count]]
             for got, want in zip(ours, _whole_stack_endpoints(sector, states[:count], wf)):
                 assert got.tobytes() == want.tobytes()
 
@@ -325,7 +325,7 @@ def test_replays_never_build_more_than_chunk_steps(params, rng, monkeypatch):
     for sector in all_sectors(params):  # one state in each of the four blocks
         psi = _random_state(rng, len(sector.bare_labels))
         propagate_waveform(sector, psi, wf, tracked=[])
-        propagate_endpoints(sector, [psi], wf)
+        propagator(sector, wf) @ psi
     assert max(sizes) == CHUNK
     assert sum(sizes) == 2 * (params.n_qubits + 2) * wf.n
 
@@ -417,7 +417,7 @@ def test_block_propagation_matches_dense_oracle(case):
             np.column_stack([traj.populations[lab] for lab in tracked]),
             np.array(pops), rtol=0, atol=1e-10)
 
-        end = propagate_endpoints(sector, [psi], wf)[0]
+        end = propagator(sector, wf) @ psi
         for lab in tracked:
             p_end = abs(np.vdot(sector.state(lab), end)) ** 2
             assert abs(p_end - traj.populations[lab][-1]) <= 1e-11

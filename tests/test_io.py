@@ -13,7 +13,6 @@ from lctpulse import io
 from lctpulse.io import (
     CHUNK,
     FilterConfig,
-    RunManifest,
     _write_csv,
     analytic_params_from_dict,
     analytic_params_to_dict,
@@ -30,7 +29,6 @@ from lctpulse.io import (
     write_eigenvalue_sweep_csv,
     write_flux_csv,
     write_json,
-    write_manifest,
     write_spectrum_csv,
     write_trajectory_csv,
     write_waveform_csv,
@@ -551,12 +549,3 @@ def test_report_to_dict_flattens_history():
     assert out["history"][0] == {"params": {"x0": 1.0}, "value": 0.5}
     assert out["history"][1]["params"]["cutoff_ghz"] == 0.45
 
-
-def test_manifest_roundtrip(tmp_path):
-    path = str(tmp_path / "manifest.json")
-    write_manifest(path, RunManifest(
-        config_hash="ab" * 32, command="lct", outputs=["pulse.csv"],
-        wall_time=1.25))
-    doc = json.loads(open(path).read())
-    assert set(doc) == {"config_hash", "command", "outputs", "wall_time"}
-    assert doc["outputs"] == ["pulse.csv"]

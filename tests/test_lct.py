@@ -19,7 +19,7 @@ from lctpulse import (
 from lctpulse.dynamics import CHUNK, apply_step, step_factors
 from lctpulse.io import write_trajectory_csv
 from lctpulse.lct import population_rows, run_lct_lockstep, seed_state
-from lctpulse.optimize import reverse_error
+from lctpulse.optimize import transfer_errors
 from lctpulse.model import product_labels
 from lctpulse.pulses import CLAMP_FLOOR_FRACTION
 from conftest import record_lct
@@ -528,8 +528,8 @@ def test_lockstep_matches_single_runs(case):
         single = run_lct(params, config)
         np.testing.assert_array_equal(batch.samples[:, b], single.waveform.samples)
         assert batch.forward_error[b] == single.final_error
-        rev = reverse_error(params, batch.waveform(b), first.target_label,
-                            first.initial_label)
+        rev = transfer_errors(params, batch.waveform(b), first.target_label,
+                              first.initial_label)[0]
         assert abs(batch.reverse_error[b] - rev) <= 1e-12
         alone = run_lct_lockstep(params, [config])
         np.testing.assert_array_equal(alone.samples[:, 0], batch.samples[:, b])
@@ -553,6 +553,6 @@ def test_lockstep_refined_run_reverse_error_from_probe(params, short_run):
     batch = run_lct_lockstep(params, [cfg, replace(cfg, lambda2=900.0)])
     single = run_lct(params, cfg)
     np.testing.assert_array_equal(batch.samples[:, 0], single.waveform.samples)
-    rev = reverse_error(params, single.waveform, "010", "100")
+    rev = transfer_errors(params, single.waveform, "010", "100")[0]
     assert abs(batch.reverse_error[0] - rev) <= 1e-12
     assert batch.samples.shape == (4000, 2)

@@ -15,11 +15,10 @@ from lctpulse.optimize import (
     OptimizationReport,
     ReversibilityConfig,
     TruncationConfig,
-    forward_and_reverse_error,
     nelder_mead,
     optimize_reversible,
     optimize_truncation,
-    reverse_error,
+    transfer_errors,
 )
 from lctpulse.pulses import lowpass_filter, truncate_with_gaussian_tail
 
@@ -131,8 +130,8 @@ def test_reversibility_config_defaults():
 
 def test_reverse_error_identity_on_idle_pulse(params):
     wf = Waveform(dt=0.05, samples=np.zeros(100))
-    assert reverse_error(params, wf, "100", "100") == pytest.approx(0.0, abs=1e-10)
-    assert reverse_error(params, wf, "100", "010") == pytest.approx(1.0, abs=1e-10)
+    assert transfer_errors(params, wf, "100", "100")[0] == pytest.approx(0.0, abs=1e-10)
+    assert transfer_errors(params, wf, "100", "010")[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_reverse_error_across_excitation_blocks_raises(params):
@@ -140,20 +139,20 @@ def test_reverse_error_across_excitation_blocks_raises(params):
     # transfers between them: the pair is refused, not scored 1.0.
     wf = Waveform(dt=0.05, samples=np.zeros(100))
     with pytest.raises(UnknownLabelError, match="011"):
-        reverse_error(params, wf, "100", "011")
+        transfer_errors(params, wf, "100", "011")
 
 
 def test_forward_and_reverse_pair(params):
     wf = Waveform(dt=0.05, samples=np.zeros(100))
-    fwd, rev = forward_and_reverse_error(params, wf, "100", "010")
+    fwd, rev = transfer_errors(params, wf, "100", "010")
     assert fwd == pytest.approx(1.0, abs=1e-10)
     assert rev == pytest.approx(1.0, abs=1e-10)
 
 
 def test_forward_and_reverse_share_one_endpoint_product(params, monkeypatch):
     wf = Waveform(dt=0.05, samples=-2.0 * np.abs(np.sin(np.linspace(0.1, 9.0, 400))))
-    expected = (reverse_error(params, wf, "100", "010"),
-                reverse_error(params, wf, "010", "100"))
+    expected = (transfer_errors(params, wf, "100", "010")[0],
+                transfer_errors(params, wf, "010", "100")[0])
     batched = []
     eigh = np.linalg.eigh
 
@@ -163,7 +162,7 @@ def test_forward_and_reverse_share_one_endpoint_product(params, monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    assert forward_and_reverse_error(params, wf, "100", "010") == expected
+    assert transfer_errors(params, wf, "100", "010") == expected
     assert batched == [wf.n]
 
 
@@ -182,7 +181,7 @@ def test_truncation_reports_the_simplex_best(params, monkeypatch):
     times = np.arange(wf.n + 1) * wf.dt
     monkeypatch.setattr(optimize, "first_crossing", lambda *args, **kw: float(
         times[np.flatnonzero(times >= 95.0)[0]]))
-    monkeypatch.setattr(optimize, "forward_and_reverse_error", lambda p, wt, *labels: (
+    monkeypatch.setattr(optimize, "transfer_errors", lambda p, wt, *labels: (
         (1e-8, 2e-9) if np.array_equal(wt.samples, wf.samples) else (1e-3, 5e-4)))
     simplex = []
 
@@ -280,7 +279,7 @@ def test_lowest_passing_cutoff_wins(fast_bare, lockstep_batches, simplex_calls):
     assert rep.reverse_error == rep.best_value == init[0]
     assert rep.forward_error == full.forward_error[0]
     assert same_bits(wf, 0)
-    assert abs(reverse_error(_FAST, wf, "010", "100") - rep.reverse_error) < 1e-12
+    assert abs(transfer_errors(_FAST, wf, "010", "100")[0] - rep.reverse_error) < 1e-12
 
     # With the goal between the two init errors, 0.3 GHz fails and
     # 0.45 GHz is the lowest cutoff whose init cell passes.
@@ -358,4 +357,4 @@ def test_no_passing_cell_returns_the_lowest_error_cell(fast_bare, simplex_calls)
     assert not rep.converged
     assert rep.best_value == min(h[1] for h in rep.history) >= 1e-3
     assert all(h[0]["forward_error"] < 1e-3 for h in rep.history)
-    assert abs(reverse_error(_FAST, wf, "010", "100") - rep.reverse_error) < 1e-12
+    assert abs(transfer_errors(_FAST, wf, "010", "100")[0] - rep.reverse_error) < 1e-12
