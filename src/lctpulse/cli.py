@@ -97,21 +97,17 @@ def cmd_spectrum(ctx: dict) -> None:
     if not all(-params.omega_tc_max <= v <= 0.0 for v in (lo, hi)):
         raise ConfigError(f"--range ends must lie in the coupler's window "
                           f"[{-params.omega_tc_max / TWO_PI:g}, 0] GHz, got {args.sweep_range}")
-    deltas = np.linspace(lo, hi, args.steps)
-    energies = sweep_eigenvalues(params, deltas)
+    sweep = sweep_eigenvalues(params, np.linspace(lo, hi, args.steps))
     # Adjacent pairs of the ascending spectrum; identity can hop at level
     # crossings between excitation sectors, which is fine for plotting.
     pairs = [(j, j + 1) for j in range(params.dim - 1)]
-    couplings = sweep_nonadiabatic_couplings(params, deltas, pairs)
-    # Both sweeps run before the first file is written: writing between
-    # them measured a higher peak memory.
-    io.write_eigenvalue_sweep_csv(_out(ctx, "eigenvalues.csv"), deltas, energies)
+    couplings = sweep_nonadiabatic_couplings(sweep, pairs)
+    minima = single_excitation_gap_minima(sweep)
+    io.write_eigenvalue_sweep_csv(_out(ctx, "eigenvalues.csv"), sweep.deltas, sweep.levels)
     io.write_coupling_sweep_csv(
-        _out(ctx, "couplings.csv"), deltas, couplings,
+        _out(ctx, "couplings.csv"), sweep.deltas, couplings,
         [(j + 1, k + 1) for j, k in pairs],
     )
-
-    minima = single_excitation_gap_minima(params, deltas)
     io.write_json(_out(ctx, "spectrum_summary.json"), {
         "gap_minima": [
             {"delta_omega_ghz": m.delta_omega_tc / TWO_PI,
@@ -126,6 +122,8 @@ def cmd_spectrum(ctx: dict) -> None:
 
 
 def _write_pulse_set(ctx: dict, stem: str, params, wf) -> None:
+    # Refused whole: the flux export would raise only after the first file.
+    wf.validate_range(params.omega_tc_max)
     io.write_waveform_csv(_out(ctx, f"{stem}.csv"), wf)
     io.write_flux_csv(_out(ctx, f"{stem}_flux.csv"), params, wf)
     io.write_spectrum_csv(_out(ctx, f"{stem}_spectrum.csv"), fourier_spectrum(wf))

@@ -251,58 +251,64 @@ def held_hamiltonians(h: np.ndarray, g: np.ndarray, deltas) -> np.ndarray:
 # sweeps
 # ================================================================
 
-def _held_blocks(params: SystemParams, deltas) -> list:
-    """(H_d + delta G stacked along deltas, diag G) on each excitation block."""
-    ops = [block_operators(params, excitation_labels(params.n_qubits, k))
-           for k in range(params.n_qubits + 2)]
-    return [(held_hamiltonians(h, g, deltas), np.diag(g)) for h, g in ops]
+@dataclass(frozen=True)
+class SpectrumSweep:
+    """Each excitation block decomposed once at every coupler shift in
+    deltas (rad/ns, shape (m,)): per block, its ascending eigenvalues
+    (m, b), its eigenvectors (m, b, b) gauge-fixed as in eigendecompose
+    and its diag G (b,).  levels merges the blocks' eigenvalues ascending,
+    (m, dim); order[m, i] is the column of levels[m, i] among the blocks'
+    eigenvalues placed side by side, block 0 first."""
+
+    deltas: np.ndarray
+    eigenvalues: list
+    eigenvectors: list
+    controls: list
+    levels: np.ndarray
+    order: np.ndarray
 
 
-def sweep_eigenvalues(params: SystemParams, deltas: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending, rad/ns) at each coupler shift; shape (m, dim),
-    every block's levels merged."""
-    levels = [np.linalg.eigvalsh(h) for h, _ in _held_blocks(params, deltas)]
-    return np.sort(np.concatenate(levels, axis=1), axis=1)
+def sweep_eigenvalues(params: SystemParams, deltas) -> SpectrumSweep:
+    """The drift spectrum at each coupler shift: one stacked eigh of
+    H_d + delta G per block, each block read from params.sector(k)."""
+    deltas = np.asarray(deltas, dtype=float)
+    sectors = [params.sector(k) for k in range(params.n_qubits + 2)]
+    w, v = zip(*(np.linalg.eigh(held_hamiltonians(s.hamiltonian, s.control, deltas))
+                 for s in sectors))
+    merged = np.concatenate(w, axis=1)
+    order = np.argsort(merged, axis=1, kind="stable")
+    return SpectrumSweep(deltas, list(w), [_gauge_fix(vecs) for vecs in v],
+                         [np.diag(s.control) for s in sectors],
+                         np.take_along_axis(merged, order, axis=1), order)
 
 
-def sweep_nonadiabatic_couplings(
-    params: SystemParams, deltas: np.ndarray, pairs: list
-) -> np.ndarray:
+def sweep_nonadiabatic_couplings(sweep: SpectrumSweep, pairs: list) -> np.ndarray:
     """Hellmann-Feynman couplings <j| dH/d delta |k> / (eps_j - eps_k).
 
-    Signed, shape (m, len(pairs)); indices j, k address the full ascending
-    spectrum at each shift, with eigenvectors gauge-fixed as in
-    eigendecompose.  Each block is decomposed alone; levels of different
-    blocks couple exactly 0.  Raises DegenerateLevelsError where a pair is
-    closer than 1e-9 rad/ns, where the expression is singular.
+    Signed, shape (m, len(pairs)); indices j, k address sweep.levels at each
+    shift.  Levels of different blocks couple exactly 0.  Raises
+    DegenerateLevelsError where a pair is closer than 1e-9 rad/ns, where the
+    expression is singular.
     """
     if any(j == k for j, k in pairs):
         raise ValueError("coupling defined only between distinct levels")
-    deltas = np.asarray(deltas, dtype=float)
-    blocks = _held_blocks(params, deltas)
-    w, v = zip(*(np.linalg.eigh(h) for h, _ in blocks))
-    # Merged column c is column c - start[b] of block b = block[c], and
-    # level[m, i] is the merged column of the i-th lowest level at shift m.
-    sizes = [g.size for _, g in blocks]
+    # Merged column c is column c - start[b] of block b = block[c].
+    sizes = [g.size for g in sweep.controls]
     block, start = np.repeat(np.arange(len(sizes)), sizes), np.cumsum([0, *sizes])
-    w = np.concatenate(w, axis=1)
-    level = np.argsort(w, axis=1, kind="stable")
-    w = np.take_along_axis(w, level, axis=1)
 
     j, k = np.array(pairs, dtype=int).reshape(-1, 2).T
-    gap = w[:, j] - w[:, k]
+    gap = sweep.levels[:, j] - sweep.levels[:, k]
     degenerate = np.argwhere(np.abs(gap) < _DEGENERACY_FLOOR)
     if degenerate.size:
         i, c = degenerate[0]
         raise DegenerateLevelsError(
             f"levels {j[c]},{k[c]} degenerate to {gap[i, c]:.3e} rad/ns at "
-            f"delta_omega_tc={deltas[i]:.6g}"
+            f"delta_omega_tc={sweep.deltas[i]:.6g}"
         )
-    cj, ck = level[:, j], level[:, k]
+    cj, ck = sweep.order[:, j], sweep.order[:, k]
     numerator = np.zeros(gap.shape)
-    for b, (vecs, (_, g)) in enumerate(zip(v, blocks)):
+    for b, (vecs, g) in enumerate(zip(sweep.eigenvectors, sweep.controls)):
         m, c = np.nonzero((block[cj] == b) & (block[ck] == b))
-        vecs = _gauge_fix(vecs)
         vj, vk = vecs[m, :, cj[m, c] - start[b]], vecs[m, :, ck[m, c] - start[b]]
         numerator[m, c] = np.einsum("ri,i,ri->r", vj.conj(), g, vk).real
     return numerator / gap
@@ -312,9 +318,8 @@ def nonadiabatic_coupling(
     params: SystemParams, j: int, k: int, delta_omega_tc: float
 ) -> float:
     """The coupling d_jk at one coupler shift; see sweep_nonadiabatic_couplings."""
-    return float(
-        sweep_nonadiabatic_couplings(params, [delta_omega_tc], [(j, k)])[0, 0]
-    )
+    sweep = sweep_eigenvalues(params, [delta_omega_tc])
+    return float(sweep_nonadiabatic_couplings(sweep, [(j, k)])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -326,25 +331,22 @@ class GapMinimum:
     branch_pair: tuple         # indices within the sorted single-exc levels
 
 
-def single_excitation_gap_minima(params: SystemParams, deltas: np.ndarray) -> list:
+def single_excitation_gap_minima(sweep: SpectrumSweep) -> list:
     """Interior minima of adjacent single-excitation gaps along a sweep.
 
     Exchange coupling conserves excitation number, so the single-excitation
-    levels are the eigenvalues of that (n+1)-dimensional block, tracked as
-    the sorted set; adjacent-gap minima mark the avoided crossings.
+    levels are the sweep's ascending eigenvalues of block 1, which is
+    (n+1)-dimensional; adjacent-gap minima mark the avoided crossings.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    block = held_hamiltonians(
-        *block_operators(params, excitation_labels(params.n_qubits, 1)), deltas)
-    gaps = np.diff(np.linalg.eigvalsh(block), axis=1)
+    gaps = np.diff(sweep.eigenvalues[1], axis=1)
     minima = []
     for pair in range(gaps.shape[1]):
         g = gaps[:, pair]
         i_min = int(np.argmin(g))
-        if 0 < i_min < deltas.size - 1:  # interior minimum only
+        if 0 < i_min < sweep.deltas.size - 1:  # interior minimum only
             minima.append(
                 GapMinimum(
-                    delta_omega_tc=float(deltas[i_min]),
+                    delta_omega_tc=float(sweep.deltas[i_min]),
                     gap=float(g[i_min]),
                     branch_pair=(pair, pair + 1),
                 )

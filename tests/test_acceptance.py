@@ -34,6 +34,7 @@ from lctpulse.model import (
     nonadiabatic_coupling,
     product_labels,
     single_excitation_gap_minima,
+    sweep_eigenvalues,
 )
 from lctpulse.optimize import (
     ReversibilityConfig,
@@ -149,7 +150,7 @@ def reversible(params, base_config, bare):
 def test_criterion_1_gap_minima(params):
     deltas = TWO_PI * np.linspace(-3.0, -0.5, 1001)
     t0 = time.perf_counter()
-    minima = single_excitation_gap_minima(params, deltas)
+    minima = single_excitation_gap_minima(sweep_eigenvalues(params, deltas))
     wall = time.perf_counter() - t0
     locs = sorted(m.delta_omega_tc / TWO_PI for m in minima)
     ok = (

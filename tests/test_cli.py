@@ -67,6 +67,26 @@ def test_spectrum_command(tmp_path, capsys):
     assert "gap minimum" in capsys.readouterr().out
 
 
+def test_spectrum_decomposes_each_block_once(tmp_path, monkeypatch):
+    # One stacked eigh per excitation block serves all three tables, next
+    # to the four single-matrix decompositions of the device's sectors.
+    calls = {"eigh": [], "eigvalsh": []}
+
+    def counted(name, fn):
+        def call(a, *args, **kwargs):
+            calls[name].append(np.shape(a)[:-2])
+            return fn(a, *args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    code, _ = _run(tmp_path, "spectrum", "--config", _config(tmp_path), "--steps", "601")
+    assert code == 0
+    assert calls["eigvalsh"] == []
+    assert [s for s in calls["eigh"] if s] == [(601,)] * 4
+    assert sum(int(np.prod(s)) for s in calls["eigh"]) == 4 + 4 * 601
+
+
 def test_lct_command_outputs(tmp_path):
     cfg = _config(tmp_path, lct=LCT_SHORT)
     code, out = _run(tmp_path, "lct", "--config", cfg)
@@ -162,6 +182,23 @@ def test_lct_failing_in_the_loop_leaves_no_partial_trajectory(tmp_path, monkeypa
     assert list(out.iterdir()) == []
 
 
+def test_nan_shift_in_the_real_kernel_exits_3_leaving_no_file(tmp_path, monkeypatch, capsys):
+    # A NaN sample escapes the clamp (it fails both comparisons) and
+    # reaches the real step_factors after the first chunk was written.
+    cfg = _config(tmp_path, lct={**LCT_SHORT, "t_max_ns": 60.0})
+    calls, raw_feedback = [], lct._raw_feedback
+
+    def nan_after_first_chunk(*args):
+        calls.append(None)
+        return np.nan if len(calls) > CHUNK + 5 else raw_feedback(*args)
+
+    monkeypatch.setattr(lct, "_raw_feedback", nan_after_first_chunk)
+    code, out = _run(tmp_path, "lct", "--config", cfg)
+    assert code == 3
+    assert "numerical error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_lct_failing_before_the_loop_opens_no_file(tmp_path, monkeypatch, capsys):
     # A t_max that is not a whole number of samples is refused before the
     # first step: io reads the config and never opens trajectory.csv.
@@ -227,6 +264,18 @@ def test_filter_clamp_false_writes_the_raw_filter_output(tmp_path):
         assert code == 0
         assert filecmp.cmp(out / "filtered.csv", tmp_path / f"{name}.csv", shallow=False)
     assert not filecmp.cmp(tmp_path / "clamped.csv", tmp_path / "raw.csv", shallow=False)
+
+
+def test_unclamped_filter_output_outside_the_window_exits_3_before_any_file(tmp_path, capsys):
+    # A step's brick-wall output rings above 0 GHz next to the edge; the
+    # flux export refuses it, and so must the whole pulse set.
+    pulse_path = str(tmp_path / "step.csv")
+    write_waveform_csv(pulse_path, Waveform(dt=0.01, samples=-TWO_PI * (np.arange(400) < 200)))
+    cfg = _config(tmp_path, filter={"clamp": False, "cutoff_ghz": 0.45})
+    code, out = _run(tmp_path, "filter", "--config", cfg, "--pulse", pulse_path)
+    assert code == 3
+    assert "outside the coupler's window" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_truncate_requires_a_pulse(tmp_path):

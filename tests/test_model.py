@@ -352,7 +352,7 @@ def test_degenerate_pair_raises():
     # The batched sweep finds the pair among other points and pairs.
     deltas = TWO_PI * np.array([-1.0, -0.5, 0.0])
     with pytest.raises(DegenerateLevelsError):
-        sweep_nonadiabatic_couplings(sym, deltas, [(0, 1), (1, 2)])
+        sweep_nonadiabatic_couplings(sweep_eigenvalues(sym, deltas), [(0, 1), (1, 2)])
 
 
 def test_near_zero_coupling_gives_near_zero_d(params):
@@ -361,7 +361,7 @@ def test_near_zero_coupling_gives_near_zero_d(params):
     tiny = SystemParams.from_ghz([5.890, 5.031], [1e-9, 1e-9], 7.445)
     deltas = TWO_PI * np.linspace(-3.0, 0.0, 7)
     pairs = [(1, 2), (2, 3), (3, 4)]
-    out = sweep_nonadiabatic_couplings(tiny, deltas, pairs)
+    out = sweep_nonadiabatic_couplings(sweep_eigenvalues(tiny, deltas), pairs)
     assert np.max(np.abs(out)) < 1e-6
 
 
@@ -371,7 +371,7 @@ def test_near_zero_coupling_gives_near_zero_d(params):
 
 def test_sweep_shape_and_order(params):
     deltas = TWO_PI * np.linspace(-3.0, 0.0, 11)
-    out = sweep_eigenvalues(params, deltas)
+    out = sweep_eigenvalues(params, deltas).levels
     assert out.shape == (11, 8)
     assert np.all(np.diff(out, axis=1) >= 0)
 
@@ -386,8 +386,9 @@ def test_block_sweeps_match_the_dense_drift():
         list(rng.uniform(4.5, 6.5, 3)), list(rng.uniform(0.03, 0.12, 3)), 7.4)
     deltas = TWO_PI * np.linspace(-3.2, 0.0, 41)
     pairs = [(j, j + 1) for j in range(15)] + [(1, 3), (5, 2), (0, 15)]
-    levels = sweep_eigenvalues(device, deltas)
-    couplings = sweep_nonadiabatic_couplings(device, deltas, pairs)
+    sweep = sweep_eigenvalues(device, deltas)
+    levels = sweep.levels
+    couplings = sweep_nonadiabatic_couplings(sweep, pairs)
     g = np.diag(hamiltonian_at(device, 1.0) - hamiltonian_at(device, 0.0))
     for m, d in enumerate(deltas):
         spec = eigendecompose(hamiltonian_at(device, d), product_labels(3))
@@ -403,7 +404,7 @@ def test_block_sweeps_match_the_dense_drift():
 
 def test_gap_minima_locations(params):
     deltas = TWO_PI * np.linspace(-3.0, 0.0, 601)
-    minima = single_excitation_gap_minima(params, deltas)
+    minima = single_excitation_gap_minima(sweep_eigenvalues(params, deltas))
     found = sorted(m.delta_omega_tc / TWO_PI for m in minima)
     # Crossings sit at omega_i - omega_tc_max, pushed slightly by repulsion.
     assert any(abs(x - (-1.555)) < 0.02 for x in found)
@@ -411,7 +412,7 @@ def test_gap_minima_locations(params):
 
 
 def test_single_point_sweep_has_no_interior_minima(params):
-    minima = single_excitation_gap_minima(params, np.array([-TWO_PI]))
+    minima = single_excitation_gap_minima(sweep_eigenvalues(params, np.array([-TWO_PI])))
     assert minima == []
 
 
@@ -436,7 +437,7 @@ def test_gap_minima_match_labelled_reference():
             expected.append((deltas[i_min], gaps[i_min, pair], (pair, pair + 1)))
     expected.sort(key=lambda m: -m[0])
 
-    minima = single_excitation_gap_minima(device, deltas)
+    minima = single_excitation_gap_minima(sweep_eigenvalues(device, deltas))
     assert len(minima) == len(expected) >= 2
     for m, (delta, gap, pair) in zip(minima, expected):
         assert m.delta_omega_tc == delta
