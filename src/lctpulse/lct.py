@@ -33,6 +33,10 @@ from .errors import ConfigError
 from .model import DriftSpectrum, SystemParams, product_labels
 from .pulses import Waveform, clamp_floor
 
+# Below this, against max|sz_TC| = 1, an off-diagonal feedback row is zero to
+# rounding; a dark device reads 1e-16, a slow but live one 1e-6.
+_DARK_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class LctConfig:
@@ -186,6 +190,13 @@ def _loop(params: SystemParams, config: LctConfig) -> tuple:
     # The full law is the projected law at n_prime = dim, same arithmetic,
     # so the two are identical sample for sample.
     m_row = _feedback_row(params, sector, jb, config.n_prime)
+    # A dark eigenstate, one sz_TC couples to nothing else in the block, is
+    # a fixed point of every shift: no pulse fills or empties it.
+    for label, row, k in ((config.target_label, m_row, jb),
+                          (config.initial_label, _feedback_row(params, sector, ib, None), ib)):
+        if np.abs(np.delete(row, k)).max() < _DARK_FLOOR:
+            raise ConfigError(f"eigenstate {label} does not couple to the rest of its "
+                              "block under a coupler shift: no pulse moves it")
 
     n_steps = int(round(config.t_max / config.dt))
     if abs(n_steps * config.dt - config.t_max) > 1e-9 * config.t_max:
@@ -284,10 +295,12 @@ def run_lct(params: SystemParams, config: LctConfig, sink=None) -> LctResult:
     populations = dict.fromkeys(product_labels(params.n_qubits), 0.0)
     populations.update(zip(sector.bare_labels, rows[:, -1].tolist()))
     total.flags.writeable = False
+    # The error squares as run_lct_lockstep's does: a scalar ** 2 (libm pow)
+    # can round one ulp apart.
     return LctResult(
         waveform=Waveform(dt=config.dt, samples=total),
         final_state=psi,
-        final_error=1.0 - float(np.abs(c[jb]) ** 2),
+        final_error=1.0 - float(target[-1]),
         clamp_saturation=saturated / n_steps,
         final_populations=populations,
         crossings=crossings,
@@ -295,30 +308,11 @@ def run_lct(params: SystemParams, config: LctConfig, sink=None) -> LctResult:
     )
 
 
-@dataclass
-class LockstepResult:
-    """Output of run_lct_lockstep for B members.
-
-    samples holds the applied waveforms as columns, (n_steps, B);
-    forward_error is each member's final target-population error and
-    reverse_error the error of its waveform replayed on the target
-    eigenstate toward the initial one.
-    """
-
-    dt: float
-    samples: np.ndarray
-    forward_error: np.ndarray
-    reverse_error: np.ndarray
-
-    def waveform(self, member: int) -> Waveform:
-        return Waveform(dt=self.dt, samples=self.samples[:, member].copy())
-
-
 # Config fields every lockstep member shares; only reference and gain vary.
 _SHARED_FIELDS = ("eta", "dt", "t_max", "initial_label", "target_label", "n_prime")
 
 
-def run_lct_lockstep(params: SystemParams, configs: list) -> LockstepResult:
+def run_lct_lockstep(params: SystemParams, configs: list) -> tuple:
     """Run feedback loops that differ only in reference and gain, in lockstep.
 
     Every member advances on the same time step: one batched eigh of the
@@ -329,8 +323,9 @@ def run_lct_lockstep(params: SystemParams, configs: list) -> LockstepResult:
     second state started in the target eigenstate and pushed through the
     member's step unitaries, so the reverse error (the waveform's transfer
     back to the initial state, what optimize.transfer_errors replays) falls
-    out of the loop.  No per-step amplitudes are kept, only the applied
-    samples and the final states.
+    out of the loop.  No per-step amplitudes are kept.  Returns the applied
+    waveforms as columns, (n_steps, B), and each member's forward and
+    reverse error, (B,) each.
     """
     if not configs:
         raise ValueError("no lockstep members")
@@ -362,12 +357,8 @@ def run_lct_lockstep(params: SystemParams, configs: list) -> LockstepResult:
         raw = _raw_feedback(m_row, vt @ states[0], target, gain)[:, 0]
 
     c = vt @ states
-    return LockstepResult(
-        dt=first.dt,
-        samples=total,
-        forward_error=1.0 - np.abs(c[0, :, target, 0]) ** 2,
-        reverse_error=1.0 - np.abs(c[1, :, initial, 0]) ** 2,
-    )
+    return (total, 1.0 - np.abs(c[0, :, target, 0]) ** 2,
+            1.0 - np.abs(c[1, :, initial, 0]) ** 2)
 
 
 def refined_config(base: LctConfig, reference: Waveform, lambda2: float) -> LctConfig:

@@ -55,11 +55,12 @@ FIDELITY_GOAL = 1e-6
 
 @dataclass
 class OptimizationReport:
-    """Search record shared by all drivers.
+    """What each driver writes as its report.
 
-    history holds one (params, objective) pair per evaluation; best_params
-    is a plain dict.  forward_error / reverse_error are filled by the
-    transfer drivers and stay None for generic searches.
+    history holds one (params, objective) pair per evaluation, params a
+    dict or a simplex point; best_params is a plain dict.  forward_error
+    and reverse_error are the transfer errors at the best point, None
+    where the driver does not score that direction.
     """
 
     best_params: dict
@@ -129,7 +130,7 @@ def nelder_mead(
     max_evals: int,
     initial_spread: float = 0.1,
     target_value: float | None = None,
-) -> OptimizationReport:
+) -> tuple:
     """Simplex minimization with clip-plus-penalty bound handling.
 
     Out-of-bounds candidates are evaluated at the clipped point with
@@ -137,11 +138,13 @@ def nelder_mead(
     without ever calling the objective outside its domain.  The objective
     runs once per distinct clipped point: a revisit (such as a reflection
     clipped onto a bound already evaluated) reuses its value, so the
-    simplex path is the same and `evaluations`, `history` and `max_evals`
-    count objective runs.  Terminates when the simplex diameter falls
+    simplex path is the same and `history` and `max_evals` count
+    objective runs.  Terminates when the simplex diameter falls
     below `tolerance`, when `max_evals` is spent, or as soon as the best
-    value drops below `target_value`.  The best vertex is reported at its
-    clipped point, with the objective's value there.
+    value drops below `target_value`.
+
+    Returns (best, value, history): the best vertex at its clipped point,
+    the objective's value there, and one (point, value) pair per run.
     """
     x0 = np.asarray(x0, dtype=float)
     lo = np.array([b[0] for b in bounds], dtype=float)
@@ -207,18 +210,8 @@ def nelder_mead(
                     simplex[i] = simplex[0] + _SHRINK * (simplex[i] - simplex[0])
                     values[i] = f(simplex[i])
 
-    order = np.argsort(values)
-    simplex, values = simplex[order], values[order]
-    hit_goal = target_value is not None and values[0] < target_value
-    converged = hit_goal or _simplex_diameter(simplex) < tolerance
-    best = np.clip(simplex[0], lo, hi)  # the point the objective ran at
-    return OptimizationReport(
-        best_params={f"x{i}": float(xi) for i, xi in enumerate(best)},
-        best_value=float(seen[best.tobytes()]),
-        evaluations=len(history),
-        history=history,
-        converged=converged,
-    )
+    best = np.clip(simplex[np.argsort(values)[0]], lo, hi)  # the point the objective ran at
+    return best, float(seen[best.tobytes()]), history
 
 
 # ----------------------------------------------------------------
@@ -283,12 +276,12 @@ def optimize_reversible(
 
     cutoffs = sorted(cfg.cutoff_candidates_ghz)
     lam2 = cfg.lambda2_init
-    run = run_lct_lockstep(params, [
+    samples, forward, reverse = run_lct_lockstep(params, [
         refined_config(base_config,
                        lowpass_filter(bare_pulse, cutoff, omega_tc_max=params.omega_tc_max),
                        lam2)
         for cutoff in cutoffs])
-    forward, reverse = run.forward_error.tolist(), run.reverse_error.tolist()
+    forward, reverse = forward.tolist(), reverse.tolist()
     for cutoff, fwd in zip(cutoffs, forward):
         if fwd >= cfg.fidelity_goal:
             raise ConvergenceError(
@@ -301,7 +294,7 @@ def optimize_reversible(
     history = [({"cutoff_ghz": cutoff, "lambda2": lam2,
                  "forward_error": fwd, "reverse_error": rev}, rev)
                for cutoff, fwd, rev in zip(cutoffs, forward, reverse)]
-    return run.waveform(cell), OptimizationReport(
+    return Waveform(dt=base_config.dt, samples=samples[:, cell].copy()), OptimizationReport(
         best_params={"cutoff_ghz": cutoffs[cell], "lambda2": lam2},
         best_value=reverse[cell],
         evaluations=len(history),
@@ -344,7 +337,7 @@ def optimize_truncation(
             source_label, destination_label)
         return max(errors[tau])
 
-    report = nelder_mead(
+    best, value, history = nelder_mead(
         objective,
         x0=np.array([tau0]),
         bounds=[(0.5 * tau0, pulse.duration)],
@@ -352,14 +345,14 @@ def optimize_truncation(
         max_evals=cfg.max_evals,
         target_value=cfg.fidelity_goal,
     )
-    tau = report.best_params["x0"]
+    tau = float(best[0])
     fwd, rev = errors[tau]
     return truncate_with_gaussian_tail(pulse, tau, cfg.sigma_ns), OptimizationReport(
         best_params={"tau_ns": tau, "sigma_ns": cfg.sigma_ns},
-        best_value=report.best_value,
-        evaluations=report.evaluations,
-        history=report.history,
-        converged=report.best_value < cfg.fidelity_goal,
+        best_value=value,
+        evaluations=len(history),
+        history=history,
+        converged=value < cfg.fidelity_goal,
         forward_error=fwd,
         reverse_error=rev,
     )
@@ -417,7 +410,7 @@ def fit_analytic_pulse(
             return evaluate(replace(frozen, **dict(zip(fields, x))))
 
         x0 = np.array([getattr(frozen, f) for f in fields])
-        report = nelder_mead(
+        best, value, history = nelder_mead(
             obj,
             x0=x0,
             bounds=[DEFAULT_ANALYTIC_BOUNDS[f] for f in fields],
@@ -425,20 +418,17 @@ def fit_analytic_pulse(
             max_evals=_FIT_MAX_EVALS,
             initial_spread=spread,
         )
-        x_best = np.array([report.best_params[f"x{i}"] for i in range(len(fields))])
-        return replace(frozen, **dict(zip(fields, x_best))), report
+        return replace(frozen, **dict(zip(fields, best))), value, history
 
-    current, rep1 = stage(_STAGE1_FIELDS, init, spread=0.05)
-    current, rep2 = stage(_STAGE2_FIELDS, current, spread=0.10)
-
-    report = OptimizationReport(
-        best_params={f: getattr(current, f) for f in
-                     _STAGE1_FIELDS + _STAGE2_FIELDS},
-        best_value=rep2.best_value,
-        evaluations=rep1.evaluations + rep2.evaluations,
-        history=rep1.history + rep2.history,
-        converged=rep2.best_value < cfg.fidelity_goal,
-        forward_error=rep2.best_value,
+    current, _, history1 = stage(_STAGE1_FIELDS, init, spread=0.05)
+    current, value, history2 = stage(_STAGE2_FIELDS, current, spread=0.10)
+    history = history1 + history2
+    return current, OptimizationReport(
+        best_params={f: getattr(current, f) for f in _STAGE1_FIELDS + _STAGE2_FIELDS},
+        best_value=value,
+        evaluations=len(history),
+        history=history,
+        converged=value < cfg.fidelity_goal,
+        forward_error=value,
     )
-    return current, report
 

@@ -161,6 +161,37 @@ def test_run_whose_target_is_its_initial_label_exits_1(tmp_path, capsys, command
     assert list(out.iterdir()) == []
 
 
+# Both qubits at 5.5 GHz: the eigenstate labelled 010 is a drift eigenstate
+# that G leaves alone, so no coupler shift moves population into or out of it.
+DARK_DEVICE = {**DEVICE, "qubit_freqs_ghz": [5.5, 5.5]}
+
+
+@pytest.mark.parametrize("command, initial, target", [
+    ("lct", "100", "010"), ("lct", "010", "100"),
+    ("optimize", "100", "010"), ("pipeline", "100", "010")])
+def test_dark_initial_or_target_state_exits_1(tmp_path, capsys, command, initial, target):
+    # The target's row alone would pass 010 -> 100: 100 couples to the
+    # coupler state.  The run must name the dark label before any file.
+    path = tmp_path / "dark.json"
+    path.write_text(json.dumps({"device": DARK_DEVICE,
+                                "lct": {**LCT_SHORT, "initial": initial, "target": target}}))
+    code, out = _run(tmp_path, command, "--config", str(path))
+    assert code == 1
+    assert "eigenstate 010 does not couple" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_nearly_dark_device_still_runs(tmp_path):
+    # 5.5 vs 5.5000001 GHz couples 010 at 7.7e-7 of max|sz_TC|: too slow
+    # for a 40 ns run, but not unreachable, so it is not refused.
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps({"device": {**DEVICE, "qubit_freqs_ghz": [5.5, 5.5000001]},
+                                "lct": LCT_SHORT}))
+    code, out = _run(tmp_path, "lct", "--config", str(path))
+    assert code == 0
+    assert (out / "summary.json").exists()
+
+
 def test_lct_failing_in_the_loop_leaves_no_partial_trajectory(tmp_path, monkeypatch, capsys):
     # trajectory.csv streams to disk chunk by chunk: a run that fails
     # after its first chunk was written must take the partial file away.

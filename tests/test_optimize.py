@@ -10,43 +10,45 @@ from lctpulse import (
     run_lct,
 )
 from lctpulse import optimize
+from lctpulse.io import report_to_dict
 from lctpulse.lct import refined_config, run_lct_lockstep
 from lctpulse.optimize import (
+    AnalyticConfig,
     OptimizationReport,
     ReversibilityConfig,
     TruncationConfig,
+    fit_analytic_pulse,
     nelder_mead,
     optimize_reversible,
     optimize_truncation,
     transfer_errors,
 )
-from lctpulse.pulses import lowpass_filter, truncate_with_gaussian_tail
+from lctpulse.pulses import AnalyticPulseParams, lowpass_filter, truncate_with_gaussian_tail
 
 
 def _rosenbrock(x):
     return float((1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
 
 
-def _assert_best_is_an_evaluated_point(rep, bounds):
+def _assert_best_is_an_evaluated_point(best, history, bounds):
     """The reported point lies inside the bounds and is one the objective
     ran at, not an unclipped vertex beyond them."""
-    best = np.array([rep.best_params[f"x{i}"] for i in range(len(bounds))])
     assert all(lo <= x <= hi for x, (lo, hi) in zip(best, bounds))
-    assert any(np.array_equal(best, point) for point, _ in rep.history)
+    assert any(np.array_equal(best, point) for point, _ in history)
 
 
 def test_simplex_solves_rosenbrock():
-    rep = nelder_mead(
+    best, value, history = nelder_mead(
         _rosenbrock, x0=np.array([-1.2, 1.0]),
         bounds=[(-5.0, 5.0), (-5.0, 5.0)],
         tolerance=1e-8, max_evals=2000,
     )
-    _assert_best_is_an_evaluated_point(rep, [(-5.0, 5.0), (-5.0, 5.0)])
-    assert rep.converged
-    assert rep.best_params["x0"] == pytest.approx(1.0, abs=1e-4)
-    assert rep.best_params["x1"] == pytest.approx(1.0, abs=1e-4)
-    assert rep.best_value < 1e-8
-    assert len(rep.history) == rep.evaluations
+    _assert_best_is_an_evaluated_point(best, history, [(-5.0, 5.0), (-5.0, 5.0)])
+    assert len(history) < 2000  # stopped on its tolerance, before the cap
+    assert best[0] == pytest.approx(1.0, abs=1e-4)
+    assert best[1] == pytest.approx(1.0, abs=1e-4)
+    assert value < 1e-8
+    assert value == _rosenbrock(best)
 
 
 def test_simplex_never_evaluates_outside_bounds():
@@ -56,9 +58,9 @@ def test_simplex_never_evaluates_outside_bounds():
         seen.append(x.copy())
         return float(np.sum((x - 2.0) ** 2))  # pull toward the bound
 
-    rep = nelder_mead(obj, x0=np.array([0.5]), bounds=[(0.0, 1.0)],
-                      tolerance=1e-10, max_evals=200)
-    _assert_best_is_an_evaluated_point(rep, [(0.0, 1.0)])
+    best, _, history = nelder_mead(obj, x0=np.array([0.5]), bounds=[(0.0, 1.0)],
+                                   tolerance=1e-10, max_evals=200)
+    _assert_best_is_an_evaluated_point(best, history, [(0.0, 1.0)])
     pts = np.array(seen)
     assert np.all(pts >= 0.0) and np.all(pts <= 1.0)
     # minimum inside the box sits on the boundary
@@ -74,13 +76,13 @@ def test_simplex_runs_the_objective_once_per_distinct_point():
         calls.append(float(x[0]))
         return float((x[0] - 2.0) ** 2)
 
-    rep = nelder_mead(obj, x0=np.array([0.5]), bounds=[(0.0, 1.0)],
-                      tolerance=1e-6, max_evals=200)
-    _assert_best_is_an_evaluated_point(rep, [(0.0, 1.0)])
-    assert rep.best_value == (rep.best_params["x0"] - 2.0) ** 2  # no penalty
+    best, value, history = nelder_mead(obj, x0=np.array([0.5]), bounds=[(0.0, 1.0)],
+                                       tolerance=1e-6, max_evals=200)
+    _assert_best_is_an_evaluated_point(best, history, [(0.0, 1.0)])
+    assert value == (best[0] - 2.0) ** 2  # no penalty
     assert len(calls) == len(set(calls))
-    assert rep.evaluations == len(calls) == len(rep.history)
-    assert rep.best_params["x0"] == pytest.approx(1.0, abs=1e-6)
+    assert len(calls) == len(history)
+    assert best[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_simplex_steps_inward_from_an_upper_bound():
@@ -90,11 +92,11 @@ def test_simplex_steps_inward_from_an_upper_bound():
         seen.append(float(x[0]))
         return float((x[0] - 0.3) ** 2)
 
-    rep = nelder_mead(obj, x0=np.array([1.0]), bounds=[(0.0, 1.0)],
-                      tolerance=1e-4, max_evals=100)
-    _assert_best_is_an_evaluated_point(rep, [(0.0, 1.0)])
+    best, _, history = nelder_mead(obj, x0=np.array([1.0]), bounds=[(0.0, 1.0)],
+                                   tolerance=1e-4, max_evals=100)
+    _assert_best_is_an_evaluated_point(best, history, [(0.0, 1.0)])
     assert seen[:2] == [1.0, 0.9]
-    assert rep.best_params["x0"] == pytest.approx(0.3, abs=1e-3)
+    assert best[0] == pytest.approx(0.3, abs=1e-3)
 
 
 def test_simplex_rejects_bad_start():
@@ -105,15 +107,14 @@ def test_simplex_rejects_bad_start():
 
 
 def test_simplex_stops_at_target():
-    rep = nelder_mead(
+    best, value, history = nelder_mead(
         lambda x: float(np.dot(x, x)), x0=np.array([1.0]),
         bounds=[(-5.0, 5.0)], tolerance=1e-14, max_evals=500,
         target_value=1e-4,
     )
-    _assert_best_is_an_evaluated_point(rep, [(-5.0, 5.0)])
-    assert rep.converged
-    assert rep.best_value < 1e-4
-    assert rep.evaluations < 500
+    _assert_best_is_an_evaluated_point(best, history, [(-5.0, 5.0)])
+    assert value < 1e-4
+    assert len(history) < 500
 
 
 def test_report_rejects_out_of_range_errors():
@@ -193,9 +194,9 @@ def test_truncation_reports_the_simplex_best(params, monkeypatch):
     out, report = optimize_truncation(
         params, wf, "100", "010", TruncationConfig(sigma_ns=1.0, fidelity_goal=1e-6))
     assert any(point[0] == wf.duration for point, _ in report.history)
-    assert report.best_value == simplex[0].best_value == 1e-3
+    assert report.best_value == simplex[0][1] == 1e-3
     assert report.converged == (report.best_value < 1e-6)
-    assert report.best_params["tau_ns"] == simplex[0].best_params["x0"] == 95.0
+    assert report.best_params["tau_ns"] == simplex[0][0][0] == 95.0
     assert (report.forward_error, report.reverse_error) == (1e-3, 5e-4)
     assert np.array_equal(out.samples, truncate_with_gaussian_tail(wf, 95.0, 1.0).samples)
 
@@ -255,15 +256,16 @@ def test_lowest_passing_cutoff_wins(fast_bare, lockstep_batches, simplex_calls):
     lambdas = [300.0, *np.linspace(200.0, 1000.0, 16).tolist()]
     references = [lowpass_filter(fast_bare, c, omega_tc_max=_FAST.omega_tc_max)
                   for c in sorted(cutoffs)]
-    full = run_lct_lockstep(_FAST, [refined_config(_FAST_BASE, ref, lam2)
-                                    for ref in references for lam2 in lambdas])
-    rows = full.reverse_error.reshape(len(cutoffs), len(lambdas))
+    full_samples, full_forward, full_reverse = run_lct_lockstep(
+        _FAST, [refined_config(_FAST_BASE, ref, lam2)
+                for ref in references for lam2 in lambdas])
+    rows = full_reverse.reshape(len(cutoffs), len(lambdas))
     init = rows[:, 0]  # 0.3, 0.45 and 1.0 GHz
     assert init[1] < init[0] < 0.5 < init[2]
     lockstep_batches.clear()
 
     def same_bits(wf, cell):
-        return wf.samples.tobytes() == full.samples[:, cell].tobytes()
+        return wf.samples.tobytes() == full_samples[:, cell].tobytes()
 
     # Goal 0.5: the init cells of 0.3 and 0.45 GHz pass.  The lower cutoff
     # wins with its init cell although 0.45 GHz holds the lower error, and
@@ -277,7 +279,7 @@ def test_lowest_passing_cutoff_wins(fast_bare, lockstep_batches, simplex_calls):
     assert rep.converged and simplex_calls == []
     assert rep.best_params == {"cutoff_ghz": 0.3, "lambda2": 300.0}
     assert rep.reverse_error == rep.best_value == init[0]
-    assert rep.forward_error == full.forward_error[0]
+    assert rep.forward_error == full_forward[0]
     assert same_bits(wf, 0)
     assert abs(transfer_errors(_FAST, wf, "010", "100")[0] - rep.reverse_error) < 1e-12
 
@@ -300,7 +302,7 @@ def test_lowest_passing_cutoff_wins(fast_bare, lockstep_batches, simplex_calls):
     assert lockstep_batches == [3]
     assert rep.evaluations == len(rep.history) == 3
     assert [h[1] for h in rep.history] == init.tolist()
-    assert [h[0]["forward_error"] for h in rep.history] == full.forward_error[::len(lambdas)].tolist()
+    assert [h[0]["forward_error"] for h in rep.history] == full_forward[::len(lambdas)].tolist()
     assert not rep.converged and simplex_calls == []
     assert rep.best_params == {"cutoff_ghz": 0.45, "lambda2": 300.0}
     assert rep.reverse_error == rep.best_value == init.min() == init[1]
@@ -358,3 +360,25 @@ def test_no_passing_cell_returns_the_lowest_error_cell(fast_bare, simplex_calls)
     assert rep.best_value == min(h[1] for h in rep.history) >= 1e-3
     assert all(h[0]["forward_error"] < 1e-3 for h in rep.history)
     assert abs(transfer_errors(_FAST, wf, "010", "100")[0] - rep.reverse_error) < 1e-12
+
+
+def test_simplex_histories_are_keyed_x_i_in_the_reports(fast_bare, monkeypatch):
+    # The simplex hands back bare points; io alone names their coordinates
+    # x0, x1, ... in the JSON report.  Truncation moves tau alone, and the
+    # fit moves five shape keys, then three widths.
+    wf, _ = _search(fast_bare, cutoff_candidates_ghz=(0.45,), fidelity_goal=0.5)
+    _, rep = optimize_truncation(_FAST, wf, "100", "010", TruncationConfig(max_evals=6))
+    history = report_to_dict(rep)["history"]
+    assert len(history) == rep.evaluations > 1
+    assert all(list(h["params"]) == ["x0"] for h in history)
+    assert rep.best_params["tau_ns"] in [h["params"]["x0"] for h in history]
+
+    monkeypatch.setattr(optimize, "_FIT_MAX_EVALS", 8)
+    start = AnalyticPulseParams(alpha1=-10.0, alpha3=-15.4, tau1=7.2, tau2=8.9, tau3=11.4,
+                                sigma1=1.37, sigma2=0.2, sigma3=1.83)
+    _, rep = fit_analytic_pulse(_FAST, start, "100", "010", AnalyticConfig())
+    keys = [list(h["params"]) for h in report_to_dict(rep)["history"]]
+    stage1 = sum(len(k) == 5 for k in keys)
+    assert 8 <= stage1 <= len(keys) - 8 and len(keys) == rep.evaluations
+    assert keys == ([[f"x{i}" for i in range(5)]] * stage1
+                    + [[f"x{i}" for i in range(3)]] * (len(keys) - stage1))
