@@ -230,8 +230,11 @@ def transfer_errors(
     sector = params.sector_of(source_label)
     source, destination = sector.state(source_label), sector.state(destination_label)
     u = propagator(sector, wf)
-    return (1.0 - float(abs(np.vdot(destination, u @ source)) ** 2),
-            1.0 - float(abs(np.vdot(source, u @ destination)) ** 2))
+    forward = abs(np.vdot(destination, u @ source))
+    reverse = abs(np.vdot(source, u @ destination))
+    # Squared as both feedback loops square: a scalar ** 2 (libm pow) can
+    # round one ulp apart.
+    return 1.0 - float(forward * forward), 1.0 - float(reverse * reverse)
 
 
 # ----------------------------------------------------------------

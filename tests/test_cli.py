@@ -104,6 +104,21 @@ def test_lct_command_outputs(tmp_path):
     assert "manifest.json" not in manifest["outputs"]
 
 
+@pytest.mark.parametrize("command", ["lct", "spectrum"])
+def test_device_above_the_dimension_cap_exits_1(tmp_path, capsys, command):
+    # 14 qubits and the coupler span 2^15 = 32 768 product states, twice
+    # the cap: refused before anything is built or written.
+    device = {"qubit_freqs_ghz": [5.0 + 0.1 * k for k in range(14)],
+              "couplings_ghz": [0.05] * 14, "tc_max_freq_ghz": 7.445}
+    lct = {**LCT_SHORT, "initial": "1" + "0" * 14, "target": "01" + "0" * 13}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"device": device, "lct": lct}))
+    code, out = _run(tmp_path, command, "--config", str(path))
+    assert code == 1
+    assert "dimension 32768 exceeds the cap" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_dt_env_override(tmp_path, monkeypatch, capsys):
     cfg = _config(tmp_path, lct=LCT_SHORT)
     monkeypatch.setenv("PULSE_DT_NS", "0.05")

@@ -150,6 +150,18 @@ def test_forward_and_reverse_pair(params):
     assert rev == pytest.approx(1.0, abs=1e-10)
 
 
+def test_transfer_errors_square_each_overlap_as_a_product(params, monkeypatch):
+    # Block 0 holds the one state 000, whose 1 x 1 eigenvector is exactly 1,
+    # so both overlaps are the propagator's one entry.  The feedback loops
+    # square as x * x, which rounds 0.762103571076567^2 to
+    # 0.580801853047656; a scalar ** 2 (libm pow) gives one ulp more.
+    monkeypatch.setattr(optimize, "propagator",
+                        lambda sector, wf: np.array([[0.762103571076567 + 0j]]))
+    wf = Waveform(dt=0.05, samples=np.zeros(4))
+    error = 1.0 - 0.580801853047656
+    assert transfer_errors(params, wf, "000", "000") == (error, error)
+
+
 def test_forward_and_reverse_share_one_endpoint_product(params, monkeypatch):
     wf = Waveform(dt=0.05, samples=-2.0 * np.abs(np.sin(np.linspace(0.1, 9.0, 400))))
     expected = (transfer_errors(params, wf, "100", "010")[0],
