@@ -2,8 +2,11 @@
 
 One config document drives every subcommand; sections it does not need
 are ignored, a section it reads rejects keys it does not know, and
-optional pipeline stages switch off when their section is absent.  All
-files land in --out-dir together with a manifest naming them.
+optional pipeline stages switch off when their section is absent.  The
+config's bytes and argv set every value a run uses: each setting has one
+source, and `filter` and `truncate` read the pulse file --pulse names.
+All files land in --out-dir together with a manifest naming them.  A
+usage error, as argparse finds it, is a config error (exit 1).
 """
 
 from __future__ import annotations
@@ -37,13 +40,13 @@ def _out(ctx: dict, name: str) -> str:
 
 
 def _run_inputs(ctx: dict):
-    """The device and the seed-section LctConfig, read once per invocation."""
+    """The device and the `lct` section's LctConfig, read once per invocation."""
     if "run_inputs" not in ctx:
-        doc, section = ctx["doc"], ctx["args"].seed_section
+        doc = ctx["doc"]
         params = io.device_from_config(doc)
-        config = io.lct_config_from(doc, section, io.dt_override())
+        config = io.lct_config_from(doc)
         if config.reference is not None:
-            _in_window(params, config.reference, doc[section]["reference_pulse_path"])
+            _in_window(params, config.reference, doc["lct"]["reference_pulse_path"])
         ctx["run_inputs"] = params, config
     return ctx["run_inputs"]
 
@@ -55,14 +58,6 @@ def _in_window(params, wf, path: str):
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return wf
-
-
-def _load_pulse(params, flag_value: str | None, pulse_path: str | None):
-    """The pulse --pulse or else pulse_path names, inside the coupler's window."""
-    path = flag_value or pulse_path
-    if path is None:
-        raise ConfigError("no input pulse: give --pulse or a pulse_path key")
-    return _in_window(params, io.read_waveform_csv(path), path)
 
 
 # ----------------------------------------------------------------
@@ -154,17 +149,14 @@ def cmd_lct(ctx: dict) -> None:
 
 
 def cmd_filter(ctx: dict) -> None:
-    doc, args = ctx["doc"], ctx["args"]
+    doc, path = ctx["doc"], ctx["args"].pulse
     params = io.device_from_config(doc)
     cfg = io.filter_section(doc)
-    if args.cutoff is not None and not args.cutoff > 0.0:
-        raise ConfigError(f"--cutoff must be positive, got {args.cutoff:g}")
-    wf = _load_pulse(params, args.pulse, cfg.pulse_path)
-    cutoff = args.cutoff if args.cutoff is not None else cfg.cutoff_ghz
+    wf = _in_window(params, io.read_waveform_csv(path), path)
     filtered = lowpass_filter(
-        wf, cutoff, omega_tc_max=params.omega_tc_max if cfg.clamp else None)
+        wf, cfg.cutoff_ghz, omega_tc_max=params.omega_tc_max if cfg.clamp else None)
     _write_pulse_set(ctx, "filtered", params, filtered)
-    print(f"filtered at {cutoff:g} GHz")
+    print(f"filtered at {cfg.cutoff_ghz:g} GHz")
 
 
 @_stage
@@ -191,13 +183,14 @@ def cmd_optimize(ctx: dict):
 
 @_stage
 def cmd_truncate(ctx: dict, pulse=None, cfg=None):
-    """Shorten the pulse handed on, else --pulse's or pulse_path's, by the
-    config handed on, else the section's."""
+    """Shorten the pulse handed on, else --pulse's, by the config handed
+    on, else the section's."""
     if cfg is None:
         cfg = io.truncation_section(ctx["doc"])
     params, base = _run_inputs(ctx)
     if pulse is None:
-        pulse = _load_pulse(params, ctx["args"].pulse, cfg.pulse_path)
+        path = ctx["args"].pulse
+        pulse = _in_window(params, io.read_waveform_csv(path), path)
 
     wf, report = optimize_truncation(params, pulse, base.initial_label, base.target_label, cfg)
     _write_pulse_set(ctx, "truncated", params, wf)
@@ -212,7 +205,7 @@ def cmd_truncate(ctx: dict, pulse=None, cfg=None):
 def _analytic_config(ctx: dict):
     """The `analytic` section, checked before anything is written: it gives
     a closed form, which must be valid as it stands unless it is fitted."""
-    cfg = io.analytic_section(ctx["doc"], io.dt_override())
+    cfg = io.analytic_section(ctx["doc"])
     params, _ = _run_inputs(ctx)
     if cfg.form is None:
         raise ConfigError("section 'analytic': no closed form; give its eight shape keys")
@@ -274,8 +267,16 @@ def cmd_pipeline(ctx: dict) -> None:
 # entry point
 # ----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's usage errors as config errors: its own exit code, 2, is
+    the convergence code."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lctpulse",
         description="Pulse synthesis for tunable-coupler population transfer.",
     )
@@ -291,15 +292,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = commands[name] = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="JSON config document")
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--seed-section", default="lct",
-                       help="config section holding the feedback-run settings")
     commands["spectrum"].add_argument("--range", dest="sweep_range", nargs=2, type=float,
                                       default=(-3.0, 0.0), metavar=("LO", "HI"),
                                       help="shift range in GHz")
     commands["spectrum"].add_argument("--steps", type=int, default=601)
     for name in ("filter", "truncate"):
-        commands[name].add_argument("--pulse", help="waveform CSV (overrides pulse_path)")
-    commands["filter"].add_argument("--cutoff", type=float, help="cutoff in GHz")
+        commands[name].add_argument("--pulse", required=True, help="waveform CSV")
     return parser
 
 
@@ -315,11 +313,14 @@ _COMMANDS = {
 
 
 def main(argv: list | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    started = time.monotonic()
     try:
+        args = _build_parser().parse_args(argv)
+        started = time.monotonic()
         doc = io.load_config(args.config)
-        os.makedirs(args.out_dir, exist_ok=True)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out-dir {args.out_dir}: {exc}") from exc
         ctx = {"doc": doc, "args": args, "out_dir": args.out_dir, "outputs": [],
                "stages": {}}
         _COMMANDS[args.command](ctx)

@@ -128,15 +128,6 @@ def _positives(value) -> tuple:
     return tuple(map(float, value))
 
 
-def dt_override() -> float | None:
-    """PULSE_DT_NS, which replaces every section's dt_ns; None when unset."""
-    raw = os.environ.get("PULSE_DT_NS")
-    try:
-        return None if raw is None else _positive(raw)
-    except ValueError as exc:
-        raise ConfigError(f"PULSE_DT_NS: {exc}") from None
-
-
 def device_from_config(doc: dict) -> SystemParams:
     """Build SystemParams from the `device` section."""
     known = {"qubit_freqs_ghz": _positives, "couplings_ghz": _positives,
@@ -154,24 +145,17 @@ _LCT_KEYS = {"lambda": _non_negative, "eta": _weight, "dt_ns": _positive,
 _LCT_REQUIRED = ("lambda", "eta", "dt_ns", "t_max_ns", "initial", "target")
 
 
-def lct_config_from(
-    doc: dict,
-    section: str = "lct",
-    dt_override: float | None = None,
-) -> LctConfig:
-    """Build an LctConfig from a named config section.
+def lct_config_from(doc: dict) -> LctConfig:
+    """Build an LctConfig from the `lct` section.
 
     `reference_pulse_path` is resolved and loaded here so the returned
-    config is self-contained.  dt_override (the PULSE_DT_NS hook) replaces
-    the section's dt_ns.
+    config is self-contained.
     """
-    required = tuple(k for k in _LCT_REQUIRED if k != "dt_ns" or dt_override is None)
-    sec = _section(doc, section, _LCT_KEYS, required)
+    sec = _section(doc, "lct", _LCT_KEYS, _LCT_REQUIRED)
     ref_path = sec.get("reference_pulse_path")
     reference = None if ref_path is None else read_waveform_csv(ref_path)
     return LctConfig(
-        lambda_=sec["lambda"], eta=sec["eta"],
-        dt=dt_override if dt_override is not None else sec["dt_ns"], t_max=sec["t_max_ns"],
+        lambda_=sec["lambda"], eta=sec["eta"], dt=sec["dt_ns"], t_max=sec["t_max_ns"],
         initial_label=sec["initial"], target_label=sec["target"],
         n_prime=sec.get("n_prime"), reference=reference, lambda2=sec.get("lambda2"),
     )
@@ -192,25 +176,24 @@ def reversibility_config_from(doc: dict) -> ReversibilityConfig:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Settings for the filter command; --cutoff overrides cutoff_ghz and
-    --pulse pulse_path."""
+    """Settings for the filter command, which low-passes the pulse --pulse
+    names at cutoff_ghz."""
 
     cutoff_ghz: float = 0.45
     clamp: bool = True
-    pulse_path: str | None = None
 
 
 def filter_section(doc: dict) -> FilterConfig:
     """The `filter` section as a FilterConfig; absent keys keep defaults."""
     return FilterConfig(**_section(
-        doc, "filter", {"pulse_path": str, "cutoff_ghz": _positive, "clamp": _boolean}))
+        doc, "filter", {"cutoff_ghz": _positive, "clamp": _boolean}))
 
 
 def truncation_section(doc: dict) -> TruncationConfig:
     """The `truncation` section as a TruncationConfig; absent keys keep defaults."""
     return TruncationConfig(**_section(
         doc, "truncation", {"sigma_ns": _positive, "fidelity_goal": _goal,
-                            "max_evals": _eval_cap, "pulse_path": str}))
+                            "max_evals": _eval_cap}))
 
 
 # Closed-form config key -> (AnalyticPulseParams field, factor from the
@@ -224,15 +207,12 @@ _ANALYTIC_KEYS = {**dict.fromkeys(_ANALYTIC_FIELDS, _finite),
                   "fit": _boolean, "dt_ns": _positive, "fidelity_goal": _goal}
 
 
-def analytic_section(doc: dict, dt_override: float | None = None) -> AnalyticConfig:
+def analytic_section(doc: dict) -> AnalyticConfig:
     """The `analytic` section, which the analytic stage requires, as an
-    AnalyticConfig; dt_override (PULSE_DT_NS) replaces its dt_ns.  The
-    eight shape keys give the closed form, all or none (form None); with
-    fit true each must lie inside the fit's bounds."""
+    AnalyticConfig.  The eight shape keys give the closed form, all or
+    none (form None); with fit true each must lie inside the fit's bounds."""
     sec = _section(doc, "analytic", _ANALYTIC_KEYS, required=())
     shape = {key: sec.pop(key) for key in _ANALYTIC_FIELDS if key in sec}
-    if dt_override is not None:
-        sec["dt_ns"] = dt_override
     cfg = AnalyticConfig(form=analytic_params_from_dict(shape) if shape else None, **sec)
     if cfg.fit and shape:
         for key, (name, factor) in _ANALYTIC_FIELDS.items():

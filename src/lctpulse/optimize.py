@@ -96,13 +96,11 @@ class ReversibilityConfig:
 @dataclass(frozen=True)
 class TruncationConfig:
     """Settings for the truncation search: the tail's width, the pass mark
-    for both errors and the simplex's evaluation cap.  pulse_path, which the
-    search does not read, names the pulse the CLI shortens by default."""
+    for both errors and the simplex's evaluation cap."""
 
     sigma_ns: float = 1.0
     fidelity_goal: float = FIDELITY_GOAL
     max_evals: int = 60
-    pulse_path: str | None = None
 
 
 @dataclass(frozen=True)

@@ -119,24 +119,78 @@ def test_device_above_the_dimension_cap_exits_1(tmp_path, capsys, command):
     assert list(out.iterdir()) == []
 
 
-def test_dt_env_override(tmp_path, monkeypatch, capsys):
-    cfg = _config(tmp_path, lct=LCT_SHORT)
-    monkeypatch.setenv("PULSE_DT_NS", "0.05")
-    code, out = _run(tmp_path, "lct", "--config", cfg)
-    assert code == 0
-    t = np.loadtxt(out / "waveform.csv", delimiter=",", skiprows=1)[:, 0]
-    assert t[1] - t[0] == pytest.approx(0.05, abs=1e-9)
-    # A sample period that is not a positive finite number is refused
-    # before any run: nan would exit 3, and inf as "t_max shorter than one
-    # sample".
-    capsys.readouterr()
-    for value in ("not-a-number", "nan", "inf", "0", "-1"):
-        monkeypatch.setenv("PULSE_DT_NS", value)
-        code, out = _run(tmp_path / value, "lct", "--config", cfg)
-        assert code == 1, value
+def test_sample_period_comes_from_the_config_alone(tmp_path, monkeypatch):
+    # The environment sets nothing the manifest does not record: a run
+    # under PULSE_DT_NS writes the same bytes, and the same manifest
+    # wall_time apart, as a run without it, at the config's dt_ns.
+    cfg = _config(tmp_path, lct={**LCT_SHORT, "t_max_ns": 2.0})
+    for name in ("plain", "env"):
+        if name == "env":
+            monkeypatch.setenv("PULSE_DT_NS", "0.05")
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(["lct", "--config", cfg, "--out-dir", "out"]) == 0
+    plain, env = (tmp_path / name / "out" for name in ("plain", "env"))
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in (plain, env)]
+    for manifest in manifests:
+        manifest.pop("wall_time")
+    assert manifests[0] == manifests[1]
+    t = np.loadtxt(env / "waveform.csv", delimiter=",", skiprows=1)[:, 0]
+    assert t[1] - t[0] == pytest.approx(0.01, abs=1e-9)
+    for name in manifests[0]["outputs"]:
+        assert filecmp.cmp(plain / name, env / name, shallow=False), name
+
+
+def test_usage_errors_exit_1_writing_nothing(tmp_path, monkeypatch, capsys):
+    # argparse's own refusal exits 2, the convergence code; a usage error is
+    # a config error.  The default --out-dir is the working directory.
+    cfg = _config(tmp_path)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    for argv, needle in ((["lct"], "--config"),
+                         (["spectrum", "--config", cfg, "--steps", "abc"], "--steps"),
+                         ([], "command")):
+        assert main(argv) == 1, argv
         err = capsys.readouterr().err
-        assert err.startswith("config error: PULSE_DT_NS"), value
-        assert list(out.iterdir()) == [], value
+        assert err.startswith("config error: lctpulse") and needle in err, argv
+        assert list(cwd.iterdir()) == [], argv
+    with pytest.raises(SystemExit) as done:
+        main(["lct", "--help"])
+    assert done.value.code == 0
+
+
+def test_out_dir_that_cannot_be_created_exits_1(tmp_path, capsys):
+    cfg = _config(tmp_path, lct=LCT_SHORT)
+    before = open(cfg).read()
+    assert main(["lct", "--config", cfg, "--out-dir", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: --out-dir {cfg}:")
+    assert open(cfg).read() == before
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_removed_knobs_exit_1(tmp_path, capsys):
+    # Each setting has one source: the seed run is the lct section, the
+    # cutoff filter.cutoff_ghz and the input pulse --pulse.
+    pulse_path = str(tmp_path / "in.csv")
+    write_waveform_csv(pulse_path, Waveform(dt=0.01, samples=-np.ones(200)))
+    cases = (
+        ("seed-section", {"lct": LCT_SHORT, "alt": LCT_SHORT},
+         ["lct", "--seed-section", "alt"], "unrecognized arguments: --seed-section"),
+        ("cutoff", {}, ["filter", "--pulse", pulse_path, "--cutoff", "0.3"],
+         "unrecognized arguments: --cutoff"),
+        ("filter", {"filter": {"pulse_path": pulse_path}}, ["filter", "--pulse", pulse_path],
+         "section 'filter': unknown keys ['pulse_path']"),
+        ("truncation", {"lct": LCT_SHORT, "truncation": {"pulse_path": pulse_path}},
+         ["truncate", "--pulse", pulse_path], "section 'truncation': unknown keys ['pulse_path']"),
+    )
+    for name, sections, argv, message in cases:
+        cfg = _config(tmp_path, f"{name}.json", **sections)
+        code, out = _run(tmp_path / name, *argv, "--config", cfg)
+        assert code == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err, name
+        assert not out.exists() or list(out.iterdir()) == [], name
 
 
 def test_lct_rejects_transfer_across_excitation_numbers(tmp_path, capsys):
@@ -280,9 +334,8 @@ def test_filter_command(tmp_path):
         np.sin(0.3 * np.arange(2000) * 0.01)))
     pulse_path = str(tmp_path / "in.csv")
     write_waveform_csv(pulse_path, wf)
-    cfg = _config(tmp_path, filter={"cutoff_ghz": 0.45})
-    code, out = _run(tmp_path, "filter", "--config", cfg,
-                     "--pulse", pulse_path, "--cutoff", "0.3")
+    cfg = _config(tmp_path, filter={"cutoff_ghz": 0.3})
+    code, out = _run(tmp_path, "filter", "--config", cfg, "--pulse", pulse_path)
     assert code == 0
     assert (out / "filtered.csv").exists()
     assert (out / "filtered_spectrum.csv").exists()
@@ -305,8 +358,8 @@ def test_filter_clamp_false_writes_the_raw_filter_output(tmp_path):
     for name, sec in (("clamped", {}), ("raw", {"clamp": False})):
         write_waveform_csv(str(tmp_path / f"{name}.csv"), expected[name])
         cfg = _config(tmp_path, f"{name}.json",
-                      filter={"cutoff_ghz": 0.45, "pulse_path": pulse_path, **sec})
-        code, out = _run(tmp_path / name, "filter", "--config", cfg)
+                      filter={"cutoff_ghz": 0.45, **sec})
+        code, out = _run(tmp_path / name, "filter", "--config", cfg, "--pulse", pulse_path)
         assert code == 0
         assert filecmp.cmp(out / "filtered.csv", tmp_path / f"{name}.csv", shallow=False)
     assert not filecmp.cmp(tmp_path / "clamped.csv", tmp_path / "raw.csv", shallow=False)
@@ -327,16 +380,15 @@ def test_unclamped_filter_output_outside_the_window_exits_3_before_any_file(tmp_
 def test_truncate_requires_a_pulse(tmp_path):
     cfg = _config(tmp_path, lct=LCT_SHORT, truncation={"sigma_ns": 1.0})
     code, _ = _run(tmp_path, "truncate", "--config", cfg)
-    assert code == 1  # no --pulse and no pulse_path
+    assert code == 1  # no --pulse
 
 
 def test_truncate_stalls_on_idle_pulse(tmp_path):
     wf = Waveform(dt=0.05, samples=np.zeros(400))
     pulse_path = str(tmp_path / "idle.csv")
     write_waveform_csv(pulse_path, wf)
-    cfg = _config(tmp_path, lct=LCT_SHORT,
-                  truncation={"sigma_ns": 1.0, "pulse_path": pulse_path})
-    code, _ = _run(tmp_path, "truncate", "--config", cfg)
+    cfg = _config(tmp_path, lct=LCT_SHORT, truncation={"sigma_ns": 1.0})
+    code, _ = _run(tmp_path, "truncate", "--config", cfg, "--pulse", pulse_path)
     assert code == 2  # transfer never happens, search cannot start
 
 
@@ -365,9 +417,8 @@ def test_degenerate_device_is_a_numerical_error(tmp_path):
     assert code == 3
 
 
-def test_lct_reruns_are_byte_identical(tmp_path, monkeypatch):
-    monkeypatch.setenv("PULSE_DT_NS", "0.02")
-    cfg = _config(tmp_path, lct=LCT_SHORT)
+def test_lct_reruns_are_byte_identical(tmp_path):
+    cfg = _config(tmp_path, lct={**LCT_SHORT, "dt_ns": 0.02})
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     assert main(["lct", "--config", cfg, "--out-dir", str(out_a)]) == 0
@@ -384,14 +435,6 @@ def test_lct_reruns_are_byte_identical(tmp_path, monkeypatch):
         m.pop("wall_time")   # timing
         m.pop("command")     # records the differing --out-dir
     assert ma == mb
-
-
-def test_seed_section_flag(tmp_path):
-    cfg = _config(tmp_path, alt=LCT_SHORT)
-    code, out = _run(tmp_path, "lct", "--config", cfg,
-                     "--seed-section", "alt")
-    assert code == 0
-    assert (out / "waveform.csv").exists()
 
 
 def test_manifest_records_stage_timings(tmp_path):
@@ -452,14 +495,17 @@ def test_unknown_stage_keys_exit_1(tmp_path, capsys):
     # one: the pipeline must refuse the config before its search runs.
     bad = {"simplex_tolerance": 5.0, "max_evalz": 1}
     reversibility = {"cutoff_candidates_ghz": [0.3, 0.45], "fidelity_goal": 0.5}
+    pulse_path = str(tmp_path / "in.csv")
+    write_waveform_csv(pulse_path, Waveform(dt=0.01, samples=-np.ones(200)))
     for name, sections in (
             ("truncation", {"truncation": {"sigma_ns": 1.0, **bad}}),
             ("analytic", {"analytic": {**ANALYTIC, **bad}})):
         cfg = _config(tmp_path, f"{name}.json", device=FAST_DEVICE, lct=FAST_LCT,
                       reversibility=reversibility, **sections)
         out = tmp_path / name
-        for command in ("pipeline", "truncate" if name == "truncation" else "analytic"):
-            assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+        for argv in (["pipeline"], ["truncate", "--pulse", pulse_path]
+                     if name == "truncation" else ["analytic"]):
+            assert main([*argv, "--config", cfg, "--out-dir", str(out)]) == 1
             err = capsys.readouterr().err
             assert f"section {name!r}: unknown keys ['max_evalz', 'simplex_tolerance']" in err
         assert not (out / "optimize_report.json").exists()
@@ -521,16 +567,13 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
         np.sin(0.3 * np.arange(2000) * 0.01)))
     pulse_path = str(tmp_path / "in.csv")
     write_waveform_csv(pulse_path, wf)
-    cases = [("filter", "filter", {"pulse_path": pulse_path}, key, "x")
-             for key in ("cutoff_ghz", "clamp")]
-    cases += [("filter", "filter", {"pulse_path": pulse_path}, "clamp", "false")]
-    cases += [("truncate", "truncation", {"pulse_path": pulse_path}, key, "x")
+    cases = [("filter", "filter", {}, key, "x") for key in ("cutoff_ghz", "clamp")]
+    cases += [("filter", "filter", {}, "clamp", "false")]
+    cases += [("truncate", "truncation", {}, key, "x")
               for key in ("sigma_ns", "fidelity_goal", "max_evals")]
     cases += [("analytic", "analytic", ANALYTIC, key, "x")
               for key in ("dt_ns", "fidelity_goal", "fit")]
-    # The seed section, under its default name and under --seed-section.
-    cases += [("lct", section, LCT_SHORT, key, "x")
-              for section in ("lct", "alt")
+    cases += [("lct", "lct", LCT_SHORT, key, "x")
               for key in ("lambda", "eta", "dt_ns", "t_max_ns", "n_prime", "lambda2")]
     cases += [("optimize", "reversibility", {}, key, "x")
               for key in ("lambda2_init", "fidelity_goal", "cutoff_candidates_ghz")]
@@ -543,13 +586,12 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
     cases += [(command, section, base, "fidelity_goal", value)
               for command, section, base in (
                   ("optimize", "reversibility", {}),
-                  ("truncate", "truncation", {"pulse_path": pulse_path}),
+                  ("truncate", "truncation", {}),
                   ("analytic", "analytic", ANALYTIC))
               for value in (0, 1, -1, 2, float("nan"), True)]
     # Out-of-domain numbers: each would run, or write files, before failing.
-    cases += [("filter", "filter", {"pulse_path": pulse_path}, "cutoff_ghz", value)
-              for value in (0, -0.45)]
-    cases += [("truncate", "truncation", {"pulse_path": pulse_path}, "sigma_ns", value)
+    cases += [("filter", "filter", {}, "cutoff_ghz", value) for value in (0, -0.45)]
+    cases += [("truncate", "truncation", {}, "sigma_ns", value)
               for value in (0, -1)]
     cases += [("analytic", "analytic", ANALYTIC, "dt_ns", value) for value in (0, -0.01)]
     cases += [("optimize", "reversibility", {}, "lambda2_init", -5)]
@@ -557,11 +599,10 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
     cases += [("pipeline", "truncation", {}, "sigma_ns", -1)]
     # Integer keys: int() would run 2.7 as 2 and true as 1.
     cases += [("lct", "lct", LCT_SHORT, "n_prime", value) for value in (2.7, True)]
-    cases += [("truncate", "truncation", {"pulse_path": pulse_path}, "max_evals", value)
-              for value in (60.9, True)]
+    cases += [("truncate", "truncation", {}, "max_evals", value) for value in (60.9, True)]
     # The 1-d simplex runs its two starting points before it reads its cap,
     # so a cap below 2 would run anyway and report 2 evaluations.
-    cases += [(command, "truncation", {"pulse_path": pulse_path}, "max_evals", value)
+    cases += [(command, "truncation", {}, "max_evals", value)
               for command in ("truncate", "pipeline") for value in (1, 0, -5)]
     # The device and the seed run: unchecked, each of these would run to a
     # pulse that does not transfer, fail as a numerical error, or overflow.
@@ -584,7 +625,7 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
         name = f"{section}-{key}-{value}"
         cfg = _config(tmp_path, f"{name}.json",
                       **{"lct": LCT_SHORT, section: {**base, key: value}})
-        extra = ["--seed-section", "alt"] if section == "alt" else []
+        extra = ["--pulse", pulse_path] if command in ("filter", "truncate") else []
         code, out = _run(tmp_path / name, command, "--config", cfg, *extra)
         assert code == 1, name
         err = capsys.readouterr().err
@@ -613,12 +654,10 @@ def test_unfitted_closed_form_is_checked_before_any_file(tmp_path, capsys):
 
 
 def test_out_of_domain_flags_exit_1(tmp_path, capsys):
-    # argparse's own refusal would exit 2, the convergence code.
-    pulse_path = str(tmp_path / "in.csv")
-    write_waveform_csv(pulse_path, Waveform(dt=0.01, samples=-np.ones(200)))
+    # Values argparse parses but the run refuses: config errors, as
+    # argparse's own refusals are (test_usage_errors_exit_1_writing_nothing).
     cfg = _config(tmp_path)
     for name, argv, flag in (
-            ("cutoff", ["filter", "--pulse", pulse_path, "--cutoff", "-1"], "--cutoff"),
             ("steps", ["spectrum", "--steps", "0"], "--steps"),
             ("nan_range", ["spectrum", "--range", "nan", "0"], "--range"),
             ("inf_range", ["spectrum", "--range", "-3", "inf"], "--range"),
@@ -667,9 +706,8 @@ def test_pulse_outside_the_window_exits_1_before_any_file(tmp_path, capsys):
     for name, ghz in (("above", 0.5), ("below", -8.0)):
         pulse_path = str(tmp_path / f"{name}.csv")
         write_waveform_csv(pulse_path, Waveform(dt=0.01, samples=TWO_PI * np.array([-0.1, ghz])))
-        cfg = _config(tmp_path, f"{name}.json", lct=LCT_SHORT, filter={"clamp": False},
-                      truncation={"pulse_path": pulse_path})
-        for argv in (["filter", "--pulse", pulse_path], ["truncate"]):
+        cfg = _config(tmp_path, f"{name}.json", lct=LCT_SHORT, filter={"clamp": False})
+        for argv in (["filter", "--pulse", pulse_path], ["truncate", "--pulse", pulse_path]):
             code, out = _run(tmp_path / name / argv[0], *argv, "--config", cfg)
             assert code == 1, (name, argv)
             err = capsys.readouterr().err

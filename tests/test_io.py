@@ -112,8 +112,6 @@ def test_lct_section(tmp_path):
     assert cfg.lambda_ == 27626.0
     assert cfg.dt == 0.01
     assert cfg.reference is None and cfg.lambda2 is None
-    cfg2 = lct_config_from(doc, dt_override=0.05)
-    assert cfg2.dt == 0.05
 
 
 def test_lct_section_loads_reference(tmp_path):
@@ -148,15 +146,13 @@ def test_lct_section_missing_key():
     with pytest.raises(ConfigError, match="t_max_ns"):
         lct_config_from({"lct": {"lambda": 1.0, "eta": 0.0, "dt_ns": 0.01,
                                  "initial": "100", "target": "010"}})
-    # dt_ns is required unless the PULSE_DT_NS override supplies it; the
-    # first missing key is named.
+    # dt_ns is required like the rest; the first missing key is named.
     doc = {"lct": {"eta": 0.0, "t_max_ns": 1.0, "initial": "100", "target": "010"}}
     with pytest.raises(ConfigError, match="section 'lct': missing key 'lambda'"):
         lct_config_from(doc)
     doc["lct"]["lambda"] = 1.0
     with pytest.raises(ConfigError, match="section 'lct': missing key 'dt_ns'"):
         lct_config_from(doc)
-    assert lct_config_from(doc, dt_override=0.05).dt == 0.05
 
 
 def test_reversibility_section_defaults_and_overrides():
@@ -236,7 +232,7 @@ def test_truncation_and_analytic_sections_reject_unknown_keys():
                 "tau2_ns": 8.9, "tau3_ns": 11.4, "sigma1_ns": 1.37,
                 "sigma2_ns": 0.2, "sigma3_ns": 1.83}
     every_key = {"truncation": {"sigma_ns": 1.0, "fidelity_goal": 1e-6,
-                                "max_evals": 60, "pulse_path": "in.csv"},
+                                "max_evals": 60},
                  "analytic": {**analytic, "fit": False, "dt_ns": 0.01,
                               "fidelity_goal": 1e-6}}
     assert truncation_section(every_key) == TruncationConfig(**every_key["truncation"])
@@ -261,10 +257,7 @@ def test_device_lct_and_filter_sections_reject_unknown_keys():
         device_from_config({"device": {**DEVICE["device"], "coupling_ghz": [0.1, 0.071]}})
     with pytest.raises(ConfigError, match=r"section 'lct': unknown keys \['lamda2', 'n_primes'\]"):
         lct_config_from({"lct": {**lct, "n_primes": 2, "lamda2": 3}})
-    # The seed section is checked under whatever name it has.
-    with pytest.raises(ConfigError, match=r"section 'alt': unknown keys \['n_primes'\]"):
-        lct_config_from({"alt": {**lct, "n_primes": 2}}, "alt")
-    every_key = {"pulse_path": "in.csv", "cutoff_ghz": 0.3, "clamp": False}
+    every_key = {"cutoff_ghz": 0.3, "clamp": False}
     assert filter_section({"filter": every_key}) == FilterConfig(**every_key)
     assert filter_section({}) == FilterConfig()
     with pytest.raises(ConfigError, match=r"section 'filter': unknown keys \['cutof_ghz'\]"):
@@ -294,8 +287,8 @@ def test_stage_defaults_have_one_source():
              "tau3_ns": 11.4, "sigma1_ns": 1.37, "sigma2_ns": 0.2, "sigma3_ns": 1.83}
     form = analytic_params_from_dict(shape)
     assert analytic_section({"analytic": shape}) == AnalyticConfig(form=form)
-    assert analytic_section({"analytic": {**shape, "dt_ns": 0.05}}, dt_override=0.02) == \
-        AnalyticConfig(form=form, dt_ns=0.02)
+    assert analytic_section({"analytic": {**shape, "dt_ns": 0.05}}) == \
+        AnalyticConfig(form=form, dt_ns=0.05)
     for driver, default in ((optimize_truncation, TruncationConfig()),
                             (fit_analytic_pulse, AnalyticConfig())):
         assert inspect.signature(driver).parameters["cfg"].default == default
