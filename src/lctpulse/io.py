@@ -141,7 +141,7 @@ def device_from_config(doc: dict) -> SystemParams:
 
 _LCT_KEYS = {"lambda": _non_negative, "eta": _weight, "dt_ns": _positive,
              "t_max_ns": _positive, "initial": str, "target": str, "n_prime": _integer,
-             "reference_pulse_path": str, "lambda2": _non_negative}
+             "reference_pulse_path": str}
 _LCT_REQUIRED = ("lambda", "eta", "dt_ns", "t_max_ns", "initial", "target")
 
 
@@ -149,7 +149,8 @@ def lct_config_from(doc: dict) -> LctConfig:
     """Build an LctConfig from the `lct` section.
 
     `reference_pulse_path` is resolved and loaded here so the returned
-    config is self-contained.
+    config is self-contained; with it, `lambda` is the gain of the
+    correction term.
     """
     sec = _section(doc, "lct", _LCT_KEYS, _LCT_REQUIRED)
     ref_path = sec.get("reference_pulse_path")
@@ -157,7 +158,7 @@ def lct_config_from(doc: dict) -> LctConfig:
     return LctConfig(
         lambda_=sec["lambda"], eta=sec["eta"], dt=sec["dt_ns"], t_max=sec["t_max_ns"],
         initial_label=sec["initial"], target_label=sec["target"],
-        n_prime=sec.get("n_prime"), reference=reference, lambda2=sec.get("lambda2"),
+        n_prime=sec.get("n_prime"), reference=reference,
     )
 
 
@@ -192,8 +193,7 @@ def filter_section(doc: dict) -> FilterConfig:
 def truncation_section(doc: dict) -> TruncationConfig:
     """The `truncation` section as a TruncationConfig; absent keys keep defaults."""
     return TruncationConfig(**_section(
-        doc, "truncation", {"sigma_ns": _positive, "fidelity_goal": _goal,
-                            "max_evals": _eval_cap}))
+        doc, "truncation", {"sigma_ns": _positive, "max_evals": _eval_cap}))
 
 
 # Closed-form config key -> (AnalyticPulseParams field, factor from the
@@ -204,7 +204,7 @@ _ANALYTIC_FIELDS = {
     "sigma1_ns": ("sigma1", 1.0), "sigma2_ns": ("sigma2", 1.0), "sigma3_ns": ("sigma3", 1.0),
 }
 _ANALYTIC_KEYS = {**dict.fromkeys(_ANALYTIC_FIELDS, _finite),
-                  "fit": _boolean, "dt_ns": _positive, "fidelity_goal": _goal}
+                  "fit": _boolean, "dt_ns": _positive}
 
 
 def analytic_section(doc: dict) -> AnalyticConfig:

@@ -42,7 +42,8 @@ _DARK_FLOOR = 1e-12
 class LctConfig:
     """One local-control run.
 
-    lambda_         feedback gain for a bare run (no reference)
+    lambda_         the run's feedback gain; with a reference, the gain of
+                    the correction term
     eta             seeding weight for the target admixture at t=0
     dt              sample period (ns)
     t_max           run length (ns)
@@ -52,8 +53,6 @@ class LctConfig:
                     sum (None = all, the exact law)
     reference       optional fixed waveform added under the feedback; the
                     run then shapes only the correction term
-    lambda2         feedback gain for the correction term; required when a
-                    reference is present and rejected without one
     """
 
     lambda_: float
@@ -64,7 +63,6 @@ class LctConfig:
     target_label: str
     n_prime: int | None = None
     reference: Waveform | None = None
-    lambda2: float | None = None
 
     def __post_init__(self):
         if self.lambda_ < 0:
@@ -75,13 +73,6 @@ class LctConfig:
             raise ConfigError("dt and t_max must be positive")
         if self.t_max < self.dt:
             raise ConfigError("t_max shorter than one sample")
-        if self.reference is not None and self.lambda2 is None:
-            raise ConfigError("lambda2 is required when a reference is given")
-        if self.reference is None and self.lambda2 is not None:
-            raise ConfigError("lambda2 without a reference would be ignored: "
-                              "the run uses lambda")
-        if self.lambda2 is not None and self.lambda2 < 0:
-            raise ConfigError("lambda2 must be non-negative")
         if self.initial_label == self.target_label:
             raise ConfigError(f"initial and target are both {self.initial_label}: "
                               "nothing to transfer")
@@ -218,10 +209,6 @@ def _reference(config: LctConfig, n_steps: int) -> np.ndarray:
     return reference
 
 
-def _gain(config: LctConfig) -> float:
-    return config.lambda_ if config.reference is None else config.lambda2
-
-
 def population_rows(params: SystemParams, config: LctConfig) -> dict:
     """Each bare label's row in the populations run_lct hands its sink; None
     outside the run's excitation block, whose populations stay 0."""
@@ -246,7 +233,7 @@ def run_lct(params: SystemParams, config: LctConfig, sink=None) -> LctResult:
     """
     sector, m_row, jb, _, n_steps, psi = _loop(params, config)
     # The reference fills total, to which each step adds the feedback.
-    total, gain = _reference(config, n_steps), _gain(config)
+    total, gain = _reference(config, n_steps), config.lambda_
     lo_clamp = clamp_floor(params.omega_tc_max)
 
     # One chunk's rows start..stop of drift-basis amplitudes and their
@@ -338,7 +325,7 @@ def run_lct_lockstep(params: SystemParams, configs: list) -> tuple:
     # Each member's reference fills its column of total, to which each step
     # adds the feedback.
     total = np.stack([_reference(c, n_steps) for c in configs], axis=1)
-    gain = np.array([_gain(c) for c in configs], dtype=float)[:, None]
+    gain = np.array([c.lambda_ for c in configs], dtype=float)[:, None]
     lo_clamp = clamp_floor(params.omega_tc_max)
 
     # states[0] holds each member's state and states[1] its probe, both as
@@ -367,6 +354,7 @@ def refined_config(base: LctConfig, reference: Waveform, lambda2: float) -> LctC
     The correction stage runs unseeded: the reference pulse already moves
     population into the target, which switches the feedback on without an
     artificial target admixture.  A seed would also contaminate the emitted
-    pulse, which must act on the pure initial state.
+    pulse, which must act on the pure initial state.  lambda2, the
+    correction term's gain, becomes the run's lambda_.
     """
-    return replace(base, reference=reference, lambda2=lambda2, eta=0.0)
+    return replace(base, reference=reference, lambda_=lambda2, eta=0.0)

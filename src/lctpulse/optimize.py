@@ -11,8 +11,9 @@ simplex engine:
   fit_analytic_pulse    two-stage fit of the closed-form pulse (amplitudes
                         and switch times first, widths second)
 
-Every objective is deterministic, so repeated runs reproduce bit-identical
-histories.
+Truncation and the fit pass at FIDELITY_GOAL; the reversibility search
+takes its goal from its config.  Every objective is deterministic, so
+repeated runs reproduce bit-identical histories.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ _TRUNCATION_TOLERANCE = 1e-3
 _FIT_TOLERANCE = 1e-6
 _FIT_MAX_EVALS = 2000
 
-# Every search's default pass mark for its transfer errors.
+# The pass mark of truncation and the fit; the reversibility search's default.
 FIDELITY_GOAL = 1e-6
 
 
@@ -95,24 +96,22 @@ class ReversibilityConfig:
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Settings for the truncation search: the tail's width, the pass mark
-    for both errors and the simplex's evaluation cap."""
+    """Settings for the truncation search: the tail's width and the
+    simplex's evaluation cap.  Both errors pass below FIDELITY_GOAL."""
 
     sigma_ns: float = 1.0
-    fidelity_goal: float = FIDELITY_GOAL
     max_evals: int = 60
 
 
 @dataclass(frozen=True)
 class AnalyticConfig:
     """Settings for the closed-form stage: the fit samples at dt_ns and
-    passes below fidelity_goal.  form (the closed form) and fit (whether
+    passes below FIDELITY_GOAL.  form (the closed form) and fit (whether
     the CLI fits it) are the CLI's; the fit is handed its start."""
 
     form: AnalyticPulseParams | None = None
     fit: bool = True
     dt_ns: float = 0.01
-    fidelity_goal: float = FIDELITY_GOAL
 
 
 def _simplex_diameter(simplex: np.ndarray) -> float:
@@ -344,7 +343,7 @@ def optimize_truncation(
         bounds=[(0.5 * tau0, pulse.duration)],
         tolerance=_TRUNCATION_TOLERANCE * tau0,
         max_evals=cfg.max_evals,
-        target_value=cfg.fidelity_goal,
+        target_value=FIDELITY_GOAL,
     )
     tau = float(best[0])
     fwd, rev = errors[tau]
@@ -353,7 +352,7 @@ def optimize_truncation(
         best_value=value,
         evaluations=len(history),
         history=history,
-        converged=value < cfg.fidelity_goal,
+        converged=value < FIDELITY_GOAL,
         forward_error=fwd,
         reverse_error=rev,
     )
@@ -429,7 +428,7 @@ def fit_analytic_pulse(
         best_value=value,
         evaluations=len(history),
         history=history,
-        converged=value < cfg.fidelity_goal,
+        converged=value < FIDELITY_GOAL,
         forward_error=value,
     )
 

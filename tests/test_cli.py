@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lctpulse
-from lctpulse import lct
+from lctpulse import LctConfig, cli, lct
 from lctpulse.cli import main
 from lctpulse.dynamics import CHUNK
 from lctpulse.io import device_from_config, read_waveform_csv, write_waveform_csv
@@ -171,7 +171,9 @@ def test_out_dir_that_cannot_be_created_exits_1(tmp_path, capsys):
 
 def test_removed_knobs_exit_1(tmp_path, capsys):
     # Each setting has one source: the seed run is the lct section, the
-    # cutoff filter.cutoff_ghz and the input pulse --pulse.
+    # cutoff filter.cutoff_ghz, the input pulse --pulse, the run's gain
+    # lct.lambda and the pass mark of truncation and the fit
+    # optimize.FIDELITY_GOAL.
     pulse_path = str(tmp_path / "in.csv")
     write_waveform_csv(pulse_path, Waveform(dt=0.01, samples=-np.ones(200)))
     cases = (
@@ -183,6 +185,12 @@ def test_removed_knobs_exit_1(tmp_path, capsys):
          "section 'filter': unknown keys ['pulse_path']"),
         ("truncation", {"lct": LCT_SHORT, "truncation": {"pulse_path": pulse_path}},
          ["truncate", "--pulse", pulse_path], "section 'truncation': unknown keys ['pulse_path']"),
+        ("lambda2", {"lct": {**LCT_SHORT, "lambda2": 400.0}}, ["lct"],
+         "section 'lct': unknown keys ['lambda2']"),
+        ("truncation-goal", {"lct": LCT_SHORT, "truncation": {"fidelity_goal": 1e-6}},
+         ["truncate", "--pulse", pulse_path], "section 'truncation': unknown keys ['fidelity_goal']"),
+        ("analytic-goal", {"lct": LCT_SHORT, "analytic": {**ANALYTIC, "fidelity_goal": 1e-6}},
+         ["analytic"], "section 'analytic': unknown keys ['fidelity_goal']"),
     )
     for name, sections, argv, message in cases:
         cfg = _config(tmp_path, f"{name}.json", **sections)
@@ -400,10 +408,6 @@ def test_bad_config_exit_codes(tmp_path):
     assert main(["lct", "--config", str(bad), "--out-dir", str(tmp_path)]) == 1
     no_lct = _config(tmp_path, name="nolct.json")
     assert main(["lct", "--config", no_lct, "--out-dir", str(tmp_path)]) == 1
-    # lambda2 without reference_pulse_path would be ignored, not applied.
-    lambda2_only = _config(tmp_path, name="lambda2.json",
-                           lct={**LCT_SHORT, "lambda2": 400.0})
-    assert main(["lct", "--config", lambda2_only, "--out-dir", str(tmp_path)]) == 1
 
 
 def test_degenerate_device_is_a_numerical_error(tmp_path):
@@ -569,12 +573,10 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
     write_waveform_csv(pulse_path, wf)
     cases = [("filter", "filter", {}, key, "x") for key in ("cutoff_ghz", "clamp")]
     cases += [("filter", "filter", {}, "clamp", "false")]
-    cases += [("truncate", "truncation", {}, key, "x")
-              for key in ("sigma_ns", "fidelity_goal", "max_evals")]
-    cases += [("analytic", "analytic", ANALYTIC, key, "x")
-              for key in ("dt_ns", "fidelity_goal", "fit")]
+    cases += [("truncate", "truncation", {}, key, "x") for key in ("sigma_ns", "max_evals")]
+    cases += [("analytic", "analytic", ANALYTIC, key, "x") for key in ("dt_ns", "fit")]
     cases += [("lct", "lct", LCT_SHORT, key, "x")
-              for key in ("lambda", "eta", "dt_ns", "t_max_ns", "n_prime", "lambda2")]
+              for key in ("lambda", "eta", "dt_ns", "t_max_ns", "n_prime")]
     cases += [("optimize", "reversibility", {}, key, "x")
               for key in ("lambda2_init", "fidelity_goal", "cutoff_candidates_ghz")]
     # Cutoffs: float() over the value would run "045" as (0.0, 4.0, 5.0),
@@ -583,11 +585,7 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
     cases += [("optimize", "reversibility", {}, "cutoff_candidates_ghz", value)
               for value in ("045", {"0.3": 1}, [], [-0.1], [True])]
     # A goal of 1 or more passes any pulse; one of 0 or less passes none.
-    cases += [(command, section, base, "fidelity_goal", value)
-              for command, section, base in (
-                  ("optimize", "reversibility", {}),
-                  ("truncate", "truncation", {}),
-                  ("analytic", "analytic", ANALYTIC))
+    cases += [("optimize", "reversibility", {}, "fidelity_goal", value)
               for value in (0, 1, -1, 2, float("nan"), True)]
     # Out-of-domain numbers: each would run, or write files, before failing.
     cases += [("filter", "filter", {}, "cutoff_ghz", value) for value in (0, -0.45)]
@@ -612,7 +610,7 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
         ("couplings_ghz", [inf, 0.071]), ("tc_max_freq_ghz", inf))]
     cases += [("lct", "lct", LCT_SHORT, key, value) for key, value in (
         ("lambda", inf), ("lambda", nan), ("t_max_ns", inf), ("dt_ns", nan),
-        ("eta", 1), ("lambda2", -1))]
+        ("eta", 1))]
     # The closed form's shape keys are finite numbers.
     cases += [("analytic", "analytic", ANALYTIC, key, value) for key, value in (
         ("alpha1_ghz", nan), ("alpha1_ghz", True), ("tau2_ns", inf))]
@@ -716,6 +714,29 @@ def test_pulse_outside_the_window_exits_1_before_any_file(tmp_path, capsys):
             assert list(out.iterdir()) == [], (name, argv)
 
 
+def test_lambda_is_the_gain_of_a_run_with_a_reference(tmp_path, monkeypatch):
+    # The bare 40 ns pulse is the reference; lambda then shapes the
+    # correction term, unseeded as the reversibility search runs it.
+    code, bare = _run(tmp_path / "bare", "lct", "--config",
+                      _config(tmp_path, "bare.json", lct=LCT_SHORT))
+    assert code == 0
+    ref_path = str(bare / "waveform.csv")
+    pulses = {}
+    monkeypatch.setattr(cli, "run_lct", lambda params, config, sink: pulses.setdefault(
+        config.lambda_, lct.run_lct(params, config, sink)))
+    for gain in (500.0, 900.0):
+        cfg = _config(tmp_path, f"{gain}.json", lct={
+            **LCT_SHORT, "lambda": gain, "eta": 0.0, "reference_pulse_path": ref_path})
+        code, _ = _run(tmp_path / str(gain), "lct", "--config", cfg)
+        assert code == 0
+        config = LctConfig(lambda_=gain, eta=0.0, dt=0.01, t_max=40.0, initial_label="100",
+                           target_label="010", reference=read_waveform_csv(ref_path))
+        expected = lct.run_lct(device_from_config({"device": DEVICE}), config).waveform
+        np.testing.assert_array_equal(pulses[gain].waveform.samples, expected.samples)
+    assert not filecmp.cmp(tmp_path / "500.0" / "out" / "waveform.csv",
+                           tmp_path / "900.0" / "out" / "waveform.csv", shallow=False)
+
+
 def test_reference_outside_the_window_exits_1_before_any_file(tmp_path, capsys):
     # Unchecked, the feedback loop would clamp such a reference sample by
     # sample and exit 0 with a pulse that does not transfer.
@@ -723,7 +744,7 @@ def test_reference_outside_the_window_exits_1_before_any_file(tmp_path, capsys):
         ref_path = str(tmp_path / f"{name}.csv")
         write_waveform_csv(ref_path, Waveform(dt=0.01, samples=TWO_PI * np.array([-0.1, ghz])))
         return ref_path, _config(tmp_path, f"{name}.json", lct={
-            **LCT_SHORT, "t_max_ns": 0.02, "reference_pulse_path": ref_path, "lambda2": 1.0})
+            **LCT_SHORT, "t_max_ns": 0.02, "reference_pulse_path": ref_path})
 
     for name, ghz in (("above", 0.5), ("below", -20.0)):
         ref_path, cfg = config(name, ghz)

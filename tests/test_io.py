@@ -111,20 +111,20 @@ def test_lct_section(tmp_path):
     cfg = lct_config_from(doc)
     assert cfg.lambda_ == 27626.0
     assert cfg.dt == 0.01
-    assert cfg.reference is None and cfg.lambda2 is None
+    assert cfg.reference is None
 
 
 def test_lct_section_loads_reference(tmp_path):
     wf = Waveform(dt=0.01, samples=-TWO_PI * np.linspace(0.0, 1.0, 50))
     ref_path = str(tmp_path / "ref.csv")
     write_waveform_csv(ref_path, wf)
-    doc = {"lct": {"lambda": 1.0, "eta": 0.0, "dt_ns": 0.01, "t_max_ns": 1.0,
+    doc = {"lct": {"lambda": 400.0, "eta": 0.0, "dt_ns": 0.01, "t_max_ns": 1.0,
                    "initial": "100", "target": "010",
-                   "reference_pulse_path": ref_path, "lambda2": 400.0}}
+                   "reference_pulse_path": ref_path}}
     cfg = lct_config_from(doc)
     assert cfg.reference is not None
     assert cfg.reference.n == 50
-    assert cfg.lambda2 == 400.0
+    assert cfg.lambda_ == 400.0
 
 
 def test_integer_keys_take_whole_numbers_only():
@@ -191,17 +191,16 @@ def test_cutoffs_take_a_non_empty_list_of_positive_numbers_only():
 
 
 def test_fidelity_goals_lie_strictly_between_0_and_1():
-    readers = {
-        "reversibility": lambda sec: reversibility_config_from(sec).fidelity_goal,
-        "truncation": lambda sec: truncation_section(sec).fidelity_goal,
-        "analytic": lambda sec: analytic_section(sec).fidelity_goal,
-    }
-    for name, read in readers.items():
-        assert read({name: {"fidelity_goal": 1e-6}}) == 1e-6
-        assert read({name: {"fidelity_goal": 0.5}}) == 0.5
-        for value in (0, 0.0, 1, 1.0, -1.0, 2.0, float("nan"), True, False, "x"):
-            with pytest.raises(ConfigError, match=f"section '{name}', key 'fidelity_goal'"):
-                read({name: {"fidelity_goal": value}})
+    # The reversibility search's is the one goal a config sets; truncation
+    # and the fit pass at optimize.FIDELITY_GOAL.
+    def goal(value):
+        return reversibility_config_from(
+            {"reversibility": {"fidelity_goal": value}}).fidelity_goal
+
+    assert goal(1e-6) == 1e-6 and goal(0.5) == 0.5
+    for value in (0, 0.0, 1, 1.0, -1.0, 2.0, float("nan"), True, False, "x"):
+        with pytest.raises(ConfigError, match="section 'reversibility', key 'fidelity_goal'"):
+            goal(value)
 
 
 def test_cutoffs_widths_and_steps_are_positive_and_gains_not_negative():
@@ -231,13 +230,11 @@ def test_truncation_and_analytic_sections_reject_unknown_keys():
     analytic = {"alpha1_ghz": -1.591, "alpha3_ghz": -2.457, "tau1_ns": 7.2,
                 "tau2_ns": 8.9, "tau3_ns": 11.4, "sigma1_ns": 1.37,
                 "sigma2_ns": 0.2, "sigma3_ns": 1.83}
-    every_key = {"truncation": {"sigma_ns": 1.0, "fidelity_goal": 1e-6,
-                                "max_evals": 60},
-                 "analytic": {**analytic, "fit": False, "dt_ns": 0.01,
-                              "fidelity_goal": 1e-6}}
+    every_key = {"truncation": {"sigma_ns": 1.0, "max_evals": 60},
+                 "analytic": {**analytic, "fit": False, "dt_ns": 0.01}}
     assert truncation_section(every_key) == TruncationConfig(**every_key["truncation"])
     assert analytic_section(every_key) == AnalyticConfig(
-        analytic_params_from_dict(analytic), fit=False, dt_ns=0.01, fidelity_goal=1e-6)
+        analytic_params_from_dict(analytic), fit=False, dt_ns=0.01)
     assert truncation_section({}) == TruncationConfig()
     with pytest.raises(ConfigError, match="missing config section 'analytic'"):
         analytic_section({})
@@ -276,9 +273,9 @@ def test_stage_defaults_have_one_source():
     documented = {
         "filter": (filter_section, FilterConfig(), {"cutoff_ghz": 0.45, "clamp": True}),
         "truncation": (truncation_section, TruncationConfig(),
-                       {"sigma_ns": 1.0, "fidelity_goal": 1e-6, "max_evals": 60}),
+                       {"sigma_ns": 1.0, "max_evals": 60}),
         "analytic": (analytic_section, AnalyticConfig(),
-                     {"fit": True, "dt_ns": 0.01, "fidelity_goal": 1e-6}),
+                     {"fit": True, "dt_ns": 0.01}),
     }
     for name, (read, default, spelt_out) in documented.items():
         assert read({name: {}}) == default, name

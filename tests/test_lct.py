@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from lctpulse import (
@@ -65,14 +65,10 @@ def test_config_validation():
         _base(lambda_=-1.0)
     with pytest.raises(ConfigError):
         _base(eta=1.0)
-    with pytest.raises(ConfigError):
-        LctConfig(lambda_=1.0, eta=0.0, dt=0.01, t_max=10.0,
-                  initial_label="100", target_label="010",
-                  reference=Waveform(dt=0.01, samples=np.zeros(10)))
-    # lambda2 steers only the correction term; without a reference the run
-    # would use lambda and ignore it.
-    with pytest.raises(ConfigError, match="lambda2 without a reference"):
-        _base(lambda2=400.0)
+    # With a reference, lambda is the correction term's gain, and it is
+    # checked as a bare run's is.
+    with pytest.raises(ConfigError, match="lambda must be non-negative"):
+        _base(lambda_=-1.0, reference=Waveform(dt=0.01, samples=np.zeros(10)))
 
 
 def test_transfer_across_excitation_numbers_rejected():
@@ -95,8 +91,7 @@ def test_misaligned_t_max_rejected(params):
 
 
 def test_reference_dt_mismatch(params):
-    cfg = _base(t_max=10.0, reference=Waveform(dt=0.02, samples=np.zeros(5)),
-                lambda2=10.0)
+    cfg = _base(t_max=10.0, reference=Waveform(dt=0.02, samples=np.zeros(5)))
     with pytest.raises(ConfigError):
         run_lct(params, cfg)
 
@@ -445,7 +440,7 @@ def test_refined_config_unseeds(short_run):
     ref = Waveform(dt=0.01, samples=short_run.waveform.samples.copy())
     cfg = refined_config(_base(t_max=40.0), ref, 500.0)
     assert cfg.eta == 0.0
-    assert cfg.lambda2 == 500.0
+    assert cfg.lambda_ == 500.0
     assert cfg.reference is ref
 
 
@@ -511,8 +506,7 @@ def _lockstep_case(draw):
             continue
         fractions = draw(st.lists(depth, min_size=2, max_size=n_steps + 5))
         ref = Waveform(dt=dt, samples=-params.omega_tc_max * np.array(fractions))
-        configs.append(LctConfig(lambda_=0.0, reference=ref, lambda2=draw(gain),
-                                 **shared))
+        configs.append(LctConfig(lambda_=draw(gain), reference=ref, **shared))
     return params, configs
 
 
@@ -525,8 +519,23 @@ def _is_dark(params, label):
     return np.linalg.norm(gv - np.vdot(v, gv) * v) < 1e-12
 
 
+# Cases the check covers whatever the draw, on the reference device: a
+# reference with exact zeros that dips below the clamp floor (0.999
+# omega_tc_max deep), and members run alone, mixed and at zero gain.
+_DEVICE = SystemParams.from_ghz([5.890, 5.031], [0.100, 0.071], 7.445)
+_RUN = dict(dt=0.01, t_max=2.0, initial_label="100", target_label="010")
+_DIPPING = Waveform(dt=0.01, samples=-_DEVICE.omega_tc_max * np.repeat(
+    [0.0, 0.3, 1.0, 0.9995, 0.0, 0.5], 30))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_lockstep_case())
+@example((_DEVICE, [LctConfig(lambda_=LAMBDA_STAR, eta=1e-6, **_RUN)]))
+@example((_DEVICE, [LctConfig(lambda_=500.0, eta=0.0, reference=_DIPPING, **_RUN)]))
+@example((_DEVICE, [LctConfig(lambda_=LAMBDA_STAR, eta=1e-6, **_RUN),
+                    LctConfig(lambda_=500.0, eta=1e-6, reference=_DIPPING, **_RUN),
+                    LctConfig(lambda_=3e4, eta=1e-6, reference=_DIPPING, **_RUN)]))
+@example((_DEVICE, [LctConfig(lambda_=0.0, eta=0.0, reference=_DIPPING, **_RUN)]))
 def test_lockstep_matches_single_runs(case):
     params, configs = case
     first = configs[0]
@@ -563,8 +572,8 @@ def test_lockstep_forward_error_squares_as_run_lct_does():
     params = SystemParams(n_qubits=2, omega=(40.82134668768651, 24.138278374963637),
                           g=(1.0735498987562437, 0.3141592653589793),
                           omega_tc_max=30.84156159608531)
-    config = LctConfig(lambda_=0.0, eta=0.0, dt=0.01, t_max=2.0, initial_label="100",
-                       target_label="001", lambda2=14772.072936506143,
+    config = LctConfig(eta=0.0, dt=0.01, t_max=2.0, initial_label="100",
+                       target_label="001", lambda_=14772.072936506143,
                        reference=Waveform(dt=0.01, samples=np.array([-7.133993793368288, -0.0])))
     _, forward, _ = run_lct_lockstep(params, [config])
     assert forward[0] == run_lct(params, config).final_error
@@ -583,7 +592,7 @@ def test_lockstep_refined_run_reverse_error_from_probe(params, short_run):
     ref = lowpass_filter(short_run.waveform, 0.45,
                          omega_tc_max=params.omega_tc_max)
     cfg = refined_config(_base(t_max=40.0), ref, 500.0)
-    samples, _, reverse = run_lct_lockstep(params, [cfg, replace(cfg, lambda2=900.0)])
+    samples, _, reverse = run_lct_lockstep(params, [cfg, replace(cfg, lambda_=900.0)])
     single = run_lct(params, cfg)
     np.testing.assert_array_equal(samples[:, 0], single.waveform.samples)
     rev = transfer_errors(params, single.waveform, "010", "100")[0]

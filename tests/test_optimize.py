@@ -204,7 +204,7 @@ def test_truncation_reports_the_simplex_best(params, monkeypatch):
 
     monkeypatch.setattr(optimize, "nelder_mead", recorded)
     out, report = optimize_truncation(
-        params, wf, "100", "010", TruncationConfig(sigma_ns=1.0, fidelity_goal=1e-6))
+        params, wf, "100", "010", TruncationConfig(sigma_ns=1.0))
     assert any(point[0] == wf.duration for point, _ in report.history)
     assert report.best_value == simplex[0][1] == 1e-3
     assert report.converged == (report.best_value < 1e-6)
