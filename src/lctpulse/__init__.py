@@ -20,10 +20,7 @@ from .model import (
     sweep_nonadiabatic_couplings,
 )
 from .optimize import (
-    AnalyticConfig,
     OptimizationReport,
-    ReversibilityConfig,
-    TruncationConfig,
     fit_analytic_pulse,
     nelder_mead,
     optimize_reversible,

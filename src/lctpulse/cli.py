@@ -151,12 +151,12 @@ def cmd_lct(ctx: dict) -> None:
 def cmd_filter(ctx: dict) -> None:
     doc, path = ctx["doc"], ctx["args"].pulse
     params = io.device_from_config(doc)
-    cfg = io.filter_section(doc)
+    cutoff_ghz, clamp = io.filter_section(doc)
     wf = _in_window(params, io.read_waveform_csv(path), path)
     filtered = lowpass_filter(
-        wf, cfg.cutoff_ghz, omega_tc_max=params.omega_tc_max if cfg.clamp else None)
+        wf, cutoff_ghz, omega_tc_max=params.omega_tc_max if clamp else None)
     _write_pulse_set(ctx, "filtered", params, filtered)
-    print(f"filtered at {cfg.cutoff_ghz:g} GHz")
+    print(f"filtered at {cutoff_ghz:g} GHz")
 
 
 @_stage
@@ -164,12 +164,12 @@ def cmd_optimize(ctx: dict):
     """Bare LCT run, then the reversibility search.  Returns the optimized
     pulse, which cmd_pipeline hands on without re-reading its file."""
     params, base = _run_inputs(ctx)
-    rev_cfg = io.reversibility_config_from(ctx["doc"])
+    settings = io.reversibility_section(ctx["doc"])
 
     bare = run_lct(params, base)
     _write_pulse_set(ctx, "bare", params, bare.waveform)
 
-    wf, report = optimize_reversible(params, bare.waveform, base, rev_cfg)
+    wf, report = optimize_reversible(params, bare.waveform, base, **settings)
     _write_pulse_set(ctx, "optimized", params, wf)
     io.write_json(_out(ctx, "optimize_report.json"), io.report_to_dict(report))
     print(f"reverse error {report.reverse_error:.3e} at "
@@ -182,17 +182,18 @@ def cmd_optimize(ctx: dict):
 
 
 @_stage
-def cmd_truncate(ctx: dict, pulse=None, cfg=None):
-    """Shorten the pulse handed on, else --pulse's, by the config handed
+def cmd_truncate(ctx: dict, pulse=None, settings=None):
+    """Shorten the pulse handed on, else --pulse's, by the settings handed
     on, else the section's."""
-    if cfg is None:
-        cfg = io.truncation_section(ctx["doc"])
+    if settings is None:
+        settings = io.truncation_section(ctx["doc"])
     params, base = _run_inputs(ctx)
     if pulse is None:
         path = ctx["args"].pulse
         pulse = _in_window(params, io.read_waveform_csv(path), path)
 
-    wf, report = optimize_truncation(params, pulse, base.initial_label, base.target_label, cfg)
+    wf, report = optimize_truncation(params, pulse, base.initial_label, base.target_label,
+                                     **settings)
     _write_pulse_set(ctx, "truncated", params, wf)
     io.write_json(_out(ctx, "truncate_report.json"), io.report_to_dict(report))
     print(f"truncated to {wf.duration:.2f} ns "
@@ -202,37 +203,34 @@ def cmd_truncate(ctx: dict, pulse=None, cfg=None):
     return wf
 
 
-def _analytic_config(ctx: dict):
-    """The `analytic` section, checked before anything is written: it gives
-    a closed form, which must be valid as it stands unless it is fitted."""
-    cfg = io.analytic_section(ctx["doc"])
+def _analytic_section(ctx: dict) -> tuple:
+    """The `analytic` section's (form, fit, dt_ns), checked before anything
+    is written: it gives a closed form, which must be valid as it stands
+    unless it is fitted."""
+    form, fit, _ = section = io.analytic_section(ctx["doc"])
     params, _ = _run_inputs(ctx)
-    if cfg.form is None:
+    if form is None:
         raise ConfigError("section 'analytic': no closed form; give its eight shape keys")
-    if not cfg.fit:
+    if not fit:
         try:
-            cfg.form.validate(params.omega_tc_max)
+            form.validate(params.omega_tc_max)
         except ValueError as exc:
             raise ConfigError(f"section 'analytic': {exc}") from exc
-    return cfg
+    return section
 
 
 @_stage
-def cmd_analytic(ctx: dict, cfg=None) -> None:
-    """The closed form of the config handed on, else the section's, fitted
-    unless fit is false."""
-    if cfg is None:
-        cfg = _analytic_config(ctx)
+def cmd_analytic(ctx: dict, section=None) -> None:
+    """The closed form of the section handed on, else the config's, fitted
+    unless fit is false, and sampled at dt_ns."""
+    form, fit, dt_ns = section or _analytic_section(ctx)
     params, base = _run_inputs(ctx)
-    if cfg.fit:
-        fitted, report = fit_analytic_pulse(
-            params, cfg.form, base.initial_label, base.target_label, cfg)
+    if fit:
+        form, report = fit_analytic_pulse(
+            params, form, base.initial_label, base.target_label, dt_ns=dt_ns)
         io.write_json(_out(ctx, "analytic_report.json"), io.report_to_dict(report))
-    else:
-        fitted = cfg.form
-    io.write_json(_out(ctx, "analytic_params.json"),
-                  io.analytic_params_to_dict(fitted))
-    wf = analytic_pulse(fitted, cfg.dt_ns, omega_tc_max=params.omega_tc_max)
+    io.write_json(_out(ctx, "analytic_params.json"), io.analytic_params_to_dict(form))
+    wf = analytic_pulse(form, dt_ns, omega_tc_max=params.omega_tc_max)
     _write_pulse_set(ctx, "analytic", params, wf)
 
     err = transfer_errors(params, wf, base.initial_label, base.target_label)[0]
@@ -247,9 +245,9 @@ def cmd_pipeline(ctx: dict) -> None:
     present, truncation of the optimized pulse and the closed-form fit."""
     doc = ctx["doc"]
     # Each later section is read once, before the search spends its time,
-    # and its config is handed on.
+    # and its settings are handed on.
     truncation = io.truncation_section(doc) if doc.get("truncation") is not None else None
-    analytic = _analytic_config(ctx) if doc.get("analytic") is not None else None
+    analytic = _analytic_section(ctx) if doc.get("analytic") is not None else None
     stage = "optimize"
     try:
         pulse = cmd_optimize(ctx)

@@ -10,15 +10,14 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from .errors import ConfigError
 from .lct import LctConfig
 from .model import SystemParams
-from .optimize import (DEFAULT_ANALYTIC_BOUNDS, AnalyticConfig, OptimizationReport,
-                       ReversibilityConfig, TruncationConfig)
+from .optimize import ANALYTIC_DT_NS, DEFAULT_ANALYTIC_BOUNDS, OptimizationReport
 from .pulses import AnalyticPulseParams, PulseSpectrum, Waveform
 from .units import TWO_PI
 
@@ -162,38 +161,26 @@ def lct_config_from(doc: dict) -> LctConfig:
     )
 
 
-_REVERSIBILITY_KEYS = {
-    "lambda2_init": _non_negative,
-    "cutoff_candidates_ghz": _positives,
-    "fidelity_goal": _goal,
-}
+def reversibility_section(doc: dict) -> dict:
+    """The keys the `reversibility` section sets, as optimize_reversible's
+    keyword settings; a key left out keeps the driver's default."""
+    return _section(doc, "reversibility", {"lambda2_init": _non_negative,
+                                           "cutoff_candidates_ghz": _positives,
+                                           "fidelity_goal": _goal})
 
 
-def reversibility_config_from(doc: dict) -> ReversibilityConfig:
-    """ReversibilityConfig from the `reversibility` section; absent keys keep
-    defaults, unknown keys (such as a setting no longer read) are a ConfigError."""
-    return ReversibilityConfig(**_section(doc, "reversibility", _REVERSIBILITY_KEYS))
+def truncation_section(doc: dict) -> dict:
+    """The keys the `truncation` section sets, as optimize_truncation's
+    keyword settings; a key left out keeps the driver's default."""
+    return _section(doc, "truncation", {"sigma_ns": _positive, "max_evals": _eval_cap})
 
 
-@dataclass(frozen=True)
-class FilterConfig:
-    """Settings for the filter command, which low-passes the pulse --pulse
-    names at cutoff_ghz."""
-
-    cutoff_ghz: float = 0.45
-    clamp: bool = True
-
-
-def filter_section(doc: dict) -> FilterConfig:
-    """The `filter` section as a FilterConfig; absent keys keep defaults."""
-    return FilterConfig(**_section(
-        doc, "filter", {"cutoff_ghz": _positive, "clamp": _boolean}))
-
-
-def truncation_section(doc: dict) -> TruncationConfig:
-    """The `truncation` section as a TruncationConfig; absent keys keep defaults."""
-    return TruncationConfig(**_section(
-        doc, "truncation", {"sigma_ns": _positive, "max_evals": _eval_cap}))
+def filter_section(doc: dict) -> tuple:
+    """(cutoff_ghz, clamp) from the `filter` section: the filter command
+    low-passes the pulse --pulse names at cutoff_ghz, 0.45 GHz unless set,
+    and clamps it to the coupler's window unless clamp is false."""
+    sec = _section(doc, "filter", {"cutoff_ghz": _positive, "clamp": _boolean})
+    return sec.get("cutoff_ghz", 0.45), sec.get("clamp", True)
 
 
 # Closed-form config key -> (AnalyticPulseParams field, factor from the
@@ -207,21 +194,24 @@ _ANALYTIC_KEYS = {**dict.fromkeys(_ANALYTIC_FIELDS, _finite),
                   "fit": _boolean, "dt_ns": _positive}
 
 
-def analytic_section(doc: dict) -> AnalyticConfig:
-    """The `analytic` section, which the analytic stage requires, as an
-    AnalyticConfig.  The eight shape keys give the closed form, all or
-    none (form None); with fit true each must lie inside the fit's bounds."""
+def analytic_section(doc: dict) -> tuple:
+    """(form, fit, dt_ns) from the `analytic` section, which the analytic
+    stage requires.  The eight shape keys give the closed form, all or none
+    (form None); fit, true unless set, says whether the CLI fits it, and
+    then each must lie inside the fit's bounds.  The pulse is sampled at
+    dt_ns, optimize.ANALYTIC_DT_NS unless set."""
     sec = _section(doc, "analytic", _ANALYTIC_KEYS, required=())
     shape = {key: sec.pop(key) for key in _ANALYTIC_FIELDS if key in sec}
-    cfg = AnalyticConfig(form=analytic_params_from_dict(shape) if shape else None, **sec)
-    if cfg.fit and shape:
+    form = analytic_params_from_dict(shape) if shape else None
+    fit = sec.get("fit", True)
+    if fit and shape:
         for key, (name, factor) in _ANALYTIC_FIELDS.items():
             lo, hi = DEFAULT_ANALYTIC_BOUNDS[name]
-            if not lo <= getattr(cfg.form, name) <= hi:
+            if not lo <= getattr(form, name) <= hi:
                 raise ConfigError(
                     f"section 'analytic', key {key!r}: {shape[key]:g} lies outside "
                     f"the fit's bounds [{lo / factor:.4g}, {hi / factor:.4g}]")
-    return cfg
+    return form, fit, sec.get("dt_ns", ANALYTIC_DT_NS)
 
 
 def analytic_params_from_dict(obj: dict) -> AnalyticPulseParams:

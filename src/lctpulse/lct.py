@@ -71,8 +71,8 @@ class LctConfig:
             raise ConfigError("eta must be in [0, 1)")
         if self.dt <= 0 or self.t_max <= 0:
             raise ConfigError("dt and t_max must be positive")
-        if self.t_max < self.dt:
-            raise ConfigError("t_max shorter than one sample")
+        if self.t_max < 2 * self.dt:  # a waveform holds two samples or more
+            raise ConfigError("t_max shorter than two samples")
         if self.initial_label == self.target_label:
             raise ConfigError(f"initial and target are both {self.initial_label}: "
                               "nothing to transfer")

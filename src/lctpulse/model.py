@@ -288,9 +288,9 @@ def sweep_nonadiabatic_couplings(sweep: SpectrumSweep, pairs: list) -> np.ndarra
     """Hellmann-Feynman couplings <j| dH/d delta |k> / (eps_j - eps_k).
 
     Signed, shape (m, len(pairs)); indices j, k address sweep.levels at each
-    shift.  Levels of different blocks couple exactly 0.  Raises
-    DegenerateLevelsError where a pair is closer than 1e-9 rad/ns, where the
-    expression is singular.
+    shift.  Levels of different blocks couple exactly 0, even where they
+    cross.  Raises DegenerateLevelsError where a pair of one block is closer
+    than 1e-9 rad/ns, where the expression is singular.
     """
     if any(j == k for j, k in pairs):
         raise ValueError("coupling defined only between distinct levels")
@@ -300,20 +300,22 @@ def sweep_nonadiabatic_couplings(sweep: SpectrumSweep, pairs: list) -> np.ndarra
 
     j, k = np.array(pairs, dtype=int).reshape(-1, 2).T
     gap = sweep.levels[:, j] - sweep.levels[:, k]
-    degenerate = np.argwhere(np.abs(gap) < _DEGENERACY_FLOOR)
+    cj, ck = sweep.order[:, j], sweep.order[:, k]
+    same = block[cj] == block[ck]
+    degenerate = np.argwhere(same & (np.abs(gap) < _DEGENERACY_FLOOR))
     if degenerate.size:
         i, c = degenerate[0]
         raise DegenerateLevelsError(
             f"levels {j[c]},{k[c]} degenerate to {gap[i, c]:.3e} rad/ns at "
             f"delta_omega_tc={sweep.deltas[i]:.6g}"
         )
-    cj, ck = sweep.order[:, j], sweep.order[:, k]
     numerator = np.zeros(gap.shape)
     for b, (vecs, g) in enumerate(zip(sweep.eigenvectors, sweep.controls)):
-        m, c = np.nonzero((block[cj] == b) & (block[ck] == b))
+        m, c = np.nonzero(same & (block[cj] == b))
         vj, vk = vecs[m, :, cj[m, c] - start[b]], vecs[m, :, ck[m, c] - start[b]]
         numerator[m, c] = np.einsum("ri,i,ri->r", vj.conj(), g, vk).real
-    return numerator / gap
+    # A cross-block pair is the signed 0 that 0 / gap gives, without 0 / 0.
+    return np.divide(numerator, gap, out=np.copysign(numerator, gap), where=same)
 
 
 def nonadiabatic_coupling(

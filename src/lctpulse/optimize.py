@@ -1,18 +1,21 @@
 """Refinement searches: one lockstep batch and a small Nelder-Mead core.
 
 The reversibility search is one batch; the other two drivers share the
-simplex engine:
+simplex engine.  Each driver takes its settings as keyword-only arguments,
+whose defaults are the stage's:
 
   optimize_reversible   one cell per filter cutoff at the correction gain
                         lambda2_init, run as one lockstep batch of feedback
                         loops whose probe column gives each cell's reverse
-                        error
-  optimize_truncation   1-d simplex over the truncation time tau
+                        error (lambda2_init, cutoff_candidates_ghz,
+                        fidelity_goal)
+  optimize_truncation   1-d simplex over the truncation time tau (sigma_ns,
+                        max_evals)
   fit_analytic_pulse    two-stage fit of the closed-form pulse (amplitudes
-                        and switch times first, widths second)
+                        and switch times first, widths second; dt_ns)
 
 Truncation and the fit pass at FIDELITY_GOAL; the reversibility search
-takes its goal from its config.  Every objective is deterministic, so
+takes it as its default goal.  Every objective is deterministic, so
 repeated runs reproduce bit-identical histories.
 """
 
@@ -53,6 +56,9 @@ _FIT_MAX_EVALS = 2000
 # The pass mark of truncation and the fit; the reversibility search's default.
 FIDELITY_GOAL = 1e-6
 
+# The closed form's sample period (ns), for the fit and for the CLI's pulse.
+ANALYTIC_DT_NS = 0.01
+
 
 @dataclass
 class OptimizationReport:
@@ -76,42 +82,6 @@ class OptimizationReport:
         for err in (self.forward_error, self.reverse_error):
             if err is not None and not 0.0 <= err <= 1.0:
                 raise ValueError("transfer errors must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class ReversibilityConfig:
-    """Settings for the cutoff / gain reversibility search.
-
-    One batch: lambda2_init at every cutoff of cutoff_candidates_ghz
-    (searched ascending); the lowest cutoff whose cell passes wins, and
-    when none passes the search ends not converged.  fidelity_goal is the
-    pass mark for every cell's reverse error and the limit on every
-    cell's forward error.
-    """
-
-    lambda2_init: float = 300.0
-    cutoff_candidates_ghz: tuple = (0.40, 0.45, 0.50)
-    fidelity_goal: float = FIDELITY_GOAL
-
-
-@dataclass(frozen=True)
-class TruncationConfig:
-    """Settings for the truncation search: the tail's width and the
-    simplex's evaluation cap.  Both errors pass below FIDELITY_GOAL."""
-
-    sigma_ns: float = 1.0
-    max_evals: int = 60
-
-
-@dataclass(frozen=True)
-class AnalyticConfig:
-    """Settings for the closed-form stage: the fit samples at dt_ns and
-    passes below FIDELITY_GOAL.  form (the closed form) and fit (whether
-    the CLI fits it) are the CLI's; the fit is handed its start."""
-
-    form: AnalyticPulseParams | None = None
-    fit: bool = True
-    dt_ns: float = 0.01
 
 
 def _simplex_diameter(simplex: np.ndarray) -> float:
@@ -242,19 +212,22 @@ def optimize_reversible(
     params: SystemParams,
     bare_pulse: Waveform,
     base_config: LctConfig,
-    cfg: ReversibilityConfig,
+    *,
+    lambda2_init: float = 300.0,
+    cutoff_candidates_ghz: tuple = (0.40, 0.45, 0.50),
+    fidelity_goal: float = FIDELITY_GOAL,
 ) -> tuple:
     """Find a filter cutoff at which the correction gain lambda2_init gives
     two-way transfer.
 
-    For each cutoff candidate the bare pulse is low-passed into a
+    For each of cutoff_candidates_ghz the bare pulse is low-passed into a
     reference, and the correction term reshapes it at lambda2_init.  The
     cells, one per cutoff, run as one lockstep batch of feedback loops
     (lct.run_lct_lockstep), whose probe column gives each cell's reverse
     transfer error without a replay.  The lowest cutoff whose cell passes
-    the fidelity goal wins, and the report is converged; when no cell
-    passes, the cell with the lowest reverse error is returned and the
-    report is not converged.  Forward transfer must stay below the goal in
+    fidelity_goal wins, and the report is converged; when no cell passes,
+    the cell with the lowest reverse error is returned and the report is
+    not converged.  Forward transfer must stay below the goal in
     every cell; a cell breaking that aborts the search, naming the first
     such cell by ascending cutoff, because the correction stage is
     supposed to be insensitive to lambda2 in its working range.  History
@@ -262,40 +235,39 @@ def optimize_reversible(
 
     Returns (best total waveform, OptimizationReport).
     """
-    if not cfg.cutoff_candidates_ghz:
+    if not cutoff_candidates_ghz:
         raise ValueError("no cutoff candidates")
 
     source = base_config.initial_label
     destination = base_config.target_label
 
     fwd_bare = transfer_errors(params, bare_pulse, source, destination)[0]
-    if fwd_bare >= cfg.fidelity_goal:
+    if fwd_bare >= fidelity_goal:
         raise ConvergenceError(
             f"bare pulse forward error {fwd_bare:.3e} misses the goal"
         )
 
-    cutoffs = sorted(cfg.cutoff_candidates_ghz)
-    lam2 = cfg.lambda2_init
+    cutoffs = sorted(cutoff_candidates_ghz)
     samples, forward, reverse = run_lct_lockstep(params, [
         refined_config(base_config,
                        lowpass_filter(bare_pulse, cutoff, omega_tc_max=params.omega_tc_max),
-                       lam2)
+                       lambda2_init)
         for cutoff in cutoffs])
     forward, reverse = forward.tolist(), reverse.tolist()
     for cutoff, fwd in zip(cutoffs, forward):
-        if fwd >= cfg.fidelity_goal:
+        if fwd >= fidelity_goal:
             raise ConvergenceError(
                 f"forward error {fwd:.3e} at cutoff {cutoff} GHz, "
-                f"lambda2 {lam2:.4g}; correction stage is unstable here"
+                f"lambda2 {lambda2_init:.4g}; correction stage is unstable here"
             )
 
-    passing = [i for i, rev in enumerate(reverse) if rev < cfg.fidelity_goal]
+    passing = [i for i, rev in enumerate(reverse) if rev < fidelity_goal]
     cell = passing[0] if passing else int(np.argmin(reverse))
-    history = [({"cutoff_ghz": cutoff, "lambda2": lam2,
+    history = [({"cutoff_ghz": cutoff, "lambda2": lambda2_init,
                  "forward_error": fwd, "reverse_error": rev}, rev)
                for cutoff, fwd, rev in zip(cutoffs, forward, reverse)]
     return Waveform(dt=base_config.dt, samples=samples[:, cell].copy()), OptimizationReport(
-        best_params={"cutoff_ghz": cutoffs[cell], "lambda2": lam2},
+        best_params={"cutoff_ghz": cutoffs[cell], "lambda2": lambda2_init},
         best_value=reverse[cell],
         evaluations=len(history),
         history=history,
@@ -314,14 +286,16 @@ def optimize_truncation(
     pulse: Waveform,
     source_label: str,
     destination_label: str,
-    cfg: TruncationConfig = TruncationConfig(),
+    *,
+    sigma_ns: float = 1.0,
+    max_evals: int = 60,
 ) -> tuple:
-    """Shorten a reversible pulse with a half-Gaussian tail.
+    """Shorten a reversible pulse with a half-Gaussian tail of width sigma_ns.
 
     tau starts where the reverse process first reaches 99% transfer, read
     by a scan that stops there, and is then tuned by a 1-d simplex on
-    max(forward, reverse) error.  Returns (truncated waveform,
-    OptimizationReport).
+    max(forward, reverse) error, within max_evals evaluations.  Returns
+    (truncated waveform, OptimizationReport).
     """
     sector = params.sector_of(destination_label)
     tau0 = first_crossing(sector, sector.state(destination_label), pulse, source_label, 0.99)
@@ -333,7 +307,7 @@ def optimize_truncation(
     def objective(x):
         tau = float(x[0])
         errors[tau] = transfer_errors(
-            params, truncate_with_gaussian_tail(pulse, tau, cfg.sigma_ns),
+            params, truncate_with_gaussian_tail(pulse, tau, sigma_ns),
             source_label, destination_label)
         return max(errors[tau])
 
@@ -342,13 +316,13 @@ def optimize_truncation(
         x0=np.array([tau0]),
         bounds=[(0.5 * tau0, pulse.duration)],
         tolerance=_TRUNCATION_TOLERANCE * tau0,
-        max_evals=cfg.max_evals,
+        max_evals=max_evals,
         target_value=FIDELITY_GOAL,
     )
     tau = float(best[0])
     fwd, rev = errors[tau]
-    return truncate_with_gaussian_tail(pulse, tau, cfg.sigma_ns), OptimizationReport(
-        best_params={"tau_ns": tau, "sigma_ns": cfg.sigma_ns},
+    return truncate_with_gaussian_tail(pulse, tau, sigma_ns), OptimizationReport(
+        best_params={"tau_ns": tau, "sigma_ns": sigma_ns},
         best_value=value,
         evaluations=len(history),
         history=history,
@@ -382,9 +356,10 @@ def fit_analytic_pulse(
     init: AnalyticPulseParams,
     source_label: str,
     destination_label: str,
-    cfg: AnalyticConfig = AnalyticConfig(),
+    *,
+    dt_ns: float = ANALYTIC_DT_NS,
 ) -> tuple:
-    """Two-stage fit of the closed-form pulse.
+    """Two-stage fit of the closed-form pulse, sampled at dt_ns.
 
     Stage 1 moves the amplitudes and switch times with the widths frozen;
     stage 2 relaxes the widths around the stage-1 optimum.  Stage 2 starts
@@ -401,8 +376,8 @@ def fit_analytic_pulse(
             penalty += _PENALTY * (p.tau2 - p.tau3) ** 2
         if penalty > 0.0:
             return 1.0 + penalty
-        wf = Waveform(dt=cfg.dt_ns, samples=clamp_samples(
-            analytic_pulse(p, cfg.dt_ns).samples, params.omega_tc_max))
+        wf = Waveform(dt=dt_ns, samples=clamp_samples(
+            analytic_pulse(p, dt_ns).samples, params.omega_tc_max))
         return transfer_errors(params, wf, source_label, destination_label)[0]
 
     def stage(fields, frozen: AnalyticPulseParams, spread: float):

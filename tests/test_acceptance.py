@@ -11,6 +11,7 @@ reverse-error dip found for the 0.45 GHz reference.
 """
 
 import filecmp
+import inspect
 import json
 import time
 from dataclasses import replace
@@ -37,8 +38,6 @@ from lctpulse.model import (
     sweep_eigenvalues,
 )
 from lctpulse.optimize import (
-    ReversibilityConfig,
-    TruncationConfig,
     fit_analytic_pulse,
     optimize_reversible,
     optimize_truncation,
@@ -138,7 +137,7 @@ def reversible(params, base_config, bare):
         params,
         bare["run"].waveform,
         base_config,
-        ReversibilityConfig(lambda2_init=LAMBDA2_INIT),
+        lambda2_init=LAMBDA2_INIT,
     )
     return {"waveform": wf, "report": rep, "wall": time.perf_counter() - t0}
 
@@ -332,8 +331,8 @@ def test_criterion_7_reversibility_search(params, base_config, bare, reversible)
     # The search runs one lambda2 per cutoff, so a cutoff x lambda2 grid
     # runs here: lambda2_init and 16 gains spread over 100..1000.  Forward
     # transfer should not depend on lambda2 anywhere in that working range.
-    cfg = ReversibilityConfig(lambda2_init=LAMBDA2_INIT)
-    lambdas = [cfg.lambda2_init, *np.linspace(100.0, 1000.0, 16).tolist()]
+    cutoffs = inspect.signature(optimize_reversible).parameters["cutoff_candidates_ghz"].default
+    lambdas = [LAMBDA2_INIT, *np.linspace(100.0, 1000.0, 16).tolist()]
     _, grid_errors, _ = run_lct_lockstep(params, [
         refined_config(
             base_config,
@@ -341,7 +340,7 @@ def test_criterion_7_reversibility_search(params, base_config, bare, reversible)
                            omega_tc_max=params.omega_tc_max),
             lam2,
         )
-        for cutoff in sorted(cfg.cutoff_candidates_ghz) for lam2 in lambdas
+        for cutoff in sorted(cutoffs) for lam2 in lambdas
     ])
     grid_forward = float(grid_errors.max())
     ok = (
@@ -366,7 +365,7 @@ def test_criterion_7_reversibility_search(params, base_config, bare, reversible)
 
 def test_criterion_8_truncated_pulse(params, base_config, reversible):
     wf, rep = optimize_truncation(
-        params, reversible["waveform"], "100", "010", TruncationConfig(sigma_ns=1.0)
+        params, reversible["waveform"], "100", "010", sigma_ns=1.0
     )
     ok = (
         rep.converged

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lctpulse
-from lctpulse import LctConfig, cli, lct
+from lctpulse import LctConfig, SystemParams, cli, lct, sweep_eigenvalues
 from lctpulse.cli import main
 from lctpulse.dynamics import CHUNK
 from lctpulse.io import device_from_config, read_waveform_csv, write_waveform_csv
@@ -308,17 +308,22 @@ def test_nan_shift_in_the_real_kernel_exits_3_leaving_no_file(tmp_path, monkeypa
 
 
 def test_lct_failing_before_the_loop_opens_no_file(tmp_path, monkeypatch, capsys):
-    # A t_max that is not a whole number of samples is refused before the
-    # first step: io reads the config and never opens trajectory.csv.
+    # A t_max that is not a whole number of samples, or that is one sample
+    # long (a waveform holds two), is refused before the first step: io
+    # reads the config and never opens trajectory.csv.
     opened = []
     monkeypatch.setattr(lctpulse.io, "open", raising=False,
                         value=lambda path, *args: opened.append(path) or open(path, *args))
-    cfg = _config(tmp_path, lct={**LCT_SHORT, "t_max_ns": 40.005})
-    code, out = _run(tmp_path, "lct", "--config", cfg)
-    assert code == 1
-    assert "integer number of samples" in capsys.readouterr().err
-    assert opened == [cfg]
-    assert list(out.iterdir()) == []
+    for command, t_max, message in (("lct", 40.005, "integer number of samples"),
+                                    ("lct", 0.01, "t_max shorter than two samples"),
+                                    ("optimize", 0.01, "t_max shorter than two samples")):
+        opened.clear()
+        cfg = _config(tmp_path, lct={**LCT_SHORT, "t_max_ns": t_max})
+        code, out = _run(tmp_path / f"{command}-{t_max}", command, "--config", cfg)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert opened == [cfg]
+        assert list(out.iterdir()) == []
 
 
 def test_cli_leaves_openssl_unloaded(tmp_path):
@@ -419,6 +424,26 @@ def test_degenerate_device_is_a_numerical_error(tmp_path):
     code = main(["spectrum", "--config", str(path),
                  "--out-dir", str(tmp_path / "d"), "--steps", "11"])
     assert code == 3
+
+
+def test_crossing_between_excitation_blocks_is_not_degenerate(tmp_path):
+    # At this shift block 1's top level and block 2's lowest cross to
+    # rounding.  Levels of different blocks couple exactly 0, so the pair
+    # is written as the -0.0 of every other cross-block pair, not refused.
+    device = {"qubit_freqs_ghz": [1.0, 1.2], "couplings_ghz": [0.1, 0.071],
+              "tc_max_freq_ghz": 7.445}
+    delta = -5.272077218157733
+    sweep = sweep_eigenvalues(SystemParams.from_ghz(**device), [TWO_PI * delta])
+    assert abs(sweep.levels[0, 4] - sweep.levels[0, 3]) < 1e-9
+    block = np.repeat(np.arange(4), [1, 3, 3, 1])  # each merged column's block
+    assert sorted(block[sweep.order[0, 3:5]]) == [1, 2]
+    cfg = tmp_path / "crossing.json"
+    cfg.write_text(json.dumps({"device": device}))
+    code, out = _run(tmp_path, "spectrum", "--config", str(cfg),
+                     "--range", str(delta), str(delta), "--steps", "1")
+    assert code == 0
+    header, row = ((out / "couplings.csv").read_text().splitlines())
+    assert dict(zip(header.split(","), row.split(",")))["d_45"] == "-0.000000000000e+00"
 
 
 def test_lct_reruns_are_byte_identical(tmp_path):

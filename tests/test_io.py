@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import inspect
 import json
+import pathlib
 import sys
 
 import numpy as np
@@ -9,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import record_lct
 from lctpulse import ConfigError, SystemParams, Waveform
-from lctpulse import io
+from lctpulse import io, optimize
 from lctpulse.io import (
     CHUNK,
-    FilterConfig,
     _write_csv,
     analytic_params_from_dict,
     analytic_params_to_dict,
@@ -24,7 +25,7 @@ from lctpulse.io import (
     load_config,
     read_waveform_csv,
     report_to_dict,
-    reversibility_config_from,
+    reversibility_section,
     truncation_section,
     write_eigenvalue_sweep_csv,
     write_flux_csv,
@@ -35,10 +36,9 @@ from lctpulse.io import (
 )
 from lctpulse.lct import LctConfig, population_rows, run_lct
 from lctpulse.optimize import (
-    AnalyticConfig,
     OptimizationReport,
-    TruncationConfig,
     fit_analytic_pulse,
+    optimize_reversible,
     optimize_truncation,
 )
 from lctpulse.pulses import AnalyticPulseParams, clamp_floor, fourier_spectrum
@@ -133,7 +133,7 @@ def test_integer_keys_take_whole_numbers_only():
     for value in (3, 3.0):
         n_prime = lct_config_from({"lct": {**lct, "n_prime": value}}).n_prime
         assert n_prime == 3 and type(n_prime) is int
-        max_evals = truncation_section({"truncation": {"max_evals": value}}).max_evals
+        max_evals = truncation_section({"truncation": {"max_evals": value}})["max_evals"]
         assert max_evals == 3 and type(max_evals) is int
     for value in (2.7, True, False, float("inf"), float("nan"), "x"):
         with pytest.raises(ConfigError, match="section 'lct', key 'n_prime'"):
@@ -156,29 +156,31 @@ def test_lct_section_missing_key():
 
 
 def test_reversibility_section_defaults_and_overrides():
-    assert reversibility_config_from({}).lambda2_init == 300.0
-    cfg = reversibility_config_from(
+    # A section that sets nothing leaves every setting at the driver's default.
+    assert reversibility_section({}) == {}
+    assert inspect.signature(optimize_reversible).parameters["lambda2_init"].default == 300.0
+    sec = reversibility_section(
         {"reversibility": {"lambda2_init": 598.14,
                            "cutoff_candidates_ghz": [0.45, 0.5]}})
-    assert cfg.lambda2_init == 598.14
-    assert cfg.cutoff_candidates_ghz == (0.45, 0.5)
+    assert sec["lambda2_init"] == 598.14
+    assert sec["cutoff_candidates_ghz"] == (0.45, 0.5)
     with pytest.raises(ConfigError):
-        reversibility_config_from({"reversibility": {"lambda2_init": "x"}})
+        reversibility_section({"reversibility": {"lambda2_init": "x"}})
     # Keys this version no longer reads fail loudly instead of being ignored.
     with pytest.raises(ConfigError, match="max_outer_iters"):
-        reversibility_config_from(
+        reversibility_section(
             {"reversibility": {"lambda2_init": 598.14, "max_outer_iters": 8}})
     # The simplex fallback's knobs went with it, and the spread grid's bounds.
     for key, value in (("simplex_tolerance", 1e-3), ("max_evals", 60),
                        ("lambda2_bounds", [100.0, 1000.0])):
         with pytest.raises(ConfigError, match=key):
-            reversibility_config_from({"reversibility": {key: value}})
+            reversibility_section({"reversibility": {key: value}})
 
 
 def test_cutoffs_take_a_non_empty_list_of_positive_numbers_only():
     def cutoffs(value):
-        return reversibility_config_from(
-            {"reversibility": {"cutoff_candidates_ghz": value}}).cutoff_candidates_ghz
+        return reversibility_section(
+            {"reversibility": {"cutoff_candidates_ghz": value}})["cutoff_candidates_ghz"]
 
     assert cutoffs([0.45, 1]) == (0.45, 1.0)
     # float() over the value would read "045" as (0.0, 4.0, 5.0), an
@@ -194,8 +196,8 @@ def test_fidelity_goals_lie_strictly_between_0_and_1():
     # The reversibility search's is the one goal a config sets; truncation
     # and the fit pass at optimize.FIDELITY_GOAL.
     def goal(value):
-        return reversibility_config_from(
-            {"reversibility": {"fidelity_goal": value}}).fidelity_goal
+        return reversibility_section(
+            {"reversibility": {"fidelity_goal": value}})["fidelity_goal"]
 
     assert goal(1e-6) == 1e-6 and goal(0.5) == 0.5
     for value in (0, 0.0, 1, 1.0, -1.0, 2.0, float("nan"), True, False, "x"):
@@ -205,9 +207,9 @@ def test_fidelity_goals_lie_strictly_between_0_and_1():
 
 def test_cutoffs_widths_and_steps_are_positive_and_gains_not_negative():
     readers = {
-        ("filter", "cutoff_ghz"): lambda sec: filter_section(sec).cutoff_ghz,
-        ("truncation", "sigma_ns"): lambda sec: truncation_section(sec).sigma_ns,
-        ("analytic", "dt_ns"): lambda sec: analytic_section(sec).dt_ns,
+        ("filter", "cutoff_ghz"): lambda sec: filter_section(sec)[0],
+        ("truncation", "sigma_ns"): lambda sec: truncation_section(sec)["sigma_ns"],
+        ("analytic", "dt_ns"): lambda sec: analytic_section(sec)[2],
     }
     for (name, key), read in readers.items():
         assert read({name: {key: 0.45}}) == 0.45
@@ -217,8 +219,8 @@ def test_cutoffs_widths_and_steps_are_positive_and_gains_not_negative():
                 read({name: {key: value}})
 
     def lambda2_init(value):
-        return reversibility_config_from(
-            {"reversibility": {"lambda2_init": value}}).lambda2_init
+        return reversibility_section(
+            {"reversibility": {"lambda2_init": value}})["lambda2_init"]
 
     assert lambda2_init(0) == 0.0 and lambda2_init(598.15) == 598.15
     for value in (-5, -1e-9, float("nan"), float("inf"), True):
@@ -232,10 +234,9 @@ def test_truncation_and_analytic_sections_reject_unknown_keys():
                 "sigma2_ns": 0.2, "sigma3_ns": 1.83}
     every_key = {"truncation": {"sigma_ns": 1.0, "max_evals": 60},
                  "analytic": {**analytic, "fit": False, "dt_ns": 0.01}}
-    assert truncation_section(every_key) == TruncationConfig(**every_key["truncation"])
-    assert analytic_section(every_key) == AnalyticConfig(
-        analytic_params_from_dict(analytic), fit=False, dt_ns=0.01)
-    assert truncation_section({}) == TruncationConfig()
+    assert truncation_section(every_key) == every_key["truncation"]
+    assert analytic_section(every_key) == (analytic_params_from_dict(analytic), False, 0.01)
+    assert truncation_section({}) == {}
     with pytest.raises(ConfigError, match="missing config section 'analytic'"):
         analytic_section({})
     # A key the truncation search never reads from config, and a misspelt one.
@@ -255,8 +256,8 @@ def test_device_lct_and_filter_sections_reject_unknown_keys():
     with pytest.raises(ConfigError, match=r"section 'lct': unknown keys \['lamda2', 'n_primes'\]"):
         lct_config_from({"lct": {**lct, "n_primes": 2, "lamda2": 3}})
     every_key = {"cutoff_ghz": 0.3, "clamp": False}
-    assert filter_section({"filter": every_key}) == FilterConfig(**every_key)
-    assert filter_section({}) == FilterConfig()
+    assert filter_section({"filter": every_key}) == (0.3, False)
+    assert filter_section({}) == (0.45, True)
     with pytest.raises(ConfigError, match=r"section 'filter': unknown keys \['cutof_ghz'\]"):
         filter_section({"filter": {"cutof_ghz": 0.3}})
     for value in (0.45, [0.3]):
@@ -266,29 +267,81 @@ def test_device_lct_and_filter_sections_reject_unknown_keys():
         device_from_config({"device": [5.890, 5.031]})
 
 
+# README's stage defaults, by section.
+_DOCUMENTED_DEFAULTS = {
+    "reversibility": {"lambda2_init": 300.0, "cutoff_candidates_ghz": (0.40, 0.45, 0.50),
+                      "fidelity_goal": 1e-6},
+    "truncation": {"sigma_ns": 1.0, "max_evals": 60},
+    "filter": {"cutoff_ghz": 0.45, "clamp": True},
+    "analytic": {"fit": True, "dt_ns": 0.01},
+}
+
+
+def _default_sites(trees: list, name: str) -> list:
+    """Each expression that gives the setting `name` its value when none is
+    set: a parameter's default, or the default of a .get("name", default)."""
+    sites = []
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.arguments):
+            args = node.posonlyargs + node.args
+            defaults = [*zip(args[len(args) - len(node.defaults):], node.defaults),
+                        *zip(node.kwonlyargs, node.kw_defaults)]
+            sites += [d for a, d in defaults if a.arg == name and d is not None]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and len(node.args) == 2
+              and isinstance(node.args[0], ast.Constant) and node.args[0].value == name):
+            sites.append(node.args[1])
+    return sites
+
+
 def test_stage_defaults_have_one_source():
-    # Each stage's defaults live in its config: a section that omits every
-    # optional key, and one that spells out every documented default, read
-    # as the default instance, and so do the drivers called without one.
-    documented = {
-        "filter": (filter_section, FilterConfig(), {"cutoff_ghz": 0.45, "clamp": True}),
-        "truncation": (truncation_section, TruncationConfig(),
-                       {"sigma_ns": 1.0, "max_evals": 60}),
-        "analytic": (analytic_section, AnalyticConfig(),
-                     {"fit": True, "dt_ns": 0.01}),
-    }
-    for name, (read, default, spelt_out) in documented.items():
-        assert read({name: {}}) == default, name
-        assert read({name: spelt_out}) == default, name
+    # The drivers take their settings as keywords, whose defaults are README's.
+    drivers = {"reversibility": optimize_reversible, "truncation": optimize_truncation}
+    for name, driver in drivers.items():
+        parameters = inspect.signature(driver).parameters
+        for key, value in _DOCUMENTED_DEFAULTS[name].items():
+            assert parameters[key].default == value, key
+    assert inspect.signature(fit_analytic_pulse).parameters["dt_ns"].default == 0.01
+
+    # A section that omits every key and one that spells out every default
+    # lead to the same call, with README's values.
+    def call(read, name, base, spelt_out):
+        out = read({name: {**base, **spelt_out}})
+        if name not in drivers:
+            return out
+        bound = inspect.signature(drivers[name]).bind_partial(**out)
+        bound.apply_defaults()
+        return dict(bound.arguments)
+
     shape = {"alpha1_ghz": -1.591, "alpha3_ghz": -2.457, "tau1_ns": 7.2, "tau2_ns": 8.9,
              "tau3_ns": 11.4, "sigma1_ns": 1.37, "sigma2_ns": 0.2, "sigma3_ns": 1.83}
     form = analytic_params_from_dict(shape)
-    assert analytic_section({"analytic": shape}) == AnalyticConfig(form=form)
-    assert analytic_section({"analytic": {**shape, "dt_ns": 0.05}}) == \
-        AnalyticConfig(form=form, dt_ns=0.05)
-    for driver, default in ((optimize_truncation, TruncationConfig()),
-                            (fit_analytic_pulse, AnalyticConfig())):
-        assert inspect.signature(driver).parameters["cfg"].default == default
+    readers = {"reversibility": (reversibility_section, {}),
+               "truncation": (truncation_section, {}),
+               "filter": (filter_section, {}), "analytic": (analytic_section, shape)}
+    for name, (read, base) in readers.items():
+        spelt_out = json.loads(json.dumps(_DOCUMENTED_DEFAULTS[name]))  # as a config holds it
+        assert call(read, name, base, {}) == call(read, name, base, spelt_out), name
+    assert filter_section({}) == (0.45, True)
+    assert analytic_section({"analytic": shape}) == (form, True, 0.01)
+    assert analytic_section({"analytic": {**shape, "dt_ns": 0.05}}) == (form, True, 0.05)
+
+    # Each default is written once in the package: one literal, or one named
+    # constant assigned once.
+    trees = [ast.parse(path.read_text())
+             for path in sorted(pathlib.Path(io.__file__).parent.glob("*.py"))]
+    assigned = [t.id for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)]
+    for key, value in ((k, v) for sec in _DOCUMENTED_DEFAULTS.values() for k, v in sec.items()):
+        sites = _default_sites(trees, key)
+        literals = [ast.literal_eval(d) for d in sites if not isinstance(d, ast.Name)]
+        constants = {d.id for d in sites if isinstance(d, ast.Name)}
+        assert len(literals) + len(constants) == 1, key
+        if constants:
+            (constant,) = constants
+            assert assigned.count(constant) == 1, constant
+            literals = [getattr(optimize, constant)]
+        assert literals == [value], key
 
 
 def test_analytic_params_roundtrip():

@@ -355,6 +355,19 @@ def test_degenerate_pair_raises():
         sweep_nonadiabatic_couplings(sweep_eigenvalues(sym, deltas), [(0, 1), (1, 2)])
 
 
+def test_cross_block_pair_couples_zero_at_an_exact_crossing(params):
+    # Levels 3 and 4 lie in blocks 1 and 2; made to cross exactly, the pair
+    # still couples 0 (no 0/0), and a same-block pair keeps its value.
+    sweep = sweep_eigenvalues(params, TWO_PI * np.array([-1.0]))
+    block = np.repeat(np.arange(4), [1, 3, 3, 1])  # each merged column's block
+    assert sorted(block[sweep.order[0, 3:5]]) == [1, 2]
+    d23 = sweep_nonadiabatic_couplings(sweep, [(2, 3)])[0, 0]
+    sweep.levels[0, 4] = sweep.levels[0, 3]
+    with np.errstate(all="raise"):
+        d = sweep_nonadiabatic_couplings(sweep, [(3, 4), (2, 3)])
+    assert d[0, 0] == 0.0 and d[0, 1] == d23 != 0.0
+
+
 def test_near_zero_coupling_gives_near_zero_d(params):
     # Couplings scale as 1/gap near a crossing, so even g = 1e-9 leaves
     # residues approaching 1e-7 at grid points adjacent to resonances.

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,7 @@ from lctpulse import optimize
 from lctpulse.io import report_to_dict
 from lctpulse.lct import refined_config, run_lct_lockstep
 from lctpulse.optimize import (
-    AnalyticConfig,
     OptimizationReport,
-    ReversibilityConfig,
-    TruncationConfig,
     fit_analytic_pulse,
     nelder_mead,
     optimize_reversible,
@@ -124,9 +123,9 @@ def test_report_rejects_out_of_range_errors():
 
 
 def test_reversibility_config_defaults():
-    cfg = ReversibilityConfig()
-    assert cfg.cutoff_candidates_ghz == (0.40, 0.45, 0.50)
-    assert cfg.fidelity_goal == 1e-6
+    parameters = inspect.signature(optimize_reversible).parameters
+    assert parameters["cutoff_candidates_ghz"].default == (0.40, 0.45, 0.50)
+    assert parameters["fidelity_goal"].default == 1e-6
 
 
 def test_reverse_error_identity_on_idle_pulse(params):
@@ -182,7 +181,7 @@ def test_forward_and_reverse_share_one_endpoint_product(params, monkeypatch):
 def test_truncation_requires_a_transferring_pulse(params):
     wf = Waveform(dt=0.05, samples=np.zeros(200))
     with pytest.raises(ConvergenceError):
-        optimize_truncation(params, wf, "100", "010", TruncationConfig(sigma_ns=1.0))
+        optimize_truncation(params, wf, "100", "010", sigma_ns=1.0)
 
 
 def test_truncation_reports_the_simplex_best(params, monkeypatch):
@@ -203,8 +202,7 @@ def test_truncation_reports_the_simplex_best(params, monkeypatch):
         return simplex[-1]
 
     monkeypatch.setattr(optimize, "nelder_mead", recorded)
-    out, report = optimize_truncation(
-        params, wf, "100", "010", TruncationConfig(sigma_ns=1.0))
+    out, report = optimize_truncation(params, wf, "100", "010", sigma_ns=1.0)
     assert any(point[0] == wf.duration for point, _ in report.history)
     assert report.best_value == simplex[0][1] == 1e-3
     assert report.converged == (report.best_value < 1e-6)
@@ -244,7 +242,7 @@ def simplex_calls(monkeypatch):
 
 
 def _search(bare, **kw):
-    return optimize_reversible(_FAST, bare, _FAST_BASE, ReversibilityConfig(**kw))
+    return optimize_reversible(_FAST, bare, _FAST_BASE, **kw)
 
 
 @pytest.fixture
@@ -379,7 +377,7 @@ def test_simplex_histories_are_keyed_x_i_in_the_reports(fast_bare, monkeypatch):
     # x0, x1, ... in the JSON report.  Truncation moves tau alone, and the
     # fit moves five shape keys, then three widths.
     wf, _ = _search(fast_bare, cutoff_candidates_ghz=(0.45,), fidelity_goal=0.5)
-    _, rep = optimize_truncation(_FAST, wf, "100", "010", TruncationConfig(max_evals=6))
+    _, rep = optimize_truncation(_FAST, wf, "100", "010", max_evals=6)
     history = report_to_dict(rep)["history"]
     assert len(history) == rep.evaluations > 1
     assert all(list(h["params"]) == ["x0"] for h in history)
@@ -388,7 +386,7 @@ def test_simplex_histories_are_keyed_x_i_in_the_reports(fast_bare, monkeypatch):
     monkeypatch.setattr(optimize, "_FIT_MAX_EVALS", 8)
     start = AnalyticPulseParams(alpha1=-10.0, alpha3=-15.4, tau1=7.2, tau2=8.9, tau3=11.4,
                                 sigma1=1.37, sigma2=0.2, sigma3=1.83)
-    _, rep = fit_analytic_pulse(_FAST, start, "100", "010", AnalyticConfig())
+    _, rep = fit_analytic_pulse(_FAST, start, "100", "010")
     keys = [list(h["params"]) for h in report_to_dict(rep)["history"]]
     stage1 = sum(len(k) == 5 for k in keys)
     assert 8 <= stage1 <= len(keys) - 8 and len(keys) == rep.evaluations
