@@ -1,12 +1,13 @@
-"""Command-line front end.
+"""Command-line front end: it orchestrates the stages.
 
 One config document drives every subcommand; sections it does not need
-are ignored, a section it reads rejects keys it does not know, and
-optional pipeline stages switch off when their section is absent.  The
-config's bytes and argv set every value a run uses: each setting has one
-source, and `filter` and `truncate` read the pulse file --pulse names.
-All files land in --out-dir together with a manifest naming them.  A
-usage error, as argparse finds it, is a config error (exit 1).
+are ignored, and optional pipeline stages switch off when their section
+is absent.  io reads and checks every outside value (the config and the
+pulse files it or --pulse names); this module checks only its own argv
+and the pulses it writes.  The config's bytes and argv set every value a
+run uses: each setting has one source.  All files land in --out-dir
+together with a manifest naming them.  A usage error, as argparse finds
+it, is a config error (exit 1).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from . import io
 from .errors import ConfigError, ConvergenceError, DegenerateLevelsError, UnknownLabelError
 from .lct import population_rows, run_lct
 from .model import single_excitation_gap_minima, sweep_eigenvalues, sweep_nonadiabatic_couplings
-from .optimize import fit_analytic_pulse, optimize_reversible, optimize_truncation, transfer_errors
+from .optimize import (ANALYTIC_DT_NS, fit_analytic_pulse, optimize_reversible,
+                       optimize_truncation, transfer_errors)
 from .pulses import analytic_pulse, fourier_spectrum, lowpass_filter
 from .units import TWO_PI
 
@@ -42,22 +44,9 @@ def _out(ctx: dict, name: str) -> str:
 def _run_inputs(ctx: dict):
     """The device and the `lct` section's LctConfig, read once per invocation."""
     if "run_inputs" not in ctx:
-        doc = ctx["doc"]
-        params = io.device_from_config(doc)
-        config = io.lct_config_from(doc)
-        if config.reference is not None:
-            _in_window(params, config.reference, doc["lct"]["reference_pulse_path"])
-        ctx["run_inputs"] = params, config
+        params = io.device_from_config(ctx["doc"])
+        ctx["run_inputs"] = params, io.lct_config_from(ctx["doc"], params.omega_tc_max)
     return ctx["run_inputs"]
-
-
-def _in_window(params, wf, path: str):
-    """wf, read from path, if every sample lies in the coupler's window."""
-    try:
-        wf.validate_range(params.omega_tc_max)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return wf
 
 
 # ----------------------------------------------------------------
@@ -152,7 +141,7 @@ def cmd_filter(ctx: dict) -> None:
     doc, path = ctx["doc"], ctx["args"].pulse
     params = io.device_from_config(doc)
     cutoff_ghz, clamp = io.filter_section(doc)
-    wf = _in_window(params, io.read_waveform_csv(path), path)
+    wf = io.read_waveform_csv(path, params.omega_tc_max)
     filtered = lowpass_filter(
         wf, cutoff_ghz, omega_tc_max=params.omega_tc_max if clamp else None)
     _write_pulse_set(ctx, "filtered", params, filtered)
@@ -189,8 +178,7 @@ def cmd_truncate(ctx: dict, pulse=None, settings=None):
         settings = io.truncation_section(ctx["doc"])
     params, base = _run_inputs(ctx)
     if pulse is None:
-        path = ctx["args"].pulse
-        pulse = _in_window(params, io.read_waveform_csv(path), path)
+        pulse = io.read_waveform_csv(ctx["args"].pulse, params.omega_tc_max)
 
     wf, report = optimize_truncation(params, pulse, base.initial_label, base.target_label,
                                      **settings)
@@ -203,34 +191,18 @@ def cmd_truncate(ctx: dict, pulse=None, settings=None):
     return wf
 
 
-def _analytic_section(ctx: dict) -> tuple:
-    """The `analytic` section's (form, fit, dt_ns), checked before anything
-    is written: it gives a closed form, which must be valid as it stands
-    unless it is fitted."""
-    form, fit, _ = section = io.analytic_section(ctx["doc"])
-    params, _ = _run_inputs(ctx)
-    if form is None:
-        raise ConfigError("section 'analytic': no closed form; give its eight shape keys")
-    if not fit:
-        try:
-            form.validate(params.omega_tc_max)
-        except ValueError as exc:
-            raise ConfigError(f"section 'analytic': {exc}") from exc
-    return section
-
-
 @_stage
 def cmd_analytic(ctx: dict, section=None) -> None:
     """The closed form of the section handed on, else the config's, fitted
-    unless fit is false, and sampled at dt_ns."""
-    form, fit, dt_ns = section or _analytic_section(ctx)
+    unless fit is false, and sampled at ANALYTIC_DT_NS.  A fit that misses
+    its goal raises ConvergenceError once every file is written."""
     params, base = _run_inputs(ctx)
+    form, fit = section or io.analytic_section(ctx["doc"], params.omega_tc_max)
     if fit:
-        form, report = fit_analytic_pulse(
-            params, form, base.initial_label, base.target_label, dt_ns=dt_ns)
+        form, report = fit_analytic_pulse(params, form, base.initial_label, base.target_label)
         io.write_json(_out(ctx, "analytic_report.json"), io.report_to_dict(report))
     io.write_json(_out(ctx, "analytic_params.json"), io.analytic_params_to_dict(form))
-    wf = analytic_pulse(form, dt_ns, omega_tc_max=params.omega_tc_max)
+    wf = analytic_pulse(form, ANALYTIC_DT_NS, omega_tc_max=params.omega_tc_max)
     _write_pulse_set(ctx, "analytic", params, wf)
 
     err = transfer_errors(params, wf, base.initial_label, base.target_label)[0]
@@ -238,6 +210,8 @@ def cmd_analytic(ctx: dict, section=None) -> None:
         "final_error": err, "duration_ns": wf.duration,
     })
     print(f"analytic pulse: {wf.duration:.2f} ns, error {err:.3e}")
+    if fit and not report.converged:
+        raise ConvergenceError(f"analytic fit stalled at {report.best_value:.3e}")
 
 
 def cmd_pipeline(ctx: dict) -> None:
@@ -247,7 +221,9 @@ def cmd_pipeline(ctx: dict) -> None:
     # Each later section is read once, before the search spends its time,
     # and its settings are handed on.
     truncation = io.truncation_section(doc) if doc.get("truncation") is not None else None
-    analytic = _analytic_section(ctx) if doc.get("analytic") is not None else None
+    params, _ = _run_inputs(ctx)
+    analytic = (io.analytic_section(doc, params.omega_tc_max)
+                if doc.get("analytic") is not None else None)
     stage = "optimize"
     try:
         pulse = cmd_optimize(ctx)

@@ -1,6 +1,9 @@
 """Config ingestion and file export.
 
-Everything that touches disk lives here.  The unit convention at the
+Everything that touches disk lives here, and every outside value is
+checked whole where it is read: a reader returns a finished input (a
+pulse file on a grid from 0 inside the coupler's window, a closed form
+the stage can use) or raises ConfigError.  The unit convention at the
 boundary is plain frequencies in GHz and times in ns; conversion to the
 angular internal units happens on load and on write, nowhere else.
 """
@@ -17,7 +20,7 @@ import numpy as np
 from .errors import ConfigError
 from .lct import LctConfig
 from .model import SystemParams
-from .optimize import ANALYTIC_DT_NS, DEFAULT_ANALYTIC_BOUNDS, OptimizationReport
+from .optimize import DEFAULT_ANALYTIC_BOUNDS, OptimizationReport
 from .pulses import AnalyticPulseParams, PulseSpectrum, Waveform
 from .units import TWO_PI
 
@@ -144,16 +147,16 @@ _LCT_KEYS = {"lambda": _non_negative, "eta": _weight, "dt_ns": _positive,
 _LCT_REQUIRED = ("lambda", "eta", "dt_ns", "t_max_ns", "initial", "target")
 
 
-def lct_config_from(doc: dict) -> LctConfig:
+def lct_config_from(doc: dict, omega_tc_max: float) -> LctConfig:
     """Build an LctConfig from the `lct` section.
 
-    `reference_pulse_path` is resolved and loaded here so the returned
-    config is self-contained; with it, `lambda` is the gain of the
-    correction term.
+    `reference_pulse_path` is resolved and loaded here, inside the
+    window of the coupler at omega_tc_max, so the returned config is
+    self-contained; with it, `lambda` is the gain of the correction term.
     """
     sec = _section(doc, "lct", _LCT_KEYS, _LCT_REQUIRED)
     ref_path = sec.get("reference_pulse_path")
-    reference = None if ref_path is None else read_waveform_csv(ref_path)
+    reference = None if ref_path is None else read_waveform_csv(ref_path, omega_tc_max)
     return LctConfig(
         lambda_=sec["lambda"], eta=sec["eta"], dt=sec["dt_ns"], t_max=sec["t_max_ns"],
         initial_label=sec["initial"], target_label=sec["target"],
@@ -190,35 +193,32 @@ _ANALYTIC_FIELDS = {
     "tau1_ns": ("tau1", 1.0), "tau2_ns": ("tau2", 1.0), "tau3_ns": ("tau3", 1.0),
     "sigma1_ns": ("sigma1", 1.0), "sigma2_ns": ("sigma2", 1.0), "sigma3_ns": ("sigma3", 1.0),
 }
-_ANALYTIC_KEYS = {**dict.fromkeys(_ANALYTIC_FIELDS, _finite),
-                  "fit": _boolean, "dt_ns": _positive}
+_ANALYTIC_KEYS = {**dict.fromkeys(_ANALYTIC_FIELDS, _finite), "fit": _boolean}
 
 
-def analytic_section(doc: dict) -> tuple:
-    """(form, fit, dt_ns) from the `analytic` section, which the analytic
-    stage requires.  The eight shape keys give the closed form, all or none
-    (form None); fit, true unless set, says whether the CLI fits it, and
-    then each must lie inside the fit's bounds.  The pulse is sampled at
-    dt_ns, optimize.ANALYTIC_DT_NS unless set."""
-    sec = _section(doc, "analytic", _ANALYTIC_KEYS, required=())
-    shape = {key: sec.pop(key) for key in _ANALYTIC_FIELDS if key in sec}
-    form = analytic_params_from_dict(shape) if shape else None
+def analytic_section(doc: dict, omega_tc_max: float) -> tuple:
+    """(form, fit) from the `analytic` section, which the analytic stage
+    requires with its eight shape keys.  fit, true unless set, says
+    whether the CLI fits the form: a fitted start must lie inside the
+    fit's bounds, and an unfitted form must be a pulse the coupler at
+    omega_tc_max can play."""
+    sec = _section(doc, "analytic", _ANALYTIC_KEYS, tuple(_ANALYTIC_FIELDS))
+    form = AnalyticPulseParams(**{field: factor * sec[key]
+                                  for key, (field, factor) in _ANALYTIC_FIELDS.items()})
     fit = sec.get("fit", True)
-    if fit and shape:
+    if fit:
         for key, (name, factor) in _ANALYTIC_FIELDS.items():
             lo, hi = DEFAULT_ANALYTIC_BOUNDS[name]
             if not lo <= getattr(form, name) <= hi:
                 raise ConfigError(
-                    f"section 'analytic', key {key!r}: {shape[key]:g} lies outside "
+                    f"section 'analytic', key {key!r}: {sec[key]:g} lies outside "
                     f"the fit's bounds [{lo / factor:.4g}, {hi / factor:.4g}]")
-    return form, fit, sec.get("dt_ns", ANALYTIC_DT_NS)
-
-
-def analytic_params_from_dict(obj: dict) -> AnalyticPulseParams:
-    """Eight named fields, amplitudes in GHz, times/widths in ns."""
-    sec = _section({"analytic": obj}, "analytic", _ANALYTIC_KEYS, tuple(_ANALYTIC_FIELDS))
-    return AnalyticPulseParams(**{field: factor * sec[key]
-                                  for key, (field, factor) in _ANALYTIC_FIELDS.items()})
+    else:
+        try:
+            form.validate(omega_tc_max)
+        except ValueError as exc:
+            raise ConfigError(f"section 'analytic': {exc}") from exc
+    return form, fit
 
 
 def analytic_params_to_dict(p: AnalyticPulseParams) -> dict:
@@ -293,7 +293,9 @@ def write_waveform_csv(path: str, wf: Waveform):
                ["%.9f", GHZ_FMT])
 
 
-def read_waveform_csv(path: str) -> Waveform:
+def read_waveform_csv(path: str, omega_tc_max: float) -> Waveform:
+    """The pulse a waveform CSV holds: a uniform time grid from 0 and
+    every sample inside the window of the coupler at omega_tc_max."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
@@ -305,10 +307,17 @@ def read_waveform_csv(path: str) -> Waveform:
     if not np.isfinite(data).all():
         raise ConfigError(f"{path}: times and samples must be finite")
     t = data[:, 0]
+    if abs(t[0]) > 1e-6:
+        raise ConfigError(f"{path}: time grid starts at {t[0]:.9g} ns, not at 0")
     dt = (t[-1] - t[0]) / (t.size - 1)
     if dt <= 0 or not np.allclose(np.diff(t), dt, rtol=0, atol=1e-6):
         raise ConfigError(f"{path}: time grid is not uniform")
-    return Waveform(dt=float(dt), samples=TWO_PI * data[:, 1])
+    wf = Waveform(dt=float(dt), samples=TWO_PI * data[:, 1])
+    try:
+        wf.validate_range(omega_tc_max)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return wf
 
 
 def write_flux_csv(path: str, params: SystemParams, wf: Waveform):

@@ -85,12 +85,7 @@ class SystemParams:
         read-only (the instance is frozen; a CLI run makes a fresh one)."""
         if k not in self._sectors:
             labels = excitation_labels(self.n_qubits, k)
-            h, g = block_operators(self, labels)
-            spectrum = eigendecompose(h, labels)
-            spectrum.control = g
-            for a in (h, g, spectrum.eigenvalues, spectrum.eigenvectors):
-                a.setflags(write=False)
-            self._sectors[k] = spectrum
+            self._sectors[k] = eigendecompose(*block_operators(self, labels), labels)
         return self._sectors[k]
 
     def sector_of(self, label: str) -> DriftSpectrum:
@@ -180,14 +175,14 @@ class DriftSpectrum:
                     of the block's labels
     hamiltonian     the matrix decomposed
     control         the control generator G = dH/d delta_omega_tc on the
-                    same states; set on a device's sectors (SystemParams.sector)
+                    same states
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    bare_labels: list = field(default_factory=list)
-    hamiltonian: np.ndarray | None = None
-    control: np.ndarray | None = None
+    bare_labels: list
+    hamiltonian: np.ndarray
+    control: np.ndarray
 
     def index_of_label(self, label: str) -> int:
         try:
@@ -235,13 +230,16 @@ def _assign_labels(vectors: np.ndarray, labels: list) -> list:
     return assigned
 
 
-def eigendecompose(h: np.ndarray, labels: list) -> DriftSpectrum:
-    """Ascending eigendecomposition of h, whose basis states are the bare
-    `labels`, with gauge fixing and label assignment."""
+def eigendecompose(h: np.ndarray, g: np.ndarray, labels: list) -> DriftSpectrum:
+    """The spectrum of drift h under control g, whose basis states are the
+    bare `labels`: h's ascending eigendecomposition, gauge-fixed and
+    labelled.  Its arrays are read-only, so that every run can share it."""
     vals, vecs = np.linalg.eigh(h)
     vecs = _gauge_fix(vecs)
+    for a in (h, g, vals, vecs):
+        a.setflags(write=False)
     return DriftSpectrum(eigenvalues=vals, eigenvectors=vecs,
-                         bare_labels=_assign_labels(vecs, labels), hamiltonian=h)
+                         bare_labels=_assign_labels(vecs, labels), hamiltonian=h, control=g)
 
 
 def held_hamiltonians(h: np.ndarray, g: np.ndarray, deltas) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Refinement searches: one lockstep batch and a small Nelder-Mead core.
 
 The reversibility search is one batch; the other two drivers share the
-simplex engine.  Each driver takes its settings as keyword-only arguments,
+simplex engine.  A driver takes its settings as keyword-only arguments,
 whose defaults are the stage's:
 
   optimize_reversible   one cell per filter cutoff at the correction gain
@@ -12,7 +12,8 @@ whose defaults are the stage's:
   optimize_truncation   1-d simplex over the truncation time tau (sigma_ns,
                         max_evals)
   fit_analytic_pulse    two-stage fit of the closed-form pulse (amplitudes
-                        and switch times first, widths second; dt_ns)
+                        and switch times first, widths second), sampled
+                        at ANALYTIC_DT_NS; it has no settings
 
 Truncation and the fit pass at FIDELITY_GOAL; the reversibility search
 takes it as its default goal.  Every objective is deterministic, so
@@ -356,10 +357,8 @@ def fit_analytic_pulse(
     init: AnalyticPulseParams,
     source_label: str,
     destination_label: str,
-    *,
-    dt_ns: float = ANALYTIC_DT_NS,
 ) -> tuple:
-    """Two-stage fit of the closed-form pulse, sampled at dt_ns.
+    """Two-stage fit of the closed-form pulse, sampled at ANALYTIC_DT_NS.
 
     Stage 1 moves the amplitudes and switch times with the widths frozen;
     stage 2 relaxes the widths around the stage-1 optimum.  Stage 2 starts
@@ -376,8 +375,8 @@ def fit_analytic_pulse(
             penalty += _PENALTY * (p.tau2 - p.tau3) ** 2
         if penalty > 0.0:
             return 1.0 + penalty
-        wf = Waveform(dt=dt_ns, samples=clamp_samples(
-            analytic_pulse(p, dt_ns).samples, params.omega_tc_max))
+        wf = Waveform(dt=ANALYTIC_DT_NS, samples=clamp_samples(
+            analytic_pulse(p, ANALYTIC_DT_NS).samples, params.omega_tc_max))
         return transfer_errors(params, wf, source_label, destination_label)[0]
 
     def stage(fields, frozen: AnalyticPulseParams, spread: float):

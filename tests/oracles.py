@@ -34,12 +34,12 @@ def dense_spectrum(params) -> DriftSpectrum:
     """
     labels = product_labels(params.n_qubits)
     order = sorted(range(params.dim), key=lambda i: labels[i].count("1"))
-    h = build_drift_hamiltonian(params)
-    spectrum = eigendecompose(h[np.ix_(order, order)], [labels[i] for i in order])
+    h, g = build_drift_hamiltonian(params), control_generator(params)
+    spectrum = eigendecompose(h[np.ix_(order, order)], g[np.ix_(order, order)],
+                              [labels[i] for i in order])
     return DriftSpectrum(eigenvalues=spectrum.eigenvalues,
                          eigenvectors=spectrum.eigenvectors[np.argsort(order)],
-                         bare_labels=spectrum.bare_labels, hamiltonian=h,
-                         control=control_generator(params))
+                         bare_labels=spectrum.bare_labels, hamiltonian=h, control=g)
 
 
 def single_excitation_block(params) -> tuple:

@@ -438,9 +438,9 @@ def test_criterion_10_invariants_and_determinism(
     # Eigenvector response against an independent finite difference.
     delta = -TWO_PI * 1.3
     labels = product_labels(params.n_qubits)
-    spec0 = eigendecompose(hamiltonian_at(params, delta), labels)
+    spec0 = eigendecompose(hamiltonian_at(params, delta), control_generator(params), labels)
     h = 1e-6
-    spec1 = eigendecompose(hamiltonian_at(params, delta + h), labels)
+    spec1 = eigendecompose(hamiltonian_at(params, delta + h), control_generator(params), labels)
     singles = [
         i for i, lab in enumerate(spec0.bare_labels) if lab.count("1") == 1
     ]

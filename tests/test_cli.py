@@ -12,6 +12,7 @@ from lctpulse import LctConfig, SystemParams, cli, lct, sweep_eigenvalues
 from lctpulse.cli import main
 from lctpulse.dynamics import CHUNK
 from lctpulse.io import device_from_config, read_waveform_csv, write_waveform_csv
+from lctpulse.optimize import OptimizationReport
 from lctpulse.pulses import Waveform, clamp_floor, lowpass_filter
 from lctpulse.units import TWO_PI
 
@@ -172,8 +173,9 @@ def test_out_dir_that_cannot_be_created_exits_1(tmp_path, capsys):
 def test_removed_knobs_exit_1(tmp_path, capsys):
     # Each setting has one source: the seed run is the lct section, the
     # cutoff filter.cutoff_ghz, the input pulse --pulse, the run's gain
-    # lct.lambda and the pass mark of truncation and the fit
-    # optimize.FIDELITY_GOAL.
+    # lct.lambda, the pass mark of truncation and the fit
+    # optimize.FIDELITY_GOAL, and the closed form's sample period
+    # optimize.ANALYTIC_DT_NS.
     pulse_path = str(tmp_path / "in.csv")
     write_waveform_csv(pulse_path, Waveform(dt=0.01, samples=-np.ones(200)))
     cases = (
@@ -191,6 +193,8 @@ def test_removed_knobs_exit_1(tmp_path, capsys):
          ["truncate", "--pulse", pulse_path], "section 'truncation': unknown keys ['fidelity_goal']"),
         ("analytic-goal", {"lct": LCT_SHORT, "analytic": {**ANALYTIC, "fidelity_goal": 1e-6}},
          ["analytic"], "section 'analytic': unknown keys ['fidelity_goal']"),
+        ("analytic-dt", {"lct": LCT_SHORT, "analytic": {**ANALYTIC, "dt_ns": 0.01}},
+         ["analytic"], "section 'analytic': unknown keys ['dt_ns']"),
     )
     for name, sections, argv, message in cases:
         cfg = _config(tmp_path, f"{name}.json", **sections)
@@ -363,7 +367,7 @@ def test_filter_clamp_false_writes_the_raw_filter_output(tmp_path):
         -0.75 + 0.2495 * np.cos(TWO_PI * 0.1 * t) + 4e-4 * np.cos(TWO_PI * 2.0 * t)))
     pulse_path = str(tmp_path / "in.csv")
     write_waveform_csv(pulse_path, wf)
-    wf = read_waveform_csv(pulse_path)
+    wf = read_waveform_csv(pulse_path, params.omega_tc_max)
     raw = lowpass_filter(wf, 0.45)
     assert -params.omega_tc_max < raw.samples.min() < clamp_floor(params.omega_tc_max)
     expected = {"clamped": lowpass_filter(wf, 0.45, omega_tc_max=params.omega_tc_max),
@@ -599,7 +603,7 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
     cases = [("filter", "filter", {}, key, "x") for key in ("cutoff_ghz", "clamp")]
     cases += [("filter", "filter", {}, "clamp", "false")]
     cases += [("truncate", "truncation", {}, key, "x") for key in ("sigma_ns", "max_evals")]
-    cases += [("analytic", "analytic", ANALYTIC, key, "x") for key in ("dt_ns", "fit")]
+    cases += [("analytic", "analytic", ANALYTIC, "fit", "x")]
     cases += [("lct", "lct", LCT_SHORT, key, "x")
               for key in ("lambda", "eta", "dt_ns", "t_max_ns", "n_prime")]
     cases += [("optimize", "reversibility", {}, key, "x")
@@ -616,7 +620,6 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
     cases += [("filter", "filter", {}, "cutoff_ghz", value) for value in (0, -0.45)]
     cases += [("truncate", "truncation", {}, "sigma_ns", value)
               for value in (0, -1)]
-    cases += [("analytic", "analytic", ANALYTIC, "dt_ns", value) for value in (0, -0.01)]
     cases += [("optimize", "reversibility", {}, "lambda2_init", -5)]
     # A pipeline checks its truncation section before the bare run writes.
     cases += [("pipeline", "truncation", {}, "sigma_ns", -1)]
@@ -739,6 +742,46 @@ def test_pulse_outside_the_window_exits_1_before_any_file(tmp_path, capsys):
             assert list(out.iterdir()) == [], (name, argv)
 
 
+def test_pulse_grid_not_starting_at_0_exits_1_before_any_file(tmp_path, capsys):
+    # Read as if it started at 0, a pulse file from 5 ns would be played
+    # 5 ns early: as the input pulse and as a run's reference.
+    pulse_path = str(tmp_path / "late.csv")
+    with open(pulse_path, "w") as fh:
+        fh.write("t_ns,delta_omega_ghz\n5.0,-0.1\n5.5,-0.1\n6.0,-0.1\n6.5,-0.1\n")
+    cfg = _config(tmp_path, lct={**LCT_SHORT, "reference_pulse_path": pulse_path})
+    for argv in (["filter", "--pulse", pulse_path], ["truncate", "--pulse", pulse_path],
+                 ["lct"]):
+        code, out = _run(tmp_path / argv[0], *argv, "--config", cfg)
+        assert code == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {pulse_path}: time grid starts at 5 ns"), argv
+        assert list(out.iterdir()) == [], argv
+
+
+@pytest.mark.parametrize("command", ["analytic", "pipeline"])
+def test_analytic_fit_missing_its_goal_exits_2_after_its_files(
+        tmp_path, monkeypatch, capsys, command):
+    # As optimize and truncate do: the report and the pulse are written,
+    # and the run then fails as a convergence failure.
+    stalled = OptimizationReport(best_params={}, best_value=0.1358, evaluations=1239,
+                                 converged=False, forward_error=0.1358)
+    monkeypatch.setattr(cli, "fit_analytic_pulse", lambda params, form, *args, **kwargs: (
+        form, stalled))
+    cfg = _config(tmp_path, device=FAST_DEVICE, lct=FAST_LCT,
+                  reversibility={"cutoff_candidates_ghz": [0.3, 0.45], "fidelity_goal": 0.5},
+                  analytic={**ANALYTIC, "fit": True})
+    code, out = _run(tmp_path, command, "--config", cfg)
+    assert code == 2
+    prefix = "pipeline stage 'analytic': " if command == "pipeline" else ""
+    assert capsys.readouterr().err == (
+        f"convergence failure: {prefix}analytic fit stalled at 1.358e-01\n")
+    assert json.loads((out / "analytic_report.json").read_text())["converged"] is False
+    for name in ("analytic_params.json", "analytic.csv", "analytic_flux.csv",
+                 "analytic_spectrum.csv", "analytic_summary.json"):
+        assert (out / name).exists(), name
+    assert not (out / "manifest.json").exists()
+
+
 def test_lambda_is_the_gain_of_a_run_with_a_reference(tmp_path, monkeypatch):
     # The bare 40 ns pulse is the reference; lambda then shapes the
     # correction term, unseeded as the reversibility search runs it.
@@ -746,7 +789,7 @@ def test_lambda_is_the_gain_of_a_run_with_a_reference(tmp_path, monkeypatch):
                       _config(tmp_path, "bare.json", lct=LCT_SHORT))
     assert code == 0
     ref_path = str(bare / "waveform.csv")
-    pulses = {}
+    params, pulses = device_from_config({"device": DEVICE}), {}
     monkeypatch.setattr(cli, "run_lct", lambda params, config, sink: pulses.setdefault(
         config.lambda_, lct.run_lct(params, config, sink)))
     for gain in (500.0, 900.0):
@@ -755,8 +798,9 @@ def test_lambda_is_the_gain_of_a_run_with_a_reference(tmp_path, monkeypatch):
         code, _ = _run(tmp_path / str(gain), "lct", "--config", cfg)
         assert code == 0
         config = LctConfig(lambda_=gain, eta=0.0, dt=0.01, t_max=40.0, initial_label="100",
-                           target_label="010", reference=read_waveform_csv(ref_path))
-        expected = lct.run_lct(device_from_config({"device": DEVICE}), config).waveform
+                           target_label="010",
+                           reference=read_waveform_csv(ref_path, params.omega_tc_max))
+        expected = lct.run_lct(params, config).waveform
         np.testing.assert_array_equal(pulses[gain].waveform.samples, expected.samples)
     assert not filecmp.cmp(tmp_path / "500.0" / "out" / "waveform.csv",
                            tmp_path / "900.0" / "out" / "waveform.csv", shallow=False)

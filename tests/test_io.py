@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -15,7 +16,6 @@ from lctpulse import io, optimize
 from lctpulse.io import (
     CHUNK,
     _write_csv,
-    analytic_params_from_dict,
     analytic_params_to_dict,
     analytic_section,
     config_hash,
@@ -52,6 +52,13 @@ DEVICE = {
         "tc_max_freq_ghz": 7.445,
     }
 }
+OMEGA_TC_MAX = device_from_config(DEVICE).omega_tc_max
+
+# The closed form's eight shape keys, and the form they give.
+SHAPE = {"alpha1_ghz": -1.591, "alpha3_ghz": -2.457, "tau1_ns": 7.2, "tau2_ns": 8.9,
+         "tau3_ns": 11.4, "sigma1_ns": 1.37, "sigma2_ns": 0.2, "sigma3_ns": 1.83}
+FORM = AnalyticPulseParams(alpha1=TWO_PI * -1.591, alpha3=TWO_PI * -2.457, tau1=7.2,
+                           tau2=8.9, tau3=11.4, sigma1=1.37, sigma2=0.2, sigma3=1.83)
 
 
 def _write(tmp_path, name, text):
@@ -108,7 +115,7 @@ def test_device_section_errors():
 def test_lct_section(tmp_path):
     doc = {"lct": {"lambda": 27626.0, "eta": 1e-6, "dt_ns": 0.01,
                    "t_max_ns": 450.0, "initial": "100", "target": "010"}}
-    cfg = lct_config_from(doc)
+    cfg = lct_config_from(doc, OMEGA_TC_MAX)
     assert cfg.lambda_ == 27626.0
     assert cfg.dt == 0.01
     assert cfg.reference is None
@@ -121,7 +128,7 @@ def test_lct_section_loads_reference(tmp_path):
     doc = {"lct": {"lambda": 400.0, "eta": 0.0, "dt_ns": 0.01, "t_max_ns": 1.0,
                    "initial": "100", "target": "010",
                    "reference_pulse_path": ref_path}}
-    cfg = lct_config_from(doc)
+    cfg = lct_config_from(doc, OMEGA_TC_MAX)
     assert cfg.reference is not None
     assert cfg.reference.n == 50
     assert cfg.lambda_ == 400.0
@@ -131,13 +138,13 @@ def test_integer_keys_take_whole_numbers_only():
     lct = {"lambda": 1.0, "eta": 0.0, "dt_ns": 0.01, "t_max_ns": 1.0,
            "initial": "100", "target": "010"}
     for value in (3, 3.0):
-        n_prime = lct_config_from({"lct": {**lct, "n_prime": value}}).n_prime
+        n_prime = lct_config_from({"lct": {**lct, "n_prime": value}}, OMEGA_TC_MAX).n_prime
         assert n_prime == 3 and type(n_prime) is int
         max_evals = truncation_section({"truncation": {"max_evals": value}})["max_evals"]
         assert max_evals == 3 and type(max_evals) is int
     for value in (2.7, True, False, float("inf"), float("nan"), "x"):
         with pytest.raises(ConfigError, match="section 'lct', key 'n_prime'"):
-            lct_config_from({"lct": {**lct, "n_prime": value}})
+            lct_config_from({"lct": {**lct, "n_prime": value}}, OMEGA_TC_MAX)
         with pytest.raises(ConfigError, match="section 'truncation', key 'max_evals'"):
             truncation_section({"truncation": {"max_evals": value}})
 
@@ -145,14 +152,14 @@ def test_integer_keys_take_whole_numbers_only():
 def test_lct_section_missing_key():
     with pytest.raises(ConfigError, match="t_max_ns"):
         lct_config_from({"lct": {"lambda": 1.0, "eta": 0.0, "dt_ns": 0.01,
-                                 "initial": "100", "target": "010"}})
+                                 "initial": "100", "target": "010"}}, OMEGA_TC_MAX)
     # dt_ns is required like the rest; the first missing key is named.
     doc = {"lct": {"eta": 0.0, "t_max_ns": 1.0, "initial": "100", "target": "010"}}
     with pytest.raises(ConfigError, match="section 'lct': missing key 'lambda'"):
-        lct_config_from(doc)
+        lct_config_from(doc, OMEGA_TC_MAX)
     doc["lct"]["lambda"] = 1.0
     with pytest.raises(ConfigError, match="section 'lct': missing key 'dt_ns'"):
-        lct_config_from(doc)
+        lct_config_from(doc, OMEGA_TC_MAX)
 
 
 def test_reversibility_section_defaults_and_overrides():
@@ -209,7 +216,6 @@ def test_cutoffs_widths_and_steps_are_positive_and_gains_not_negative():
     readers = {
         ("filter", "cutoff_ghz"): lambda sec: filter_section(sec)[0],
         ("truncation", "sigma_ns"): lambda sec: truncation_section(sec)["sigma_ns"],
-        ("analytic", "dt_ns"): lambda sec: analytic_section(sec)[2],
     }
     for (name, key), read in readers.items():
         assert read({name: {key: 0.45}}) == 0.45
@@ -229,23 +235,20 @@ def test_cutoffs_widths_and_steps_are_positive_and_gains_not_negative():
 
 
 def test_truncation_and_analytic_sections_reject_unknown_keys():
-    analytic = {"alpha1_ghz": -1.591, "alpha3_ghz": -2.457, "tau1_ns": 7.2,
-                "tau2_ns": 8.9, "tau3_ns": 11.4, "sigma1_ns": 1.37,
-                "sigma2_ns": 0.2, "sigma3_ns": 1.83}
     every_key = {"truncation": {"sigma_ns": 1.0, "max_evals": 60},
-                 "analytic": {**analytic, "fit": False, "dt_ns": 0.01}}
+                 "analytic": {**SHAPE, "fit": False}}
     assert truncation_section(every_key) == every_key["truncation"]
-    assert analytic_section(every_key) == (analytic_params_from_dict(analytic), False, 0.01)
+    assert analytic_section(every_key, OMEGA_TC_MAX) == (FORM, False)
     assert truncation_section({}) == {}
     with pytest.raises(ConfigError, match="missing config section 'analytic'"):
-        analytic_section({})
+        analytic_section({}, OMEGA_TC_MAX)
     # A key the truncation search never reads from config, and a misspelt one.
     with pytest.raises(ConfigError, match=r"\['max_evalz', 'simplex_tolerance'\]"):
         truncation_section({"truncation": {"sigma_ns": 1.0, "simplex_tolerance": 5.0,
                                            "max_evalz": 1}})
     for key, value in (("simplex_tolerance", 5.0), ("max_evalz", 1)):
         with pytest.raises(ConfigError, match=f"section 'analytic'.*{key}"):
-            analytic_section({"analytic": {**analytic, key: value}})
+            analytic_section({"analytic": {**SHAPE, key: value}}, OMEGA_TC_MAX)
 
 
 def test_device_lct_and_filter_sections_reject_unknown_keys():
@@ -254,7 +257,7 @@ def test_device_lct_and_filter_sections_reject_unknown_keys():
     with pytest.raises(ConfigError, match=r"section 'device': unknown keys \['coupling_ghz'\]"):
         device_from_config({"device": {**DEVICE["device"], "coupling_ghz": [0.1, 0.071]}})
     with pytest.raises(ConfigError, match=r"section 'lct': unknown keys \['lamda2', 'n_primes'\]"):
-        lct_config_from({"lct": {**lct, "n_primes": 2, "lamda2": 3}})
+        lct_config_from({"lct": {**lct, "n_primes": 2, "lamda2": 3}}, OMEGA_TC_MAX)
     every_key = {"cutoff_ghz": 0.3, "clamp": False}
     assert filter_section({"filter": every_key}) == (0.3, False)
     assert filter_section({}) == (0.45, True)
@@ -273,7 +276,7 @@ _DOCUMENTED_DEFAULTS = {
                       "fidelity_goal": 1e-6},
     "truncation": {"sigma_ns": 1.0, "max_evals": 60},
     "filter": {"cutoff_ghz": 0.45, "clamp": True},
-    "analytic": {"fit": True, "dt_ns": 0.01},
+    "analytic": {"fit": True},
 }
 
 
@@ -301,7 +304,11 @@ def test_stage_defaults_have_one_source():
         parameters = inspect.signature(driver).parameters
         for key, value in _DOCUMENTED_DEFAULTS[name].items():
             assert parameters[key].default == value, key
-    assert inspect.signature(fit_analytic_pulse).parameters["dt_ns"].default == 0.01
+    # The fit has no settings: it and the analytic command sample the
+    # closed form at README's one period.
+    assert list(inspect.signature(fit_analytic_pulse).parameters) == [
+        "params", "init", "source_label", "destination_label"]
+    assert optimize.ANALYTIC_DT_NS == 0.01
 
     # A section that omits every key and one that spells out every default
     # lead to the same call, with README's values.
@@ -313,18 +320,14 @@ def test_stage_defaults_have_one_source():
         bound.apply_defaults()
         return dict(bound.arguments)
 
-    shape = {"alpha1_ghz": -1.591, "alpha3_ghz": -2.457, "tau1_ns": 7.2, "tau2_ns": 8.9,
-             "tau3_ns": 11.4, "sigma1_ns": 1.37, "sigma2_ns": 0.2, "sigma3_ns": 1.83}
-    form = analytic_params_from_dict(shape)
     readers = {"reversibility": (reversibility_section, {}),
-               "truncation": (truncation_section, {}),
-               "filter": (filter_section, {}), "analytic": (analytic_section, shape)}
+               "truncation": (truncation_section, {}), "filter": (filter_section, {}),
+               "analytic": (lambda doc: analytic_section(doc, OMEGA_TC_MAX), SHAPE)}
     for name, (read, base) in readers.items():
         spelt_out = json.loads(json.dumps(_DOCUMENTED_DEFAULTS[name]))  # as a config holds it
         assert call(read, name, base, {}) == call(read, name, base, spelt_out), name
     assert filter_section({}) == (0.45, True)
-    assert analytic_section({"analytic": shape}) == (form, True, 0.01)
-    assert analytic_section({"analytic": {**shape, "dt_ns": 0.05}}) == (form, True, 0.05)
+    assert analytic_section({"analytic": SHAPE}, OMEGA_TC_MAX) == (FORM, True)
 
     # Each default is written once in the package: one literal, or one named
     # constant assigned once.
@@ -348,12 +351,12 @@ def test_analytic_params_roundtrip():
     p = AnalyticPulseParams(
         alpha1=-TWO_PI * 2.457, alpha3=-TWO_PI * 1.591,
         tau1=5.8, tau2=8.3, tau3=10.0, sigma1=1.83, sigma2=0.2, sigma3=1.37)
-    back = analytic_params_from_dict(analytic_params_to_dict(p))
+    back, _ = analytic_section({"analytic": analytic_params_to_dict(p)}, OMEGA_TC_MAX)
     for f in ("alpha1", "alpha3", "tau1", "tau2", "tau3",
               "sigma1", "sigma2", "sigma3"):
         assert getattr(back, f) == pytest.approx(getattr(p, f), rel=1e-12)
-    with pytest.raises(ConfigError, match="alpha3_ghz"):
-        analytic_params_from_dict({"alpha1_ghz": -2.0})
+    with pytest.raises(ConfigError, match="section 'analytic': missing key 'alpha3_ghz'"):
+        analytic_section({"analytic": {"alpha1_ghz": -2.0}}, OMEGA_TC_MAX)
 
 
 def test_config_hash_tracks_bytes(tmp_path):
@@ -388,7 +391,7 @@ def test_waveform_csv_roundtrip(tmp_path):
     write_waveform_csv(path, wf)
     with open(path) as fh:
         assert fh.readline().strip() == "t_ns,delta_omega_ghz"
-    back = read_waveform_csv(path)
+    back = read_waveform_csv(path, OMEGA_TC_MAX)
     assert back.dt == pytest.approx(wf.dt, abs=1e-9)
     np.testing.assert_allclose(back.samples, wf.samples, atol=1e-9)
 
@@ -397,13 +400,35 @@ def test_waveform_csv_rejects_bad_grids(tmp_path):
     path = _write(tmp_path, "bad.csv",
                   "t_ns,delta_omega_ghz\n0.0,-1.0\n0.01,-1.0\n0.5,-1.0\n")
     with pytest.raises(ConfigError, match="uniform"):
-        read_waveform_csv(path)
+        read_waveform_csv(path, OMEGA_TC_MAX)
     short = _write(tmp_path, "short.csv", "t_ns,delta_omega_ghz\n0.0,-1.0\n")
     with pytest.raises(ConfigError):
-        read_waveform_csv(short)
+        read_waveform_csv(short, OMEGA_TC_MAX)
     junk = _write(tmp_path, "junk.csv", "t_ns,delta_omega_ghz\nhello,world\n")
     with pytest.raises(ConfigError):
-        read_waveform_csv(junk)
+        read_waveform_csv(junk, OMEGA_TC_MAX)
+    # A pulse's first hold starts at t = 0: a file from 5 ns would be
+    # played 5 ns early.  The grid check's 1e-6 ns tolerance applies.
+    for start in (5.0, -0.5, 2e-6):
+        path = _write(tmp_path, f"{start}.csv", "t_ns,delta_omega_ghz\n" + "".join(
+            f"{start + 0.5 * k},-1.0\n" for k in range(4)))
+        message = re.escape(path) + ": time grid starts at .* not at 0"
+        with pytest.raises(ConfigError, match=message):
+            read_waveform_csv(path, OMEGA_TC_MAX)
+    path = _write(tmp_path, "near.csv", "t_ns,delta_omega_ghz\n5e-7,-1.0\n0.5,-1.0\n")
+    assert read_waveform_csv(path, OMEGA_TC_MAX).dt == pytest.approx(0.5, abs=1e-6)
+
+
+def test_waveform_csv_samples_lie_in_the_coupler_window(tmp_path):
+    # The reader hands back a pulse the coupler can play, or names the file.
+    for ghz in (0.5, -7.5):
+        path = _write(tmp_path, f"{ghz}.csv", f"t_ns,delta_omega_ghz\n0.0,-0.1\n0.01,{ghz}\n")
+        message = re.escape(path) + ": sample at t = 0.01 ns .* outside the coupler's window"
+        with pytest.raises(ConfigError, match=message):
+            read_waveform_csv(path, OMEGA_TC_MAX)
+    edges = _write(tmp_path, "edges.csv", "t_ns,delta_omega_ghz\n0.0,0.0\n0.01,-7.445\n")
+    np.testing.assert_array_equal(read_waveform_csv(edges, OMEGA_TC_MAX).samples,
+                                  [0.0, -OMEGA_TC_MAX])
 
 
 def test_trajectory_csv_layout(tmp_path):

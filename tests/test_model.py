@@ -17,6 +17,7 @@ from lctpulse.model import product_labels
 from lctpulse.units import TWO_PI
 from conftest import all_sectors, block_indices
 from oracles import (
+    control_generator,
     dense_spectrum,
     flux_to_frequency,
     frequency_to_flux,
@@ -174,7 +175,7 @@ def test_flux_out_of_range(params):
 
 def test_spectrum_orthonormal_and_residual(params):
     h = build_drift_hamiltonian(params)
-    spec = eigendecompose(h, product_labels(2))
+    spec = eigendecompose(h, control_generator(params), product_labels(2))
     v = spec.eigenvectors
     np.testing.assert_allclose(v.conj().T @ v, np.eye(8), atol=1e-10)
     scale = np.linalg.norm(h)
@@ -186,12 +187,14 @@ def test_spectrum_orthonormal_and_residual(params):
 
 
 def test_labels_are_a_permutation(params):
-    spec = eigendecompose(build_drift_hamiltonian(params), product_labels(2))
+    spec = eigendecompose(build_drift_hamiltonian(params), control_generator(params),
+                          product_labels(2))
     assert sorted(spec.bare_labels) == sorted(product_labels(2))
 
 
 def test_dispersive_labels_have_high_overlap(params):
-    spec = eigendecompose(build_drift_hamiltonian(params), product_labels(2))
+    spec = eigendecompose(build_drift_hamiltonian(params), control_generator(params),
+                          product_labels(2))
     for lab in ("100", "010", "001"):
         vec = spec.state(lab)
         assert abs(vec[label_index(lab, 2)]) ** 2 > 0.99
@@ -199,7 +202,8 @@ def test_dispersive_labels_have_high_overlap(params):
 
 def test_crossing_pair_mixes_half_half(params):
     # At the first resonance the |100> and |001> branches hybridize.
-    spec = eigendecompose(hamiltonian_at(params, -TWO_PI * 1.555), product_labels(2))
+    spec = eigendecompose(hamiltonian_at(params, -TWO_PI * 1.555), control_generator(params),
+                          product_labels(2))
     i100 = spec.index_of_label("100")
     vec = spec.eigenvectors[:, i100]
     p100 = abs(vec[label_index("100", 2)]) ** 2
@@ -267,7 +271,7 @@ def test_a_sector_is_built_once_on_first_use(monkeypatch):
     calls = []
     decompose = model.eigendecompose
     monkeypatch.setattr(model, "eigendecompose",
-                        lambda h, labels: calls.append(labels) or decompose(h, labels))
+                        lambda h, g, labels: calls.append(labels) or decompose(h, g, labels))
     device = SystemParams.from_ghz([5.890, 5.031], [0.100, 0.071], 7.445)
     assert device.sector_of("010") is device.sector_of("100") is device.sector(1)
     assert calls == [["001", "010", "100"]]
@@ -315,15 +319,16 @@ def _fd_coupling(params, j, k, delta, h=1e-6):
     # quotient convention nonadiabatic_coupling documents (divide by
     # eps_j - eps_k).  Offsetting the ket instead flips the sign.
     labels = product_labels(params.n_qubits)
-    s0 = eigendecompose(hamiltonian_at(params, delta), labels)
-    s1 = eigendecompose(hamiltonian_at(params, delta + h), labels)
+    s0 = eigendecompose(hamiltonian_at(params, delta), control_generator(params), labels)
+    s1 = eigendecompose(hamiltonian_at(params, delta + h), control_generator(params), labels)
     return float(np.real(np.vdot(s1.eigenvectors[:, j], s0.eigenvectors[:, k]))) / h
 
 
 @pytest.mark.parametrize("delta_ghz", [-1.50, -1.56, -2.40, -0.8])
 def test_hellmann_feynman_vs_finite_difference(params, delta_ghz):
     delta = TWO_PI * delta_ghz
-    spec = eigendecompose(hamiltonian_at(params, delta), product_labels(2))
+    spec = eigendecompose(hamiltonian_at(params, delta), control_generator(params),
+                          product_labels(2))
     singles = [i for i, lab in enumerate(spec.bare_labels) if lab.count("1") == 1]
     j, k = singles[0], singles[1]
     hf = nonadiabatic_coupling(params, j, k, delta)
@@ -404,7 +409,8 @@ def test_block_sweeps_match_the_dense_drift():
     couplings = sweep_nonadiabatic_couplings(sweep, pairs)
     g = np.diag(hamiltonian_at(device, 1.0) - hamiltonian_at(device, 0.0))
     for m, d in enumerate(deltas):
-        spec = eigendecompose(hamiltonian_at(device, d), product_labels(3))
+        spec = eigendecompose(hamiltonian_at(device, d), control_generator(device),
+                              product_labels(3))
         np.testing.assert_allclose(levels[m], spec.eigenvalues, rtol=0, atol=1e-12)
         v, w = spec.eigenvectors, spec.eigenvalues
         for c, (j, k) in enumerate(pairs):
@@ -438,7 +444,8 @@ def test_gap_minima_match_labelled_reference():
     deltas = TWO_PI * np.linspace(-3.2, 0.0, 161)
     gaps = []
     for d in deltas:
-        spec = eigendecompose(hamiltonian_at(device, d), product_labels(3))
+        spec = eigendecompose(hamiltonian_at(device, d), control_generator(device),
+                              product_labels(3))
         singles = [i for i, lab in enumerate(spec.bare_labels)
                    if lab.count("1") == 1]
         gaps.append(np.diff(spec.eigenvalues[singles]))
