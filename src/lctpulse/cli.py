@@ -5,9 +5,10 @@ are ignored, and optional pipeline stages switch off when their section
 is absent.  io reads and checks every outside value (the config and the
 pulse files it or --pulse names); this module checks only its own argv
 and the pulses it writes.  The config's bytes and argv set every value a
-run uses: each setting has one source.  All files land in --out-dir
-together with a manifest naming them.  A usage error, as argparse finds
-it, is a config error (exit 1).
+run uses: each setting has one source.  All files land in --out-dir;
+a run that leaves any, whatever its exit code, adds a manifest naming
+them and the code.  A usage error, as argparse finds it, is a config
+error (exit 1).
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import numpy as np
 
 from . import io
 from .errors import ConfigError, ConvergenceError, DegenerateLevelsError, UnknownLabelError
-from .lct import population_rows, run_lct
-from .model import single_excitation_gap_minima, sweep_eigenvalues, sweep_nonadiabatic_couplings
+from .lct import run_lct
+from .model import (product_labels, single_excitation_gap_minima, sweep_eigenvalues,
+                    sweep_nonadiabatic_couplings)
 from .optimize import (ANALYTIC_DT_NS, fit_analytic_pulse, optimize_reversible,
                        optimize_truncation, transfer_errors)
 from .pulses import analytic_pulse, fourier_spectrum, lowpass_filter
@@ -115,22 +117,23 @@ def _write_pulse_set(ctx: dict, stem: str, params, wf) -> None:
 
 def cmd_lct(ctx: dict) -> None:
     """One feedback run, its trajectory streamed to disk as it runs.  The
-    summary holds what it reached, and two health numbers: the fraction of
-    steps at the clamp floor, and the monotonicity margin, the smallest
-    step-to-step change of the target population (negative: its worst dip)."""
+    summary holds what it reached, each label's final population (0 outside
+    the block), and two health numbers: the fraction of steps at the clamp
+    floor, and the monotonicity margin, the smallest step-to-step change of
+    the target population (negative: its worst dip)."""
     params, config = _run_inputs(ctx)
-    result = io.write_trajectory_csv(
-        _out(ctx, "trajectory.csv"), config.dt, population_rows(params, config),
-        functools.partial(run_lct, params, config))
+    result = io.write_trajectory_csv(_out(ctx, "trajectory.csv"), config.dt,
+                                     functools.partial(run_lct, params, config))
     _write_pulse_set(ctx, "waveform", params, result.waveform)
     t = result.crossings
     io.write_json(_out(ctx, "summary.json"), {
         "final_error": result.final_error,
-        "final_populations": result.final_populations,
+        "final_populations": {**dict.fromkeys(product_labels(params.n_qubits), 0.0),
+                              **result.final_populations},
         "t_on_ns": t[0.10],
         "transfer_time_99_ns": t[0.99],
         "duration_10_90_ns": None if None in (t[0.10], t[0.90]) else t[0.90] - t[0.10],
-        "clamp_saturated": result.clamp_saturated,
+        "clamp_saturated": result.clamp_saturation > 0.5,
         "clamp_saturation": result.clamp_saturation,
         "monotonicity_margin": result.monotonicity_margin,
     })
@@ -287,6 +290,7 @@ _COMMANDS = {
 
 
 def main(argv: list | None = None) -> int:
+    ctx = {"outputs": [], "stages": {}}
     try:
         args = _build_parser().parse_args(argv)
         started = time.monotonic()
@@ -295,27 +299,31 @@ def main(argv: list | None = None) -> int:
             os.makedirs(args.out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"--out-dir {args.out_dir}: {exc}") from exc
-        ctx = {"doc": doc, "args": args, "out_dir": args.out_dir, "outputs": [],
-               "stages": {}}
+        ctx.update(doc=doc, args=args, out_dir=args.out_dir)
         _COMMANDS[args.command](ctx)
+        code = EXIT_OK
     except (ConfigError, UnknownLabelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+        code = EXIT_CONVERGENCE
     except (ValueError, FloatingPointError, np.linalg.LinAlgError,
             DegenerateLevelsError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code = EXIT_NUMERICAL
 
-    manifest = {"config_hash": io.config_hash(args.config),
-                "command": " ".join([args.command] + list(argv or sys.argv[1:])[1:]),
-                "outputs": ctx["outputs"], "wall_time": time.monotonic() - started}
-    if ctx["stages"]:
-        manifest["stages"] = ctx["stages"]
-    io.write_json(os.path.join(args.out_dir, "manifest.json"), manifest)
-    return EXIT_OK
+    outputs = [name for name in ctx["outputs"]
+               if os.path.exists(os.path.join(ctx["out_dir"], name))]
+    if outputs:
+        manifest = {"config_hash": io.config_hash(args.config),
+                    "command": " ".join([args.command] + list(argv or sys.argv[1:])[1:]),
+                    "outputs": outputs, "exit_code": code,
+                    "wall_time": time.monotonic() - started}
+        if ctx["stages"]:
+            manifest["stages"] = ctx["stages"]
+        io.write_json(os.path.join(args.out_dir, "manifest.json"), manifest)
+    return code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .lct import LctConfig
-from .model import SystemParams
+from .model import SystemParams, product_labels
 from .optimize import DEFAULT_ANALYTIC_BOUNDS, OptimizationReport
 from .pulses import AnalyticPulseParams, PulseSpectrum, Waveform
 from .units import TWO_PI
@@ -32,12 +32,14 @@ GHZ_FMT = "%.12f"
 # ----------------------------------------------------------------
 
 def load_config(path: str) -> dict:
-    """Parse a JSON config document; errors carry line/column context."""
+    """Parse a UTF-8 JSON config document; errors carry line/column context."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -341,40 +343,44 @@ def write_spectrum_csv(path: str, spectrum: PulseSpectrum):
                ["%.9f", "%.12e"])
 
 
-def write_trajectory_csv(path: str, dt: float, labels: dict, run):
+def write_trajectory_csv(path: str, dt: float, run):
     """Return run(sink), a feedback run that streams its trajectory to path.
 
-    labels maps each bare label to its row in the sink's populations, None
-    outside the run's block (a column of 0).  The bytes are _write_csv's
-    for the whole table: times k dt, the control in GHz and each label's
-    population, by sorted label.  The file opens at the first chunk, and
-    a run that fails later removes it.
+    The sink takes run_lct's chunks, the block as it ran, and the file
+    lays them out.  The bytes are _write_csv's for the whole table: times
+    k dt, the control in GHz and the population of every bare label of
+    the device, in product order, a constant 0 outside the run's block;
+    the final state's row repeats the last hold.  The file opens at the
+    first chunk, and a run that fails later removes it.
     """
-    names = sorted(labels)
-    rows = [labels[lab] for lab in names if labels[lab] is not None]
-    header = ",".join(["t_ns,delta_omega_ghz", *(f"pop_{lab}" for lab in names)]) + "\n"
-    row = ",".join(["%.9f", GHZ_FMT] + ["0.000000000000e+00" if labels[lab] is None
-                                         else "%.12e" for lab in names]) + "\n"
-    files = []
+    fh = row = rows = None
 
-    def sink(k0: int, samples: np.ndarray, pops: np.ndarray) -> None:
-        if not files:
-            files.append(open(path, "w"))
-            files[0].write(header)
+    def sink(k0: int, labels: list, samples: np.ndarray, pops: np.ndarray) -> None:
+        nonlocal fh, row, rows
+        if fh is None:
+            names = product_labels(len(labels[0]) - 1)
+            where = {lab: b for b, lab in enumerate(labels)}
+            rows = [where[lab] for lab in names if lab in where]
+            row = ",".join(["%.9f", GHZ_FMT] + ["%.12e" if lab in where else "0.000000000000e+00"
+                                                 for lab in names]) + "\n"
+            fh = open(path, "w")
+            fh.write(",".join(["t_ns,delta_omega_ghz", *(f"pop_{lab}" for lab in names)]) + "\n")
+        if pops.shape[1] > len(samples):
+            samples = np.append(samples, samples[-1])
         for i in range(0, len(samples), CHUNK):
             held = samples[i:i + CHUNK]
-            files[0].write(_rows(row, [np.arange(k0 + i, k0 + i + len(held)) * dt,
-                                       held / TWO_PI, *(pops[b, i:i + CHUNK] for b in rows)]))
+            fh.write(_rows(row, [np.arange(k0 + i, k0 + i + len(held)) * dt,
+                                 held / TWO_PI, *(pops[b, i:i + CHUNK] for b in rows)]))
 
     try:
         return run(sink)
     except BaseException:
-        for fh in files:
+        if fh is not None:
             fh.close()
             os.remove(path)
         raise
     finally:
-        for fh in files:
+        if fh is not None:
             fh.close()
 
 

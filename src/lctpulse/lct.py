@@ -30,7 +30,7 @@ import numpy as np
 
 from .dynamics import CHUNK, apply_step, step_factors
 from .errors import ConfigError
-from .model import DriftSpectrum, SystemParams, product_labels
+from .model import DriftSpectrum, SystemParams
 from .pulses import Waveform, clamp_floor
 
 # Below this, against max|sz_TC| = 1, an off-diagonal feedback row is zero to
@@ -89,7 +89,7 @@ class LctResult:
     waveform is the applied (total) pulse; clamp_saturation is the
     fraction of steps whose sample sat at the clamp floor.  final_state
     (the block amplitudes of the labels' sector) and final_populations
-    (every bare label's) are at t_max.  crossings maps
+    (each of the block's bare labels') are at t_max.  crossings maps
     0.10, 0.90 and 0.99 to the target population's first grid time at that
     level (None: never); monotonicity_margin is its smallest step-to-step
     change.
@@ -102,11 +102,6 @@ class LctResult:
     final_populations: dict
     crossings: dict
     monotonicity_margin: float
-
-    @property
-    def clamp_saturated(self) -> bool:
-        """A gain so large that more than half of the steps sat at the floor."""
-        return self.clamp_saturation > 0.5
 
 
 def seed_state(psi0: np.ndarray, target: np.ndarray, eta: float) -> np.ndarray:
@@ -209,14 +204,6 @@ def _reference(config: LctConfig, n_steps: int) -> np.ndarray:
     return reference
 
 
-def population_rows(params: SystemParams, config: LctConfig) -> dict:
-    """Each bare label's row in the populations run_lct hands its sink; None
-    outside the run's excitation block, whose populations stay 0."""
-    block = params.sector_of(config.target_label).bare_labels
-    return {lab: block.index(lab) if lab in block else None
-            for lab in product_labels(params.n_qubits)}
-
-
 def run_lct(params: SystemParams, config: LctConfig, sink=None) -> LctResult:
     """Shape a coupler-shift pulse by local-control feedback.
 
@@ -226,10 +213,12 @@ def run_lct(params: SystemParams, config: LctConfig, sink=None) -> LctResult:
     CHUNK steps at a time, and keeps no history but the samples: it
     buffers the chunk's drift-basis amplitudes, squares them into the
     block's populations and folds those into the summary.  Row k is the
-    state at k dt.  When a chunk ends, sink (if given) is called with its
-    first row index, the samples applied on its rows (row n repeats
-    sample n-1) and their (block dim, rows) float64 populations, in
-    population_rows' order, from a buffer the next chunk reuses.
+    state at k dt.  When a chunk ends, sink (if given) is called with the
+    block as it ran: the chunk's first row index, the block's bare labels
+    (the populations' row order), the samples held from its rows and
+    their (block dim, rows) float64 populations, from a buffer the next
+    chunk reuses.  The last chunk also holds row n, the final state, so
+    its populations have one column more than its samples.
     """
     sector, m_row, jb, _, n_steps, psi = _loop(params, config)
     # The reference fills total, to which each step adds the feedback.
@@ -274,13 +263,9 @@ def run_lct(params: SystemParams, config: LctConfig, sink=None) -> LctResult:
             if t is None and hits.size:
                 crossings[level] = float((start + hits[0]) * config.dt)
         if sink is not None:
-            if stop < n_steps:
-                sink(start, total[start:stop], rows[:, :-1])
-            else:
-                sink(start, np.append(total[start:], total[-1]), rows)
+            sink(start, sector.bare_labels, total[start:stop],
+                 rows if stop == n_steps else rows[:, :-1])
 
-    populations = dict.fromkeys(product_labels(params.n_qubits), 0.0)
-    populations.update(zip(sector.bare_labels, rows[:, -1].tolist()))
     total.flags.writeable = False
     # The error squares as run_lct_lockstep's does: a scalar ** 2 (libm pow)
     # can round one ulp apart.
@@ -289,7 +274,7 @@ def run_lct(params: SystemParams, config: LctConfig, sink=None) -> LctResult:
         final_state=psi,
         final_error=1.0 - float(target[-1]),
         clamp_saturation=saturated / n_steps,
-        final_populations=populations,
+        final_populations=dict(zip(sector.bare_labels, rows[:, -1].tolist())),
         crossings=crossings,
         monotonicity_margin=float(margin),
     )

@@ -33,9 +33,9 @@ from .units import TWO_PI
 
 # Ceiling on the product-basis dimension 2^(n+1).  No matrix of that size
 # is built, but four paths still scale with it: spectrum writes all 2^(n+1)
-# levels, lct writes a population column per bare label, lct's n_prime
-# decomposes every block to rank its levels, and excitation_labels walks
-# product_labels.  The cap guards them against an outsized device.
+# levels, io's trajectory writer a population column per bare label, lct's
+# n_prime decomposes every block to rank its levels, and excitation_labels
+# walks product_labels.  The cap guards them against an outsized device.
 DIM_CAP = 2 ** 14
 
 # Eigenvalue-difference floor below which nonadiabatic couplings blow up.

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lctpulse import SystemParams, TrajectoryRecord, run_lct
-from lctpulse.lct import population_rows
+from lctpulse.model import product_labels
 from oracles import dense_spectrum
 
 # Registry for the acceptance suite's one-line verdicts, printed at the end
@@ -13,19 +13,20 @@ ACCEPTANCE_LINES = []
 def record_lct(params, config, chunks=None):
     """run_lct with a sink that keeps what it is handed: the result and the
     run's TrajectoryRecord (every label's population on the state grid,
-    one shared zero array outside the block).  chunks, a list, also
-    receives each sink call's (k0, samples, populations), the populations
-    copied out of the run's reused buffer."""
+    one shared zero array outside the block the run reports).  chunks, a
+    list, also receives each sink call's (k0, labels, samples,
+    populations), the populations copied out of the run's reused buffer."""
     chunks = [] if chunks is None else chunks
-    result = run_lct(params, config, sink=lambda k0, samples, pops: chunks.append(
-        (k0, samples, pops.copy())))
-    pops = np.concatenate([p for _, _, p in chunks], axis=1)
+    result = run_lct(params, config, sink=lambda k0, labels, samples, pops: chunks.append(
+        (k0, labels, samples, pops.copy())))
+    labels = chunks[0][1]
+    pops = np.concatenate([p for *_, p in chunks], axis=1)
     zeros = np.zeros(pops.shape[1])
     return result, TrajectoryRecord(
         times=np.arange(pops.shape[1]) * config.dt,
-        control=np.concatenate([s for _, s, _ in chunks])[:-1],
-        populations={lab: zeros if b is None else pops[b]
-                     for lab, b in population_rows(params, config).items()},
+        control=np.concatenate([s for _, _, s, _ in chunks]),
+        populations={lab: pops[labels.index(lab)] if lab in labels else zeros
+                     for lab in product_labels(params.n_qubits)},
         final_state=result.final_state,
     )
 

@@ -12,9 +12,11 @@ from lctpulse import LctConfig, SystemParams, cli, lct, sweep_eigenvalues
 from lctpulse.cli import main
 from lctpulse.dynamics import CHUNK
 from lctpulse.io import device_from_config, read_waveform_csv, write_waveform_csv
+from lctpulse.model import product_labels
 from lctpulse.optimize import OptimizationReport
 from lctpulse.pulses import Waveform, clamp_floor, lowpass_filter
 from lctpulse.units import TWO_PI
+from conftest import record_lct
 
 DEVICE = {
     "qubit_freqs_ghz": [5.890, 5.031],
@@ -275,7 +277,8 @@ def test_nearly_dark_device_still_runs(tmp_path):
 
 def test_lct_failing_in_the_loop_leaves_no_partial_trajectory(tmp_path, monkeypatch, capsys):
     # trajectory.csv streams to disk chunk by chunk: a run that fails
-    # after its first chunk was written must take the partial file away.
+    # after its first chunk was written must take the partial file away,
+    # and with no file left there is no manifest to name it.
     cfg = _config(tmp_path, lct={**LCT_SHORT, "t_max_ns": 60.0})
     out = tmp_path / "out"
     steps, step_factors = [], lct.step_factors
@@ -419,6 +422,50 @@ def test_bad_config_exit_codes(tmp_path):
     assert main(["lct", "--config", no_lct, "--out-dir", str(tmp_path)]) == 1
 
 
+def test_config_that_is_not_utf8_exits_1_writing_nothing(tmp_path, capsys):
+    # JSON text is UTF-8: a byte that does not decode is the config's
+    # fault, named with its file, not a numerical error.
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"device": "\xff"}')
+    code, out = _run(tmp_path, "lct", "--config", str(path))
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"config error: {path}:")
+    assert not out.exists()
+
+
+def test_two_excitation_run_writes_its_block_among_every_label(tmp_path):
+    # 110 -> 101 runs in the 3-state block of two excitations: its columns
+    # carry the run's populations as the sink handed them, every other
+    # label reads the literal zero, and the summary lists all eight labels.
+    cfg = _config(tmp_path, lct={**LCT_SHORT, "t_max_ns": 2.0, "initial": "110",
+                                 "target": "101"})
+    code, out = _run(tmp_path, "lct", "--config", cfg)
+    assert code == 0
+    params = device_from_config({"device": DEVICE})
+    run, traj = record_lct(params, LctConfig(
+        lambda_=27626.0, eta=1e-6, dt=0.01, t_max=2.0, initial_label="110",
+        target_label="101"))
+    block = ["011", "101", "110"]
+    assert sorted(run.final_populations) == block
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert header == ["t_ns", "delta_omega_ghz", *(f"pop_{lab}" for lab in product_labels(2))]
+    assert len(lines) == 202
+    fields = list(zip(*(line.split(",") for line in lines[1:])))
+    for lab in product_labels(2):
+        column = list(fields[header.index(f"pop_{lab}")])
+        if lab in block:
+            assert column == ["%.12e" % p for p in traj.populations[lab]], lab
+        else:
+            assert set(column) == {"0.000000000000e+00"}, lab
+    pops = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[:, 2:]
+    assert abs(pops.sum(axis=1) - 1.0).max() <= 1e-9
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["final_populations"] == {
+        lab: run.final_populations.get(lab, 0.0) for lab in product_labels(2)}
+    assert summary["final_error"] == run.final_error
+
+
 def test_degenerate_device_is_a_numerical_error(tmp_path):
     doc = {"device": {"qubit_freqs_ghz": [5.0, 5.0],
                       "couplings_ghz": [1e-5, 1e-5],
@@ -485,9 +532,9 @@ def test_manifest_records_stage_timings(tmp_path):
 
     # One-stage commands: their stage time is the manifest's wall_time,
     # and the manifest holds no stages key at all.
-    keys = {"config_hash", "command", "outputs", "wall_time"}
+    keys = {"config_hash", "command", "outputs", "exit_code", "wall_time"}
     lct = manifest("lct", {"lct": LCT_SHORT})
-    assert set(lct) == keys
+    assert set(lct) == keys and lct["exit_code"] == 0
     assert lct["outputs"] == ["trajectory.csv", "waveform.csv", "waveform_flux.csv",
                               "waveform_spectrum.csv", "summary.json"]
     assert set(manifest("spectrum", {}, "--steps", "11")) == keys
@@ -762,7 +809,8 @@ def test_pulse_grid_not_starting_at_0_exits_1_before_any_file(tmp_path, capsys):
 def test_analytic_fit_missing_its_goal_exits_2_after_its_files(
         tmp_path, monkeypatch, capsys, command):
     # As optimize and truncate do: the report and the pulse are written,
-    # and the run then fails as a convergence failure.
+    # and the run then fails as a convergence failure, with a manifest
+    # that names them and the exit code.
     stalled = OptimizationReport(best_params={}, best_value=0.1358, evaluations=1239,
                                  converged=False, forward_error=0.1358)
     monkeypatch.setattr(cli, "fit_analytic_pulse", lambda params, form, *args, **kwargs: (
@@ -776,10 +824,15 @@ def test_analytic_fit_missing_its_goal_exits_2_after_its_files(
     assert capsys.readouterr().err == (
         f"convergence failure: {prefix}analytic fit stalled at 1.358e-01\n")
     assert json.loads((out / "analytic_report.json").read_text())["converged"] is False
-    for name in ("analytic_params.json", "analytic.csv", "analytic_flux.csv",
-                 "analytic_spectrum.csv", "analytic_summary.json"):
+    names = ["analytic_report.json", "analytic_params.json", "analytic.csv",
+             "analytic_flux.csv", "analytic_spectrum.csv", "analytic_summary.json"]
+    for name in names:
         assert (out / name).exists(), name
-    assert not (out / "manifest.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 2
+    assert manifest["outputs"][-6:] == names
+    assert sorted(manifest["outputs"]) == sorted(p.name for p in out.iterdir()
+                                                 if p.name != "manifest.json")
 
 
 def test_lambda_is_the_gain_of_a_run_with_a_reference(tmp_path, monkeypatch):

@@ -34,7 +34,7 @@ from lctpulse.io import (
     write_trajectory_csv,
     write_waveform_csv,
 )
-from lctpulse.lct import LctConfig, population_rows, run_lct
+from lctpulse.lct import LctConfig, run_lct
 from lctpulse.optimize import (
     OptimizationReport,
     fit_analytic_pulse,
@@ -432,21 +432,26 @@ def test_waveform_csv_samples_lie_in_the_coupler_window(tmp_path):
 
 
 def test_trajectory_csv_layout(tmp_path):
-    # A sink call hands over the rows' samples (the final row repeating the
-    # last hold) and the populations of the labels given a row.
-    control = -TWO_PI * np.array([0.0, 1.0, 2.0, 1.0, 1.0])
+    # A sink call hands over the block's labels (its populations' row
+    # order), the samples held on its rows and their populations, the
+    # last call one row more: the state at the end.  The file lists every
+    # label of the device, in product order, the block's from its rows.
+    control = -TWO_PI * np.array([0.0, 1.0, 2.0, 1.0])
     pops = np.array([np.linspace(1, 0, 5), np.linspace(0, 1, 5)])
     path = str(tmp_path / "traj.csv")
-    assert write_trajectory_csv(path, 0.1, {"100": 0, "010": 1},
-                                lambda sink: sink(0, control, pops) or "done") == "done"
+    assert write_trajectory_csv(path, 0.1, lambda sink: sink(
+        0, ["100", "010"], control, pops) or "done") == "done"
     with open(path) as fh:
         header = fh.readline().strip()
-    assert header == "t_ns,delta_omega_ghz,pop_010,pop_100"
+    assert header == ("t_ns,delta_omega_ghz,pop_000,pop_001,pop_010,pop_011,"
+                      "pop_100,pop_101,pop_110,pop_111")
     data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (5, 4)
+    assert data.shape == (5, 10)
     # control column repeats its last hold on the final state row
     assert data[-1, 1] == data[-2, 1]
-    np.testing.assert_allclose(data[:, 2], np.linspace(0, 1, 5), atol=1e-10)
+    np.testing.assert_allclose(data[:, 4], np.linspace(0, 1, 5), atol=1e-10)
+    np.testing.assert_allclose(data[:, 6], np.linspace(1, 0, 5), atol=1e-10)
+    assert not data[:, [2, 3, 5, 7, 8, 9]].any()
 
 
 def test_spectrum_csv(tmp_path):
@@ -582,8 +587,7 @@ def test_four_qubit_trajectory_csv_matches_savetxt(tmp_path):
     _, traj = record_lct(device, config)
     assert len(traj.populations) == 32
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(str(path), config.dt, population_rows(device, config),
-                         lambda sink: run_lct(device, config, sink))
+    write_trajectory_csv(str(path), config.dt, lambda sink: run_lct(device, config, sink))
     labels = sorted(traj.populations)
     control_ghz = np.append(traj.control, traj.control[-1]) / TWO_PI
     columns = [traj.times, control_ghz] + [traj.populations[lab] for lab in labels]

@@ -18,7 +18,7 @@ from lctpulse import (
 )
 from lctpulse.dynamics import CHUNK, apply_step, step_factors
 from lctpulse.io import write_trajectory_csv
-from lctpulse.lct import population_rows, run_lct_lockstep, seed_state
+from lctpulse.lct import run_lct_lockstep, seed_state
 from lctpulse.optimize import transfer_errors
 from lctpulse.model import product_labels
 from lctpulse.pulses import CLAMP_FLOOR_FRACTION
@@ -161,7 +161,7 @@ def test_feedback_validation(params):
 
 def test_bare_run_transfers(bare_run):
     assert bare_run.final_error < 1e-5
-    assert not bare_run.clamp_saturated
+    assert not bare_run.clamp_saturation > 0.5
 
 
 def test_clamp_saturation_is_the_fraction_of_floor_steps(params, bare_run):
@@ -171,7 +171,7 @@ def test_clamp_saturation_is_the_fraction_of_floor_steps(params, bare_run):
                                        initial_label="100", target_label="010"))
     samples = strong.waveform.samples
     assert strong.clamp_saturation == np.mean(samples == lo) > 0.0
-    assert not strong.clamp_saturated
+    assert not strong.clamp_saturation > 0.5
 
 
 def test_bare_run_shapes(bare_recorded):
@@ -308,8 +308,8 @@ def test_4q_populations_hold_the_block_and_share_one_zero_array():
     # In-block labels read |c_b|^2 of the loop's drift-basis amplitudes,
     # recomputed here step by step through the same kernel, across the
     # boundary of the loop's first CHUNK steps; the 27 labels outside the
-    # single-excitation block have no row in what the sink receives and
-    # read one exact zero.
+    # single-excitation block have no row in what the sink receives, read
+    # one exact zero and are no key of the run's final populations.
     device = SystemParams.from_ghz(*_FOUR_QUBITS)
     cfg = _base(t_max=(CHUNK + 4) * 0.01, initial_label="10000", target_label="01000")
     chunks = []
@@ -324,15 +324,17 @@ def test_4q_populations_hold_the_block_and_share_one_zero_array():
         amps.append(vt @ psi)
     amps = np.array(amps)
 
-    assert [(k0, p.shape) for k0, _, p in chunks] == [(0, (5, CHUNK)), (CHUNK, (5, 5))]
-    rows = population_rows(device, cfg)
+    assert [(k0, p.shape) for k0, _, _, p in chunks] == [(0, (5, CHUNK)), (CHUNK, (5, 5))]
+    labels = chunks[0][1]
+    assert all(lab is labels for _, lab, _, _ in chunks)
+    rows = {lab: labels.index(lab) if lab in labels else None for lab in product_labels(4)}
     pops = traj.populations
     outside = [lab for lab, b in rows.items() if b is None]
     assert len(outside) == 27 and len(pops) == 32
     assert outside == [lab for lab in product_labels(4) if lab.count("1") != 1]
     assert sorted(b for b in rows.values() if b is not None) == list(range(5))
     for lab in outside:
-        assert not pops[lab].any() and run.final_populations[lab] == 0.0
+        assert not pops[lab].any() and lab not in run.final_populations
     for lab in set(pops) - set(outside):
         b = int(np.searchsorted(single, spec.index_of_label(lab)))
         assert rows[lab] == b
@@ -340,7 +342,7 @@ def test_4q_populations_hold_the_block_and_share_one_zero_array():
     # The summary is read off the same rows.
     target = pops["01000"]
     assert run.monotonicity_margin == float(np.diff(target).min())
-    assert run.final_populations == {lab: float(p[-1]) for lab, p in pops.items()}
+    assert run.final_populations == {lab: float(pops[lab][-1]) for lab in labels}
     for level, t in run.crossings.items():
         assert t == time_to_population(traj, "01000", level)
 
@@ -348,19 +350,21 @@ def test_4q_populations_hold_the_block_and_share_one_zero_array():
 def test_4q_block_populations_are_float64_rows_of_one_array():
     # Each sink call hands the block's rows as one (block dim, rows)
     # float64 array, every call a view of the one buffer the run reuses,
-    # with one sample per row (row n repeats sample n-1).
+    # with one sample per row held; the last call's final row, the state
+    # at t_max, holds none.
     device = SystemParams.from_ghz(*_FOUR_QUBITS)
     cfg = _base(t_max=(CHUNK + 4) * 0.01, initial_label="10000", target_label="01000")
     calls = []
-    run = run_lct(device, cfg, sink=lambda k0, samples, p: calls.append((k0, samples.copy(), p)))
+    run = run_lct(device, cfg, sink=lambda k0, labels, samples, p: calls.append(
+        (k0, samples.copy(), p)))
     assert [k0 for k0, _, _ in calls] == [0, CHUNK]
     buffer = calls[0][2]
-    for _, samples, p in calls:
-        assert p.dtype == np.float64 and p.shape == (5, samples.size)
+    for k0, samples, p in calls:
+        assert p.dtype == np.float64 and p.shape == (5, samples.size + (k0 == CHUNK))
         assert np.shares_memory(p, buffer)
     samples = np.concatenate([s for _, s, _ in calls])
-    assert samples.size == run.waveform.n + 1 and samples[-1] == samples[-2]
-    assert samples[:-1].tobytes() == run.waveform.samples.tobytes()
+    assert samples.size == run.waveform.n
+    assert samples.tobytes() == run.waveform.samples.tobytes()
     # The waveform's samples are one read-only array.
     assert not run.waveform.samples.flags.writeable
 
@@ -368,15 +372,15 @@ def test_4q_block_populations_are_float64_rows_of_one_array():
 def test_4q_trajectory_csv_writes_exact_zeros_outside_the_block(tmp_path):
     device = SystemParams.from_ghz(*_FOUR_QUBITS)
     cfg = _base(t_max=5.0, initial_label="10000", target_label="01000")
-    rows = population_rows(device, cfg)
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(str(path), cfg.dt, rows, lambda sink: run_lct(device, cfg, sink))
+    run = write_trajectory_csv(str(path), cfg.dt, lambda sink: run_lct(device, cfg, sink))
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     assert len(lines) == 502
-    for lab, b in rows.items():
+    assert header[2:] == [f"pop_{lab}" for lab in product_labels(4)]
+    for lab in product_labels(4):
         column = {line.split(",")[header.index(f"pop_{lab}")] for line in lines[1:]}
-        assert (column == {"0.000000000000e+00"}) == (b is None)
+        assert (column == {"0.000000000000e+00"}) == (lab not in run.final_populations)
 
 
 def test_4q_run_memory_grows_by_at_most_20_bytes_per_step(tmp_path):
@@ -387,10 +391,9 @@ def test_4q_run_memory_grows_by_at_most_20_bytes_per_step(tmp_path):
 
     def traced_peak(n_steps):
         cfg = _base(t_max=n_steps * 0.01, initial_label="10000", target_label="01000")
-        rows = population_rows(device, cfg)
         tracemalloc.start()
         try:
-            write_trajectory_csv(str(tmp_path / "trajectory.csv"), cfg.dt, rows,
+            write_trajectory_csv(str(tmp_path / "trajectory.csv"), cfg.dt,
                                  lambda sink: run_lct(device, cfg, sink))
             return tracemalloc.get_traced_memory()[1]
         finally:
