@@ -28,7 +28,7 @@ from .model import (product_labels, single_excitation_gap_minima, sweep_eigenval
                     sweep_nonadiabatic_couplings)
 from .optimize import (ANALYTIC_DT_NS, fit_analytic_pulse, optimize_reversible,
                        optimize_truncation, transfer_errors)
-from .pulses import analytic_pulse, fourier_spectrum, lowpass_filter
+from .pulses import analytic_pulse, fourier_spectrum, in_window, lowpass_filter
 from .units import TWO_PI
 
 EXIT_OK = 0
@@ -56,7 +56,7 @@ def _run_inputs(ctx: dict):
 # ----------------------------------------------------------------
 
 def _stage(cmd):
-    """Record a refinement stage's wall time in the manifest, by name.
+    """Record a refinement stage's wall time in the manifest by name, even if it raises.
 
     Only the stages a pipeline chains (optimize, truncate, analytic) are
     recorded; a one-stage command's time is the manifest's wall_time.
@@ -66,9 +66,10 @@ def _stage(cmd):
     @functools.wraps(cmd)
     def timed(ctx: dict, *args):
         started = time.perf_counter()
-        out = cmd(ctx, *args)
-        ctx["stages"][name] = time.perf_counter() - started
-        return out
+        try:
+            return cmd(ctx, *args)
+        finally:
+            ctx["stages"][name] = time.perf_counter() - started
 
     return timed
 
@@ -79,8 +80,7 @@ def cmd_spectrum(ctx: dict) -> None:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     params = io.device_from_config(doc)
     lo, hi = (TWO_PI * v for v in args.sweep_range)
-    # The window of Waveform.validate_range; NaN fails both comparisons.
-    if not all(-params.omega_tc_max <= v <= 0.0 for v in (lo, hi)):
+    if not in_window(np.array([lo, hi]), params.omega_tc_max).all():
         raise ConfigError(f"--range ends must lie in the coupler's window "
                           f"[{-params.omega_tc_max / TWO_PI:g}, 0] GHz, got {args.sweep_range}")
     sweep = sweep_eigenvalues(params, np.linspace(lo, hi, args.steps))
@@ -205,7 +205,7 @@ def cmd_analytic(ctx: dict, section=None) -> None:
         form, report = fit_analytic_pulse(params, form, base.initial_label, base.target_label)
         io.write_json(_out(ctx, "analytic_report.json"), io.report_to_dict(report))
     io.write_json(_out(ctx, "analytic_params.json"), io.analytic_params_to_dict(form))
-    wf = analytic_pulse(form, ANALYTIC_DT_NS, omega_tc_max=params.omega_tc_max)
+    wf = analytic_pulse(form, ANALYTIC_DT_NS, params.omega_tc_max)
     _write_pulse_set(ctx, "analytic", params, wf)
 
     err = transfer_errors(params, wf, base.initial_label, base.target_label)[0]
@@ -227,17 +227,15 @@ def cmd_pipeline(ctx: dict) -> None:
     params, _ = _run_inputs(ctx)
     analytic = (io.analytic_section(doc, params.omega_tc_max)
                 if doc.get("analytic") is not None else None)
-    stage = "optimize"
     try:
         pulse = cmd_optimize(ctx)
         if truncation is not None:
-            stage = "truncate"
             cmd_truncate(ctx, pulse, truncation)
         if analytic is not None:
-            stage = "analytic"
             cmd_analytic(ctx, analytic)
     except ConvergenceError as exc:
-        raise ConvergenceError(f"pipeline stage {stage!r}: {exc}") from exc
+        # The stage that failed is the last one timed.
+        raise ConvergenceError(f"pipeline stage {list(ctx['stages'])[-1]!r}: {exc}") from exc
 
 
 # ----------------------------------------------------------------

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import ConfigError
 from .lct import LctConfig
 from .model import SystemParams, product_labels
-from .optimize import DEFAULT_ANALYTIC_BOUNDS, OptimizationReport
-from .pulses import AnalyticPulseParams, PulseSpectrum, Waveform
+from .optimize import OptimizationReport
+from .pulses import AnalyticPulseParams, PulseSpectrum, Waveform, analytic_bounds
 from .units import TWO_PI
 
 GHZ_FMT = "%.12f"
@@ -202,15 +202,16 @@ def analytic_section(doc: dict, omega_tc_max: float) -> tuple:
     """(form, fit) from the `analytic` section, which the analytic stage
     requires with its eight shape keys.  fit, true unless set, says
     whether the CLI fits the form: a fitted start must lie inside the
-    fit's bounds, and an unfitted form must be a pulse the coupler at
-    omega_tc_max can play."""
+    fit's bounds, analytic_bounds(omega_tc_max), and an unfitted form must
+    be a pulse the coupler at omega_tc_max can play."""
     sec = _section(doc, "analytic", _ANALYTIC_KEYS, tuple(_ANALYTIC_FIELDS))
     form = AnalyticPulseParams(**{field: factor * sec[key]
                                   for key, (field, factor) in _ANALYTIC_FIELDS.items()})
     fit = sec.get("fit", True)
     if fit:
+        bounds = analytic_bounds(omega_tc_max)
         for key, (name, factor) in _ANALYTIC_FIELDS.items():
-            lo, hi = DEFAULT_ANALYTIC_BOUNDS[name]
+            lo, hi = bounds[name]
             if not lo <= getattr(form, name) <= hi:
                 raise ConfigError(
                     f"section 'analytic', key {key!r}: {sec[key]:g} lies outside "

@@ -13,7 +13,8 @@ whose defaults are the stage's:
                         max_evals)
   fit_analytic_pulse    two-stage fit of the closed-form pulse (amplitudes
                         and switch times first, widths second), sampled
-                        at ANALYTIC_DT_NS; it has no settings
+                        at ANALYTIC_DT_NS inside the coupler's window
+                        (pulses.analytic_bounds); it has no settings
 
 Truncation and the fit pass at FIDELITY_GOAL; the reversibility search
 takes it as its default goal.  Every objective is deterministic, so
@@ -36,8 +37,8 @@ from .model import SystemParams
 from .pulses import (
     AnalyticPulseParams,
     Waveform,
+    analytic_bounds,
     analytic_pulse,
-    clamp_samples,
     lowpass_filter,
     truncate_with_gaussian_tail,
 )
@@ -340,18 +341,6 @@ def optimize_truncation(
 _STAGE1_FIELDS = ("alpha1", "alpha3", "tau1", "tau2", "tau3")
 _STAGE2_FIELDS = ("sigma1", "sigma2", "sigma3")
 
-DEFAULT_ANALYTIC_BOUNDS = {
-    "alpha1": (-20.0, -1.0),   # rad/ns
-    "alpha3": (-20.0, -1.0),
-    "tau1": (1.0, 15.0),
-    "tau2": (1.0, 20.0),
-    "tau3": (1.0, 25.0),
-    "sigma1": (0.05, 5.0),
-    "sigma2": (0.05, 5.0),
-    "sigma3": (0.05, 5.0),
-}
-
-
 def fit_analytic_pulse(
     params: SystemParams,
     init: AnalyticPulseParams,
@@ -363,7 +352,8 @@ def fit_analytic_pulse(
     Stage 1 moves the amplitudes and switch times with the widths frozen;
     stage 2 relaxes the widths around the stage-1 optimum.  Stage 2 starts
     from the stage-1 point, so its best value can only improve on stage 1.
-    Returns (AnalyticPulseParams, OptimizationReport).
+    Each point, inside analytic_bounds, is scored as the pulse the CLI
+    writes.  Returns (AnalyticPulseParams, OptimizationReport).
     """
     def evaluate(p: AnalyticPulseParams) -> float:
         # Ordering violations are penalized, not fatal: the simplex may
@@ -375,8 +365,7 @@ def fit_analytic_pulse(
             penalty += _PENALTY * (p.tau2 - p.tau3) ** 2
         if penalty > 0.0:
             return 1.0 + penalty
-        wf = Waveform(dt=ANALYTIC_DT_NS, samples=clamp_samples(
-            analytic_pulse(p, ANALYTIC_DT_NS).samples, params.omega_tc_max))
+        wf = analytic_pulse(p, ANALYTIC_DT_NS, params.omega_tc_max)
         return transfer_errors(params, wf, source_label, destination_label)[0]
 
     def stage(fields, frozen: AnalyticPulseParams, spread: float):
@@ -387,7 +376,7 @@ def fit_analytic_pulse(
         best, value, history = nelder_mead(
             obj,
             x0=x0,
-            bounds=[DEFAULT_ANALYTIC_BOUNDS[f] for f in fields],
+            bounds=[analytic_bounds(params.omega_tc_max)[f] for f in fields],
             tolerance=_FIT_TOLERANCE * max(1.0, float(np.abs(x0).max())),
             max_evals=_FIT_MAX_EVALS,
             initial_spread=spread,

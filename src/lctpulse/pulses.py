@@ -51,10 +51,15 @@ class Waveform:
     def validate_range(self, omega_tc_max: float):
         """Check the flux map's window: every sample in [-omega_tc_max, 0],
         so the coupler's frequency lies in [0, omega_tc_max]."""
-        bad = np.flatnonzero((self.samples > 0.0) | (self.samples < -omega_tc_max))
+        bad = np.flatnonzero(~in_window(self.samples, omega_tc_max))
         if bad.size:
             raise ValueError(f"sample at t = {bad[0] * self.dt:.6g} ns ({self.samples[bad[0]]:.6g} "
                              f"rad/ns) lies outside the coupler's window [{-omega_tc_max:.6g}, 0]")
+
+
+def in_window(values: np.ndarray, omega_tc_max: float) -> np.ndarray:
+    """Whether each value lies in [-omega_tc_max, 0]; NaN lies outside."""
+    return (values >= -omega_tc_max) & (values <= 0.0)
 
 
 def clamp_floor(omega_tc_max: float) -> float:
@@ -156,9 +161,9 @@ def truncate_with_gaussian_tail(wf: Waveform, tau: float, sigma: float) -> Wavef
 class AnalyticPulseParams:
     """Half-Gaussian rise, tanh bridge, half-Gaussian fall.
 
-    Amplitudes alpha1, alpha3 are coupler shifts (rad/ns, negative);
-    tau1 <= tau2 <= tau3 are the branch switch times (ns); sigma1..3 the
-    widths (ns).
+    Amplitudes alpha1, alpha3 are coupler shifts (rad/ns, in the coupler's
+    window: negative and above -omega_tc_max); tau1 <= tau2 <= tau3 are
+    the branch switch times (ns); sigma1..3 the widths (ns).
     """
 
     alpha1: float
@@ -170,20 +175,29 @@ class AnalyticPulseParams:
     sigma2: float
     sigma3: float
 
-    def validate(self, omega_tc_max: float | None = None):
+    def validate(self, omega_tc_max: float):
         if not self.tau1 <= self.tau2 <= self.tau3:
             raise ValueError("branch times must satisfy tau1 <= tau2 <= tau3")
         if min(self.sigma1, self.sigma2, self.sigma3) <= 0:
             raise ValueError("widths must be positive")
         if self.alpha1 >= 0 or self.alpha3 >= 0:
             raise ValueError("amplitudes must be negative (coupler tunes down)")
-        if omega_tc_max is not None:
-            # Exclusive, unlike Waveform.validate_range's [-omega_tc_max, 0]:
-            # at an amplitude of exactly -omega_tc_max the tanh bridge can
-            # round one ulp below it, and the flux export would then refuse
-            # the sampled pulse after its params are written.
-            if min(self.alpha1, self.alpha3) <= -omega_tc_max:
-                raise ValueError("amplitude at or below -omega_tc_max")
+        # Exclusive, unlike Waveform.validate_range's [-omega_tc_max, 0]: at
+        # an amplitude of exactly -omega_tc_max the tanh bridge can round one
+        # ulp below it, and the flux export would then refuse the sampled
+        # pulse after its params are written.
+        if min(self.alpha1, self.alpha3) <= -omega_tc_max:
+            raise ValueError("amplitude at or below -omega_tc_max")
+
+
+def analytic_bounds(omega_tc_max: float) -> dict:
+    """The closed form's domain, the fit's box: (low, high) per field.  An
+    amplitude's low end is the higher of -20 rad/ns and the clamp floor, so
+    every pulse the fit scores is one the coupler can play."""
+    floor = max(-20.0, clamp_floor(omega_tc_max))
+    return {"alpha1": (floor, -1.0), "alpha3": (floor, -1.0),
+            "tau1": (1.0, 15.0), "tau2": (1.0, 20.0), "tau3": (1.0, 25.0),
+            "sigma1": (0.05, 5.0), "sigma2": (0.05, 5.0), "sigma3": (0.05, 5.0)}
 
 
 def analytic_samples(p: AnalyticPulseParams, t: np.ndarray) -> np.ndarray:
@@ -206,14 +220,11 @@ def natural_duration(p: AnalyticPulseParams) -> float:
     return p.tau3 + p.sigma3 * np.sqrt(2.0 * np.log(1.0 / TAIL_CUTOFF))
 
 
-def analytic_pulse(
-    p: AnalyticPulseParams,
-    dt: float,
-    omega_tc_max: float | None = None,
-) -> Waveform:
+def analytic_pulse(p: AnalyticPulseParams, dt: float, omega_tc_max: float) -> Waveform:
     """Sample the analytic shape on a uniform grid over natural_duration(p).
 
-    Validates the parameter invariants before sampling.
+    Validates the parameter invariants, amplitudes inside the window of
+    the coupler at omega_tc_max included, before sampling.
     """
     p.validate(omega_tc_max)
     n = max(2, int(round(natural_duration(p) / dt)))

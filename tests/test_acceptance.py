@@ -522,6 +522,11 @@ def test_criterion_10_invariants_and_determinism(
         filecmp.cmp(out_a / n, out_b / n, shallow=False) for n in names_a
     )
     checks["determinism"] = identical and len(names_a) >= 12
+    # The fit scores the pulse the pipeline writes: its best value is that
+    # pulse's error, to the last bit.
+    fitted = json.loads((out_a / "analytic_report.json").read_text())
+    written = json.loads((out_a / "analytic_summary.json").read_text())
+    checks["fit_scores_its_pulse"] = written["final_error"] == fitted["forward_error"]
 
     ok = all(checks.values())
     report(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lctpulse
-from lctpulse import LctConfig, SystemParams, cli, lct, sweep_eigenvalues
+from lctpulse import LctConfig, SystemParams, cli, lct, optimize, sweep_eigenvalues
 from lctpulse.cli import main
 from lctpulse.dynamics import CHUNK
 from lctpulse.io import device_from_config, read_waveform_csv, write_waveform_csv
@@ -726,6 +726,40 @@ def test_unfitted_closed_form_is_checked_before_any_file(tmp_path, capsys):
             assert list(out.iterdir()) == [], (command, key)
 
 
+def test_fit_on_a_low_coupler_stays_inside_its_window(tmp_path, monkeypatch, capsys):
+    # A 2 GHz coupler's clamp floor, -1.998 GHz, is the low end of the
+    # fit's amplitudes: a start below it is a config error before any file,
+    # and a fit from inside writes a pulse the coupler can play, whose error
+    # is the fit's own value.
+    monkeypatch.setattr(optimize, "_FIT_MAX_EVALS", 8)
+    device = {"qubit_freqs_ghz": [1.89, 1.031], "couplings_ghz": [0.1, 0.071],
+              "tc_max_freq_ghz": 2.0}
+    shape = {"fit": True, "alpha1_ghz": -1.99, "alpha3_ghz": -1.8,
+             "tau1_ns": 7.201434824566999, "tau2_ns": 8.901434824566998,
+             "tau3_ns": 11.401434824566998, "sigma1_ns": 1.37, "sigma2_ns": 0.2,
+             "sigma3_ns": 1.83}
+    cfg = _config(tmp_path, "below.json", device=device, lct=LCT_SHORT,
+                  analytic={**shape, "alpha1_ghz": -2.5})
+    code, out = _run(tmp_path / "below", "analytic", "--config", cfg)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: section 'analytic', key 'alpha1_ghz': -2.5 lies outside "
+        "the fit's bounds [-1.998, -0.1592]\n")
+    assert list(out.iterdir()) == []
+
+    cfg = _config(tmp_path, "inside.json", device=device, lct=LCT_SHORT, analytic=shape)
+    code, out = _run(tmp_path / "inside", "analytic", "--config", cfg)
+    assert code in (0, 2)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "analytic.csv", "analytic_flux.csv", "analytic_params.json", "analytic_report.json",
+        "analytic_spectrum.csv", "analytic_summary.json", "manifest.json"]
+    form = json.loads((out / "analytic_params.json").read_text())
+    assert min(form["alpha1_ghz"], form["alpha3_ghz"]) >= clamp_floor(TWO_PI * 2.0) / TWO_PI
+    fitted = json.loads((out / "analytic_report.json").read_text())
+    written = json.loads((out / "analytic_summary.json").read_text())
+    assert written["final_error"] == fitted["forward_error"]
+
+
 def test_out_of_domain_flags_exit_1(tmp_path, capsys):
     # Values argparse parses but the run refuses: config errors, as
     # argparse's own refusals are (test_usage_errors_exit_1_writing_nothing).
@@ -830,6 +864,9 @@ def test_analytic_fit_missing_its_goal_exits_2_after_its_files(
         assert (out / name).exists(), name
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_code"] == 2
+    # The stage that failed is timed too, and names the pipeline's failure.
+    assert set(manifest["stages"]) == (
+        {"optimize", "analytic"} if command == "pipeline" else {"analytic"})
     assert manifest["outputs"][-6:] == names
     assert sorted(manifest["outputs"]) == sorted(p.name for p in out.iterdir()
                                                  if p.name != "manifest.json")

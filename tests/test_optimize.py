@@ -15,6 +15,7 @@ from lctpulse import optimize
 from lctpulse.io import report_to_dict
 from lctpulse.lct import refined_config, run_lct_lockstep
 from lctpulse.optimize import (
+    ANALYTIC_DT_NS,
     OptimizationReport,
     fit_analytic_pulse,
     nelder_mead,
@@ -22,7 +23,9 @@ from lctpulse.optimize import (
     optimize_truncation,
     transfer_errors,
 )
-from lctpulse.pulses import AnalyticPulseParams, lowpass_filter, truncate_with_gaussian_tail
+from lctpulse.pulses import (AnalyticPulseParams, analytic_pulse, clamp_floor, lowpass_filter,
+                             truncate_with_gaussian_tail)
+from lctpulse.units import TWO_PI
 
 
 def _rosenbrock(x):
@@ -392,3 +395,23 @@ def test_simplex_histories_are_keyed_x_i_in_the_reports(fast_bare, monkeypatch):
     assert 8 <= stage1 <= len(keys) - 8 and len(keys) == rep.evaluations
     assert keys == ([[f"x{i}" for i in range(5)]] * stage1
                     + [[f"x{i}" for i in range(3)]] * (len(keys) - stage1))
+
+
+def test_fit_on_a_low_coupler_scores_only_pulses_it_can_write(monkeypatch):
+    # A 2 GHz coupler's clamp floor, -1.998 GHz, lies above -20 rad/ns, so
+    # it bounds the amplitudes: every point the fit scores is the pulse the
+    # CLI samples for it, unclamped.  Without the floor, this start's
+    # simplex reaches alpha1 -2.09 GHz at its 7th evaluation, inside the cap.
+    monkeypatch.setattr(optimize, "_FIT_MAX_EVALS", 8)
+    low = SystemParams.from_ghz([1.89, 1.031], [0.1, 0.071], 2.0)
+    start = AnalyticPulseParams(
+        alpha1=-TWO_PI * 1.99, alpha3=-TWO_PI * 1.8, tau1=7.201434824566999,
+        tau2=8.901434824566998, tau3=11.401434824566998, sigma1=1.37, sigma2=0.2, sigma3=1.83)
+    fitted, rep = fit_analytic_pulse(low, start, "100", "010")
+    floor = clamp_floor(low.omega_tc_max)
+    amplitudes = [float(a) for x, _ in rep.history if x.size == 5 for a in x[:2]]
+    assert len(amplitudes) >= 16
+    assert min(amplitudes) >= floor
+    assert min(fitted.alpha1, fitted.alpha3) >= floor
+    wf = analytic_pulse(fitted, ANALYTIC_DT_NS, low.omega_tc_max)
+    assert transfer_errors(low, wf, "100", "010")[0] == rep.best_value == rep.forward_error

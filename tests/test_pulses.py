@@ -275,12 +275,12 @@ def test_analytic_pulse_validation(params):
         alpha1=-1.0, alpha3=-1.0, tau1=5.0, tau2=4.0, tau3=6.0,
         sigma1=1.0, sigma2=1.0, sigma3=1.0)
     with pytest.raises(ValueError):
-        analytic_pulse(bad, dt=0.01)
+        analytic_pulse(bad, dt=0.01, omega_tc_max=params.omega_tc_max)
     positive = AnalyticPulseParams(
         alpha1=0.5, alpha3=-1.0, tau1=1.0, tau2=2.0, tau3=3.0,
         sigma1=1.0, sigma2=1.0, sigma3=1.0)
     with pytest.raises(ValueError):
-        analytic_pulse(positive, dt=0.01)
+        analytic_pulse(positive, dt=0.01, omega_tc_max=params.omega_tc_max)
 
 
 @st.composite
@@ -298,8 +298,8 @@ def _analytic_shape(draw):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(_analytic_shape())
-def test_mirrored_closed_form_is_the_time_reverse(p):
+@given(p=_analytic_shape())
+def test_mirrored_closed_form_is_the_time_reverse(params, p):
     # Swapping the lobes and reflecting the branch times about T/2 gives
     # the shape played backwards: p'(T - t) == p(t).
     big_t = p.tau1 + p.tau3
@@ -307,7 +307,7 @@ def test_mirrored_closed_form_is_the_time_reverse(p):
         alpha1=p.alpha3, alpha3=p.alpha1,
         tau1=big_t - p.tau3, tau2=big_t - p.tau2, tau3=big_t - p.tau1,
         sigma1=p.sigma3, sigma2=p.sigma2, sigma3=p.sigma1)
-    mirror.validate()
+    mirror.validate(params.omega_tc_max)
     t = np.linspace(p.tau1 - 4.0 * p.sigma1, p.tau3 + 4.0 * p.sigma3, 2001)
     branch = np.array([p.tau1, p.tau2, p.tau3])
     t = t[np.abs(t[:, None] - branch).min(axis=1) > 1e-9]
