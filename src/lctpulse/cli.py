@@ -9,6 +9,17 @@ run uses: each setting has one source.  All files land in --out-dir;
 a run that leaves any, whatever its exit code, adds a manifest naming
 them and the code.  A usage error, as argparse finds it, is a config
 error (exit 1).
+
+The closed-form fit runs in a forked child (_forked): a pipeline starts
+it before the bare run and collects it after truncation, so it runs
+beside the feedback stages on a second core; analytic starts it and
+waits at once.  The parent writes every file.  A pipeline's
+stages.analytic is the wait plus the writes; the manifest's fit_time is
+the child's own wall seconds.  Without os.fork (Windows) the fit runs
+inline.  From Python 3.12 a fork beside OpenBLAS's worker threads emits
+a DeprecationWarning, left as Python emits it; OpenBLAS stops its
+workers in a fork handler of its own (behaviour on 3.12 not yet
+observed).
 """
 
 from __future__ import annotations
@@ -49,6 +60,84 @@ def _run_inputs(ctx: dict):
         params = io.device_from_config(ctx["doc"])
         ctx["run_inputs"] = params, io.lct_config_from(ctx["doc"], params.omega_tc_max)
     return ctx["run_inputs"]
+
+
+def _outcome(fn, args) -> tuple:
+    """(True, fn(*args)) or (False, the exception it raised), then the
+    call's wall seconds."""
+    started = time.perf_counter()
+    try:
+        result = True, fn(*args)
+    except Exception as exc:
+        result = False, exc
+    return (*result, time.perf_counter() - started)
+
+
+def _settle(outcome: tuple) -> tuple:
+    """(value, seconds) of an outcome that returned; re-raises its exception."""
+    ok, value, seconds = outcome
+    if not ok:
+        raise value
+    return value, seconds
+
+
+def _forked(fn, *args) -> tuple:
+    """Start fn(*args) in a forked child and return (wait, cancel).
+
+    wait() returns (fn's value, the child's own wall seconds) or re-raises
+    fn's exception, and reaps the child either way; cancel() kills and
+    reaps a child that wait has not reaped.  A fork, not a spawn: the child
+    inherits the parent's bindings, a patched or traced fn among them.  It
+    writes only its pickled outcome to a pipe and leaves through os._exit,
+    running no exit handler; stdout and stderr are flushed before the fork,
+    so no buffered line is written twice.
+    """
+    # Imported here: a command that forks no child loads nothing for it.
+    import pickle
+    import signal
+
+    if not hasattr(os, "fork"):  # Windows has no fork: the call runs inline.
+        return functools.partial(_settle, _outcome(fn, args)), lambda: None
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(pickle.dumps(_outcome(fn, args)))
+        finally:
+            os._exit(0)
+    os.close(write)
+    pipe = os.fdopen(read, "rb")
+    running = [pid]
+
+    def cancel() -> None:
+        # Once wait has read the pipe to its end, the child is only
+        # exiting, and the kill cuts nothing short.
+        if running:
+            os.kill(running[0], signal.SIGKILL)
+            os.waitpid(running.pop(), 0)
+        pipe.close()
+
+    def wait() -> tuple:
+        try:
+            data = pipe.read()
+        finally:
+            cancel()
+        if not data:
+            raise RuntimeError("the forked child ended without an outcome")
+        return _settle(pickle.loads(data))
+
+    return wait, cancel
+
+
+def _start_fit(ctx: dict, form) -> tuple:
+    """fit_analytic_pulse from form on the run's device and labels, started
+    in a forked child: (wait, cancel) of _forked."""
+    params, base = _run_inputs(ctx)
+    return _forked(fit_analytic_pulse, params, form, base.initial_label, base.target_label)
 
 
 # ----------------------------------------------------------------
@@ -195,14 +284,16 @@ def cmd_truncate(ctx: dict, pulse=None, settings=None):
 
 
 @_stage
-def cmd_analytic(ctx: dict, section=None) -> None:
+def cmd_analytic(ctx: dict, section=None, wait=None) -> None:
     """The closed form of the section handed on, else the config's, fitted
-    unless fit is false, and sampled at ANALYTIC_DT_NS.  A fit that misses
-    its goal raises ConvergenceError once every file is written."""
+    unless fit is false, and sampled at ANALYTIC_DT_NS.  The fit runs in a
+    forked child: wait, handed on, collects one already started, else the
+    fit starts here and is waited for at once.  A fit that misses its goal
+    raises ConvergenceError once every file is written."""
     params, base = _run_inputs(ctx)
     form, fit = section or io.analytic_section(ctx["doc"], params.omega_tc_max)
     if fit:
-        form, report = fit_analytic_pulse(params, form, base.initial_label, base.target_label)
+        (form, report), ctx["fit_time"] = (wait or _start_fit(ctx, form)[0])()
         io.write_json(_out(ctx, "analytic_report.json"), io.report_to_dict(report))
     io.write_json(_out(ctx, "analytic_params.json"), io.analytic_params_to_dict(form))
     wf = analytic_pulse(form, ANALYTIC_DT_NS, params.omega_tc_max)
@@ -219,7 +310,11 @@ def cmd_analytic(ctx: dict, section=None) -> None:
 
 def cmd_pipeline(ctx: dict) -> None:
     """Bare run and reversibility search, then, each when its section is
-    present, truncation of the optimized pulse and the closed-form fit."""
+    present, truncation of the optimized pulse and the closed form.  The
+    fit needs only the device and its seed shape, so it runs in a forked
+    child beside the feedback stages, and its files are written after
+    truncation's; a run that fails before then kills the child and writes
+    no analytic file."""
     doc = ctx["doc"]
     # Each later section is read once, before the search spends its time,
     # and its settings are handed on.
@@ -227,15 +322,19 @@ def cmd_pipeline(ctx: dict) -> None:
     params, _ = _run_inputs(ctx)
     analytic = (io.analytic_section(doc, params.omega_tc_max)
                 if doc.get("analytic") is not None else None)
+    wait, cancel = (_start_fit(ctx, analytic[0]) if analytic is not None and analytic[1]
+                    else (None, lambda: None))
     try:
         pulse = cmd_optimize(ctx)
         if truncation is not None:
             cmd_truncate(ctx, pulse, truncation)
         if analytic is not None:
-            cmd_analytic(ctx, analytic)
+            cmd_analytic(ctx, analytic, wait)
     except ConvergenceError as exc:
         # The stage that failed is the last one timed.
         raise ConvergenceError(f"pipeline stage {list(ctx['stages'])[-1]!r}: {exc}") from exc
+    finally:
+        cancel()
 
 
 # ----------------------------------------------------------------
@@ -320,6 +419,8 @@ def main(argv: list | None = None) -> int:
                     "wall_time": time.monotonic() - started}
         if ctx["stages"]:
             manifest["stages"] = ctx["stages"]
+        if "fit_time" in ctx:
+            manifest["fit_time"] = ctx["fit_time"]
         io.write_json(os.path.join(args.out_dir, "manifest.json"), manifest)
     return code
 

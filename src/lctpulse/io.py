@@ -202,14 +202,21 @@ def analytic_section(doc: dict, omega_tc_max: float) -> tuple:
     """(form, fit) from the `analytic` section, which the analytic stage
     requires with its eight shape keys.  fit, true unless set, says
     whether the CLI fits the form: a fitted start must lie inside the
-    fit's bounds, analytic_bounds(omega_tc_max), and an unfitted form must
-    be a pulse the coupler at omega_tc_max can play."""
+    fit's bounds, analytic_bounds(omega_tc_max), which a coupler below
+    about 0.1593 GHz leaves empty, and an unfitted form must be a pulse the
+    coupler at omega_tc_max can play."""
     sec = _section(doc, "analytic", _ANALYTIC_KEYS, tuple(_ANALYTIC_FIELDS))
     form = AnalyticPulseParams(**{field: factor * sec[key]
                                   for key, (field, factor) in _ANALYTIC_FIELDS.items()})
     fit = sec.get("fit", True)
     if fit:
         bounds = analytic_bounds(omega_tc_max)
+        lo, hi = bounds["alpha1"]
+        if lo > hi:
+            raise ConfigError(
+                f"section 'analytic': the coupler's window [{-omega_tc_max / TWO_PI:g}, 0] GHz "
+                f"is too narrow for the closed form, whose fitted amplitudes lie at or "
+                f"below {hi / TWO_PI:.4g} GHz")
         for key, (name, factor) in _ANALYTIC_FIELDS.items():
             lo, hi = bounds[name]
             if not lo <= getattr(form, name) <= hi:

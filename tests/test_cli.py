@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import lctpulse
 from lctpulse import LctConfig, SystemParams, cli, lct, optimize, sweep_eigenvalues
 from lctpulse.cli import main
 from lctpulse.dynamics import CHUNK
-from lctpulse.io import device_from_config, read_waveform_csv, write_waveform_csv
+from lctpulse.io import (analytic_params_to_dict, analytic_section, device_from_config,
+                         read_waveform_csv, write_json, write_waveform_csv)
 from lctpulse.model import product_labels
 from lctpulse.optimize import OptimizationReport
 from lctpulse.pulses import Waveform, clamp_floor, lowpass_filter
@@ -41,6 +43,22 @@ ANALYTIC = {"fit": False, "alpha1_ghz": -1.591, "alpha3_ghz": -2.457,
 FAST_DEVICE = {**DEVICE, "couplings_ghz": [0.3, 0.2]}
 FAST_LCT = {"lambda": 5000.0, "eta": 1e-6, "dt_ns": 0.01, "t_max_ns": 60.0,
             "initial": "100", "target": "010"}
+
+
+# The fast device's search settings that pass, and a closed form to fit.
+FAST_SEARCH = {"cutoff_candidates_ghz": [0.3, 0.45], "fidelity_goal": 0.5}
+FIT = {**ANALYTIC, "fit": True}
+ANALYTIC_FILES = ["analytic_report.json", "analytic_params.json", "analytic.csv",
+                  "analytic_flux.csv", "analytic_spectrum.csv", "analytic_summary.json"]
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """No command leaves a child process behind, on success or failure:
+    the analytic fit's forked child is reaped on every exit path."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _config(tmp_path, name="config.json", **sections):
@@ -870,6 +888,111 @@ def test_analytic_fit_missing_its_goal_exits_2_after_its_files(
     assert manifest["outputs"][-6:] == names
     assert sorted(manifest["outputs"]) == sorted(p.name for p in out.iterdir()
                                                  if p.name != "manifest.json")
+
+
+def _stdout_lines_once(capfd) -> tuple:
+    """The captured (stdout lines, stderr), each stdout line written once:
+    the parent flushes before it forks, and the child flushes nothing."""
+    captured = capfd.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == len(set(lines)), lines
+    return lines, captured.err
+
+
+def test_pipeline_whose_search_aborts_kills_the_running_fit(tmp_path, monkeypatch, capfd):
+    # The fit, started before the search, would outlast the test by far;
+    # the search aborts (lambda2 = 0, as in
+    # test_forward_failure_in_search_grid_exits_2), and the run must kill
+    # and reap the child and write no analytic file.
+    monkeypatch.setattr(cli, "fit_analytic_pulse", lambda *args: time.sleep(600))
+    cfg = _config(tmp_path, device=FAST_DEVICE, lct=FAST_LCT, reversibility={
+        "cutoff_candidates_ghz": [0.45], "lambda2_init": 0.0, "fidelity_goal": 0.5},
+        analytic=FIT)
+    print("before the run")
+    started = time.monotonic()
+    code, out = _run(tmp_path, "pipeline", "--config", cfg)
+    assert code == 2
+    assert time.monotonic() - started < 60
+    lines, err = _stdout_lines_once(capfd)
+    assert lines == ["before the run"]
+    assert err.startswith("convergence failure: pipeline stage 'optimize': forward error")
+    assert not [p.name for p in out.iterdir() if p.name.startswith("analytic")]
+    assert "fit_time" not in json.loads((out / "manifest.json").read_text())
+
+
+def test_fit_failing_in_its_child_exits_3_after_the_feedback_stages(
+        tmp_path, monkeypatch, capfd):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    # Truncation of the fast device's pulse stalls; here it hands the pulse
+    # on as converged, so the run goes on to collect the fit.
+    converged = OptimizationReport(best_params={}, best_value=0.0, evaluations=1,
+                                   converged=True, forward_error=0.0, reverse_error=0.0)
+    monkeypatch.setattr(cli, "optimize_truncation",
+                        lambda params, pulse, *args, **kwargs: (pulse, converged))
+    monkeypatch.setattr(cli, "fit_analytic_pulse", singular)
+    cfg = _config(tmp_path, device=FAST_DEVICE, lct=FAST_LCT, reversibility=FAST_SEARCH,
+                  truncation={}, analytic=FIT)
+    code, out = _run(tmp_path, "pipeline", "--config", cfg)
+    assert code == 3
+    lines, err = _stdout_lines_once(capfd)
+    assert lines[0].startswith("reverse error") and lines[1].startswith("truncated to")
+    assert err == "numerical error: Eigenvalues did not converge\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 3
+    assert set(manifest["stages"]) == {"optimize", "truncate", "analytic"}
+    assert manifest["outputs"] == [
+        "bare.csv", "bare_flux.csv", "bare_spectrum.csv", "optimized.csv",
+        "optimized_flux.csv", "optimized_spectrum.csv", "optimize_report.json",
+        "truncated.csv", "truncated_flux.csv", "truncated_spectrum.csv",
+        "truncate_report.json"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(manifest["outputs"] + ["manifest.json"])
+
+
+def test_fit_in_its_child_writes_the_bytes_of_a_fit_in_process(tmp_path, monkeypatch):
+    # The fit, capped at 8 evaluations per stage, misses its goal, so each
+    # command exits 2 with every file written.  The cap, patched here, is
+    # what the forked child inherits.
+    monkeypatch.setattr(optimize, "_FIT_MAX_EVALS", 8)
+    cfg = _config(tmp_path, device=FAST_DEVICE, lct=FAST_LCT, reversibility=FAST_SEARCH,
+                  analytic=FIT)
+    outs = {}
+    for command in ("analytic", "pipeline"):
+        code, outs[command] = _run(tmp_path / command, command, "--config", cfg)
+        assert code == 2, command
+        manifest = json.loads((outs[command] / "manifest.json").read_text())
+        # The child's own wall seconds, apart from stages.analytic, which
+        # in a pipeline times only the wait and the writes.
+        assert 0.0 < manifest["fit_time"] <= manifest["wall_time"], command
+        assert "fit_time" not in manifest["stages"], command
+    match, mismatch, errors = filecmp.cmpfiles(outs["analytic"], outs["pipeline"],
+                                               ANALYTIC_FILES, shallow=False)
+    assert (match, mismatch, errors) == (ANALYTIC_FILES, [], [])
+
+    doc = json.loads(open(cfg).read())
+    params = device_from_config(doc)
+    form, _ = optimize.fit_analytic_pulse(
+        params, analytic_section(doc, params.omega_tc_max)[0], "100", "010")
+    write_json(str(tmp_path / "in_process.json"), analytic_params_to_dict(form))
+    assert ((tmp_path / "in_process.json").read_bytes()
+            == (outs["pipeline"] / "analytic_params.json").read_bytes())
+
+
+@pytest.mark.parametrize("command", ["analytic", "pipeline"])
+def test_coupler_too_narrow_for_a_fitted_closed_form_exits_1(tmp_path, capsys, command):
+    # Below about 0.1593 GHz the clamp floor lies above the fit's highest
+    # amplitude, -1 rad/ns, so no amplitude is left to fit.
+    device = {"qubit_freqs_ghz": [0.1, 0.12], "couplings_ghz": [0.01, 0.01],
+              "tc_max_freq_ghz": 0.15}
+    cfg = _config(tmp_path, device=device, lct=LCT_SHORT,
+                  analytic={**FIT, "alpha1_ghz": -0.155, "alpha3_ghz": -0.155})
+    code, out = _run(tmp_path, command, "--config", cfg)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: section 'analytic': the coupler's window [-0.15, 0] GHz is too "
+        "narrow for the closed form, whose fitted amplitudes lie at or below -0.1592 GHz\n")
+    assert list(out.iterdir()) == []
 
 
 def test_lambda_is_the_gain_of_a_run_with_a_reference(tmp_path, monkeypatch):
