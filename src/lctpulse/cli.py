@@ -15,11 +15,11 @@ it before the bare run and collects it after truncation, so it runs
 beside the feedback stages on a second core; analytic starts it and
 waits at once.  The parent writes every file.  A pipeline's
 stages.analytic is the wait plus the writes; the manifest's fit_time is
-the child's own wall seconds.  Without os.fork (Windows) the fit runs
+the child's own wall seconds.  A child that dies before it sends its
+outcome fails the run (exit 3).  Without os.fork (Windows) the fit runs
 inline.  From Python 3.12 a fork beside OpenBLAS's worker threads emits
 a DeprecationWarning, left as Python emits it; OpenBLAS stops its
-workers in a fork handler of its own (behaviour on 3.12 not yet
-observed).
+workers in a fork handler of its own (not yet observed on 3.12).
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .errors import ConfigError, ConvergenceError, DegenerateLevelsError, Unknow
 from .lct import run_lct
 from .model import (product_labels, single_excitation_gap_minima, sweep_eigenvalues,
                     sweep_nonadiabatic_couplings)
-from .optimize import (ANALYTIC_DT_NS, fit_analytic_pulse, optimize_reversible,
-                       optimize_truncation, transfer_errors)
+from .optimize import (fit_analytic_pulse, optimize_reversible, optimize_truncation,
+                       transfer_errors)
 from .pulses import analytic_pulse, fourier_spectrum, in_window, lowpass_filter
 from .units import TWO_PI
 
@@ -85,7 +85,8 @@ def _forked(fn, *args) -> tuple:
     """Start fn(*args) in a forked child and return (wait, cancel).
 
     wait() returns (fn's value, the child's own wall seconds) or re-raises
-    fn's exception, and reaps the child either way; cancel() kills and
+    fn's exception, and reaps the child either way; a child that ends with
+    no outcome raises ChildProcessError naming how.  cancel() kills and
     reaps a child that wait has not reaped.  A fork, not a spawn: the child
     inherits the parent's bindings, a patched or traced fn among them.  It
     writes only its pickled outcome to a pipe and leaves through os._exit,
@@ -114,8 +115,6 @@ def _forked(fn, *args) -> tuple:
     running = [pid]
 
     def cancel() -> None:
-        # Once wait has read the pipe to its end, the child is only
-        # exiting, and the kill cuts nothing short.
         if running:
             os.kill(running[0], signal.SIGKILL)
             os.waitpid(running.pop(), 0)
@@ -124,10 +123,15 @@ def _forked(fn, *args) -> tuple:
     def wait() -> tuple:
         try:
             data = pipe.read()
-        finally:
+        except BaseException:
             cancel()
+            raise
+        pipe.close()
+        # At the pipe's end the child has closed its end: it is exiting.
+        code = os.waitstatus_to_exitcode(os.waitpid(running.pop(), 0)[1])
         if not data:
-            raise RuntimeError("the forked child ended without an outcome")
+            how = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
+            raise ChildProcessError(f"the forked child ended without an outcome ({how})")
         return _settle(pickle.loads(data))
 
     return wait, cancel
@@ -230,13 +234,12 @@ def cmd_lct(ctx: dict) -> None:
 
 
 def cmd_filter(ctx: dict) -> None:
-    doc, path = ctx["doc"], ctx["args"].pulse
-    params = io.device_from_config(doc)
-    cutoff_ghz, clamp = io.filter_section(doc)
-    wf = io.read_waveform_csv(path, params.omega_tc_max)
-    filtered = lowpass_filter(
-        wf, cutoff_ghz, omega_tc_max=params.omega_tc_max if clamp else None)
-    _write_pulse_set(ctx, "filtered", params, filtered)
+    """--pulse's pulse as the reference optimize_reversible builds from it."""
+    params = io.device_from_config(ctx["doc"])
+    cutoff_ghz = io.filter_section(ctx["doc"])
+    wf = io.read_waveform_csv(ctx["args"].pulse, params.omega_tc_max)
+    wf = lowpass_filter(wf, cutoff_ghz, params.omega_tc_max)
+    _write_pulse_set(ctx, "filtered", params, wf)
     print(f"filtered at {cutoff_ghz:g} GHz")
 
 
@@ -266,8 +269,7 @@ def cmd_optimize(ctx: dict):
 def cmd_truncate(ctx: dict, pulse=None, settings=None):
     """Shorten the pulse handed on, else --pulse's, by the settings handed
     on, else the section's."""
-    if settings is None:
-        settings = io.truncation_section(ctx["doc"])
+    settings = io.truncation_section(ctx["doc"]) if settings is None else settings
     params, base = _run_inputs(ctx)
     if pulse is None:
         pulse = io.read_waveform_csv(ctx["args"].pulse, params.omega_tc_max)
@@ -286,7 +288,7 @@ def cmd_truncate(ctx: dict, pulse=None, settings=None):
 @_stage
 def cmd_analytic(ctx: dict, section=None, wait=None) -> None:
     """The closed form of the section handed on, else the config's, fitted
-    unless fit is false, and sampled at ANALYTIC_DT_NS.  The fit runs in a
+    unless fit is false, and sampled by analytic_pulse.  The fit runs in a
     forked child: wait, handed on, collects one already started, else the
     fit starts here and is waited for at once.  A fit that misses its goal
     raises ConvergenceError once every file is written."""
@@ -296,7 +298,7 @@ def cmd_analytic(ctx: dict, section=None, wait=None) -> None:
         (form, report), ctx["fit_time"] = (wait or _start_fit(ctx, form)[0])()
         io.write_json(_out(ctx, "analytic_report.json"), io.report_to_dict(report))
     io.write_json(_out(ctx, "analytic_params.json"), io.analytic_params_to_dict(form))
-    wf = analytic_pulse(form, ANALYTIC_DT_NS, params.omega_tc_max)
+    wf = analytic_pulse(form, params.omega_tc_max)
     _write_pulse_set(ctx, "analytic", params, wf)
 
     err = transfer_errors(params, wf, base.initial_label, base.target_label)[0]
@@ -409,11 +411,14 @@ def main(argv: list | None = None) -> int:
             DegenerateLevelsError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         code = EXIT_NUMERICAL
+    except ChildProcessError as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        code = EXIT_NUMERICAL
 
     outputs = [name for name in ctx["outputs"]
                if os.path.exists(os.path.join(ctx["out_dir"], name))]
     if outputs:
-        manifest = {"config_hash": io.config_hash(args.config),
+        manifest = {"config_hash": doc.sha256,
                     "command": " ".join([args.command] + list(argv or sys.argv[1:])[1:]),
                     "outputs": outputs, "exit_code": code,
                     "wall_time": time.monotonic() - started}

@@ -31,11 +31,29 @@ GHZ_FMT = "%.12f"
 # config document
 # ----------------------------------------------------------------
 
-def load_config(path: str) -> dict:
-    """Parse a UTF-8 JSON config document; errors carry line/column context."""
+def _builtin_sha256():
+    """CPython's built-in sha256 (_sha2 from 3.12, _sha256 before); hashlib's,
+    the fallback, would load OpenSSL's libcrypto, about 3.5 MB resident."""
+    try:
+        return __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:
+        return __import__("hashlib").sha256
+
+
+_SHA256 = _builtin_sha256()
+
+
+class ConfigDocument(dict):
+    """A parsed config document; sha256 is the digest of its bytes as read."""
+
+
+def load_config(path: str) -> ConfigDocument:
+    """Read the UTF-8 JSON object at path once and parse it; errors carry
+    line/column context."""
     try:
         with open(path, "rb") as fh:
-            doc = json.load(fh)
+            data = fh.read()
+        doc = json.loads(data)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -46,7 +64,9 @@ def load_config(path: str) -> dict:
         ) from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    return doc
+    config = ConfigDocument(doc)
+    config.sha256 = _SHA256(data).hexdigest()
+    return config
 
 
 def _section(doc: dict, name: str, known: dict, required: tuple | None = None) -> dict:
@@ -92,14 +112,6 @@ def _integer(value) -> int:
     """A whole number, 60 or 60.0; int() would read 2.7 as 2 and true as 1."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise TypeError(f"expected a whole number, got {value!r}")
-    return int(value)
-
-
-def _eval_cap(value) -> int:
-    """A whole number of at least 2: the 1-d simplex runs its two starting
-    points before it reads its cap, so a lower one would not hold."""
-    if _integer(value) < 2:
-        raise ValueError(f"expected a whole number of at least 2, got {value!r}")
     return int(value)
 
 
@@ -177,15 +189,13 @@ def reversibility_section(doc: dict) -> dict:
 def truncation_section(doc: dict) -> dict:
     """The keys the `truncation` section sets, as optimize_truncation's
     keyword settings; a key left out keeps the driver's default."""
-    return _section(doc, "truncation", {"sigma_ns": _positive, "max_evals": _eval_cap})
+    return _section(doc, "truncation", {"sigma_ns": _positive})
 
 
-def filter_section(doc: dict) -> tuple:
-    """(cutoff_ghz, clamp) from the `filter` section: the filter command
-    low-passes the pulse --pulse names at cutoff_ghz, 0.45 GHz unless set,
-    and clamps it to the coupler's window unless clamp is false."""
-    sec = _section(doc, "filter", {"cutoff_ghz": _positive, "clamp": _boolean})
-    return sec.get("cutoff_ghz", 0.45), sec.get("clamp", True)
+def filter_section(doc: dict) -> float:
+    """The `filter` section's cutoff_ghz, 0.45 GHz unless set: the filter
+    command low-passes the pulse --pulse names at it."""
+    return _section(doc, "filter", {"cutoff_ghz": _positive}).get("cutoff_ghz", 0.45)
 
 
 # Closed-form config key -> (AnalyticPulseParams field, factor from the
@@ -235,23 +245,6 @@ def analytic_params_to_dict(p: AnalyticPulseParams) -> dict:
     return {key: getattr(p, field) / factor
             for key, (field, factor) in _ANALYTIC_FIELDS.items()}
 
-
-def _builtin_sha256():
-    """CPython's built-in sha256 (_sha2 from 3.12, _sha256 before); hashlib's,
-    the fallback, would load OpenSSL's libcrypto, about 3.5 MB resident."""
-    try:
-        return __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
-    except ImportError:
-        return __import__("hashlib").sha256
-
-
-_SHA256 = _builtin_sha256()
-
-
-def config_hash(path: str) -> str:
-    """sha256 over the raw config bytes, so the digest moves iff they do."""
-    with open(path, "rb") as fh:
-        return _SHA256(fh.read()).hexdigest()
 
 
 # ----------------------------------------------------------------

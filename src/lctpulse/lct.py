@@ -13,7 +13,7 @@ a perfect square, so the transfer is monotone by construction:
 
 where the sum runs over the n_prime lowest drift eigenstates (all of them
 unless a projection is requested; then the law is approximate but cheap
-for large systems).  The raw value is clamped to (-omega_tc_max + floor, 0]
+for large systems).  The raw value is clamped to [-omega_tc_max + floor, 0]
 because the coupler can only tune down from its sweet spot.
 
 The loop is explicit and causal: the feedback computed from the state at

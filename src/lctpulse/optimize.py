@@ -9,16 +9,16 @@ whose defaults are the stage's:
                         loops whose probe column gives each cell's reverse
                         error (lambda2_init, cutoff_candidates_ghz,
                         fidelity_goal)
-  optimize_truncation   1-d simplex over the truncation time tau (sigma_ns,
-                        max_evals)
+  optimize_truncation   1-d simplex over the truncation time tau (sigma_ns)
   fit_analytic_pulse    two-stage fit of the closed-form pulse (amplitudes
                         and switch times first, widths second), sampled
-                        at ANALYTIC_DT_NS inside the coupler's window
+                        by pulses.analytic_pulse inside the coupler's window
                         (pulses.analytic_bounds); it has no settings
 
 Truncation and the fit pass at FIDELITY_GOAL; the reversibility search
-takes it as its default goal.  Every objective is deterministic, so
-repeated runs reproduce bit-identical histories.
+takes it as its default goal.  The simplex stops are constants, not
+settings.  Every objective is deterministic, so repeated runs reproduce
+bit-identical histories.
 """
 
 from __future__ import annotations
@@ -49,17 +49,15 @@ _ALPHA, _GAMMA, _RHO, _SHRINK = 1.0, 2.0, 0.5, 0.5
 _PENALTY = 1e6
 
 # Simplex stops: the truncation search's diameter as a fraction of its
-# starting tau; each fit stage's as a fraction of its start's largest
-# magnitude (at least 1), and each fit stage's evaluation cap.
+# starting tau, and its evaluation cap; each fit stage's as a fraction of
+# its start's largest magnitude (at least 1), and its evaluation cap.
 _TRUNCATION_TOLERANCE = 1e-3
+_TRUNCATION_MAX_EVALS = 60
 _FIT_TOLERANCE = 1e-6
 _FIT_MAX_EVALS = 2000
 
 # The pass mark of truncation and the fit; the reversibility search's default.
 FIDELITY_GOAL = 1e-6
-
-# The closed form's sample period (ns), for the fit and for the CLI's pulse.
-ANALYTIC_DT_NS = 0.01
 
 
 @dataclass
@@ -290,14 +288,13 @@ def optimize_truncation(
     destination_label: str,
     *,
     sigma_ns: float = 1.0,
-    max_evals: int = 60,
 ) -> tuple:
     """Shorten a reversible pulse with a half-Gaussian tail of width sigma_ns.
 
     tau starts where the reverse process first reaches 99% transfer, read
     by a scan that stops there, and is then tuned by a 1-d simplex on
-    max(forward, reverse) error, within max_evals evaluations.  Returns
-    (truncated waveform, OptimizationReport).
+    max(forward, reverse) error, within _TRUNCATION_MAX_EVALS evaluations.
+    Returns (truncated waveform, OptimizationReport).
     """
     sector = params.sector_of(destination_label)
     tau0 = first_crossing(sector, sector.state(destination_label), pulse, source_label, 0.99)
@@ -318,7 +315,7 @@ def optimize_truncation(
         x0=np.array([tau0]),
         bounds=[(0.5 * tau0, pulse.duration)],
         tolerance=_TRUNCATION_TOLERANCE * tau0,
-        max_evals=max_evals,
+        max_evals=_TRUNCATION_MAX_EVALS,
         target_value=FIDELITY_GOAL,
     )
     tau = float(best[0])
@@ -347,7 +344,7 @@ def fit_analytic_pulse(
     source_label: str,
     destination_label: str,
 ) -> tuple:
-    """Two-stage fit of the closed-form pulse, sampled at ANALYTIC_DT_NS.
+    """Two-stage fit of the closed-form pulse, sampled by analytic_pulse.
 
     Stage 1 moves the amplitudes and switch times with the widths frozen;
     stage 2 relaxes the widths around the stage-1 optimum.  Stage 2 starts
@@ -365,7 +362,7 @@ def fit_analytic_pulse(
             penalty += _PENALTY * (p.tau2 - p.tau3) ** 2
         if penalty > 0.0:
             return 1.0 + penalty
-        wf = analytic_pulse(p, ANALYTIC_DT_NS, params.omega_tc_max)
+        wf = analytic_pulse(p, params.omega_tc_max)
         return transfer_errors(params, wf, source_label, destination_label)[0]
 
     def stage(fields, frozen: AnalyticPulseParams, spread: float):

@@ -19,6 +19,9 @@ CLAMP_FLOOR_FRACTION = 1e-3
 # Gaussian tails are cut where they drop below this fraction of their peak.
 TAIL_CUTOFF = 1e-6
 
+# The closed form's sample period (ns), for the fit and for the CLI's pulse.
+ANALYTIC_DT_NS = 0.01
+
 
 @dataclass
 class Waveform:
@@ -220,12 +223,13 @@ def natural_duration(p: AnalyticPulseParams) -> float:
     return p.tau3 + p.sigma3 * np.sqrt(2.0 * np.log(1.0 / TAIL_CUTOFF))
 
 
-def analytic_pulse(p: AnalyticPulseParams, dt: float, omega_tc_max: float) -> Waveform:
-    """Sample the analytic shape on a uniform grid over natural_duration(p).
+def analytic_pulse(p: AnalyticPulseParams, omega_tc_max: float) -> Waveform:
+    """Sample the analytic shape every ANALYTIC_DT_NS over natural_duration(p).
 
     Validates the parameter invariants, amplitudes inside the window of
     the coupler at omega_tc_max included, before sampling.
     """
     p.validate(omega_tc_max)
+    dt = ANALYTIC_DT_NS
     n = max(2, int(round(natural_duration(p) / dt)))
     return Waveform(dt=dt, samples=analytic_samples(p, np.arange(n) * dt))

@@ -381,13 +381,11 @@ def test_criterion_8_truncated_pulse(params, base_config, reversible):
 
 
 def test_criterion_9_analytic_pulse(params):
-    w0 = analytic_pulse(
-        REFERENCE_ANALYTIC, 0.01, omega_tc_max=params.omega_tc_max
-    )
+    w0 = analytic_pulse(REFERENCE_ANALYTIC, omega_tc_max=params.omega_tc_max)
     e0 = _transfer_error(params, w0, "010", "100")
 
     fitted, rep = fit_analytic_pulse(params, REFERENCE_ANALYTIC, "010", "100")
-    wf = analytic_pulse(fitted, 0.01, omega_tc_max=params.omega_tc_max)
+    wf = analytic_pulse(fitted, omega_tc_max=params.omega_tc_max)
     e_fit = _transfer_error(params, wf, "010", "100")
     e_rev = _transfer_error(params, time_reverse(wf), "100", "010")
 

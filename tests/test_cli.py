@@ -1,6 +1,8 @@
 import filecmp
+import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -194,8 +196,10 @@ def test_removed_knobs_exit_1(tmp_path, capsys):
     # Each setting has one source: the seed run is the lct section, the
     # cutoff filter.cutoff_ghz, the input pulse --pulse, the run's gain
     # lct.lambda, the pass mark of truncation and the fit
-    # optimize.FIDELITY_GOAL, and the closed form's sample period
-    # optimize.ANALYTIC_DT_NS.
+    # optimize.FIDELITY_GOAL, the closed form's sample period
+    # pulses.ANALYTIC_DT_NS and the truncation search's cap
+    # optimize._TRUNCATION_MAX_EVALS; and the filter always clamps, as the
+    # search's reference is clamped.
     pulse_path = str(tmp_path / "in.csv")
     write_waveform_csv(pulse_path, Waveform(dt=0.01, samples=-np.ones(200)))
     cases = (
@@ -215,6 +219,13 @@ def test_removed_knobs_exit_1(tmp_path, capsys):
          ["analytic"], "section 'analytic': unknown keys ['fidelity_goal']"),
         ("analytic-dt", {"lct": LCT_SHORT, "analytic": {**ANALYTIC, "dt_ns": 0.01}},
          ["analytic"], "section 'analytic': unknown keys ['dt_ns']"),
+        ("filter-clamp", {"filter": {"clamp": False}}, ["filter", "--pulse", pulse_path],
+         "section 'filter': unknown keys ['clamp']"),
+        ("truncation-cap", {"lct": LCT_SHORT, "truncation": {"max_evals": 60}},
+         ["truncate", "--pulse", pulse_path],
+         "section 'truncation': unknown keys ['max_evals']"),
+        ("pipeline-cap", {"lct": LCT_SHORT, "truncation": {"max_evals": 60}},
+         ["pipeline"], "section 'truncation': unknown keys ['max_evals']"),
     )
     for name, sections, argv, message in cases:
         cfg = _config(tmp_path, f"{name}.json", **sections)
@@ -379,9 +390,11 @@ def test_filter_command(tmp_path):
     assert (out / "filtered_spectrum.csv").exists()
 
 
-def test_filter_clamp_false_writes_the_raw_filter_output(tmp_path):
+def test_filter_writes_the_clamped_reference_of_the_search(tmp_path):
     # A slow tone dipping to 0.9995 omega_tc_max, below the clamp floor but
-    # inside the window, plus a 2 GHz ripple the filter removes.
+    # inside the window, plus a 2 GHz ripple the filter removes.  The
+    # filter writes the reference optimize_reversible builds at the
+    # cutoff, lifted to the floor, not the raw transform.
     params = device_from_config({"device": DEVICE})
     t = np.arange(2000) * 0.01
     wf = Waveform(dt=0.01, samples=params.omega_tc_max * (
@@ -391,25 +404,25 @@ def test_filter_clamp_false_writes_the_raw_filter_output(tmp_path):
     wf = read_waveform_csv(pulse_path, params.omega_tc_max)
     raw = lowpass_filter(wf, 0.45)
     assert -params.omega_tc_max < raw.samples.min() < clamp_floor(params.omega_tc_max)
-    expected = {"clamped": lowpass_filter(wf, 0.45, omega_tc_max=params.omega_tc_max),
-                "raw": raw}
-    for name, sec in (("clamped", {}), ("raw", {"clamp": False})):
-        write_waveform_csv(str(tmp_path / f"{name}.csv"), expected[name])
-        cfg = _config(tmp_path, f"{name}.json",
-                      filter={"cutoff_ghz": 0.45, **sec})
-        code, out = _run(tmp_path / name, "filter", "--config", cfg, "--pulse", pulse_path)
-        assert code == 0
-        assert filecmp.cmp(out / "filtered.csv", tmp_path / f"{name}.csv", shallow=False)
-    assert not filecmp.cmp(tmp_path / "clamped.csv", tmp_path / "raw.csv", shallow=False)
-
-
-def test_unclamped_filter_output_outside_the_window_exits_3_before_any_file(tmp_path, capsys):
-    # A step's brick-wall output rings above 0 GHz next to the edge; the
-    # flux export refuses it, and so must the whole pulse set.
-    pulse_path = str(tmp_path / "step.csv")
-    write_waveform_csv(pulse_path, Waveform(dt=0.01, samples=-TWO_PI * (np.arange(400) < 200)))
-    cfg = _config(tmp_path, filter={"clamp": False, "cutoff_ghz": 0.45})
+    for name, filtered in (("clamped", lowpass_filter(wf, 0.45, params.omega_tc_max)),
+                           ("raw", raw)):
+        write_waveform_csv(str(tmp_path / f"{name}.csv"), filtered)
+    cfg = _config(tmp_path, filter={"cutoff_ghz": 0.45})
     code, out = _run(tmp_path, "filter", "--config", cfg, "--pulse", pulse_path)
+    assert code == 0
+    assert filecmp.cmp(out / "filtered.csv", tmp_path / "clamped.csv", shallow=False)
+    assert not filecmp.cmp(out / "filtered.csv", tmp_path / "raw.csv", shallow=False)
+
+
+def test_unclamped_filter_output_outside_the_window_exits_3_before_any_file(
+        tmp_path, monkeypatch, capsys):
+    # A filter output with a sample above 0 GHz: the flux export refuses
+    # it, and so must the whole pulse set, before filtered.csv is written.
+    monkeypatch.setattr(cli, "lowpass_filter", lambda wf, *args, **kwargs: Waveform(
+        dt=wf.dt, samples=np.append(wf.samples[:-1], 0.1)))
+    pulse_path = str(tmp_path / "in.csv")
+    write_waveform_csv(pulse_path, Waveform(dt=0.01, samples=-np.ones(200)))
+    code, out = _run(tmp_path, "filter", "--config", _config(tmp_path), "--pulse", pulse_path)
     assert code == 3
     assert "outside the coupler's window" in capsys.readouterr().err
     assert list(out.iterdir()) == []
@@ -665,10 +678,9 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
         np.sin(0.3 * np.arange(2000) * 0.01)))
     pulse_path = str(tmp_path / "in.csv")
     write_waveform_csv(pulse_path, wf)
-    cases = [("filter", "filter", {}, key, "x") for key in ("cutoff_ghz", "clamp")]
-    cases += [("filter", "filter", {}, "clamp", "false")]
-    cases += [("truncate", "truncation", {}, key, "x") for key in ("sigma_ns", "max_evals")]
-    cases += [("analytic", "analytic", ANALYTIC, "fit", "x")]
+    cases = [("filter", "filter", {}, "cutoff_ghz", "x")]
+    cases += [("truncate", "truncation", {}, "sigma_ns", "x")]
+    cases += [("analytic", "analytic", ANALYTIC, "fit", value) for value in ("x", "false")]
     cases += [("lct", "lct", LCT_SHORT, key, "x")
               for key in ("lambda", "eta", "dt_ns", "t_max_ns", "n_prime")]
     cases += [("optimize", "reversibility", {}, key, "x")
@@ -690,11 +702,6 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
     cases += [("pipeline", "truncation", {}, "sigma_ns", -1)]
     # Integer keys: int() would run 2.7 as 2 and true as 1.
     cases += [("lct", "lct", LCT_SHORT, "n_prime", value) for value in (2.7, True)]
-    cases += [("truncate", "truncation", {}, "max_evals", value) for value in (60.9, True)]
-    # The 1-d simplex runs its two starting points before it reads its cap,
-    # so a cap below 2 would run anyway and report 2 evaluations.
-    cases += [(command, "truncation", {}, "max_evals", value)
-              for command in ("truncate", "pipeline") for value in (1, 0, -5)]
     # The device and the seed run: unchecked, each of these would run to a
     # pulse that does not transfer, fail as a numerical error, or overflow.
     nan, inf = float("nan"), float("inf")
@@ -826,12 +833,12 @@ def test_non_finite_pulse_sample_exits_1_naming_the_file(tmp_path, capsys):
 
 
 def test_pulse_outside_the_window_exits_1_before_any_file(tmp_path, capsys):
-    # Unclamped, the filter would hand such a pulse to the flux export,
-    # which refuses it only after filtered.csv is written.
+    # Unchecked, the filter would clamp such a pulse into the window and
+    # write the filter of a pulse the file does not hold.
     for name, ghz in (("above", 0.5), ("below", -8.0)):
         pulse_path = str(tmp_path / f"{name}.csv")
         write_waveform_csv(pulse_path, Waveform(dt=0.01, samples=TWO_PI * np.array([-0.1, ghz])))
-        cfg = _config(tmp_path, f"{name}.json", lct=LCT_SHORT, filter={"clamp": False})
+        cfg = _config(tmp_path, f"{name}.json", lct=LCT_SHORT)
         for argv in (["filter", "--pulse", pulse_path], ["truncate", "--pulse", pulse_path]):
             code, out = _run(tmp_path / name / argv[0], *argv, "--config", cfg)
             assert code == 1, (name, argv)
@@ -977,6 +984,73 @@ def test_fit_in_its_child_writes_the_bytes_of_a_fit_in_process(tmp_path, monkeyp
     write_json(str(tmp_path / "in_process.json"), analytic_params_to_dict(form))
     assert ((tmp_path / "in_process.json").read_bytes()
             == (outs["pipeline"] / "analytic_params.json").read_bytes())
+
+
+def test_fit_without_fork_runs_inline_with_the_bytes_of_a_forked_fit(tmp_path, monkeypatch):
+    # Where os.fork is missing (Windows) the fit runs inline when it is
+    # started; its files are those of the forked fit, and its own wall
+    # seconds are recorded all the same.
+    monkeypatch.setattr(optimize, "_FIT_MAX_EVALS", 8)
+    cfg = _config(tmp_path, device=FAST_DEVICE, lct=FAST_LCT, reversibility=FAST_SEARCH,
+                  analytic=FIT)
+    code, forked = _run(tmp_path / "forked", "analytic", "--config", cfg)
+    assert code == 2
+    monkeypatch.delattr(os, "fork")
+    for command in ("analytic", "pipeline"):
+        code, out = _run(tmp_path / command, command, "--config", cfg)
+        assert code == 2, command
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert 0.0 < manifest["fit_time"] <= manifest["wall_time"], command
+        match, mismatch, errors = filecmp.cmpfiles(forked, out, ANALYTIC_FILES, shallow=False)
+        assert (match, mismatch, errors) == (ANALYTIC_FILES, [], []), command
+
+
+@pytest.mark.parametrize("command", ["analytic", "pipeline"])
+def test_fit_child_that_dies_without_an_outcome_exits_3(tmp_path, monkeypatch, capfd, command):
+    # A child killed before it sends its outcome fails the run as exit 3,
+    # naming how it ended; the pipeline's feedback files stay, and its
+    # manifest names them.
+    monkeypatch.setattr(cli, "fit_analytic_pulse",
+                        lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+    cfg = _config(tmp_path, device=FAST_DEVICE, lct=FAST_LCT, reversibility=FAST_SEARCH,
+                  analytic=FIT)
+    code, out = _run(tmp_path, command, "--config", cfg)
+    assert code == 3
+    _, err = _stdout_lines_once(capfd)
+    assert err == "runtime error: the forked child ended without an outcome (killed by SIGKILL)\n"
+    if command == "analytic":
+        assert list(out.iterdir()) == []
+        return
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 3 and "fit_time" not in manifest
+    assert set(manifest["stages"]) == {"optimize", "analytic"}
+    assert manifest["outputs"] == [
+        "bare.csv", "bare_flux.csv", "bare_spectrum.csv", "optimized.csv",
+        "optimized_flux.csv", "optimized_spectrum.csv", "optimize_report.json"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(manifest["outputs"] + ["manifest.json"])
+
+
+@pytest.mark.parametrize("change", ["delete", "rewrite"])
+def test_config_changed_mid_run_is_hashed_as_the_run_read_it(tmp_path, monkeypatch, change):
+    # The config is read once: the manifest hashes the bytes the run
+    # parsed, whatever happens to the file once the run has started.
+    cfg = _config(tmp_path, lct={**LCT_SHORT, "t_max_ns": 2.0})
+    data = open(cfg, "rb").read()
+
+    def run_then_change(params, config, sink):
+        result = lct.run_lct(params, config, sink)
+        if change == "delete":
+            os.remove(cfg)
+        else:
+            _config(tmp_path, lct={**LCT_SHORT, "t_max_ns": 3.0})
+        return result
+
+    monkeypatch.setattr(cli, "run_lct", run_then_change)
+    code, out = _run(tmp_path, "lct", "--config", cfg)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_hash"] == hashlib.sha256(data).hexdigest()
+    assert manifest["exit_code"] == 0 and len(manifest["outputs"]) == 5
 
 
 @pytest.mark.parametrize("command", ["analytic", "pipeline"])

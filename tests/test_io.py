@@ -12,13 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import record_lct
 from lctpulse import ConfigError, SystemParams, Waveform
-from lctpulse import io, optimize
+from lctpulse import io, optimize, pulses
 from lctpulse.io import (
     CHUNK,
     _write_csv,
     analytic_params_to_dict,
     analytic_section,
-    config_hash,
     device_from_config,
     filter_section,
     lct_config_from,
@@ -140,13 +139,9 @@ def test_integer_keys_take_whole_numbers_only():
     for value in (3, 3.0):
         n_prime = lct_config_from({"lct": {**lct, "n_prime": value}}, OMEGA_TC_MAX).n_prime
         assert n_prime == 3 and type(n_prime) is int
-        max_evals = truncation_section({"truncation": {"max_evals": value}})["max_evals"]
-        assert max_evals == 3 and type(max_evals) is int
     for value in (2.7, True, False, float("inf"), float("nan"), "x"):
         with pytest.raises(ConfigError, match="section 'lct', key 'n_prime'"):
             lct_config_from({"lct": {**lct, "n_prime": value}}, OMEGA_TC_MAX)
-        with pytest.raises(ConfigError, match="section 'truncation', key 'max_evals'"):
-            truncation_section({"truncation": {"max_evals": value}})
 
 
 def test_lct_section_missing_key():
@@ -214,7 +209,7 @@ def test_fidelity_goals_lie_strictly_between_0_and_1():
 
 def test_cutoffs_widths_and_steps_are_positive_and_gains_not_negative():
     readers = {
-        ("filter", "cutoff_ghz"): lambda sec: filter_section(sec)[0],
+        ("filter", "cutoff_ghz"): filter_section,
         ("truncation", "sigma_ns"): lambda sec: truncation_section(sec)["sigma_ns"],
     }
     for (name, key), read in readers.items():
@@ -235,13 +230,16 @@ def test_cutoffs_widths_and_steps_are_positive_and_gains_not_negative():
 
 
 def test_truncation_and_analytic_sections_reject_unknown_keys():
-    every_key = {"truncation": {"sigma_ns": 1.0, "max_evals": 60},
+    every_key = {"truncation": {"sigma_ns": 1.0},
                  "analytic": {**SHAPE, "fit": False}}
     assert truncation_section(every_key) == every_key["truncation"]
     assert analytic_section(every_key, OMEGA_TC_MAX) == (FORM, False)
     assert truncation_section({}) == {}
     with pytest.raises(ConfigError, match="missing config section 'analytic'"):
         analytic_section({}, OMEGA_TC_MAX)
+    # The search's evaluation cap is optimize._TRUNCATION_MAX_EVALS, not a setting.
+    with pytest.raises(ConfigError, match=r"section 'truncation': unknown keys \['max_evals'\]"):
+        truncation_section({"truncation": {"sigma_ns": 1.0, "max_evals": 60}})
     # A key the truncation search never reads from config, and a misspelt one.
     with pytest.raises(ConfigError, match=r"\['max_evalz', 'simplex_tolerance'\]"):
         truncation_section({"truncation": {"sigma_ns": 1.0, "simplex_tolerance": 5.0,
@@ -258,9 +256,11 @@ def test_device_lct_and_filter_sections_reject_unknown_keys():
         device_from_config({"device": {**DEVICE["device"], "coupling_ghz": [0.1, 0.071]}})
     with pytest.raises(ConfigError, match=r"section 'lct': unknown keys \['lamda2', 'n_primes'\]"):
         lct_config_from({"lct": {**lct, "n_primes": 2, "lamda2": 3}}, OMEGA_TC_MAX)
-    every_key = {"cutoff_ghz": 0.3, "clamp": False}
-    assert filter_section({"filter": every_key}) == (0.3, False)
-    assert filter_section({}) == (0.45, True)
+    assert filter_section({"filter": {"cutoff_ghz": 0.3}}) == 0.3
+    assert filter_section({}) == 0.45
+    # The filter always clamps: its output is the search's reference.
+    with pytest.raises(ConfigError, match=r"section 'filter': unknown keys \['clamp'\]"):
+        filter_section({"filter": {"cutoff_ghz": 0.3, "clamp": False}})
     with pytest.raises(ConfigError, match=r"section 'filter': unknown keys \['cutof_ghz'\]"):
         filter_section({"filter": {"cutof_ghz": 0.3}})
     for value in (0.45, [0.3]):
@@ -274,8 +274,8 @@ def test_device_lct_and_filter_sections_reject_unknown_keys():
 _DOCUMENTED_DEFAULTS = {
     "reversibility": {"lambda2_init": 300.0, "cutoff_candidates_ghz": (0.40, 0.45, 0.50),
                       "fidelity_goal": 1e-6},
-    "truncation": {"sigma_ns": 1.0, "max_evals": 60},
-    "filter": {"cutoff_ghz": 0.45, "clamp": True},
+    "truncation": {"sigma_ns": 1.0},
+    "filter": {"cutoff_ghz": 0.45},
     "analytic": {"fit": True},
 }
 
@@ -305,10 +305,14 @@ def test_stage_defaults_have_one_source():
         for key, value in _DOCUMENTED_DEFAULTS[name].items():
             assert parameters[key].default == value, key
     # The fit has no settings: it and the analytic command sample the
-    # closed form at README's one period.
+    # closed form through analytic_pulse, at README's one period.
     assert list(inspect.signature(fit_analytic_pulse).parameters) == [
         "params", "init", "source_label", "destination_label"]
-    assert optimize.ANALYTIC_DT_NS == 0.01
+    assert list(inspect.signature(pulses.analytic_pulse).parameters) == ["p", "omega_tc_max"]
+    assert pulses.ANALYTIC_DT_NS == 0.01
+    package = pathlib.Path(io.__file__).parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if "ANALYTIC_DT_NS" in path.read_text()] == ["pulses.py"]
 
     # A section that omits every key and one that spells out every default
     # lead to the same call, with README's values.
@@ -326,7 +330,7 @@ def test_stage_defaults_have_one_source():
     for name, (read, base) in readers.items():
         spelt_out = json.loads(json.dumps(_DOCUMENTED_DEFAULTS[name]))  # as a config holds it
         assert call(read, name, base, {}) == call(read, name, base, spelt_out), name
-    assert filter_section({}) == (0.45, True)
+    assert filter_section({}) == 0.45
     assert analytic_section({"analytic": SHAPE}, OMEGA_TC_MAX) == (FORM, True)
 
     # Each default is written once in the package: one literal, or one named
@@ -360,23 +364,26 @@ def test_analytic_params_roundtrip():
 
 
 def test_config_hash_tracks_bytes(tmp_path):
+    # The digest is of the bytes load_config parsed, read once.
     path = _write(tmp_path, "c.json", '{"a": 1}')
-    assert config_hash(path) == hashlib.sha256(b'{"a": 1}').hexdigest()
+    doc = load_config(path)
+    assert doc == {"a": 1} and doc.sha256 == hashlib.sha256(b'{"a": 1}').hexdigest()
     _write(tmp_path, "c.json", '{"a": 2}')
-    assert config_hash(path) != hashlib.sha256(b'{"a": 1}').hexdigest()
+    assert doc.sha256 == hashlib.sha256(b'{"a": 1}').hexdigest()
+    assert load_config(path).sha256 == hashlib.sha256(b'{"a": 2}').hexdigest()
 
 
 def test_config_hash_falls_back_to_hashlib(tmp_path, monkeypatch):
     # Without CPython's built-in sha256 module the digest comes from
     # hashlib, and it is the same digest.
     path = _write(tmp_path, "c.json", '{"a": 1}')
-    builtin = config_hash(path)
+    builtin = load_config(path).sha256
     assert io._SHA256 is not hashlib.sha256
     for name in ("_sha2", "_sha256"):
         monkeypatch.setitem(sys.modules, name, None)
     monkeypatch.setattr(io, "_SHA256", io._builtin_sha256())
     assert io._SHA256 is hashlib.sha256
-    assert config_hash(path) == builtin == hashlib.sha256(b'{"a": 1}').hexdigest()
+    assert load_config(path).sha256 == builtin == hashlib.sha256(b'{"a": 1}').hexdigest()
 
 
 # ----------------------------------------------------------------

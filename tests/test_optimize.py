@@ -15,7 +15,6 @@ from lctpulse import optimize
 from lctpulse.io import report_to_dict
 from lctpulse.lct import refined_config, run_lct_lockstep
 from lctpulse.optimize import (
-    ANALYTIC_DT_NS,
     OptimizationReport,
     fit_analytic_pulse,
     nelder_mead,
@@ -380,7 +379,8 @@ def test_simplex_histories_are_keyed_x_i_in_the_reports(fast_bare, monkeypatch):
     # x0, x1, ... in the JSON report.  Truncation moves tau alone, and the
     # fit moves five shape keys, then three widths.
     wf, _ = _search(fast_bare, cutoff_candidates_ghz=(0.45,), fidelity_goal=0.5)
-    _, rep = optimize_truncation(_FAST, wf, "100", "010", max_evals=6)
+    monkeypatch.setattr(optimize, "_TRUNCATION_MAX_EVALS", 6)
+    _, rep = optimize_truncation(_FAST, wf, "100", "010")
     history = report_to_dict(rep)["history"]
     assert len(history) == rep.evaluations > 1
     assert all(list(h["params"]) == ["x0"] for h in history)
@@ -413,5 +413,5 @@ def test_fit_on_a_low_coupler_scores_only_pulses_it_can_write(monkeypatch):
     assert len(amplitudes) >= 16
     assert min(amplitudes) >= floor
     assert min(fitted.alpha1, fitted.alpha3) >= floor
-    wf = analytic_pulse(fitted, ANALYTIC_DT_NS, low.omega_tc_max)
+    wf = analytic_pulse(fitted, low.omega_tc_max)
     assert transfer_errors(low, wf, "100", "010")[0] == rep.best_value == rep.forward_error

@@ -260,7 +260,7 @@ def test_analytic_branch_mismatch_bound():
 
 
 def test_analytic_pulse_plateaus_and_duration(params):
-    wf = analytic_pulse(FIG_PARAMS, dt=0.01, omega_tc_max=params.omega_tc_max)
+    wf = analytic_pulse(FIG_PARAMS, omega_tc_max=params.omega_tc_max)
     ghz = wf.samples / TWO_PI
     k1 = int(round(FIG_PARAMS.tau1 / wf.dt))
     k3 = int(round(FIG_PARAMS.tau3 / wf.dt))
@@ -275,12 +275,12 @@ def test_analytic_pulse_validation(params):
         alpha1=-1.0, alpha3=-1.0, tau1=5.0, tau2=4.0, tau3=6.0,
         sigma1=1.0, sigma2=1.0, sigma3=1.0)
     with pytest.raises(ValueError):
-        analytic_pulse(bad, dt=0.01, omega_tc_max=params.omega_tc_max)
+        analytic_pulse(bad, omega_tc_max=params.omega_tc_max)
     positive = AnalyticPulseParams(
         alpha1=0.5, alpha3=-1.0, tau1=1.0, tau2=2.0, tau3=3.0,
         sigma1=1.0, sigma2=1.0, sigma3=1.0)
     with pytest.raises(ValueError):
-        analytic_pulse(positive, dt=0.01, omega_tc_max=params.omega_tc_max)
+        analytic_pulse(positive, omega_tc_max=params.omega_tc_max)
 
 
 @st.composite
