@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -300,7 +301,10 @@ def read_waveform_csv(path: str, omega_tc_max: float) -> Waveform:
     """The pulse a waveform CSV holds: a uniform time grid from 0 and
     every sample inside the window of the coupler at omega_tc_max."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # A header without rows is refused below, by its shape.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read waveform {path}: {exc}") from exc
     except ValueError as exc:
@@ -405,9 +409,9 @@ def write_coupling_sweep_csv(path: str, deltas_rad: np.ndarray,
 
 def write_json(path: str, obj):
     """Deterministic JSON: sorted keys, trailing newline."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_jsonable)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_jsonable)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _jsonable(value):

@@ -5,6 +5,7 @@ import json
 import pathlib
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -408,9 +409,14 @@ def test_waveform_csv_rejects_bad_grids(tmp_path):
                   "t_ns,delta_omega_ghz\n0.0,-1.0\n0.01,-1.0\n0.5,-1.0\n")
     with pytest.raises(ConfigError, match="uniform"):
         read_waveform_csv(path, OMEGA_TC_MAX)
-    short = _write(tmp_path, "short.csv", "t_ns,delta_omega_ghz\n0.0,-1.0\n")
-    with pytest.raises(ConfigError):
-        read_waveform_csv(short, OMEGA_TC_MAX)
+    # Too few rows: one, or none under the header, which numpy would also
+    # warn about; the config error alone reports it.
+    for name, text in (("short", "t_ns,delta_omega_ghz\n0.0,-1.0\n"),
+                       ("header", "t_ns,delta_omega_ghz\n")):
+        with warnings.catch_warnings(), pytest.raises(
+                ConfigError, match="expected two columns and at least two rows"):
+            warnings.simplefilter("error")
+            read_waveform_csv(_write(tmp_path, f"{name}.csv", text), OMEGA_TC_MAX)
     junk = _write(tmp_path, "junk.csv", "t_ns,delta_omega_ghz\nhello,world\n")
     with pytest.raises(ConfigError):
         read_waveform_csv(junk, OMEGA_TC_MAX)
@@ -523,7 +529,8 @@ def test_eigenvalue_sweep_csv(tmp_path):
     write_eigenvalue_sweep_csv(path, deltas, energies)
     with open(path) as fh:
         header = fh.readline().strip()
-    assert header.startswith("delta_omega_ghz,E_1_ghz,")
+    assert header == ("delta_omega_ghz,E_1_ghz,E_2_ghz,E_3_ghz,E_4_ghz,E_5_ghz,E_6_ghz,"
+                      "E_7_ghz,E_8_ghz")
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (4, 9)
     np.testing.assert_allclose(data[0, 1:], np.arange(8.0), atol=1e-9)
