@@ -16,10 +16,11 @@ beside the feedback stages on a second core; analytic starts it and
 waits at once.  The parent writes every file.  A pipeline's
 stages.analytic is the wait plus the writes; the manifest's fit_time is
 the child's own wall seconds.  A child that dies before it sends its
-outcome fails the run (exit 3).  Without os.fork (Windows) the fit runs
-inline.  From Python 3.12 a fork beside OpenBLAS's worker threads emits
-a DeprecationWarning, left as Python emits it; OpenBLAS stops its
-workers in a fork handler of its own (not yet observed on 3.12).
+outcome, or while it sends it, fails the run (exit 3).  Without os.fork
+(Windows) the fit runs inline.  From Python 3.12 a fork beside
+OpenBLAS's worker threads emits a DeprecationWarning, left as Python
+emits it; OpenBLAS stops its workers in a fork handler of its own (not
+yet observed on 3.12).
 """
 
 from __future__ import annotations
@@ -86,12 +87,12 @@ def _forked(fn, *args) -> tuple:
 
     wait() returns (fn's value, the child's own wall seconds) or re-raises
     fn's exception, and reaps the child either way; a child that ends with
-    no outcome raises ChildProcessError naming how.  cancel() kills and
-    reaps a child that wait has not reaped.  A fork, not a spawn: the child
-    inherits the parent's bindings, a patched or traced fn among them.  It
-    writes only its pickled outcome to a pipe and leaves through os._exit,
-    running no exit handler; stdout and stderr are flushed before the fork,
-    so no buffered line is written twice.
+    no outcome, or with one cut short, raises ChildProcessError naming how.
+    cancel() kills and reaps a child that wait has not reaped.  A fork, not
+    a spawn: the child inherits the parent's bindings, a patched or traced
+    fn among them.  It writes only its pickled outcome to a pipe and leaves
+    through os._exit, running no exit handler; stdout and stderr are
+    flushed before the fork, so no buffered line is written twice.
     """
     # Imported here: a command that forks no child loads nothing for it.
     import pickle
@@ -129,10 +130,12 @@ def _forked(fn, *args) -> tuple:
         pipe.close()
         # At the pipe's end the child has closed its end: it is exiting.
         code = os.waitstatus_to_exitcode(os.waitpid(running.pop(), 0)[1])
-        if not data:
+        try:
+            outcome = pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):  # none sent, or cut short
             how = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
-            raise ChildProcessError(f"the forked child ended without an outcome ({how})")
-        return _settle(pickle.loads(data))
+            raise ChildProcessError(f"the forked child ended without an outcome ({how})") from None
+        return _settle(outcome)
 
     return wait, cancel
 
@@ -320,10 +323,9 @@ def cmd_pipeline(ctx: dict) -> None:
     doc = ctx["doc"]
     # Each later section is read once, before the search spends its time,
     # and its settings are handed on.
-    truncation = io.truncation_section(doc) if doc.get("truncation") is not None else None
+    truncation = io.truncation_section(doc) if "truncation" in doc else None
     params, _ = _run_inputs(ctx)
-    analytic = (io.analytic_section(doc, params.omega_tc_max)
-                if doc.get("analytic") is not None else None)
+    analytic = io.analytic_section(doc, params.omega_tc_max) if "analytic" in doc else None
     wait, cancel = (_start_fit(ctx, analytic[0]) if analytic is not None and analytic[1]
                     else (None, lambda: None))
     try:

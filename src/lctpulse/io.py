@@ -50,11 +50,12 @@ class ConfigDocument(dict):
 
 def load_config(path: str) -> ConfigDocument:
     """Read the UTF-8 JSON object at path once and parse it; errors carry
-    line/column context."""
+    line/column context.  The bytes are decoded as UTF-8 first: json.loads
+    would take UTF-16 and UTF-32 bytes too, and a leading BOM."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        doc = json.loads(data)
+        doc = json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -74,15 +75,16 @@ def _section(doc: dict, name: str, known: dict, required: tuple | None = None) -
     """A config section, {} when absent unless `required` is given.
 
     `known` maps each key the section may hold to the cast its value goes
-    through.  A key outside it (a misspelling, or a setting the program
-    does not read), a value its cast refuses and an absent key of `required`
-    are ConfigErrors; a null value is dropped, so the key keeps its default.
+    through.  A section that is not an object, a key outside `known` (a
+    misspelling, or a setting the program does not read), a value its cast
+    refuses and an absent key of `required` are ConfigErrors; a null is
+    neither an object nor a value any cast takes.
     """
-    sec = doc.get(name)
-    if sec is None:
+    if name not in doc:
         if required is not None:
             raise ConfigError(f"missing config section {name!r}")
         return {}
+    sec = doc[name]
     if not isinstance(sec, dict):
         raise ConfigError(f"config section {name!r} must be an object")
     unknown = sorted(set(sec) - set(known))
@@ -90,8 +92,6 @@ def _section(doc: dict, name: str, known: dict, required: tuple | None = None) -
         raise ConfigError(f"section {name!r}: unknown keys {unknown}")
     out = {}
     for key, value in sec.items():
-        if value is None:
-            continue
         try:
             out[key] = known[key](value)
         except (TypeError, ValueError) as exc:
@@ -106,6 +106,13 @@ def _boolean(value) -> bool:
     """A JSON true or false; bool() would read the string "false" as True."""
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _string(value) -> str:
+    """A JSON string; str() would read 100 as "100" and null as "None"."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
     return value
 
 
@@ -157,8 +164,8 @@ def device_from_config(doc: dict) -> SystemParams:
 
 
 _LCT_KEYS = {"lambda": _non_negative, "eta": _weight, "dt_ns": _positive,
-             "t_max_ns": _positive, "initial": str, "target": str, "n_prime": _integer,
-             "reference_pulse_path": str}
+             "t_max_ns": _positive, "initial": _string, "target": _string,
+             "n_prime": _integer, "reference_pulse_path": _string}
 _LCT_REQUIRED = ("lambda", "eta", "dt_ns", "t_max_ns", "initial", "target")
 
 
@@ -408,18 +415,12 @@ def write_coupling_sweep_csv(path: str, deltas_rad: np.ndarray,
 # ----------------------------------------------------------------
 
 def write_json(path: str, obj):
-    """Deterministic JSON: sorted keys, trailing newline."""
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_jsonable)
+    """Deterministic JSON: sorted keys, trailing newline.  A value json
+    does not encode (a numpy array or integer; np.float64 is a float)
+    raises TypeError before the file opens."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
     with open(path, "w") as fh:
         fh.write(text + "\n")
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
 def report_to_dict(report: OptimizationReport) -> dict:

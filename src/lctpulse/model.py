@@ -198,14 +198,10 @@ class DriftSpectrum:
 
 
 def _gauge_fix(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column (of one matrix or a stack) so its largest-|.|
-    component is real positive."""
+    """Flip the sign of each real column (of one matrix or a stack) so its
+    largest-|.| component is positive."""
     rows = np.abs(vectors).argmax(axis=-2)[..., None, :]
-    pivot = np.take_along_axis(vectors, rows, axis=-2)
-    out = vectors * (np.conj(pivot) / np.abs(pivot))
-    if np.iscomplexobj(out) and np.abs(out.imag).max() == 0.0:
-        out = out.real
-    return out
+    return vectors * np.sign(np.take_along_axis(vectors, rows, axis=-2))
 
 
 def _assign_labels(vectors: np.ndarray, labels: list) -> list:
@@ -231,9 +227,10 @@ def _assign_labels(vectors: np.ndarray, labels: list) -> list:
 
 
 def eigendecompose(h: np.ndarray, g: np.ndarray, labels: list) -> DriftSpectrum:
-    """The spectrum of drift h under control g, whose basis states are the
-    bare `labels`: h's ascending eigendecomposition, gauge-fixed and
-    labelled.  Its arrays are read-only, so that every run can share it."""
+    """The spectrum of the real symmetric drift h under control g, whose
+    basis states are the bare `labels`: h's ascending eigendecomposition,
+    gauge-fixed and labelled.  Its arrays are read-only, so that every
+    run can share it."""
     vals, vecs = np.linalg.eigh(h)
     vecs = _gauge_fix(vecs)
     for a in (h, g, vals, vecs):

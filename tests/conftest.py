@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from lctpulse import SystemParams, TrajectoryRecord, run_lct
+from lctpulse.dynamics import TrajectoryRecord
+from lctpulse.lct import run_lct
+from lctpulse.model import SystemParams
 from lctpulse.model import product_labels
 from oracles import dense_spectrum
 

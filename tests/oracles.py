@@ -7,9 +7,9 @@ itself.  The program never calls them.
 
 import numpy as np
 
-from lctpulse import DriftSpectrum, UnknownLabelError, Waveform, build_drift_hamiltonian, eigendecompose
-from lctpulse.model import product_labels
-from lctpulse.pulses import clamp_samples
+from lctpulse.errors import UnknownLabelError
+from lctpulse.model import DriftSpectrum, build_drift_hamiltonian, eigendecompose, product_labels
+from lctpulse.pulses import Waveform, clamp_samples
 
 
 def control_generator(params) -> np.ndarray:

@@ -2,6 +2,7 @@ import filecmp
 import hashlib
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -11,12 +12,13 @@ import numpy as np
 import pytest
 
 import lctpulse
-from lctpulse import LctConfig, SystemParams, cli, lct, optimize, sweep_eigenvalues
+from lctpulse import cli, lct, optimize
 from lctpulse.cli import main
 from lctpulse.dynamics import CHUNK
 from lctpulse.io import (analytic_params_to_dict, analytic_section, device_from_config,
                          read_waveform_csv, write_json, write_waveform_csv)
-from lctpulse.model import product_labels
+from lctpulse.lct import LctConfig
+from lctpulse.model import SystemParams, product_labels, sweep_eigenvalues
 from lctpulse.optimize import OptimizationReport
 from lctpulse.pulses import Waveform, clamp_floor, lowpass_filter
 from lctpulse.units import TWO_PI
@@ -486,6 +488,23 @@ def test_truncate_stalls_on_idle_pulse(tmp_path, capsys):
         assert code == 2, name
         assert "reverse transfer never reaches 99%" in capsys.readouterr().err, name
         assert list(out.iterdir()) == [], name
+    # The fast device's optimized pulse passes only a goal of 0.5: its
+    # reverse transfer reaches 99%, so the search runs, and it misses the
+    # goal.  Exit 2 after the truncated pulse and its report are written.
+    fast = _config(tmp_path, "fast.json", device=FAST_DEVICE, lct=FAST_LCT,
+                   reversibility=FAST_SEARCH)
+    code, optimized = _run(tmp_path / "optimized", "optimize", "--config", fast)
+    assert code == 0
+    capsys.readouterr()
+    code, out = _run(tmp_path / "stalled", "truncate", "--config", fast,
+                     "--pulse", str(optimized / "optimized.csv"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("convergence failure: truncation search stalled at ")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 2
+    assert manifest["outputs"] == ["truncated.csv", "truncated_flux.csv",
+                                   "truncated_spectrum.csv", "truncate_report.json"]
+    assert not json.loads((out / "truncate_report.json").read_text())["converged"]
 
 
 def test_bad_config_exit_codes(tmp_path):
@@ -500,13 +519,21 @@ def test_bad_config_exit_codes(tmp_path):
 
 def test_config_that_is_not_utf8_exits_1_writing_nothing(tmp_path, capsys):
     # JSON text is UTF-8: a byte that does not decode is the config's
-    # fault, named with its file, not a numerical error.
-    path = tmp_path / "latin1.json"
-    path.write_bytes(b'{"device": "\xff"}')
-    code, out = _run(tmp_path, "lct", "--config", str(path))
-    assert code == 1
-    assert capsys.readouterr().err.startswith(f"config error: {path}:")
-    assert not out.exists()
+    # fault, named with its file, not a numerical error.  So is a config
+    # in UTF-16 or UTF-32, which json.loads would take from bytes, and a
+    # UTF-8 BOM, which is not JSON text.
+    text = json.dumps({"device": DEVICE, "lct": LCT_SHORT})
+    for name, data, message in (
+            ("latin1", b'{"device": "\xff"}', "not UTF-8 text"),
+            ("utf16", text.encode("utf-16"), "not UTF-8 text"),
+            ("utf32", text.encode("utf-32"), "not UTF-8 text"),
+            ("bom", text.encode("utf-8-sig"), "invalid JSON at line 1, column 1")):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        code, out = _run(tmp_path / name, "lct", "--config", str(path))
+        assert code == 1, name
+        assert capsys.readouterr().err.startswith(f"config error: {path}: {message}"), name
+        assert not out.exists(), name
 
 
 def test_two_excitation_run_writes_its_block_among_every_label(tmp_path):
@@ -673,6 +700,11 @@ def test_unknown_device_seed_and_filter_keys_exit_1(tmp_path, capsys):
          "config section 'filter' must be an object"),
         ("filter", "filter-list", {"filter": [0.3]},
          "config section 'filter' must be an object"),
+        # A null section is not an absent one: it holds no settings.
+        ("filter", "filter-null", {"filter": None},
+         "config section 'filter' must be an object"),
+        ("pipeline", "truncation-null", {"lct": LCT_SHORT, "truncation": None},
+         "config section 'truncation' must be an object"),
         ("lct", "lct", {"lct": {**LCT_SHORT, "n_primes": 2, "lamda2": 3}},
          "section 'lct': unknown keys ['lamda2', 'n_primes']"),
         ("lct", "device", {"lct": LCT_SHORT,
@@ -753,6 +785,18 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
     # The closed form's shape keys are finite numbers.
     cases += [("analytic", "analytic", ANALYTIC, key, value) for key, value in (
         ("alpha1_ghz", nan), ("alpha1_ghz", True), ("tau2_ns", inf))]
+    # Labels and paths are strings: str() would run 100 as the label "100"
+    # and null as "None".
+    cases += [("lct", "lct", LCT_SHORT, key, value) for key, value in (
+        ("initial", 100), ("target", None), ("initial", ["100"]),
+        ("reference_pulse_path", None), ("reference_pulse_path", 5))]
+    # A null is no value, not the default: each key's cast refuses it.
+    cases += [("filter", "filter", {}, "cutoff_ghz", None),
+              ("truncate", "truncation", {}, "sigma_ns", None),
+              ("analytic", "analytic", ANALYTIC, "fit", None),
+              ("lct", "lct", LCT_SHORT, "n_prime", None),
+              ("lct", "device", DEVICE, "tc_max_freq_ghz", None),
+              ("optimize", "reversibility", {}, "cutoff_candidates_ghz", None)]
     # A fit's start outside its bounds: the fit would refuse it only after
     # the bare run and the search (pipeline), or after stage 1 (sigma1_ns).
     cases += [(command, "analytic", {**ANALYTIC, "fit": True}, key, value)
@@ -868,6 +912,15 @@ def test_non_finite_pulse_sample_exits_1_naming_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {pulse_path}:") and "finite" in err
     assert list(out.iterdir()) == []
+    # So is a --pulse that names no file.
+    absent = str(tmp_path / "absent.csv")
+    cfg = _config(tmp_path, "lct.json", lct=LCT_SHORT)
+    for command in ("filter", "truncate"):
+        code, out = _run(tmp_path / command, command, "--config", cfg, "--pulse", absent)
+        assert code == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read waveform {absent}:"), command
+        assert list(out.iterdir()) == [], command
 
 
 def test_pulse_outside_the_window_exits_1_before_any_file(tmp_path, capsys):
@@ -1051,19 +1104,28 @@ def test_fit_without_fork_runs_inline_with_the_bytes_of_a_forked_fit(tmp_path, m
         assert (match, mismatch, errors) == (ANALYTIC_FILES, [], []), command
 
 
-@pytest.mark.parametrize("command", ["analytic", "pipeline"])
-def test_fit_child_that_dies_without_an_outcome_exits_3(tmp_path, monkeypatch, capfd, command):
-    # A child killed before it sends its outcome fails the run as exit 3,
-    # naming how it ended; the pipeline's feedback files stay, and its
-    # manifest names them.
-    monkeypatch.setattr(cli, "fit_analytic_pulse",
-                        lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+@pytest.mark.parametrize("command, cut", [
+    pytest.param("analytic", False, id="analytic"), pytest.param("pipeline", False, id="pipeline"),
+    pytest.param("analytic", True, id="analytic-cut"), pytest.param("pipeline", True, id="pipeline-cut")])
+def test_fit_child_that_dies_without_an_outcome_exits_3(tmp_path, monkeypatch, capfd, command, cut):
+    # A child killed before it sends its outcome, or whose outcome arrives
+    # cut short, fails the run as exit 3, naming how it ended; the
+    # pipeline's feedback files stay, and its manifest names them.
+    if cut:
+        dumps = pickle.dumps
+        monkeypatch.setattr(cli, "fit_analytic_pulse", lambda *args: None)
+        monkeypatch.setattr(pickle, "dumps", lambda obj: dumps(obj)[:8])
+        how = "exit status 0"
+    else:
+        monkeypatch.setattr(cli, "fit_analytic_pulse",
+                            lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+        how = "killed by SIGKILL"
     cfg = _config(tmp_path, device=FAST_DEVICE, lct=FAST_LCT, reversibility=FAST_SEARCH,
                   analytic=FIT)
     code, out = _run(tmp_path, command, "--config", cfg)
     assert code == 3
     _, err = _stdout_lines_once(capfd)
-    assert err == "runtime error: the forked child ended without an outcome (killed by SIGKILL)\n"
+    assert err == f"runtime error: the forked child ended without an outcome ({how})\n"
     if command == "analytic":
         assert list(out.iterdir()) == []
         return

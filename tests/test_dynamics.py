@@ -3,22 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from lctpulse import (
-    SystemParams,
-    UnknownLabelError,
-    Waveform,
-    build_drift_hamiltonian,
-    propagate_waveform,
-)
 from lctpulse import dynamics
 from lctpulse.dynamics import (
     CHUNK,
     _ordered_product,
     apply_step,
     first_crossing,
+    propagate_waveform,
     propagator,
     step_factors,
 )
+from lctpulse.errors import UnknownLabelError
+from lctpulse.model import SystemParams, build_drift_hamiltonian
+from lctpulse.pulses import Waveform
 from lctpulse.units import TWO_PI
 from conftest import all_sectors, block_indices
 from oracles import (

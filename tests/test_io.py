@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import record_lct
-from lctpulse import ConfigError, SystemParams, Waveform
 from lctpulse import io, optimize, pulses
+from lctpulse.errors import ConfigError
 from lctpulse.io import (
     CHUNK,
     _write_csv,
@@ -35,13 +35,14 @@ from lctpulse.io import (
     write_waveform_csv,
 )
 from lctpulse.lct import LctConfig, run_lct
+from lctpulse.model import SystemParams
 from lctpulse.optimize import (
     OptimizationReport,
     fit_analytic_pulse,
     optimize_reversible,
     optimize_truncation,
 )
-from lctpulse.pulses import AnalyticPulseParams, clamp_floor, fourier_spectrum
+from lctpulse.pulses import AnalyticPulseParams, Waveform, clamp_floor, fourier_spectrum
 from lctpulse.units import TWO_PI
 from oracles import frequency_to_flux
 
@@ -618,13 +619,18 @@ def test_four_qubit_trajectory_csv_matches_savetxt(tmp_path):
 
 def test_write_json_is_deterministic(tmp_path):
     path = str(tmp_path / "r.json")
-    write_json(path, {"b": np.float64(2.0), "a": np.arange(3)})
+    write_json(path, {"b": np.float64(2.0), "a": [0, 1, 2]})
     text = open(path).read()
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert json.loads(text) == {"a": [0, 1, 2], "b": 2.0}
-    with pytest.raises(TypeError):
-        write_json(path, {"x": object()})
+    # Only what json encodes natively: the program writes no numpy array
+    # or integer, and one is refused before the file opens.
+    bad = tmp_path / "bad.json"
+    for value in (object(), np.arange(3), np.int64(1)):
+        with pytest.raises(TypeError):
+            write_json(str(bad), {"x": value})
+    assert not bad.exists()
 
 
 def test_report_to_dict_flattens_history():

@@ -6,22 +6,13 @@ from dataclasses import replace
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from lctpulse import (
-    ConfigError,
-    LctConfig,
-    SystemParams,
-    Waveform,
-    lowpass_filter,
-    propagate_waveform,
-    refined_config,
-    run_lct,
-)
-from lctpulse.dynamics import CHUNK, apply_step, step_factors
+from lctpulse.dynamics import CHUNK, apply_step, propagate_waveform, step_factors
+from lctpulse.errors import ConfigError
 from lctpulse.io import write_trajectory_csv
-from lctpulse.lct import run_lct_lockstep, seed_state
+from lctpulse.lct import LctConfig, refined_config, run_lct, run_lct_lockstep, seed_state
 from lctpulse.optimize import transfer_errors
-from lctpulse.model import product_labels
-from lctpulse.pulses import CLAMP_FLOOR_FRACTION
+from lctpulse.model import SystemParams, product_labels
+from lctpulse.pulses import CLAMP_FLOOR_FRACTION, Waveform, lowpass_filter
 from conftest import record_lct
 from oracles import (
     dense_spectrum,

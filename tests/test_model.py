@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from lctpulse import (
-    DegenerateLevelsError,
+from lctpulse import model
+from lctpulse.errors import DegenerateLevelsError, UnknownLabelError
+from lctpulse.model import (
     SystemParams,
-    UnknownLabelError,
     build_drift_hamiltonian,
     eigendecompose,
     nonadiabatic_coupling,
+    product_labels,
     single_excitation_gap_minima,
     sweep_eigenvalues,
     sweep_nonadiabatic_couplings,
 )
-from lctpulse import model
-from lctpulse.model import product_labels
 from lctpulse.units import TWO_PI
 from conftest import all_sectors, block_indices
 from oracles import (

@@ -1,19 +1,14 @@
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lctpulse import (
-    ConvergenceError,
-    LctConfig,
-    SystemParams,
-    UnknownLabelError,
-    Waveform,
-    run_lct,
-)
 from lctpulse import optimize
+from lctpulse.errors import ConvergenceError, UnknownLabelError
 from lctpulse.io import report_to_dict
-from lctpulse.lct import refined_config, run_lct_lockstep
+from lctpulse.lct import LctConfig, refined_config, run_lct, run_lct_lockstep
+from lctpulse.model import SystemParams
 from lctpulse.optimize import (
     OptimizationReport,
     fit_analytic_pulse,
@@ -22,7 +17,8 @@ from lctpulse.optimize import (
     optimize_truncation,
     transfer_errors,
 )
-from lctpulse.pulses import (AnalyticPulseParams, analytic_pulse, clamp_floor, lowpass_filter,
+from lctpulse.pulses import (AnalyticPulseParams, Waveform, analytic_pulse, clamp_floor,
+                             lowpass_filter,
                              truncate_with_gaussian_tail)
 from lctpulse.units import TWO_PI
 
@@ -395,6 +391,22 @@ def test_simplex_histories_are_keyed_x_i_in_the_reports(fast_bare, monkeypatch):
     assert 8 <= stage1 <= len(keys) - 8 and len(keys) == rep.evaluations
     assert keys == ([[f"x{i}" for i in range(5)]] * stage1
                     + [[f"x{i}" for i in range(3)]] * (len(keys) - stage1))
+
+    # Switch times 0.2 ns apart: the start's simplex puts tau1 past tau2
+    # and tau2 past tau3, and its first reflection puts tau1 past tau2
+    # again.  Each such point scores 1 plus the ordering penalty, and
+    # none is the best.
+    close = replace(start, tau1=7.2, tau2=7.4, tau3=7.6)
+    _, rep = fit_analytic_pulse(_FAST, close, "100", "010")
+    stage1 = [(x, value) for x, value in rep.history if x.size == 5]
+    penalized = [(i, x) for i, (x, value) in enumerate(stage1) if value > 1.0]
+    assert [i for i, x in penalized if x[2] > x[3]] == [3, 6]
+    assert [i for i, x in penalized if x[3] > x[4]] == [4]
+    for i, x in penalized:
+        excess = np.maximum(x[2:4] - x[3:5], 0.0)
+        assert stage1[i][1] == pytest.approx(1.0 + optimize._PENALTY * (excess ** 2).sum(),
+                                             rel=1e-12)
+    assert rep.best_value < 1.0
 
 
 def test_fit_on_a_low_coupler_scores_only_pulses_it_can_write(monkeypatch):

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lctpulse import (
+from lctpulse.pulses import (
     AnalyticPulseParams,
     Waveform,
     analytic_pulse,
+    analytic_samples,
+    clamp_samples,
     fourier_spectrum,
     lowpass_filter,
     natural_duration,
     truncate_with_gaussian_tail,
 )
-from lctpulse.pulses import analytic_samples, clamp_samples
 from lctpulse.units import TWO_PI
 from oracles import dominant_frequency, time_reverse
 
