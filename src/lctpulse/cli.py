@@ -59,7 +59,7 @@ def _run_inputs(ctx: dict):
     """The device and the `lct` section's LctConfig, read once per invocation."""
     if "run_inputs" not in ctx:
         params = io.device_from_config(ctx["doc"])
-        ctx["run_inputs"] = params, io.lct_config_from(ctx["doc"], params.omega_tc_max)
+        ctx["run_inputs"] = params, io.lct_config_from(ctx["doc"], params)
     return ctx["run_inputs"]
 
 

@@ -169,21 +169,46 @@ _LCT_KEYS = {"lambda": _non_negative, "eta": _weight, "dt_ns": _positive,
 _LCT_REQUIRED = ("lambda", "eta", "dt_ns", "t_max_ns", "initial", "target")
 
 
-def lct_config_from(doc: dict, omega_tc_max: float) -> LctConfig:
-    """Build an LctConfig from the `lct` section.
+def lct_config_from(doc: dict, params: SystemParams) -> LctConfig:
+    """Build an LctConfig for the device params from the `lct` section.
 
-    `reference_pulse_path` is resolved and loaded here, inside the
-    window of the coupler at omega_tc_max, so the returned config is
-    self-contained; with it, `lambda` is the gain of the correction term.
+    Besides the casts: the run is a whole number of samples, two or more;
+    initial and target are two labels of one excitation number, which
+    exchange conserves; n_prime keeps 1 to params.dim eigenstates; and
+    `reference_pulse_path` is loaded here, inside the coupler's window and
+    on the run's grid, so the returned config is self-contained.  With a
+    reference, `lambda` is the gain of the correction term.
     """
     sec = _section(doc, "lct", _LCT_KEYS, _LCT_REQUIRED)
+    dt, t_max = sec["dt_ns"], sec["t_max_ns"]
+    if t_max < 2 * dt:  # a waveform holds two samples or more
+        raise ConfigError(f"section 'lct', key 't_max_ns': t_max shorter than two samples "
+                          f"of dt_ns {dt:g}, got {t_max:g}")
+    if abs(round(t_max / dt) * dt - t_max) > 1e-9 * t_max:
+        raise ConfigError(f"section 'lct', key 't_max_ns': {t_max:g} is not an integer "
+                          f"number of samples of dt_ns {dt:g}")
+    initial, target = sec["initial"], sec["target"]
+    if initial == target:
+        raise ConfigError(f"section 'lct': initial and target are both {initial!r}: "
+                          "nothing to transfer")
+    if initial.count("1") != target.count("1"):
+        raise ConfigError(
+            f"section 'lct': initial {initial!r} and target {target!r} differ in excitation "
+            "number, which exchange conserves: no pulse transfers between them")
+    n_prime = sec.get("n_prime")
+    if n_prime is not None and not 1 <= n_prime <= params.dim:
+        raise ConfigError(f"section 'lct', key 'n_prime': expected a whole number from 1 to "
+                          f"{params.dim}, the device's dimension, got {n_prime}")
     ref_path = sec.get("reference_pulse_path")
-    reference = None if ref_path is None else read_waveform_csv(ref_path, omega_tc_max)
-    return LctConfig(
-        lambda_=sec["lambda"], eta=sec["eta"], dt=sec["dt_ns"], t_max=sec["t_max_ns"],
-        initial_label=sec["initial"], target_label=sec["target"],
-        n_prime=sec.get("n_prime"), reference=reference,
-    )
+    reference = None
+    if ref_path is not None:
+        reference = read_waveform_csv(ref_path, params.omega_tc_max)
+        if abs(reference.dt - dt) > 1e-12:
+            raise ConfigError(f"section 'lct', key 'reference_pulse_path': {ref_path}: "
+                              f"sample period {reference.dt:.9g} ns, not dt_ns {dt:g}")
+    return LctConfig(lambda_=sec["lambda"], eta=sec["eta"], dt=dt, t_max=t_max,
+                     initial_label=initial, target_label=target, n_prime=n_prime,
+                     reference=reference)
 
 
 def reversibility_section(doc: dict) -> dict:

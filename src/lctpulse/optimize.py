@@ -235,9 +235,6 @@ def optimize_reversible(
 
     Returns (best total waveform, OptimizationReport).
     """
-    if not cutoff_candidates_ghz:
-        raise ValueError("no cutoff candidates")
-
     source = base_config.initial_label
     destination = base_config.target_label
 

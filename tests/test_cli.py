@@ -773,6 +773,10 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
     cases += [("pipeline", "truncation", {}, "sigma_ns", -1)]
     # Integer keys: int() would run 2.7 as 2 and true as 1.
     cases += [("lct", "lct", LCT_SHORT, "n_prime", value) for value in (2.7, True)]
+    # n_prime keeps 1 to dim eigenstates, dim 8 on the reference device; a
+    # pipeline refuses another before it starts a stage.
+    cases += [(command, "lct", LCT_SHORT, "n_prime", value, "from 1 to 8")
+              for command in ("lct", "pipeline") for value in (0, -1, 9)]
     # The device and the seed run: unchecked, each of these would run to a
     # pulse that does not transfer, fail as a numerical error, or overflow.
     nan, inf = float("nan"), float("inf")
@@ -802,7 +806,7 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
     cases += [(command, "analytic", {**ANALYTIC, "fit": True}, key, value)
               for command in ("analytic", "pipeline")
               for key, value in (("alpha1_ghz", -4.0), ("sigma1_ns", 6.0))]
-    for command, section, base, key, value in cases:
+    for command, section, base, key, value, *also in cases:
         name = f"{section}-{key}-{value}"
         cfg = _config(tmp_path, f"{name}.json",
                       **{"lct": LCT_SHORT, section: {**base, key: value}})
@@ -812,6 +816,7 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:"), name
         assert f"section {section!r}, key {key!r}" in err, name
+        assert all(text in err for text in also), name
         assert list(out.iterdir()) == [], name
 
 
@@ -1220,6 +1225,19 @@ def test_reference_outside_the_window_exits_1_before_any_file(tmp_path, capsys):
             assert err.startswith(f"config error: {ref_path}:"), (name, command)
             assert "outside the coupler's window" in err, (name, command)
             assert list(out.iterdir()) == [], (name, command)
+    # A reference on another grid than the run's: 0.02 ns samples under a
+    # 0.01 ns run.
+    ref_path = str(tmp_path / "coarse.csv")
+    write_waveform_csv(ref_path, Waveform(dt=0.02, samples=TWO_PI * np.array([-0.1, -0.2])))
+    cfg = _config(tmp_path, "coarse.json", lct={
+        **LCT_SHORT, "t_max_ns": 0.02, "reference_pulse_path": ref_path})
+    for command in ("lct", "optimize", "pipeline"):
+        code, out = _run(tmp_path / "coarse" / command, command, "--config", cfg)
+        assert code == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: section 'lct', key 'reference_pulse_path': "
+                              f"{ref_path}: sample period 0.02 ns, not dt_ns 0.01"), command
+        assert list(out.iterdir()) == [], command
     _, cfg = config("inside", -2.0)
     code, out = _run(tmp_path / "inside", "lct", "--config", cfg)
     assert code == 0

@@ -53,7 +53,8 @@ DEVICE = {
         "tc_max_freq_ghz": 7.445,
     }
 }
-OMEGA_TC_MAX = device_from_config(DEVICE).omega_tc_max
+PARAMS = device_from_config(DEVICE)
+OMEGA_TC_MAX = PARAMS.omega_tc_max
 
 # The closed form's eight shape keys, and the form they give.
 SHAPE = {"alpha1_ghz": -1.591, "alpha3_ghz": -2.457, "tau1_ns": 7.2, "tau2_ns": 8.9,
@@ -116,7 +117,7 @@ def test_device_section_errors():
 def test_lct_section(tmp_path):
     doc = {"lct": {"lambda": 27626.0, "eta": 1e-6, "dt_ns": 0.01,
                    "t_max_ns": 450.0, "initial": "100", "target": "010"}}
-    cfg = lct_config_from(doc, OMEGA_TC_MAX)
+    cfg = lct_config_from(doc, PARAMS)
     assert cfg.lambda_ == 27626.0
     assert cfg.dt == 0.01
     assert cfg.reference is None
@@ -129,7 +130,7 @@ def test_lct_section_loads_reference(tmp_path):
     doc = {"lct": {"lambda": 400.0, "eta": 0.0, "dt_ns": 0.01, "t_max_ns": 1.0,
                    "initial": "100", "target": "010",
                    "reference_pulse_path": ref_path}}
-    cfg = lct_config_from(doc, OMEGA_TC_MAX)
+    cfg = lct_config_from(doc, PARAMS)
     assert cfg.reference is not None
     assert cfg.reference.n == 50
     assert cfg.lambda_ == 400.0
@@ -139,24 +140,81 @@ def test_integer_keys_take_whole_numbers_only():
     lct = {"lambda": 1.0, "eta": 0.0, "dt_ns": 0.01, "t_max_ns": 1.0,
            "initial": "100", "target": "010"}
     for value in (3, 3.0):
-        n_prime = lct_config_from({"lct": {**lct, "n_prime": value}}, OMEGA_TC_MAX).n_prime
+        n_prime = lct_config_from({"lct": {**lct, "n_prime": value}}, PARAMS).n_prime
         assert n_prime == 3 and type(n_prime) is int
     for value in (2.7, True, False, float("inf"), float("nan"), "x"):
         with pytest.raises(ConfigError, match="section 'lct', key 'n_prime'"):
-            lct_config_from({"lct": {**lct, "n_prime": value}}, OMEGA_TC_MAX)
+            lct_config_from({"lct": {**lct, "n_prime": value}}, PARAMS)
 
 
 def test_lct_section_missing_key():
     with pytest.raises(ConfigError, match="t_max_ns"):
         lct_config_from({"lct": {"lambda": 1.0, "eta": 0.0, "dt_ns": 0.01,
-                                 "initial": "100", "target": "010"}}, OMEGA_TC_MAX)
+                                 "initial": "100", "target": "010"}}, PARAMS)
     # dt_ns is required like the rest; the first missing key is named.
     doc = {"lct": {"eta": 0.0, "t_max_ns": 1.0, "initial": "100", "target": "010"}}
     with pytest.raises(ConfigError, match="section 'lct': missing key 'lambda'"):
-        lct_config_from(doc, OMEGA_TC_MAX)
+        lct_config_from(doc, PARAMS)
     doc["lct"]["lambda"] = 1.0
     with pytest.raises(ConfigError, match="section 'lct': missing key 'dt_ns'"):
-        lct_config_from(doc, OMEGA_TC_MAX)
+        lct_config_from(doc, PARAMS)
+
+
+# io is the one place the `lct` section is judged: LctConfig and the
+# feedback loop take it as read.
+LCT = {"lambda": 27626.0, "eta": 1e-6, "dt_ns": 0.01, "t_max_ns": 10.0,
+       "initial": "100", "target": "010"}
+
+
+def _lct_error(**changes) -> str:
+    with pytest.raises(ConfigError) as info:
+        lct_config_from({"lct": {**LCT, **changes}}, PARAMS)
+    return str(info.value)
+
+
+def test_lct_config_validation(tmp_path):
+    assert "section 'lct', key 'lambda'" in _lct_error(**{"lambda": -1.0})
+    assert "section 'lct', key 'eta'" in _lct_error(eta=1.0)
+    # With a reference, lambda is the correction term's gain, and it is
+    # checked as a bare run's is.
+    ref_path = str(tmp_path / "ref.csv")
+    write_waveform_csv(ref_path, Waveform(dt=0.01, samples=np.zeros(10)))
+    assert "section 'lct', key 'lambda'" in _lct_error(
+        **{"lambda": -1.0, "reference_pulse_path": ref_path})
+
+
+def test_transfer_across_excitation_numbers_rejected():
+    # Exchange conserves excitation number: no pulse moves 100 into 110.
+    assert "excitation number" in _lct_error(target="110")
+    assert "excitation number" in _lct_error(initial="000", target="001")
+
+
+def test_transfer_to_the_initial_label_rejected():
+    # A run from 100 to 100 would report a tiny error for moving nothing.
+    assert "nothing to transfer" in _lct_error(target="100")
+
+
+def test_misaligned_t_max_rejected():
+    assert ("section 'lct', key 't_max_ns': 10.005 is not an integer number of samples"
+            in _lct_error(t_max_ns=10.005))
+    assert "t_max shorter than two samples" in _lct_error(t_max_ns=0.015)
+    assert lct_config_from({"lct": {**LCT, "t_max_ns": 0.02}}, PARAMS).t_max == 0.02
+
+
+def test_reference_dt_mismatch(tmp_path):
+    ref_path = str(tmp_path / "coarse.csv")
+    write_waveform_csv(ref_path, Waveform(dt=0.02, samples=np.zeros(5)))
+    assert (f"section 'lct', key 'reference_pulse_path': {ref_path}: sample period 0.02"
+            in _lct_error(reference_pulse_path=ref_path))
+
+
+def test_n_prime_lies_in_1_to_the_dimension():
+    # n_prime keeps the lowest eigenstates of the dimension-8 device.
+    for value in (0, -1, 9):
+        assert ("section 'lct', key 'n_prime': expected a whole number from 1 to 8"
+                in _lct_error(n_prime=value))
+    for value in (1, 8):
+        assert lct_config_from({"lct": {**LCT, "n_prime": value}}, PARAMS).n_prime == value
 
 
 def test_reversibility_section_defaults_and_overrides():
@@ -257,7 +315,7 @@ def test_device_lct_and_filter_sections_reject_unknown_keys():
     with pytest.raises(ConfigError, match=r"section 'device': unknown keys \['coupling_ghz'\]"):
         device_from_config({"device": {**DEVICE["device"], "coupling_ghz": [0.1, 0.071]}})
     with pytest.raises(ConfigError, match=r"section 'lct': unknown keys \['lamda2', 'n_primes'\]"):
-        lct_config_from({"lct": {**lct, "n_primes": 2, "lamda2": 3}}, OMEGA_TC_MAX)
+        lct_config_from({"lct": {**lct, "n_primes": 2, "lamda2": 3}}, PARAMS)
     assert filter_section({"filter": {"cutoff_ghz": 0.3}}) == 0.3
     assert filter_section({}) == 0.45
     # The filter always clamps: its output is the search's reference.
