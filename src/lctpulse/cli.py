@@ -34,7 +34,7 @@ import time
 import numpy as np
 
 from . import io
-from .errors import ConfigError, ConvergenceError, DegenerateLevelsError, UnknownLabelError
+from .errors import ConfigError, ConvergenceError, DegenerateLevelsError
 from .lct import run_lct
 from .model import (product_labels, single_excitation_gap_minima, sweep_eigenvalues,
                     sweep_nonadiabatic_couplings)
@@ -403,7 +403,7 @@ def main(argv: list | None = None) -> int:
         ctx.update(doc=doc, args=args, out_dir=args.out_dir)
         _COMMANDS[args.command](ctx)
         code = EXIT_OK
-    except (ConfigError, UnknownLabelError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
     except ConvergenceError as exc:

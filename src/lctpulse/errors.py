@@ -5,10 +5,6 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration input."""
 
 
-class UnknownLabelError(LookupError):
-    """A bare-state label that does not exist in the spectrum."""
-
-
 class DegenerateLevelsError(ValueError):
     """Operation undefined on a (near-)degenerate eigenvalue pair."""
 

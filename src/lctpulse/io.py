@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .lct import LctConfig
-from .model import SystemParams, product_labels
+from .model import DIM_CAP, SystemParams, product_labels
 from .optimize import OptimizationReport
 from .pulses import AnalyticPulseParams, PulseSpectrum, Waveform, analytic_bounds
 from .units import TWO_PI
@@ -153,14 +153,19 @@ def _positives(value) -> tuple:
 
 
 def device_from_config(doc: dict) -> SystemParams:
-    """Build SystemParams from the `device` section."""
+    """Build SystemParams from the `device` section: besides the casts, one
+    coupling per qubit and at most DIM_CAP product states."""
     known = {"qubit_freqs_ghz": _positives, "couplings_ghz": _positives,
              "tc_max_freq_ghz": _positive}
     sec = _section(doc, "device", known, required=tuple(known))
-    try:
-        return SystemParams.from_ghz(**sec)
-    except ValueError as exc:
-        raise ConfigError(f"section 'device': {exc}") from exc
+    params = SystemParams.from_ghz(**sec)
+    if len(params.g) != params.n_qubits:
+        raise ConfigError(f"section 'device', key 'couplings_ghz': expected one coupling per "
+                          f"qubit, {params.n_qubits}, got {len(params.g)}")
+    if params.dim > DIM_CAP:
+        raise ConfigError(f"section 'device': dimension {params.dim} exceeds the cap "
+                          f"{DIM_CAP}: at most {DIM_CAP.bit_length() - 2} qubits")
+    return params
 
 
 _LCT_KEYS = {"lambda": _non_negative, "eta": _weight, "dt_ns": _positive,
@@ -173,8 +178,9 @@ def lct_config_from(doc: dict, params: SystemParams) -> LctConfig:
     """Build an LctConfig for the device params from the `lct` section.
 
     Besides the casts: the run is a whole number of samples, two or more;
-    initial and target are two labels of one excitation number, which
-    exchange conserves; n_prime keeps 1 to params.dim eigenstates; and
+    initial and target are two bare labels of the device, n+1 characters
+    of 0 and 1, of one excitation number, which exchange conserves;
+    n_prime keeps 1 to params.dim eigenstates; and
     `reference_pulse_path` is loaded here, inside the coupler's window and
     on the run's grid, so the returned config is self-contained.  With a
     reference, `lambda` is the gain of the correction term.
@@ -184,9 +190,18 @@ def lct_config_from(doc: dict, params: SystemParams) -> LctConfig:
     if t_max < 2 * dt:  # a waveform holds two samples or more
         raise ConfigError(f"section 'lct', key 't_max_ns': t_max shorter than two samples "
                           f"of dt_ns {dt:g}, got {t_max:g}")
+    if t_max / dt == np.inf:  # round() would raise OverflowError
+        raise ConfigError(f"section 'lct', key 't_max_ns': {t_max:g} holds more samples "
+                          f"of dt_ns {dt:g} than a float can count")
     if abs(round(t_max / dt) * dt - t_max) > 1e-9 * t_max:
         raise ConfigError(f"section 'lct', key 't_max_ns': {t_max:g} is not an integer "
                           f"number of samples of dt_ns {dt:g}")
+    for key in ("target", "initial"):
+        label = sec[key]
+        if len(label) != params.n_qubits + 1 or set(label) - {"0", "1"}:
+            raise ConfigError(f"section 'lct', key {key!r}: expected a bare label of "
+                              f"{params.n_qubits} qubits and the coupler, "
+                              f"{params.n_qubits + 1} characters of 0 and 1, got {label!r}")
     initial, target = sec["initial"], sec["target"]
     if initial == target:
         raise ConfigError(f"section 'lct': initial and target are both {initial!r}: "

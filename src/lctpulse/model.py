@@ -28,14 +28,15 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DegenerateLevelsError, UnknownLabelError
+from .errors import DegenerateLevelsError
 from .units import TWO_PI
 
 # Ceiling on the product-basis dimension 2^(n+1).  No matrix of that size
 # is built, but four paths still scale with it: spectrum writes all 2^(n+1)
 # levels, io's trajectory writer a population column per bare label, lct's
 # n_prime decomposes every block to rank its levels, and excitation_labels
-# walks product_labels.  The cap guards them against an outsized device.
+# walks product_labels.  io.device_from_config enforces the cap, so an
+# outsized device is refused before any of them runs.
 DIM_CAP = 2 ** 14
 
 # Eigenvalue-difference floor below which nonadiabatic couplings blow up.
@@ -48,7 +49,8 @@ _DEGENERACY_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Static device parameters, angular units.
+    """Static device parameters, angular units, as io.device_from_config
+    checked them.
 
     n_qubits        number of fixed-frequency qubits
     omega           qubit frequencies (rad/ns), length n_qubits
@@ -62,18 +64,6 @@ class SystemParams:
     omega_tc_max: float
     # The sectors built so far, by excitation number; see sector().
     _sectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        if len(self.omega) != self.n_qubits or len(self.g) != self.n_qubits:
-            raise ValueError("omega and g must each have n_qubits entries")
-        if any(w <= 0 for w in self.omega) or self.omega_tc_max <= 0:
-            raise ValueError("frequencies must be positive")
-        if any(gi <= 0 for gi in self.g):
-            raise ValueError("couplings must be positive")
-        if self.dim > DIM_CAP:
-            raise ValueError(f"dimension {self.dim} exceeds the cap {DIM_CAP}")
 
     @property
     def dim(self) -> int:
@@ -89,11 +79,7 @@ class SystemParams:
         return self._sectors[k]
 
     def sector_of(self, label: str) -> DriftSpectrum:
-        """The sector holding bare label `label`; UnknownLabelError unless
-        the label is n+1 characters of 0 and 1."""
-        if len(label) != self.n_qubits + 1 or set(label) - {"0", "1"}:
-            raise UnknownLabelError(f"label {label!r} is not a bare label of "
-                                    f"{self.n_qubits} qubits and the coupler")
+        """The sector holding bare label `label`."""
         return self.sector(label.count("1"))
 
     @classmethod
@@ -185,12 +171,8 @@ class DriftSpectrum:
     control: np.ndarray
 
     def index_of_label(self, label: str) -> int:
-        try:
-            return self.bare_labels.index(label)
-        except ValueError:
-            raise UnknownLabelError(
-                f"label {label!r} not present in spectrum"
-            ) from None
+        """The column of `label`'s eigenvector; ValueError outside the block."""
+        return self.bare_labels.index(label)
 
     def state(self, label: str) -> np.ndarray:
         """Eigenvector assigned to `label` (copy)."""

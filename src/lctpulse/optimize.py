@@ -98,7 +98,8 @@ def nelder_mead(
     initial_spread: float = 0.1,
     target_value: float | None = None,
 ) -> tuple:
-    """Simplex minimization with clip-plus-penalty bound handling.
+    """Simplex minimization with clip-plus-penalty bound handling, from an
+    x0 inside the bounds.
 
     Out-of-bounds candidates are evaluated at the clipped point with
     _PENALTY * (squared excess) added, which steers the simplex back inside
@@ -116,8 +117,6 @@ def nelder_mead(
     x0 = np.asarray(x0, dtype=float)
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
-    if np.any(x0 < lo) or np.any(x0 > hi):
-        raise ValueError("x0 must start inside the bounds")
 
     history = []
     seen = {}
@@ -193,7 +192,8 @@ def transfer_errors(
 ) -> tuple:
     """(forward, reverse) transfer errors of wf, read from one propagator:
     1 - P(destination) from the source eigenstate, and 1 - P(source) from
-    the destination's.  Labels of different blocks raise UnknownLabelError."""
+    the destination's.  A destination outside the source's block raises
+    ValueError: no pulse transfers between them."""
     sector = params.sector_of(source_label)
     source, destination = sector.state(source_label), sector.state(destination_label)
     u = propagator(sector, wf)

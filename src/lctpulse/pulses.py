@@ -111,14 +111,13 @@ def lowpass_filter(
     cutoff_ghz: float,
     omega_tc_max: float | None = None,
 ) -> Waveform:
-    """Brick-wall low pass: zero every bin above cutoff, inverse transform.
+    """Brick-wall low pass: zero every bin above cutoff_ghz, a positive
+    frequency, and inverse transform.
 
     Given omega_tc_max (the physical variant) the result is clamped to
     [clamp_floor(omega_tc_max), 0]; without it the raw filter output is
     returned for diagnostics and may contain positive samples.
     """
-    if cutoff_ghz <= 0:
-        raise ValueError("cutoff must be positive")
     spec = np.fft.rfft(wf.samples)
     freqs = np.fft.rfftfreq(wf.n, d=wf.dt)
     spec[freqs > cutoff_ghz] = 0.0
@@ -133,15 +132,14 @@ def lowpass_filter(
 # ----------------------------------------------------------------
 
 def truncate_with_gaussian_tail(wf: Waveform, tau: float, sigma: float) -> Waveform:
-    """Replace the pulse beyond tau with a half-Gaussian decay.
+    """Replace the pulse beyond tau with a half-Gaussian decay of width
+    sigma > 0.
 
     Samples before tau are untouched; from tau on the pulse becomes
     wf(tau) * exp(-(t - tau)^2 / (2 sigma^2)), cut where the tail drops
     below TAIL_CUTOFF of its starting value.  tau at (or beyond) the final
     sample returns the pulse unchanged.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     if not 0.0 < tau <= wf.duration:
         raise ValueError(f"tau={tau:.6g} outside the pulse (0, {wf.duration:.6g}]")
     k_tau = int(round(tau / wf.dt))

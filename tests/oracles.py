@@ -7,7 +7,6 @@ itself.  The program never calls them.
 
 import numpy as np
 
-from lctpulse.errors import UnknownLabelError
 from lctpulse.model import DriftSpectrum, build_drift_hamiltonian, eigendecompose, product_labels
 from lctpulse.pulses import Waveform, clamp_samples
 
@@ -97,7 +96,7 @@ def feedback_value(psi: np.ndarray, spectrum, target_index: int, lambda_: float,
 def label_index(label: str, n_qubits: int) -> int:
     """Product-basis index of a bare label; the TC bit is last."""
     if len(label) != n_qubits + 1 or any(c not in "01" for c in label):
-        raise UnknownLabelError(f"bad label {label!r} for {n_qubits} qubits + TC")
+        raise ValueError(f"bad label {label!r} for {n_qubits} qubits + TC")
     return int(label, 2)
 
 

@@ -1,5 +1,6 @@
-"""Every function the benchmark's tracer wraps must still exist, and
-nothing else in the library is there for the tests alone.
+"""Every function the benchmark's tracer wraps must still exist, nothing
+else in the library is there for the tests alone, and only io builds the
+device and the run config it checked.
 
 lctbench/tracer.py names lctpulse functions by module and name; a refactor
 that moves or renames one should fail here, not in a traced benchmark run.
@@ -98,3 +99,24 @@ def test_every_private_helper_has_a_reader_in_the_library():
     # one that only tests read, or none, is dead.
     unread = _unread(_private_definitions)
     assert not unread, "no reader in src/lctpulse: " + ", ".join(unread)
+
+
+def test_only_io_builds_the_device_and_the_run_config():
+    # io judges the device and the `lct` section whole, and SystemParams
+    # and LctConfig take them as read: no other module may build one from
+    # values io has not seen.  lct.refined_config derives a config from a
+    # checked one through dataclasses.replace, which is not a build.
+    built = []
+    for path in sorted(Path(ROOT, "src", "lctpulse").glob("*.py")):
+        if path.name == "io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in ("SystemParams", "LctConfig"):
+                built.append(f"{path.name}:{node.lineno} {func.id}(")
+            elif (isinstance(func, ast.Attribute) and func.attr == "from_ghz"
+                  and isinstance(func.value, ast.Name) and func.value.id == "SystemParams"):
+                built.append(f"{path.name}:{node.lineno} SystemParams.from_ghz(")
+    assert built == [], "built outside io: " + ", ".join(built)

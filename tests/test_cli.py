@@ -281,17 +281,24 @@ def test_lct_rejects_transfer_across_excitation_numbers(tmp_path, capsys):
 @pytest.mark.parametrize("initial, target", [
     ("11110", "11101"), ("100", "0a1"), ("100", "0100"), ("000", "")],
     ids=["11101", "0a1", "0100", "empty"])
-def test_labels_beyond_the_devices_blocks_exit_1(tmp_path, capsys, initial, target):
+def test_labels_beyond_the_devices_blocks_exit_1(tmp_path, capsys, monkeypatch,
+                                                 initial, target):
     # 11110 and 11101 share an excitation number, four, but the 2-qubit
     # device has no block of four excitations.  0a1 and 0100 hold one
     # excitation and "" none, as their initial labels do, yet none is a
-    # label of the device.  The label lookup must name the label and exit
-    # 1, not raise an IndexError or run in the block the count picks.
-    cfg = _config(tmp_path, lct={**LCT_SHORT, "initial": initial, "target": target})
-    code, out = _run(tmp_path, "lct", "--config", cfg)
-    assert code == 1
-    assert repr(target) in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    # label of the device.  io must name the target and exit 1, not raise
+    # an IndexError or run in the block the count picks, and a pipeline or
+    # analytic must refuse it before it forks the fit's child.
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the labels were read"))
+    cfg = _config(tmp_path, lct={**LCT_SHORT, "initial": initial, "target": target},
+                  analytic=FIT)
+    for command in ("lct", "pipeline", "analytic"):
+        code, out = _run(tmp_path / command, command, "--config", cfg)
+        assert code == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("config error: section 'lct', key 'target':"), command
+        assert err.count("\n") == 1 and err.rstrip().endswith(repr(target)), command
+        assert list(out.iterdir()) == [], command
 
 
 @pytest.mark.parametrize("command", ["lct", "pipeline"])
@@ -786,6 +793,11 @@ def test_non_numeric_and_non_boolean_stage_values_exit_1(tmp_path, capsys):
     cases += [("lct", "lct", LCT_SHORT, key, value) for key, value in (
         ("lambda", inf), ("lambda", nan), ("t_max_ns", inf), ("dt_ns", nan),
         ("eta", 1))]
+    # One coupling per qubit; and a run of more samples than a float counts,
+    # which round() would refuse with an OverflowError.
+    cases += [("lct", "device", DEVICE, "couplings_ghz", [0.100], "one coupling per qubit"),
+              ("lct", "lct", {**LCT_SHORT, "dt_ns": 1e-300}, "t_max_ns", 1e10,
+               "than a float can count")]
     # The closed form's shape keys are finite numbers.
     cases += [("analytic", "analytic", ANALYTIC, key, value) for key, value in (
         ("alpha1_ghz", nan), ("alpha1_ghz", True), ("tau2_ns", inf))]

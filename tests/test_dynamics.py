@@ -13,7 +13,6 @@ from lctpulse.dynamics import (
     propagator,
     step_factors,
 )
-from lctpulse.errors import UnknownLabelError
 from lctpulse.model import SystemParams, build_drift_hamiltonian
 from lctpulse.pulses import Waveform
 from lctpulse.units import TWO_PI
@@ -185,7 +184,7 @@ def test_trajectory_record_shape(params):
 
 def test_unknown_tracked_label(params, rng):
     wf = Waveform(dt=0.02, samples=np.zeros(10))
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(ValueError, match="bogus"):
         propagate_waveform(params.sector(1), _random_state(rng, 3), wf, tracked=["bogus"])
 
 

