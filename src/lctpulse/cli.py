@@ -34,7 +34,7 @@ import time
 import numpy as np
 
 from . import io
-from .errors import ConfigError, ConvergenceError, DegenerateLevelsError
+from .errors import ConfigError, ConvergenceError
 from .lct import run_lct
 from .model import (product_labels, single_excitation_gap_minima, sweep_eigenvalues,
                     sweep_nonadiabatic_couplings)
@@ -247,11 +247,12 @@ def cmd_filter(ctx: dict) -> None:
 
 
 @_stage
-def cmd_optimize(ctx: dict):
-    """Bare LCT run, then the reversibility search.  Returns the optimized
-    pulse, which cmd_pipeline hands on without re-reading its file."""
+def cmd_optimize(ctx: dict, settings=None):
+    """Bare LCT run, then the reversibility search by the settings handed
+    on, else the section's.  Returns the optimized pulse, which
+    cmd_pipeline hands on without re-reading its file."""
     params, base = _run_inputs(ctx)
-    settings = io.reversibility_section(ctx["doc"])
+    settings = io.reversibility_section(ctx["doc"]) if settings is None else settings
 
     bare = run_lct(params, base)
     _write_pulse_set(ctx, "bare", params, bare.waveform)
@@ -321,15 +322,16 @@ def cmd_pipeline(ctx: dict) -> None:
     truncation's; a run that fails before then kills the child and writes
     no analytic file."""
     doc = ctx["doc"]
-    # Each later section is read once, before the search spends its time,
-    # and its settings are handed on.
+    # Each stage's section is read once, before the fit forks and the
+    # search spends its time, and its settings are handed on.
     truncation = io.truncation_section(doc) if "truncation" in doc else None
     params, _ = _run_inputs(ctx)
     analytic = io.analytic_section(doc, params.omega_tc_max) if "analytic" in doc else None
+    reversibility = io.reversibility_section(doc)
     wait, cancel = (_start_fit(ctx, analytic[0]) if analytic is not None and analytic[1]
                     else (None, lambda: None))
     try:
-        pulse = cmd_optimize(ctx)
+        pulse = cmd_optimize(ctx, reversibility)
         if truncation is not None:
             cmd_truncate(ctx, pulse, truncation)
         if analytic is not None:
@@ -409,8 +411,7 @@ def main(argv: list | None = None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         code = EXIT_CONVERGENCE
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError,
-            DegenerateLevelsError) as exc:
+    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         code = EXIT_NUMERICAL
     except ChildProcessError as exc:

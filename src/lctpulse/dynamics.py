@@ -44,20 +44,17 @@ def step_factors(spectrum: DriftSpectrum, shifts, dt: float) -> tuple:
     stack along it.  A scalar shift of exactly 0.0 holds H itself and
     reuses the eigenpairs, which the feedback loop caps many samples at.
     A stack goes to one batched eigh whole, which gives each member the
-    same bits as one at a time; its members of exactly 0.0 are then
-    overwritten with the eigenpairs, so they match the scalar path.
+    same bits as one at a time.  A member of exactly 0.0 gets H's own
+    eigh, whose vectors differ from the stored, gauge-fixed ones only in
+    the signs of columns; a column's sign cancels exactly in
+    U diag(phases) U^H, so its steps match the scalar path's bit for bit.
     """
-    if np.ndim(shifts) == 0:
-        if shifts == 0.0:
-            w, u = spectrum.eigenvalues, spectrum.eigenvectors
-        else:  # held_hamiltonians' arithmetic, without its broadcasting cost
-            w, u = np.linalg.eigh(spectrum.hamiltonian + shifts * spectrum.control)
-        return u, np.exp(w * (-1j * dt))
-    shifts = np.asarray(shifts, dtype=float)
-    w, u = np.linalg.eigh(held_hamiltonians(spectrum.hamiltonian, spectrum.control, shifts))
-    zero = shifts == 0.0
-    if zero.any():
-        w[zero], u[zero] = spectrum.eigenvalues, spectrum.eigenvectors
+    if np.ndim(shifts):
+        w, u = np.linalg.eigh(held_hamiltonians(spectrum.hamiltonian, spectrum.control, shifts))
+    elif shifts == 0.0:
+        w, u = spectrum.eigenvalues, spectrum.eigenvectors
+    else:  # held_hamiltonians' arithmetic, without its broadcasting cost
+        w, u = np.linalg.eigh(spectrum.hamiltonian + shifts * spectrum.control)
     return u, np.exp(w * (-1j * dt))
 
 

@@ -5,9 +5,5 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration input."""
 
 
-class DegenerateLevelsError(ValueError):
-    """Operation undefined on a (near-)degenerate eigenvalue pair."""
-
-
 class ConvergenceError(RuntimeError):
     """An optimization stage failed to reach its goal."""

@@ -307,7 +307,14 @@ CHUNK = 256
 def _write_csv(path: str, header: str, columns, fmts) -> None:
     """Write equal-length float columns as the bytes of np.savetxt(path,
     np.column_stack(columns), fmt=fmts, delimiter=",", header=header,
-    comments="") without building the stacked copy.
+    comments="") without building the stacked copy."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        _write_rows(fh, columns, fmts)
+
+
+def _write_rows(fh, columns, fmts) -> None:
+    """Write equal-length float columns to fh as np.savetxt's rows.
 
     A column whose values are bitwise identical is formatted once into the
     row template.  The test reads a same-width unsigned-integer view without
@@ -325,18 +332,12 @@ def _write_csv(path: str, header: str, columns, fmts) -> None:
             parts.append(fmt)
             varying.append(col)
     row = ",".join(parts) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        if not varying:
-            fh.write((row % ()) * n)
-            return
-        for i in range(0, n, CHUNK):
-            fh.write(_rows(row, [col[i:i + CHUNK] for col in varying]))
-
-
-def _rows(row: str, columns) -> str:
-    """Equal-length columns formatted through the row template."""
-    return "".join(row % values for values in zip(*(col.tolist() for col in columns)))
+    if not varying:
+        fh.write((row % ()) * n)
+        return
+    for i in range(0, n, CHUNK):
+        fh.write("".join(row % values for values in
+                         zip(*(col[i:i + CHUNK].tolist() for col in varying))))
 
 
 def write_waveform_csv(path: str, wf: Waveform):
@@ -401,28 +402,25 @@ def write_trajectory_csv(path: str, dt: float, run):
     The sink takes run_lct's chunks, the block as it ran, and the file
     lays them out.  The bytes are _write_csv's for the whole table: times
     k dt, the control in GHz and the population of every bare label of
-    the device, in product order, a constant 0 outside the run's block;
-    the final state's row repeats the last hold.  The file opens at the
-    first chunk, and a run that fails later removes it.
+    the device, in product order; every label outside the run's block
+    reads one shared zero column, which _write_rows folds into its row
+    template.  The final state's row repeats the last hold.  The file
+    opens at the first chunk, and a run that fails later removes it.
     """
-    fh = row = rows = None
+    fh = names = None
 
     def sink(k0: int, labels: list, samples: np.ndarray, pops: np.ndarray) -> None:
-        nonlocal fh, row, rows
+        nonlocal fh, names
         if fh is None:
             names = product_labels(len(labels[0]) - 1)
-            where = {lab: b for b, lab in enumerate(labels)}
-            rows = [where[lab] for lab in names if lab in where]
-            row = ",".join(["%.9f", GHZ_FMT] + ["%.12e" if lab in where else "0.000000000000e+00"
-                                                 for lab in names]) + "\n"
             fh = open(path, "w")
             fh.write(",".join(["t_ns,delta_omega_ghz", *(f"pop_{lab}" for lab in names)]) + "\n")
         if pops.shape[1] > len(samples):
             samples = np.append(samples, samples[-1])
-        for i in range(0, len(samples), CHUNK):
-            held = samples[i:i + CHUNK]
-            fh.write(_rows(row, [np.arange(k0 + i, k0 + i + len(held)) * dt,
-                                 held / TWO_PI, *(pops[b, i:i + CHUNK] for b in rows)]))
+        block, zero = dict(zip(labels, pops)), np.zeros(len(samples))
+        _write_rows(fh, [np.arange(k0, k0 + len(samples)) * dt, samples / TWO_PI,
+                         *(block.get(lab, zero) for lab in names)],
+                    ["%.9f", GHZ_FMT] + ["%.12e"] * len(names))
 
     try:
         return run(sink)

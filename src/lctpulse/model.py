@@ -28,7 +28,6 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DegenerateLevelsError
 from .units import TWO_PI
 
 # Ceiling on the product-basis dimension 2^(n+1).  No matrix of that size
@@ -191,17 +190,15 @@ def _assign_labels(vectors: np.ndarray, labels: list) -> list:
     by squared overlap.
 
     Candidate (basis index, eigenvector) pairs are visited in order of
-    decreasing overlap; ties fall to the lowest basis index.
+    decreasing overlap; ties fall to the lowest basis index, then the
+    lowest eigenvector index: a stable sort of the pairs in row-major order.
     """
     dim = len(labels)
     overlap = np.abs(vectors) ** 2  # [basis, vec]
-    order = sorted(
-        ((i, j) for i in range(dim) for j in range(dim)),
-        key=lambda ij: (-overlap[ij[0], ij[1]], ij[0], ij[1]),
-    )
+    order = np.unravel_index(np.argsort(-overlap, axis=None, kind="stable"), overlap.shape)
     assigned = [None] * dim
     used_basis = set()
-    for i, j in order:
+    for i, j in zip(*(idx.tolist() for idx in order)):
         if assigned[j] is None and i not in used_basis:
             assigned[j] = labels[i]
             used_basis.add(i)
@@ -266,7 +263,7 @@ def sweep_nonadiabatic_couplings(sweep: SpectrumSweep, pairs: list) -> np.ndarra
 
     Signed, shape (m, len(pairs)); indices j, k address sweep.levels at each
     shift.  Levels of different blocks couple exactly 0, even where they
-    cross.  Raises DegenerateLevelsError where a pair of one block is closer
+    cross.  Raises ValueError where a pair of one block is closer
     than 1e-9 rad/ns, where the expression is singular.
     """
     if any(j == k for j, k in pairs):
@@ -282,7 +279,7 @@ def sweep_nonadiabatic_couplings(sweep: SpectrumSweep, pairs: list) -> np.ndarra
     degenerate = np.argwhere(same & (np.abs(gap) < _DEGENERACY_FLOOR))
     if degenerate.size:
         i, c = degenerate[0]
-        raise DegenerateLevelsError(
+        raise ValueError(
             f"levels {j[c]},{k[c]} degenerate to {gap[i, c]:.3e} rad/ns at "
             f"delta_omega_tc={sweep.deltas[i]:.6g}"
         )

@@ -142,3 +142,23 @@ def transfer_duration(traj, label: str, lo: float, hi: float) -> float | None:
     if t_lo is None or t_hi is None:
         return None
     return t_hi - t_lo
+
+
+def greedy_labels(vectors: np.ndarray, labels: list) -> list:
+    """The basis label of each eigenvector column, assigned greedily: the
+    (basis index, eigenvector) pairs are visited by decreasing squared
+    overlap, ties to the lower basis index, then the lower eigenvector
+    index, and a pair is taken when neither side is taken yet."""
+    dim = len(labels)
+    overlap = np.abs(vectors) ** 2  # [basis, vec]
+    order = sorted(
+        ((i, j) for i in range(dim) for j in range(dim)),
+        key=lambda ij: (-overlap[ij[0], ij[1]], ij[0], ij[1]),
+    )
+    assigned = [None] * dim
+    used_basis = set()
+    for i, j in order:
+        if assigned[j] is None and i not in used_basis:
+            assigned[j] = labels[i]
+            used_basis.add(i)
+    return assigned

@@ -301,6 +301,21 @@ def test_labels_beyond_the_devices_blocks_exit_1(tmp_path, capsys, monkeypatch,
         assert list(out.iterdir()) == [], command
 
 
+def test_malformed_reversibility_section_blocks_the_pipelines_fork(tmp_path, capsys,
+                                                                  monkeypatch):
+    # A goal of 2 passes any pulse, so io refuses it; a pipeline must do so
+    # with its other sections, before it forks the fit's child.
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the search was read"))
+    cfg = _config(tmp_path, lct=LCT_SHORT, reversibility={"fidelity_goal": 2.0},
+                  analytic=FIT)
+    code, out = _run(tmp_path, "pipeline", "--config", cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: section 'reversibility'")
+    assert err.count("section 'reversibility'") == 1 and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["lct", "pipeline"])
 def test_run_whose_target_is_its_initial_label_exits_1(tmp_path, capsys, command):
     # Nothing moves from 100 to 100: the run must fail at config time,
@@ -570,7 +585,7 @@ def test_two_excitation_run_writes_its_block_among_every_label(tmp_path):
     assert summary["final_error"] == run.final_error
 
 
-def test_degenerate_device_is_a_numerical_error(tmp_path):
+def test_degenerate_device_is_a_numerical_error(tmp_path, capsys):
     doc = {"device": {"qubit_freqs_ghz": [5.0, 5.0],
                       "couplings_ghz": [1e-5, 1e-5],
                       "tc_max_freq_ghz": 7.445}}
@@ -579,6 +594,8 @@ def test_degenerate_device_is_a_numerical_error(tmp_path):
     code = main(["spectrum", "--config", str(path),
                  "--out-dir", str(tmp_path / "d"), "--steps", "11"])
     assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: levels ") and " degenerate to " in err
 
 
 def test_crossing_between_excitation_blocks_is_not_degenerate(tmp_path):

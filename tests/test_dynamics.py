@@ -73,31 +73,43 @@ def test_stacked_step_matches_each_member_exactly(rng):
 
 
 @pytest.mark.parametrize("members", [1, 3, 51])
-def test_all_held_stack_matches_masked_path(params, rng, members):
-    # Every stack goes to one batched eigh, and its exact zeros are then
-    # overwritten with the drift's eigenpairs.  Appending a zero must leave
+def test_stacked_zero_steps_match_the_scalar_zero_path(params, rng, members):
+    # Every stack goes to one batched eigh.  Appending a zero must leave
     # every other member with the same bits.
-    sector = params.sector(1)
-    shifts = -TWO_PI * rng.uniform(0.01, 7.0, size=members)
-    held = step_factors(sector, shifts, 0.01)
-    masked = step_factors(sector, np.append(shifts, 0.0), 0.01)
-    for fast, slow in zip(held, masked):
-        assert fast.dtype == slow.dtype
-        assert fast.tobytes() == slow[:members].tobytes()
+    for sector in all_sectors(params):
+        shifts = -TWO_PI * rng.uniform(0.01, 7.0, size=members)
+        held = step_factors(sector, shifts, 0.01)
+        masked = step_factors(sector, np.append(shifts, 0.0), 0.01)
+        for fast, slow in zip(held, masked):
+            assert fast.dtype == slow.dtype
+            assert fast.tobytes() == slow[:members].tobytes()
 
-    # Exact zeros (every member when there is one) reuse the drift's
-    # eigenpairs; the others match an all-held stack of themselves.
-    mixed = shifts.copy()
-    mixed[::2] = 0.0
-    u, phases = step_factors(sector, mixed, 0.01)
-    nonzero = mixed != 0.0
-    if nonzero.any():
-        u_held, phases_held = step_factors(sector, mixed[nonzero], 0.01)
-        assert u[nonzero].tobytes() == u_held.tobytes()
-        assert phases[nonzero].tobytes() == phases_held.tobytes()
-    zero_u, zero_phases = step_factors(sector, 0.0, 0.01)
-    assert all(member.tobytes() == zero_u.tobytes() for member in u[~nonzero])
-    assert all(member.tobytes() == zero_phases.tobytes() for member in phases[~nonzero])
+        # The members of a mixed stack that are not zero match an all-held
+        # stack of themselves.  Its exact zeros (every member when there is
+        # one) get H's own eigenvectors, which may differ from the stored
+        # ones in the signs of columns; a step with them must still match
+        # the scalar zero path bit for bit, alone and in a stack of state
+        # columns.
+        mixed = shifts.copy()
+        mixed[::2] = 0.0
+        u, phases = step_factors(sector, mixed, 0.01)
+        nonzero = mixed != 0.0
+        if nonzero.any():
+            u_held, phases_held = step_factors(sector, mixed[nonzero], 0.01)
+            assert u[nonzero].tobytes() == u_held.tobytes()
+            assert phases[nonzero].tobytes() == phases_held.tobytes()
+        zero_u, zero_phases = step_factors(sector, 0.0, 0.01)
+        d = len(zero_phases)
+        complex_state = _random_state(rng, d)
+        with_zero = complex_state.copy()
+        with_zero[d // 2] = 0.0
+        for psi in (complex_state, rng.normal(size=d), with_zero):
+            expected = apply_step(zero_u, zero_phases, psi).tobytes()
+            columns = np.broadcast_to(psi[:, None], (2, members, d, 1)).copy()
+            stacked = apply_step(u, phases, columns)
+            for b in np.flatnonzero(~nonzero):
+                assert apply_step(u[b], phases[b], psi).tobytes() == expected
+                assert all(stacked[a, b, :, 0].tobytes() == expected for a in range(2))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in H + s G

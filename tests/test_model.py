@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lctpulse import model
-from lctpulse.errors import DegenerateLevelsError
 from lctpulse.model import (
     SystemParams,
     build_drift_hamiltonian,
     eigendecompose,
+    excitation_labels,
     nonadiabatic_coupling,
     product_labels,
     single_excitation_gap_minima,
@@ -20,6 +21,7 @@ from oracles import (
     dense_spectrum,
     flux_to_frequency,
     frequency_to_flux,
+    greedy_labels,
     hamiltonian_at,
     label_index,
     single_excitation_block,
@@ -217,6 +219,48 @@ _EIGHT_QUBITS = ([5.890, 5.031, 6.350, 6.720, 5.410, 6.080, 5.650, 6.930],
                  [0.100, 0.071, 0.060, 0.050, 0.080, 0.065, 0.090, 0.055])
 
 
+@st.composite
+def _tied_vectors(draw):
+    """A square matrix whose entries take few magnitudes, so that many
+    overlaps tie exactly, with some columns zero and some signs flipped."""
+    dim = draw(st.integers(1, 7))
+    cells = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0]), min_size=dim * dim,
+                     max_size=dim * dim)
+    vectors = np.array(draw(cells)).reshape(dim, dim)
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim * dim,
+                                   max_size=dim * dim))).reshape(dim, dim)
+    zero = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    vectors[:, zero] = 0.0
+    return vectors * signs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_vectors())
+def test_labeller_matches_the_greedy_oracle_on_ties(vectors):
+    labels = [f"b{i}" for i in range(len(vectors))]
+    assert model._assign_labels(vectors, labels) == greedy_labels(vectors, labels)
+
+
+@pytest.mark.parametrize("freqs, couplings", [
+    ([5.890], [0.100]),
+    ([5.890, 5.031], [0.100, 0.071]),
+    ([5.890, 5.031], [0.3, 0.2]),
+    ([5.5, 5.5], [0.100, 0.071]),
+    ([5.0, 5.0], [1e-5, 1e-5]),
+    ([5.890, 5.031], [1e-9, 1e-9]),
+    ([5.0, 5.0, 5.0], [0.1, 0.1, 0.1]),
+    ([5.890, 5.031, 6.350], [0.100, 0.071, 0.060]),
+    ([5.890, 5.031, 6.350, 6.720], [0.100, 0.071, 0.060, 0.050]),
+    _EIGHT_QUBITS,
+], ids=["1q", "2q", "fast", "dark", "degenerate", "tiny", "identical", "3q", "4q", "8q"])
+def test_every_block_is_labelled_as_the_greedy_oracle_labels_it(freqs, couplings):
+    device = SystemParams.from_ghz(freqs, couplings, 7.445)
+    for k in range(device.n_qubits + 2):
+        sector = device.sector(k)
+        assert sector.bare_labels == greedy_labels(
+            sector.eigenvectors, excitation_labels(device.n_qubits, k))
+
+
 def _same_bytes(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -334,11 +378,11 @@ def test_degenerate_pair_raises():
     # Identical qubits with a nearly decoupled far TC: the symmetric and
     # antisymmetric qubit combinations split only at second order in g.
     sym = SystemParams.from_ghz([5.0, 5.0], [1e-5, 1e-5], 7.445)
-    with pytest.raises(DegenerateLevelsError):
+    with pytest.raises(ValueError, match="degenerate"):
         nonadiabatic_coupling(sym, 1, 2, 0.0)
     # The batched sweep finds the pair among other points and pairs.
     deltas = TWO_PI * np.array([-1.0, -0.5, 0.0])
-    with pytest.raises(DegenerateLevelsError):
+    with pytest.raises(ValueError, match="degenerate"):
         sweep_nonadiabatic_couplings(sweep_eigenvalues(sym, deltas), [(0, 1), (1, 2)])
 
 
